@@ -83,6 +83,10 @@ def _to_json(value, indent: int = 0) -> str:
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(value, np.ndarray):
+        if value.ndim == 1 and value.dtype.kind in "iu":
+            return "[" + ", ".join(map("%d".__mod__, value.tolist())) + "]"
+        if value.ndim == 1 and value.dtype.kind == "f" and np.all(np.isfinite(value)):
+            return "[" + ", ".join(map("%.17g".__mod__, value.tolist())) + "]"
         value = value.tolist()
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_to_json(entry, indent + 1) for entry in value) + "]"
@@ -101,14 +105,22 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(_to_json(payload) + "\n")
 
 
+_CSV_CHUNK_ROWS = 4096
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray],
                footer: list[str] | None = None) -> None:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join("%.17g" % v for v in row))
-    if footer:
-        lines.extend(footer)
-    path.write_text("\n".join(lines) + "\n")
+    """Write header, one %.17g row per index of the columns, then footer
+    lines; rows are formatted and written in bounded chunks."""
+    rows = len(columns[0]) if columns else 0
+    with path.open("w") as handle:
+        handle.write(",".join(header) + "\n")
+        line = ",".join(["%.17g"] * len(columns)) + "\n"
+        for at in range(0, rows, _CSV_CHUNK_ROWS):
+            block = np.column_stack([col[at : at + _CSV_CHUNK_ROWS] for col in columns])
+            handle.write((line * len(block)) % tuple(block.ravel().tolist()))
+        for extra in footer or ():
+            handle.write(extra + "\n")
 
 
 # ---------------------------------------------------------------- configuration
@@ -499,7 +511,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise QCLabError("sweep needs --K unless K is the swept axis")
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    points = [int(v) for v in args.values.split(",")]
+    try:
+        points = [int(v) for v in args.values.split(",")]
+    except ValueError:
+        raise UnknownFamily(
+            f"sweep --values must be comma-separated integers, got {args.values!r}"
+        ) from None
     params = []
     values = []
     for point in points:
@@ -597,7 +614,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except QCLabError as exc:
-        print(_to_json({"error": {"code": exc.code, "message": str(exc)}}))
+        import json  # needed on this path only
+
+        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
         return 1
 
 

@@ -16,6 +16,7 @@ import scipy.linalg
 
 from .errors import ClusterOverlap, IllPosed, ShapeMismatch
 from .mesh import CoarseMesh, basis_value
+from .model import slot_of_site
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,15 +231,30 @@ def verify_exactness(mesh: CoarseMesh, rule: ClusterRule, weights: WeightSet) ->
 
     For every node j the full-lattice sum eps*sum_ell hat_j(eps*ell) is
     compared against the weighted cluster sums; exact weights push this to
-    the rounding floor by construction.
+    the rounding floor by construction.  Hat j is evaluated only on its two
+    elements and on the clusters of nodes j-1, j, j+1 (admissible clusters
+    meet no other hat), but each sum still runs over the full lattice and
+    all clusters, with zeros elsewhere, so it is summed in the same order.
     """
     members = rule.member_matrix()
     active = weights.energy
-    sites = np.arange(-mesh.N + 1, mesh.N + 1)
+    n2k = 2 * mesh.K
+    hats = np.zeros(2 * mesh.N)
+    per_cluster = np.zeros(n2k)
+    support = slice(0, 0)
     worst = 0.0
-    for t in range(2 * mesh.K):
+    for t in range(n2k):
         j = t - (mesh.K - 1)
-        full = mesh.epsilon * np.sum(basis_value(mesh, j, sites))
-        clustered = float(np.sum(active * np.sum(basis_value(mesh, j, members), axis=1)))
+        left = int(mesh.node(j - 1))
+        span = int(mesh.steps[t] + mesh.steps[(t + 1) % n2k])
+        sites = np.arange(left + 1, left + span)
+        hats[support] = 0.0
+        support = slot_of_site(sites, mesh.N)
+        hats[support] = basis_value(mesh, j, sites)
+        full = mesh.epsilon * np.sum(hats)
+        near = np.arange(t - 1, t + 2) % n2k
+        per_cluster[near] = np.sum(basis_value(mesh, j, members[near]), axis=1)
+        clustered = float(np.sum(active * per_cluster))
+        per_cluster[near] = 0.0
         worst = max(worst, abs(full - clustered))
     return worst

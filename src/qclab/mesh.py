@@ -191,7 +191,10 @@ def build_mesh(spec: MeshSpec) -> CoarseMesh:
 
 def load_custom_indices(path) -> tuple[int, ...]:
     """Read a custom node list: one integer lattice index per line."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshBuildError(f"cannot read custom node list {path!r}: {exc}") from None
     indices = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -249,6 +252,14 @@ class NodalField:
         return (v - np.roll(v, 1)) / self.mesh.h
 
 
+def check_field(mesh: CoarseMesh, V: NodalField) -> None:
+    """Reject a nodal field built on a different mesh."""
+    if V.mesh is not mesh and (
+        V.mesh.N != mesh.N or not np.array_equal(V.mesh.repatoms, mesh.repatoms)
+    ):
+        raise ShapeMismatch("nodal field belongs to a different mesh")
+
+
 def zero_nodal_field(mesh: CoarseMesh) -> NodalField:
     return NodalField(mesh=mesh, values=np.zeros(2 * mesh.K))
 
@@ -279,26 +290,23 @@ def prolong(mesh: CoarseMesh, V: NodalField, N: int | None = None) -> Displaceme
     """
     if N is not None and N != mesh.N:
         raise ShapeMismatch(f"mesh was built for N={mesh.N}, not N={N}")
-    if V.mesh is not mesh and (
-        V.mesh.N != mesh.N or not np.array_equal(V.mesh.repatoms, mesh.repatoms)
-    ):
-        raise ShapeMismatch("nodal field belongs to a different mesh")
+    check_field(mesh, V)
     vals = V.values
     lefts = np.roll(vals, 1)
-    grads = V.gradients()
-    pieces = []
-    for t in range(2 * mesh.K):
-        s = int(mesh.steps[t])
-        frac = np.arange(1, s + 1) / s
-        seg = lefts[t] + frac * (vals[t] - lefts[t])
-        seg[-1] = vals[t]  # exact node value, immune to rounding in the blend
-        pieces.append(seg)
-    sites = np.arange(mesh.repatoms[-1] - 2 * mesh.N + 1, mesh.repatoms[-1] + 1)
-    slots = slot_of_site(sites, mesh.N)
-    values = np.empty(2 * mesh.N)
-    values[slots] = np.concatenate(pieces)
-    gradients = np.empty(2 * mesh.N)
-    gradients[slots] = np.repeat(grads, mesh.steps)
+    steps = mesh.steps
+    ends = np.cumsum(steps)
+    # element order (wrap element first); per site: left + frac*(right - left)
+    # with frac = i/s, the same IEEE operations as a per-element blend
+    seq = np.arange(1, 2 * mesh.N + 1, dtype=float)
+    seq -= np.repeat(ends - steps, steps)
+    seq /= np.repeat(steps, steps)
+    seq *= np.repeat(vals - lefts, steps)
+    seq += np.repeat(lefts, steps)
+    seq[ends - 1] = vals  # exact node values, immune to rounding in the blend
+    # element order starts at the site after the wrap element's left node
+    shift = int(slot_of_site(mesh.repatoms[-1] - 2 * mesh.N + 1, mesh.N))
+    values = np.roll(seq, shift)
+    gradients = np.roll(np.repeat(V.gradients(), steps), shift)
     return Displacement(N=mesh.N, values=values, gradients=gradients)
 
 
@@ -339,15 +347,24 @@ def exact_load(mesh: CoarseMesh, model: ChainModel) -> np.ndarray:
     accumulated over the full lattice, slot order."""
     if model.N != mesh.N:
         raise ShapeMismatch(f"mesh was built for N={mesh.N}, not N={model.N}")
-    n2k = 2 * mesh.K
-    out = np.zeros(n2k)
-    left_node = mesh.repatoms[-1] - 2 * mesh.N
-    for t in range(n2k):
-        s = int(mesh.steps[t])
-        sites = np.arange(left_node + 1, left_node + s + 1)
-        f = model.force.samples[slot_of_site(sites, mesh.N)]
-        rising = np.arange(1, s + 1) / s
-        out[t] += np.dot(f, rising)
-        out[t - 1] += np.dot(f, 1.0 - rising)  # t-1 wraps to the last slot at t=0
-        left_node += s
+    # forces in element order, so each element's sites form one contiguous slice
+    start = int(slot_of_site(mesh.repatoms[-1] - 2 * mesh.N + 1, mesh.N))
+    f = np.roll(model.force.samples, -start)
+    ramps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    rising = np.empty(2 * mesh.K)
+    falling = np.empty(2 * mesh.K)
+    at = 0
+    for t, s in enumerate(mesh.steps.tolist()):
+        if s not in ramps:
+            up = np.arange(1, s + 1) / s
+            ramps[s] = (up, 1.0 - up)
+        up, down = ramps[s]
+        seg = f[at : at + s]
+        rising[t] = np.dot(seg, up)
+        falling[t] = np.dot(seg, down)
+        at += s
+    # hat t collects the rising ramp of element t and the falling ramp of t+1
+    out = np.zeros(2 * mesh.K)
+    out += rising
+    out += np.roll(falling, -1)
     return model.epsilon * out

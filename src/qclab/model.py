@@ -190,8 +190,6 @@ class ChainModel:
             raise ShapeMismatch(f"need N >= 2 atoms per half-period, got {self.N}")
         if self.force.N != self.N:
             raise ShapeMismatch("force was sampled for a different lattice size")
-        if self.epsilon * self.N != 1.0:
-            raise QCLabError(f"lattice spacing 1/{self.N} does not invert exactly")
 
     @property
     def epsilon(self) -> float:

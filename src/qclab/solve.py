@@ -27,12 +27,11 @@ import numpy as np
 
 from .errors import ConvexityLoss, IllPosed, NewtonFailure, ShapeMismatch
 from .cluster import ClusterRule, WeightSet
-from .mesh import CoarseMesh, NodalField, exact_load, prolong
+from .mesh import CoarseMesh, NodalField, check_field, exact_load, prolong
 from .model import (
     ChainModel,
     Displacement,
     PairPotential,
-    site_energies,
     site_forces,
     slot_of_site,
 )
@@ -221,11 +220,23 @@ def assemble_cluster_forces(model: ChainModel, mesh: CoarseMesh, rule: ClusterRu
 def energy_cluster_functional(model: ChainModel, mesh: CoarseMesh, rule: ClusterRule,
                               weights: WeightSet, V: NodalField) -> float:
     """Cluster-rule approximation of the stored energy of a nodal field:
-    sum_k omega_k * (site energies over the cluster of node k)."""
+    sum_k omega_k * (site energies over the cluster of node k).
+
+    Site energies are half the energies of the two bonds at the site.  An
+    admissible cluster sits inside the two elements at its node, so a bond
+    left of the node carries phi of element k's gradient and a bond right
+    of it phi of element k+1's; only those 2K bond energies are evaluated.
+    """
     _check_cluster_args(model, mesh, rule, weights)
-    energies = site_energies(model, prolong(mesh, V))
-    members = rule.member_matrix()
-    per_cluster = np.sum(energies[slot_of_site(members, mesh.N)], axis=1)
+    check_field(mesh, V)
+    e = model.potential.value(V.gradients())
+    e_next = np.roll(e, -1)
+    r = rule.r
+    energies = np.empty((2 * mesh.K, rule.size))
+    energies[:, :r] = (0.5 * (e + e))[:, None]
+    energies[:, r] = 0.5 * (e + e_next)
+    energies[:, r + 1 :] = (0.5 * (e_next + e_next))[:, None]
+    per_cluster = np.sum(energies, axis=1)
     return float(np.dot(weights.energy, per_cluster))
 
 

@@ -2,7 +2,10 @@
 
 Everything here recomputes library quantities from first principles (dense
 linear algebra, per-site loops over the hat basis, finite differences) so the
-tests compare two independent code paths.
+tests compare two independent code paths.  The ``reference_*`` functions are
+the straightforward per-element / per-row / full-lattice versions of the
+library's single-pass kernels; ``tests/test_kernels.py`` requires the
+kernels to reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from qclab import (
     harmonic_potential,
     sample_force,
     slot_of_site,
+    site_energies,
     total_energy,
     Displacement,
 )
+from qclab.cli import _format_float
 
 
 def make_model(N, force="sinpi", potential=None):
@@ -93,9 +98,10 @@ def dense_weight_matrix(mesh, rule):
     return A
 
 
-def random_custom_mesh(rng):
-    """Periodic mesh with random integer steps, node 0 at lattice site 0."""
-    K = int(rng.integers(3, 7))
+def random_custom_mesh(rng, K=None):
+    """Periodic mesh with random integer steps, node 0 at lattice site 0;
+    K is drawn from 3..6 unless given."""
+    K = int(rng.integers(3, 7)) if K is None else K
     steps = rng.integers(5, 16, size=2 * K)
     if steps.sum() % 2:
         steps[-1] += 1
@@ -121,3 +127,101 @@ def random_displacement(rng, N, scale=1.0):
     vals = scale * rng.normal(size=2 * N)
     vals[N - 1] = 0.0
     return Displacement(N=N, values=vals)
+
+
+# ---------------------------------------------------------------- reference kernels
+
+def reference_prolong(mesh, V):
+    """Piecewise-affine extension, blended element by element."""
+    vals = V.values
+    lefts = np.roll(vals, 1)
+    grads = V.gradients()
+    pieces = []
+    for t in range(2 * mesh.K):
+        s = int(mesh.steps[t])
+        frac = np.arange(1, s + 1) / s
+        seg = lefts[t] + frac * (vals[t] - lefts[t])
+        seg[-1] = vals[t]
+        pieces.append(seg)
+    sites = np.arange(mesh.repatoms[-1] - 2 * mesh.N + 1, mesh.repatoms[-1] + 1)
+    slots = slot_of_site(sites, mesh.N)
+    values = np.empty(2 * mesh.N)
+    values[slots] = np.concatenate(pieces)
+    gradients = np.empty(2 * mesh.N)
+    gradients[slots] = np.repeat(grads, mesh.steps)
+    return Displacement(N=mesh.N, values=values, gradients=gradients)
+
+
+def reference_exact_load(mesh, model):
+    """Exact hat loads, gathered and dotted element by element."""
+    n2k = 2 * mesh.K
+    out = np.zeros(n2k)
+    left_node = mesh.repatoms[-1] - 2 * mesh.N
+    for t in range(n2k):
+        s = int(mesh.steps[t])
+        sites = np.arange(left_node + 1, left_node + s + 1)
+        f = model.force.samples[slot_of_site(sites, mesh.N)]
+        rising = np.arange(1, s + 1) / s
+        out[t] += np.dot(f, rising)
+        out[t - 1] += np.dot(f, 1.0 - rising)
+        left_node += s
+    return model.epsilon * out
+
+
+def reference_verify_exactness(mesh, rule, weights):
+    """Hat-summation defect with every hat evaluated on the whole lattice
+    and on every cluster."""
+    members = rule.member_matrix()
+    active = weights.energy
+    sites = np.arange(-mesh.N + 1, mesh.N + 1)
+    worst = 0.0
+    for t in range(2 * mesh.K):
+        j = t - (mesh.K - 1)
+        full = mesh.epsilon * np.sum(basis_value(mesh, j, sites))
+        clustered = float(np.sum(active * np.sum(basis_value(mesh, j, members), axis=1)))
+        worst = max(worst, abs(full - clustered))
+    return worst
+
+
+def reference_energy_cluster_functional(model, mesh, rule, weights, V):
+    """Cluster energy read off the site energies of the prolonged field."""
+    energies = site_energies(model, reference_prolong(mesh, V))
+    members = rule.member_matrix()
+    per_cluster = np.sum(energies[slot_of_site(members, mesh.N)], axis=1)
+    return float(np.dot(weights.energy, per_cluster))
+
+
+def reference_write_csv(path, header, columns, footer=None):
+    """The CSV file built as one list of lines, one row at a time."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join("%.17g" % v for v in row))
+    if footer:
+        lines.extend(footer)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def reference_to_json(value, indent=0):
+    """The report serializer with every array element formatted on its own."""
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(
+            f'{pad}  "{key}": {reference_to_json(entry, indent + 1)}'
+            for key, entry in value.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(reference_to_json(entry, indent + 1) for entry in value) + "]"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _format_float(float(value))
+    if value is None:
+        return "null"
+    return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'

@@ -50,13 +50,20 @@ def test_run_cluster_report_shape(tmp_path):
     assert header == "x,u_atomistic,u_constrained,u_qc"
 
 
+def error_of(capsys):
+    """The error object printed on stdout, which must be exactly one line."""
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    return json.loads(out)["error"]
+
+
 def test_overlapping_clusters_exit_code(tmp_path, capsys):
     rc = main([
         "run", "--mesh", "graded", "--N", "16", "--K", "5", "--r", "3",
         "--method", "energy-cluster", "--force", "sinpi", "--out", str(tmp_path),
     ])
     assert rc == 1
-    error = json.loads(capsys.readouterr().out)["error"]
+    error = error_of(capsys)
     assert error["code"] == "ClusterOverlap"
     assert "radius" in error["message"]
 
@@ -96,7 +103,7 @@ def test_config_file_rejects_malformed_lines(tmp_path, capsys):
     cfg.write_text("mesh uniform\n")
     rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 1
-    assert json.loads(capsys.readouterr().out)["error"]["code"] == "Error"
+    assert error_of(capsys)["code"] == "Error"
 
 
 def test_mesh_inspect_output(capsys):
@@ -140,7 +147,26 @@ def test_sweep_requires_mesh(capsys):
     rc = main(["sweep", "--axis", "K", "--values", "4,8", "--metric",
                "consistency", "--N", "64", "--force", "sinpi"])
     assert rc == 1
-    assert "mesh" in json.loads(capsys.readouterr().out)["error"]["message"]
+    assert "mesh" in error_of(capsys)["message"]
+
+
+def test_sweep_rejects_non_integer_values(tmp_path, capsys):
+    rc = main(["sweep", "--axis", "K", "--values", "8,x", "--metric", "consistency",
+               "--mesh", "uniform", "--N", "64", "--force", "sinpi", "--out", str(tmp_path)])
+    assert rc == 1
+    error = error_of(capsys)
+    assert error["code"] == "UnknownFamily"
+    assert "8,x" in error["message"]
+
+
+def test_missing_custom_mesh_file(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    rc = main(["run", "--mesh", f"custom:{missing}", "--N", "16", "--K", "4",
+               "--method", "constrained", "--force", "sinpi", "--out", str(tmp_path)])
+    assert rc == 1
+    error = error_of(capsys)
+    assert error["code"] == "MeshBuild"
+    assert str(missing) in error["message"]
 
 
 def test_reproduce_fig1(tmp_path, capsys):
@@ -196,4 +222,4 @@ def test_unknown_preset_is_rejected():
 def test_run_requires_particle_count(capsys):
     rc = main(["run", "--mesh", "uniform", "--K", "4"])
     assert rc == 1
-    assert json.loads(capsys.readouterr().out)["error"]["code"] == "Error"
+    assert error_of(capsys)["code"] == "Error"

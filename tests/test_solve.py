@@ -68,6 +68,14 @@ def test_atomistic_matches_dense_solve():
         assert report.method == "atomistic"
 
 
+@pytest.mark.parametrize("N", [49, 98, 103, 161])
+def test_atomistic_at_spacings_without_exact_inverse(N):
+    assert (1.0 / N) * N != 1.0  # a valid lattice all the same
+    model = make_model(N)
+    report = solve_atomistic(model)
+    np.testing.assert_allclose(report.solution.values, dense_atomistic(model), atol=1e-10)
+
+
 def test_atomistic_sine_closed_form():
     # single-harmonic load has an explicit lattice equilibrium
     N = 32
