@@ -38,7 +38,6 @@ from .model import (
     slot_of_site,
     stored_energy,
     total_energy,
-    zero_displacement,
 )
 from .mesh import (
     CoarseMesh,
@@ -48,20 +47,16 @@ from .mesh import (
     basis_value,
     build_mesh,
     exact_load,
-    interpolate,
     load_custom_indices,
     parse_mesh_descriptor,
     prolong,
     smoothness_profile,
-    zero_nodal_field,
 )
 from .cluster import (
     ClusterRule,
     WeightSet,
     WeightSystem,
     assemble_weight_system,
-    build_clusters,
-    lumped_weights,
     solve_weights,
     verify_exactness,
 )
@@ -99,15 +94,14 @@ __all__ = [
     "NewtonFailure", "UnknownFamily", "ShapeMismatch", "ConstraintViolation",
     "ChainModel", "Displacement", "ExternalForce", "PairPotential",
     "harmonic_potential", "quartic_potential", "sample_force",
-    "lattice_sites", "lattice_coordinates", "slot_of_site", "zero_displacement",
+    "lattice_sites", "lattice_coordinates", "slot_of_site",
     "stored_energy", "external_work", "total_energy", "energy_norm",
     "site_energy", "site_energies", "site_force", "site_forces",
     "MeshSpec", "CoarseMesh", "NodalField", "SmoothnessProfile",
     "build_mesh", "parse_mesh_descriptor", "load_custom_indices",
-    "basis_value", "prolong", "interpolate", "smoothness_profile",
-    "exact_load", "zero_nodal_field",
-    "ClusterRule", "WeightSystem", "WeightSet", "build_clusters",
-    "assemble_weight_system", "solve_weights", "lumped_weights", "verify_exactness",
+    "basis_value", "prolong", "smoothness_profile", "exact_load",
+    "ClusterRule", "WeightSystem", "WeightSet",
+    "assemble_weight_system", "solve_weights", "verify_exactness",
     "SolveReport", "solve_atomistic", "solve_constrained",
     "solve_energy_cluster", "solve_force_cluster",
     "cluster_load", "assemble_cluster_forces", "energy_cluster_functional",

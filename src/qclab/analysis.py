@@ -158,12 +158,12 @@ class ConvergenceTable:
         return float(slope)
 
 
-def smooth_mesh_consistency(N: int, K_values, amplitude: float = 0.2,
-                            force_spec: str = "sinpi") -> ConvergenceTable:
-    """Consistency estimator of the constrained solution on smoothly graded
-    meshes of increasing resolution; decays quadratically in the mesh size
-    until integer rounding of the node positions takes over."""
-    model = ChainModel(N=N, potential=harmonic_potential(), force=sample_force(force_spec, N))
+def smooth_mesh_consistency(N: int, K_values, amplitude: float = 0.2) -> ConvergenceTable:
+    """Consistency estimator of the constrained solution under the sinpi
+    load on smoothly graded meshes of increasing resolution; decays
+    quadratically in the mesh size until integer rounding of the node
+    positions takes over."""
+    model = ChainModel(N=N, potential=harmonic_potential(), force=sample_force("sinpi", N))
     params = []
     values = []
     for K in K_values:
@@ -185,13 +185,12 @@ def load_defect(model: ChainModel, mesh: CoarseMesh, rule: ClusterRule,
     return float(np.max(np.abs(cluster_load(model, mesh, rule, nu) - exact_load(mesh, model))))
 
 
-def load_approximation_check(model: ChainModel, K_values, r: int,
-                             family: str = "uniform") -> ConvergenceTable:
-    """Load-defect decay under mesh refinement at fixed cluster radius."""
+def load_approximation_check(model: ChainModel, K_values, r: int) -> ConvergenceTable:
+    """Load-defect decay under uniform mesh refinement at fixed cluster radius."""
     params = []
     values = []
     for K in K_values:
-        mesh = build_mesh(MeshSpec(family=family, N=model.N, K=int(K)))
+        mesh = build_mesh(MeshSpec(family="uniform", N=model.N, K=int(K)))
         rule = ClusterRule(mesh=mesh, r=r)
         nu = solve_weights(assemble_weight_system(mesh, rule)).force
         params.append(np.max(mesh.h))
@@ -204,20 +203,19 @@ def load_approximation_check(model: ChainModel, K_values, r: int,
     )
 
 
-def gradient_alternation(constrained: NodalField, qc: NodalField,
-                         rel_threshold: float = 0.1) -> tuple[bool, int]:
+def gradient_alternation(constrained: NodalField, qc: NodalField) -> tuple[bool, int]:
     """Check the element-wise error sign pattern of a cluster solution.
 
     On alternating meshes the gradient error of the cluster solution flips
     sign between neighbouring elements wherever the underlying gradient is
     not small.  Compares signs over consecutive element pairs whose
-    constrained gradient exceeds ``rel_threshold`` times its maximum,
+    constrained gradient exceeds a tenth of its maximum,
     skipping the two wrap elements (they absorb the integer remainder of the
     mesh construction).  Returns (strictly_alternating, pairs_checked).
     """
     gap = qc.gradients() - constrained.gradients()
     reference = constrained.gradients()
-    eligible = np.abs(reference) >= rel_threshold * np.max(np.abs(reference))
+    eligible = np.abs(reference) >= 0.1 * np.max(np.abs(reference))
     eligible[0] = False
     eligible[-1] = False
     alternating = True
@@ -258,9 +256,8 @@ class ForceScalingStudy:
                                 parameters=self.h_values, values=self.deviation_absolute)
 
 
-def force_scaling_study(N: int, K_values, r: int,
-                        force_spec: str = "sinpi") -> ForceScalingStudy:
-    model = ChainModel(N=N, potential=harmonic_potential(), force=sample_force(force_spec, N))
+def force_scaling_study(N: int, K_values, r: int) -> ForceScalingStudy:
+    model = ChainModel(N=N, potential=harmonic_potential(), force=sample_force("sinpi", N))
     rows = {key: [] for key in ("h", "measured", "predicted", "scaled", "absolute")}
     for K in K_values:
         mesh = build_mesh(MeshSpec(family="uniform", N=N, K=int(K)))

@@ -8,7 +8,9 @@ Subcommands:
 
 Reports are deterministic: floats are serialized with 17 significant digits
 in a fixed key order, so identical configs produce byte-identical files
-except for the trailing wall_time_s entry.
+except for the trailing wall_time_s entry.  That holds at a fixed BLAS thread
+count only: at N >= 2^14 some profiles and reports differ in their last
+digits between one and two OpenBLAS threads.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ from .mesh import (
 )
 from .cluster import ClusterRule, assemble_weight_system, solve_weights, verify_exactness
 from .solve import (
+    SolveReport,
     energy_cluster_functional,
     solve_atomistic,
     solve_constrained,
@@ -40,6 +43,7 @@ from .solve import (
     solve_force_cluster,
 )
 from .analysis import (
+    ConvergenceTable,
     consistency_estimate,
     error_report,
     force_scaling_study,
@@ -126,8 +130,12 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray],
 # ---------------------------------------------------------------- configuration
 
 def _load_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise QCLabError(f"cannot read config file {path!r}: {exc}") from None
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -179,55 +187,18 @@ def _merge_config(args: argparse.Namespace, need_method: bool = True,
 
 # ---------------------------------------------------------------- run pipeline
 
-def _mesh_summary(mesh: CoarseMesh) -> dict:
-    return {
-        "repatoms": mesh.repatoms,
-        "steps": mesh.steps,
-        "h": mesh.h,
-        "kappa": mesh.kappa,
-    }
+def _output_dir(path: Path) -> Path:
+    """Create the output directory; a path that cannot be one is a user error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise QCLabError(f"cannot use {str(path)!r} as output directory: {exc}") from None
+    return path
 
 
-def _smoothness_summary(mesh: CoarseMesh) -> dict:
-    profile = smoothness_profile(mesh)
-    return {"coefficients": profile.coefficients, "max_abs": profile.max_abs}
-
-
-def _weights_summary(mesh: CoarseMesh, rule: ClusterRule, weights) -> dict:
-    system = assemble_weight_system(mesh, rule)
-    return {
-        "mode": weights.mode,
-        "r": rule.r,
-        "energy_exact": weights.energy_exact,
-        "energy_lumped": weights.energy_lumped,
-        "gap_max": weights.gap_max,
-        "residual_max": float(np.max(np.abs(weights.residual))),
-        "dominance_margin_min": float(np.min(system.dominance_margin())),
-        "exactness_defect": verify_exactness(mesh, rule, weights),
-    }
-
-
-def _solve_summary(report) -> dict:
-    return {"residual": report.residual, "reaction": report.reaction,
-            "iterations": report.iterations}
-
-
-def _error_summary(err) -> dict:
-    return {
-        "energy_norm_rel": err.energy_norm_rel,
-        "energy_rel": err.energy_rel,
-        "mean": err.mean,
-        "consistency": err.consistency,
-        "sandwich_lower": err.sandwich_lower,
-        "sandwich_upper": err.sandwich_upper,
-        "kappa": err.kappa,
-        "predicted_band": list(err.predicted_band) if err.predicted_band else None,
-        "reference_norm": err.reference_norm,
-    }
-
-
-def _execute(config: RunConfig) -> tuple[dict, dict[str, np.ndarray], list[str]]:
-    """Solve per config; returns (report payload, profile columns, column order)."""
+def _execute(config: RunConfig) -> tuple[dict, dict[str, np.ndarray], dict[str, SolveReport]]:
+    """Solve per config; returns (report payload, profile columns in file
+    order, solve reports by method)."""
     started = time.perf_counter()
     model = ChainModel(N=config.N, potential=harmonic_potential(),
                        force=sample_force(config.force, config.N))
@@ -235,148 +206,132 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, np.ndarray], list[str]]
         "mesh": config.mesh, "N": config.N, "K": config.K, "r": config.r,
         "weights": config.weights, "method": config.method, "force": config.force,
     }}
-    columns: dict[str, np.ndarray] = {"x": lattice_coordinates(config.N)}
-    order = ["x", "u_atomistic"]
+    reports = {"atomistic": solve_atomistic(model)}
+    columns = {"x": lattice_coordinates(config.N),
+               "u_atomistic": reports["atomistic"].solution.values}
 
-    atomistic = solve_atomistic(model)
-    columns["u_atomistic"] = atomistic.solution.values
-    solves = {"atomistic": _solve_summary(atomistic)}
-
-    mesh = None
-    constrained = None
     if config.mesh is not None and config.K is not None:
         mesh = build_mesh(parse_mesh_descriptor(config.mesh, config.N, config.K))
-        payload["mesh"] = _mesh_summary(mesh)
-        payload["smoothness"] = _smoothness_summary(mesh)
-        constrained = solve_constrained(model, mesh)
-        solves["constrained"] = _solve_summary(constrained)
-        columns["u_constrained"] = prolong(mesh, constrained.solution).values
-        order.append("u_constrained")
+        profile = smoothness_profile(mesh)
+        payload["mesh"] = {
+            "repatoms": mesh.repatoms,
+            "steps": mesh.steps,
+            "h": mesh.h,
+            "kappa": mesh.kappa,
+        }
+        payload["smoothness"] = {"coefficients": profile.coefficients,
+                                 "max_abs": profile.max_abs}
+        reports["constrained"] = solve_constrained(model, mesh)
+        columns["u_constrained"] = prolong(mesh, reports["constrained"].solution).values
 
+    errors = None
     if config.method in ("energy-cluster", "force-cluster"):
         rule = ClusterRule(mesh=mesh, r=config.r)
-        weights = solve_weights(assemble_weight_system(mesh, rule)).with_mode(config.weights)
-        payload["weights"] = _weights_summary(mesh, rule, weights)
-        if config.method == "energy-cluster":
-            qc = solve_energy_cluster(model, mesh, rule, weights)
-        else:
-            qc = solve_force_cluster(model, mesh, rule, weights)
-        solves[config.method] = _solve_summary(qc)
+        system = assemble_weight_system(mesh, rule)
+        weights = solve_weights(system).with_mode(config.weights)
+        payload["weights"] = {
+            "mode": weights.mode,
+            "r": rule.r,
+            "energy_exact": weights.energy_exact,
+            "energy_lumped": weights.energy_lumped,
+            "gap_max": weights.gap_max,
+            "residual_max": float(np.max(np.abs(weights.residual))),
+            "dominance_margin_min": float(np.min(system.dominance_margin())),
+            "exactness_defect": verify_exactness(mesh, rule, weights),
+        }
+        solver = solve_energy_cluster if config.method == "energy-cluster" else solve_force_cluster
+        qc = reports[config.method] = solver(model, mesh, rule, weights)
         columns["u_qc"] = prolong(mesh, qc.solution).values
-        order.append("u_qc")
-        family = config.mesh.split(":", 1)[0]
-        err = error_report(model, mesh, atomistic.solution, constrained.solution,
-                           qc.solution,
-                           energy_cluster_functional(model, mesh, rule, weights, qc.solution),
-                           family=family)
-        payload["solves"] = solves
-        payload["errors"] = _error_summary(err)
-    else:
-        payload["solves"] = solves
+        errors = asdict(error_report(
+            model, mesh, reports["atomistic"].solution, reports["constrained"].solution,
+            qc.solution, energy_cluster_functional(model, mesh, rule, weights, qc.solution),
+            family=config.mesh.split(":", 1)[0]))
 
+    payload["solves"] = {
+        method: {"residual": report.residual, "reaction": report.reaction,
+                 "iterations": report.iterations}
+        for method, report in reports.items()
+    }
+    if errors is not None:
+        payload["errors"] = errors
     payload["wall_time_s"] = time.perf_counter() - started
-    return payload, columns, order
+    return payload, columns, reports
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _merge_config(args)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    payload, columns, order = _execute(config)
-    _write_csv(out / "profile.csv", order, [columns[name] for name in order])
+    out = _output_dir(Path(config.out))
+    payload, columns, _ = _execute(config)
+    _write_csv(out / "profile.csv", list(columns), list(columns.values()))
     _write_json(out / "report.json", payload)
     print(f"wrote {out / 'profile.csv'} and {out / 'report.json'}")
     return 0
 
 
 # ---------------------------------------------------------------- presets
+#
+# A preset body returns (payload, checks, csv): its report entries, with
+# "preset" where its report format puts it; its checks; and None or one CSV
+# file as (file name, columns in file order, rates for the footer).  The
+# runner adds checks and verdict to the report, writes the files, prints the
+# summary line and returns the exit code.
 
-def _band(name: str, value: float, lo: float, hi: float, checks: dict) -> None:
-    checks[name] = {"value": value, "band": [lo, hi], "pass": bool(lo <= value <= hi)}
+def _check(value, lo: float, hi: float) -> dict:
+    return {"value": value, "band": [lo, hi], "pass": bool(lo <= value <= hi)}
 
 
-def _preset_figure(preset: str, out: Path) -> int:
-    if preset == "fig1":
-        config = RunConfig(mesh="graded", N=2 ** 14, K=15, r=0, weights="exact",
-                           method="energy-cluster", force="gauss:1e4,1e4", out=str(out))
-        bands = {"energy_norm_rel": (0.10, 0.13), "energy_rel": (-0.16, -0.10)}
-    else:
-        config = RunConfig(mesh="oscillatory", N=10 ** 4, K=20, r=0, weights="exact",
-                           method="energy-cluster", force="sinpi", out=str(out))
-        bands = {"energy_norm_rel": (0.30, 0.36), "energy_rel": (0.08, 0.12)}
-    started = time.perf_counter()
-    payload, columns, order = _execute(config)
-    elapsed = time.perf_counter() - started
+_FIGURES = {
+    "fig1": (RunConfig(mesh="graded", N=2 ** 14, K=15, r=0, weights="exact",
+                       method="energy-cluster", force="gauss:1e4,1e4", out="."),
+             {"energy_norm_rel": (0.10, 0.13), "energy_rel": (-0.16, -0.10)}),
+    "fig2": (RunConfig(mesh="oscillatory", N=10 ** 4, K=20, r=0, weights="exact",
+                       method="energy-cluster", force="sinpi", out="."),
+             {"energy_norm_rel": (0.30, 0.36), "energy_rel": (0.08, 0.12)}),
+}
 
-    checks: dict = {}
-    for name, (lo, hi) in bands.items():
-        _band(name, payload["errors"][name], lo, hi, checks)
-    checks["runtime_s"] = {"value": elapsed, "band": [0.0, 5.0], "pass": bool(elapsed < 5.0)}
-    if preset == "fig2":
-        # re-solve the two nodal systems to test the error sign pattern
-        model = ChainModel(N=config.N, potential=harmonic_potential(),
-                           force=sample_force(config.force, config.N))
-        mesh = build_mesh(parse_mesh_descriptor(config.mesh, config.N, config.K))
-        rule = ClusterRule(mesh=mesh, r=config.r)
-        weights = solve_weights(assemble_weight_system(mesh, rule))
-        alternating, pairs = gradient_alternation(
-            solve_constrained(model, mesh).solution,
-            solve_energy_cluster(model, mesh, rule, weights).solution)
+
+def _figure(preset: str) -> tuple[dict, dict, tuple | None]:
+    config, bands = _FIGURES[preset]
+    payload, columns, reports = _execute(config)
+    checks = {name: _check(payload["errors"][name], lo, hi) for name, (lo, hi) in bands.items()}
+    checks["runtime_s"] = _check(payload["wall_time_s"], 0.0, 5.0)
+    if config.mesh == "oscillatory":
+        # the error sign pattern is a property of alternating meshes
+        alternating, pairs = gradient_alternation(reports["constrained"].solution,
+                                                  reports[config.method].solution)
         checks["gradient_alternation"] = {"value": pairs, "pass": bool(alternating and pairs > 0)}
-
-    passed = all(entry["pass"] for entry in checks.values())
-    wall = payload.pop("wall_time_s")
     payload["preset"] = preset
-    payload["checks"] = checks
-    payload["verdict"] = "PASS" if passed else "FAIL"
-    payload["wall_time_s"] = wall
-    _write_csv(out / "profile.csv", order, [columns[name] for name in order])
-    _write_json(out / "report.json", payload)
-    detail = ", ".join(f"{k}={v['value']:.6g}" for k, v in checks.items())
-    print(f"{preset}: {payload['verdict']} ({detail})")
-    return 0 if passed else 2
+    return payload, checks, ("profile.csv", columns, ())
 
 
-def _preset_example1(out: Path) -> int:
-    table = smooth_mesh_consistency(N=2 ** 14, K_values=[8, 16, 32, 64], amplitude=0.2)
-    rate = table.fit_rate()
+def _example1(preset: str) -> tuple[dict, dict, tuple | None]:
+    K_values = [8, 16, 32, 64]
+    table = smooth_mesh_consistency(N=2 ** 14, K_values=K_values, amplitude=0.2)
     rates = table.rates()
-    passed = rate >= 1.9
+    fit_rate = table.fit_rate()
     payload = {
-        "preset": "example1",
-        "config": {"mesh": "smooth:0.2", "N": 2 ** 14, "K_values": [8, 16, 32, 64],
+        "preset": preset,
+        "config": {"mesh": "smooth:0.2", "N": 2 ** 14, "K_values": K_values,
                    "force": "sinpi", "method": "constrained"},
         "h_max": table.parameters,
         "consistency": table.values,
         "pairwise_rates": rates,
-        "fit_rate": rate,
-        "checks": {"consistency_rate": {"value": rate, "band": [1.9, float("inf")],
-                                        "pass": bool(passed)}},
-        "verdict": "PASS" if passed else "FAIL",
+        "fit_rate": fit_rate,
     }
-    _write_csv(out / "sweep.csv", ["K", "h_max", "consistency"],
-               [np.array([8, 16, 32, 64], dtype=float), table.parameters, table.values],
-               footer=["rate,%.17g" % r for r in rates])
-    _write_json(out / "report.json", payload)
-    print(f"example1: {payload['verdict']} (fit_rate={rate:.4f}, pairwise="
-          + "/".join(f"{r:.3f}" for r in rates) + ")")
-    return 0 if passed else 2
+    checks = {"consistency_rate": _check(fit_rate, 1.9, float("inf"))}
+    columns = {"K": np.array(K_values, dtype=float), "h_max": table.parameters,
+               "consistency": table.values}
+    return payload, checks, ("sweep.csv", columns, rates)
 
 
-def _preset_force_scaling(out: Path) -> int:
+def _force_scaling(preset: str) -> tuple[dict, dict, tuple | None]:
     study = force_scaling_study(N=2 ** 12, K_values=[8, 16, 32, 64], r=1)
     at_k16 = int(np.where(study.K_values == 16)[0][0])
     ratio_gap = abs(study.ratio_measured[at_k16] / study.ratio_predicted[at_k16] - 1.0)
-    scaled_rate = study.scaled_table().fit_rate()
-    absolute_rate = study.absolute_table().fit_rate()
-    checks: dict = {}
-    checks["ratio_gap_at_K16"] = {"value": ratio_gap, "band": [0.0, 0.02],
-                                  "pass": bool(ratio_gap <= 0.02)}
-    checks["scaled_deviation_rate"] = {"value": scaled_rate, "band": [1.8, float("inf")],
-                                       "pass": bool(scaled_rate >= 1.8)}
-    passed = all(entry["pass"] for entry in checks.values())
+    scaled = study.scaled_table()
+    scaled_rate = scaled.fit_rate()
     payload = {
-        "preset": "force-scaling",
+        "preset": preset,
         "config": {"mesh": "uniform", "N": 2 ** 12, "K_values": [8, 16, 32, 64],
                    "r": 1, "force": "sinpi", "method": "force-cluster"},
         "K": study.K_values,
@@ -386,20 +341,16 @@ def _preset_force_scaling(out: Path) -> int:
         "deviation_scaled": study.deviation_scaled,
         "deviation_absolute": study.deviation_absolute,
         "scaled_deviation_rate": scaled_rate,
-        "absolute_deviation_rate": absolute_rate,
-        "checks": checks,
-        "verdict": "PASS" if passed else "FAIL",
+        "absolute_deviation_rate": study.absolute_table().fit_rate(),
     }
-    _write_csv(out / "sweep.csv",
-               ["K", "h", "ratio_measured", "ratio_predicted",
-                "deviation_scaled", "deviation_absolute"],
-               [study.K_values.astype(float), study.h_values, study.ratio_measured,
-                study.ratio_predicted, study.deviation_scaled, study.deviation_absolute],
-               footer=["rate,%.17g" % r for r in study.scaled_table().rates()])
-    _write_json(out / "report.json", payload)
-    print(f"force-scaling: {payload['verdict']} (ratio_gap@K16={ratio_gap:.3e}, "
-          f"scaled_rate={scaled_rate:.3f}, absolute_rate={absolute_rate:.3f})")
-    return 0 if passed else 2
+    checks = {"ratio_gap_at_K16": _check(ratio_gap, 0.0, 0.02),
+              "scaled_deviation_rate": _check(scaled_rate, 1.8, float("inf"))}
+    columns = {"K": study.K_values.astype(float), "h": study.h_values,
+               "ratio_measured": study.ratio_measured,
+               "ratio_predicted": study.ratio_predicted,
+               "deviation_scaled": study.deviation_scaled,
+               "deviation_absolute": study.deviation_absolute}
+    return payload, checks, ("sweep.csv", columns, scaled.rates())
 
 
 def _audit_meshes() -> list[tuple[str, CoarseMesh, list[int]]]:
@@ -422,10 +373,9 @@ def _audit_meshes() -> list[tuple[str, CoarseMesh, list[int]]]:
     return instances
 
 
-def _preset_weights_audit(out: Path) -> int:
+def _weights_audit(preset: str) -> tuple[dict, dict, tuple | None]:
     rows = []
     gap_by_size = []
-    ok = True
     for label, mesh, radii in _audit_meshes():
         for r in radii:
             rule = ClusterRule(mesh=mesh, r=r)
@@ -437,7 +387,6 @@ def _preset_weights_audit(out: Path) -> int:
             row_ok = (margin > r) and (defect <= 1e-10)
             if r == 0 or mesh.kappa == 1.0:
                 row_ok = row_ok and lumping_exact
-            ok = ok and row_ok
             rows.append({
                 "mesh": label, "r": r, "dominance_margin_min": margin,
                 "exactness_defect": defect, "gap_max": weights.gap_max,
@@ -448,32 +397,33 @@ def _preset_weights_audit(out: Path) -> int:
                 gap_by_size.append((mesh.N, weights.gap_max))
     gaps = np.array([g for _, g in sorted(gap_by_size)])
     gap_rates = np.log(gaps[:-1] / gaps[1:]) / np.log(2.0)
-    rate_ok = bool(np.all(gap_rates >= 0.9))
-    ok = ok and rate_ok
-    payload = {
-        "preset": "weights-audit",
-        "rows": rows,
-        "lumped_gap_rates": gap_rates,
-        "checks": {"gap_rate": {"value": float(np.min(gap_rates)),
-                                "band": [0.9, float("inf")], "pass": rate_ok}},
-        "verdict": "PASS" if ok else "FAIL",
-    }
-    _write_json(out / "report.json", payload)
-    print(f"weights-audit: {payload['verdict']} ({len(rows)} rows, "
-          f"gap rates {'/'.join(f'{r:.3f}' for r in gap_rates)})")
-    return 0 if ok else 2
+    payload = {"preset": preset, "rows": rows, "lumped_gap_rates": gap_rates}
+    checks = {"gap_rate": _check(float(np.min(gap_rates)), 0.9, float("inf"))}
+    return payload, checks, None
+
+
+_PRESETS = {"fig1": _figure, "fig2": _figure, "example1": _example1,
+            "force-scaling": _force_scaling, "weights-audit": _weights_audit}
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    out = Path(args.out) / args.preset
-    out.mkdir(parents=True, exist_ok=True)
-    if args.preset in ("fig1", "fig2"):
-        return _preset_figure(args.preset, out)
-    if args.preset == "example1":
-        return _preset_example1(out)
-    if args.preset == "force-scaling":
-        return _preset_force_scaling(out)
-    return _preset_weights_audit(out)
+    out = _output_dir(Path(args.out) / args.preset)
+    payload, checks, csv = _PRESETS[args.preset](args.preset)
+    # weights-audit rows carry pass flags of their own, outside the checks
+    passed = all(check["pass"] for check in checks.values()) and all(
+        row["pass"] for row in payload.get("rows", ()))
+    payload["checks"] = checks
+    payload["verdict"] = "PASS" if passed else "FAIL"
+    if "wall_time_s" in payload:
+        payload["wall_time_s"] = payload.pop("wall_time_s")  # stays the last entry
+    if csv is not None:
+        name, columns, rates = csv
+        _write_csv(out / name, list(columns), list(columns.values()),
+                   footer=["rate,%.17g" % r for r in rates])
+    _write_json(out / "report.json", payload)
+    detail = ", ".join(f"{name}={check['value']:.6g}" for name, check in checks.items())
+    print(f"{args.preset}: {payload['verdict']} ({detail})")
+    return 0 if passed else 2
 
 
 # ---------------------------------------------------------------- sweeps
@@ -509,8 +459,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise QCLabError("sweep needs --mesh")
     if config.K is None and args.axis != "K":
         raise QCLabError("sweep needs --K unless K is the swept axis")
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(Path(config.out))
     try:
         points = [int(v) for v in args.values.split(",")]
     except ValueError:
@@ -526,15 +475,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         param, value = _sweep_point(args.metric, config, N, K, r)
         params.append(param)
         values.append(value)
-    params_arr = np.array(params)
-    values_arr = np.array(values)
+    table = ConvergenceTable(parameter=_SWEEP_PARAMS[args.metric], metric=args.metric,
+                             parameters=np.array(params), values=np.array(values))
     footer = []
-    if args.metric != "zero-force" and np.all(values_arr > 0.0):
-        rates = np.log(values_arr[:-1] / values_arr[1:]) / np.log(
-            params_arr[:-1] / params_arr[1:])
-        footer = ["rate,%.17g" % r for r in rates]
-    _write_csv(out / "sweep.csv", [args.axis, _SWEEP_PARAMS[args.metric], args.metric],
-               [np.array(points, dtype=float), params_arr, values_arr], footer=footer)
+    # a rate needs positive values and a resolution parameter that moves
+    if np.all(table.values > 0.0) and np.all(np.diff(table.parameters) != 0.0):
+        footer = ["rate,%.17g" % r for r in table.rates()]
+    _write_csv(out / "sweep.csv", [args.axis, table.parameter, table.metric],
+               [np.array(points, dtype=float), table.parameters, table.values], footer=footer)
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 
@@ -588,8 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(handler=_cmd_run)
 
     rep_p = sub.add_parser("reproduce", help="run a named preset with PASS/FAIL bands")
-    rep_p.add_argument("preset", choices=["fig1", "fig2", "example1",
-                                          "force-scaling", "weights-audit"])
+    rep_p.add_argument("preset", choices=list(_PRESETS))
     rep_p.add_argument("--out", default=".", help="output directory (default .)")
     rep_p.set_defaults(handler=_cmd_reproduce)
 

@@ -55,18 +55,6 @@ class ClusterRule:
         return self.mesh.repatoms[:, None] + np.arange(-self.r, self.r + 1)[None, :]
 
 
-def build_clusters(mesh: CoarseMesh, r: int, r_minus: int | None = None,
-                   r_plus: int | None = None) -> ClusterRule:
-    """Validate and build a uniform-radius cluster rule.
-
-    ``r_minus``/``r_plus`` are reserved for per-side radii and currently
-    rejected.
-    """
-    if r_minus is not None or r_plus is not None:
-        raise NotImplementedError("variable cluster radii are not supported")
-    return ClusterRule(mesh=mesh, r=r)
-
-
 @dataclass(frozen=True, eq=False)
 class WeightSystem:
     """The periodic tridiagonal equations determining exact cluster weights.
@@ -162,14 +150,6 @@ class WeightSet:
         return self.energy * self.mesh.N
 
     @property
-    def force_exact(self) -> np.ndarray:
-        return self.energy_exact * self.mesh.N
-
-    @property
-    def force_lumped(self) -> np.ndarray:
-        return self.energy_lumped * self.mesh.N
-
-    @property
     def gap_max(self) -> float:
         return float(np.max(np.abs(self.energy_exact - self.energy_lumped)))
 
@@ -219,11 +199,6 @@ def solve_weights(system: WeightSystem) -> WeightSet:
         arr.setflags(write=False)
     return WeightSet(mesh=system.mesh, r=system.r, mode="exact",
                      energy_exact=exact, energy_lumped=lumped, residual=residual)
-
-
-def lumped_weights(mesh: CoarseMesh, rule: ClusterRule) -> WeightSet:
-    """The same weight set, but with the lumped flavour active."""
-    return solve_weights(assemble_weight_system(mesh, rule)).with_mode("lumped")
 
 
 def verify_exactness(mesh: CoarseMesh, rule: ClusterRule, weights: WeightSet) -> float:

@@ -1,5 +1,5 @@
-"""Coarse space over the chain: node meshes, hat basis, prolongation,
-interpolation, exact dead loads, and per-element smoothness coefficients.
+"""Coarse space over the chain: node meshes, hat basis, prolongation, exact
+dead loads, and per-element smoothness coefficients.
 
 A mesh keeps 2K of the 2N lattice sites as nodes.  Logical node indices
 k = -K+1 .. K map to storage slots 0 .. 2K-1 via slot = k + K - 1, mirroring
@@ -260,10 +260,6 @@ def check_field(mesh: CoarseMesh, V: NodalField) -> None:
         raise ShapeMismatch("nodal field belongs to a different mesh")
 
 
-def zero_nodal_field(mesh: CoarseMesh) -> NodalField:
-    return NodalField(mesh=mesh, values=np.zeros(2 * mesh.K))
-
-
 def basis_value(mesh: CoarseMesh, j: int, ell):
     """Hat function of node j evaluated at lattice site(s) ell.
 
@@ -282,14 +278,12 @@ def basis_value(mesh: CoarseMesh, j: int, ell):
     return out if out.ndim else float(out)
 
 
-def prolong(mesh: CoarseMesh, V: NodalField, N: int | None = None) -> Displacement:
+def prolong(mesh: CoarseMesh, V: NodalField) -> Displacement:
     """Piecewise-affine extension of nodal values to every lattice site.
 
     The recorded gradients are exactly the element gradients, and node slots
     carry the nodal values bitwise.
     """
-    if N is not None and N != mesh.N:
-        raise ShapeMismatch(f"mesh was built for N={mesh.N}, not N={N}")
     check_field(mesh, V)
     vals = V.values
     lefts = np.roll(vals, 1)
@@ -308,13 +302,6 @@ def prolong(mesh: CoarseMesh, V: NodalField, N: int | None = None) -> Displaceme
     values = np.roll(seq, shift)
     gradients = np.roll(np.repeat(V.gradients(), steps), shift)
     return Displacement(N=mesh.N, values=values, gradients=gradients)
-
-
-def interpolate(mesh: CoarseMesh, v: Displacement) -> NodalField:
-    """Sample a displacement at the nodes; inverse of prolong on its range."""
-    if v.N != mesh.N:
-        raise ShapeMismatch(f"mesh was built for N={mesh.N}, not N={v.N}")
-    return NodalField(mesh=mesh, values=v.at(mesh.repatoms))
 
 
 @dataclass(frozen=True, eq=False)

@@ -173,10 +173,6 @@ class Displacement:
         return (v - np.roll(v, 1)) * self.N
 
 
-def zero_displacement(N: int) -> Displacement:
-    return Displacement(N=N, values=np.zeros(2 * N))
-
-
 @dataclass(frozen=True, eq=False)
 class ChainModel:
     """The atomistic problem instance: lattice size, potential, dead load."""

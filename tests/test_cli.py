@@ -143,6 +143,19 @@ def test_sweep_load_defect_rates(tmp_path):
     assert all(rate >= 1.8 for rate in rates)
 
 
+def test_sweep_writes_no_rate_when_the_parameter_does_not_move(tmp_path):
+    # weight-gap is resolved by epsilon, which the r axis leaves fixed
+    rc = main([
+        "sweep", "--axis", "r", "--values", "1,2", "--metric", "weight-gap",
+        "--force", "sinpi", "--mesh", "smooth", "--N", "4096", "--K", "8", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    lines = read_lines(tmp_path / "sweep.csv")
+    assert lines[0] == "r,epsilon,weight-gap"
+    assert len(lines) == 3
+    assert not any(line.startswith("rate,") for line in lines)
+
+
 def test_sweep_requires_mesh(capsys):
     rc = main(["sweep", "--axis", "K", "--values", "4,8", "--metric",
                "consistency", "--N", "64", "--force", "sinpi"])
@@ -223,3 +236,30 @@ def test_run_requires_particle_count(capsys):
     rc = main(["run", "--mesh", "uniform", "--K", "4"])
     assert rc == 1
     assert error_of(capsys)["code"] == "Error"
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_config_file(tmp_path, capsys, kind):
+    path = tmp_path / "missing.cfg" if kind == "missing" else tmp_path
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    error = error_of(capsys)
+    assert error["code"] == "Error"
+    assert str(path) in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--mesh", "uniform", "--N", "8", "--K", "4", "--method", "constrained",
+     "--force", "sinpi"],
+    ["reproduce", "weights-audit"],
+    ["sweep", "--axis", "K", "--values", "4", "--metric", "consistency",
+     "--mesh", "uniform", "--N", "8", "--force", "sinpi"],
+], ids=["run", "reproduce", "sweep"])
+def test_out_naming_a_file(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc = main(argv + ["--out", str(taken)])
+    assert rc == 1
+    error = error_of(capsys)
+    assert error["code"] == "Error"
+    assert str(taken) in error["message"]

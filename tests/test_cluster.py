@@ -9,9 +9,7 @@ from qclab import (
     MeshSpec,
     ShapeMismatch,
     assemble_weight_system,
-    build_clusters,
     build_mesh,
-    lumped_weights,
     solve_weights,
     verify_exactness,
 )
@@ -44,9 +42,6 @@ def test_cluster_overlap_on_refined_elements():
     assert ClusterRule(mesh=mesh, r=0).size == 1
     with pytest.raises(ClusterOverlap):
         ClusterRule(mesh=mesh, r=1)
-    with pytest.raises(NotImplementedError):
-        build_clusters(mesh, 0, r_minus=1)
-    assert build_clusters(mesh, 0).r == 0
 
 
 def test_weight_system_matches_brute_assembly():
@@ -128,7 +123,7 @@ def test_exactness_defect_of_exact_weights():
 def test_lumped_weights_exact_on_uniform():
     mesh = build_mesh(MeshSpec(family="uniform", N=64, K=4))
     rule = ClusterRule(mesh=mesh, r=3)
-    weights = lumped_weights(mesh, rule)
+    weights = solve_weights(assemble_weight_system(mesh, rule)).with_mode("lumped")
     assert weights.mode == "lumped"
     assert verify_exactness(mesh, rule, weights) <= 1e-12
 
@@ -159,10 +154,9 @@ def test_lumping_gap_refinement_rate():
 def test_force_weights_are_scaled_energy_weights():
     mesh = graded_like_mesh(0)
     weights = solve_weights(assemble_weight_system(mesh, ClusterRule(mesh=mesh, r=1)))
-    np.testing.assert_array_equal(weights.force_exact, weights.energy_exact * mesh.N)
-    np.testing.assert_array_equal(weights.force_lumped, weights.energy_lumped * mesh.N)
-    np.testing.assert_array_equal(weights.force, weights.force_exact)
-    np.testing.assert_array_equal(weights.with_mode("lumped").force, weights.force_lumped)
+    np.testing.assert_array_equal(weights.force, weights.energy_exact * mesh.N)
+    np.testing.assert_array_equal(weights.with_mode("lumped").force,
+                                  weights.energy_lumped * mesh.N)
     with pytest.raises(ShapeMismatch):
         weights.with_mode("averaged")
 

@@ -6,7 +6,6 @@ import pytest
 from qclab import (
     CoarseMesh,
     ConstraintViolation,
-    Displacement,
     MeshBuildError,
     MeshSpec,
     NodalField,
@@ -15,7 +14,6 @@ from qclab import (
     basis_value,
     build_mesh,
     exact_load,
-    interpolate,
     lattice_coordinates,
     load_custom_indices,
     parse_mesh_descriptor,
@@ -23,7 +21,6 @@ from qclab import (
     slot_of_site,
     smoothness_profile,
     stored_energy,
-    zero_nodal_field,
 )
 from conftest import make_model, random_custom_mesh
 
@@ -215,15 +212,6 @@ def test_prolong_matches_affine_interpolation():
     np.testing.assert_array_equal(vh.at(mesh.repatoms), V.values)
 
 
-def test_interpolate_inverts_prolong():
-    rng = np.random.default_rng(12)
-    mesh, _ = random_custom_mesh(rng)
-    vals = rng.normal(size=2 * mesh.K)
-    vals[mesh.K - 1] = 0.0
-    V = NodalField(mesh=mesh, values=vals)
-    np.testing.assert_array_equal(interpolate(mesh, prolong(mesh, V)).values, V.values)
-
-
 def test_prolong_energy_identity():
     rng = np.random.default_rng(13)
     mesh, N = random_custom_mesh(rng)
@@ -265,12 +253,9 @@ def test_nodal_field_validation():
     bad[3] = 1.0
     with pytest.raises(ConstraintViolation):
         NodalField(mesh=mesh, values=bad)
-    assert zero_nodal_field(mesh).values.sum() == 0.0
     other = build_mesh(MeshSpec(family="uniform", N=8, K=2))
     with pytest.raises(ShapeMismatch):
-        prolong(other, zero_nodal_field(mesh))
-    with pytest.raises(ShapeMismatch):
-        interpolate(mesh, Displacement(N=4, values=np.zeros(8)))
+        prolong(other, NodalField(mesh=mesh, values=np.zeros(8)))
 
 
 def test_smoothness_uniform_is_zero():

@@ -26,7 +26,6 @@ from qclab import (
     energy_cluster_functional,
     energy_norm,
     exact_load,
-    lumped_weights,
     prolong,
     quartic_potential,
     sample_force,
@@ -171,7 +170,7 @@ def test_cluster_load_exact_for_constant_force():
     approx = cluster_load(model, mesh, rule, weights.force)
     np.testing.assert_allclose(approx, exact, atol=1e-14)
     # lumped force weights lose that exactness on a nonuniform mesh
-    lumped = cluster_load(model, mesh, rule, weights.force_lumped)
+    lumped = cluster_load(model, mesh, rule, weights.with_mode("lumped").force)
     assert float(np.max(np.abs(lumped - exact))) > 1e-6
 
 
@@ -380,7 +379,8 @@ def test_cluster_argument_validation():
     foreign_rule = ClusterRule(mesh=other, r=0)
     with pytest.raises(ShapeMismatch):
         solve_energy_cluster(model, mesh, foreign_rule, weights)
-    mismatched = lumped_weights(mesh, ClusterRule(mesh=mesh, r=2))
+    wider = ClusterRule(mesh=mesh, r=2)
+    mismatched = solve_weights(assemble_weight_system(mesh, wider)).with_mode("lumped")
     with pytest.raises(ShapeMismatch):
         solve_energy_cluster(model, mesh, rule, mismatched)
 
