@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import ClusterRule, assemble_weight_system, solve_weights
-from .errors import ShapeMismatch
-from .mesh import CoarseMesh, MeshSpec, NodalField, build_mesh, exact_load, prolong, smoothness_profile
+from .cluster import ClusterRule, WeightSet, assemble_weight_system, solve_weights
+from .mesh import MeshSpec, NodalField, build_mesh, check_field, exact_load, prolong, smoothness_profile
 from .model import ChainModel, Displacement, energy_norm, harmonic_potential, sample_force, stored_energy
 from .solve import cluster_load, solve_constrained, solve_force_cluster
 
@@ -39,12 +38,10 @@ class ConsistencyEstimate:
     mean: float
     sandwich_lower: float
     sandwich_upper: float
-    kappa: float
 
 
-def consistency_estimate(mesh: CoarseMesh, field: NodalField) -> ConsistencyEstimate:
-    if field.mesh is not mesh and not np.array_equal(field.mesh.repatoms, mesh.repatoms):
-        raise ShapeMismatch("nodal field lives on a different mesh")
+def consistency_estimate(field: NodalField) -> ConsistencyEstimate:
+    mesh = field.mesh
     weighted = smoothness_profile(mesh).coefficients * field.gradients()
     mean = 0.5 * np.dot(mesh.h, weighted)  # h sums to 2 over the period
     value = float(np.sqrt(np.dot(mesh.h, (weighted - mean) ** 2)))
@@ -53,7 +50,6 @@ def consistency_estimate(mesh: CoarseMesh, field: NodalField) -> ConsistencyEsti
         mean=float(mean),
         sandwich_lower=value / (0.5 * (1.0 + mesh.kappa)),
         sandwich_upper=value / (0.5 * (1.0 + 1.0 / mesh.kappa)),
-        kappa=mesh.kappa,
     )
 
 
@@ -89,9 +85,10 @@ class ErrorReport:
     reference_norm: float
 
 
-def error_report(model: ChainModel, mesh: CoarseMesh, atomistic: Displacement,
-                 constrained: NodalField, qc: NodalField, qc_energy: float,
-                 family: str | None = None) -> ErrorReport:
+def error_report(model: ChainModel, atomistic: Displacement, constrained: NodalField,
+                 qc: NodalField, qc_energy: float, family: str | None = None) -> ErrorReport:
+    mesh = constrained.mesh
+    check_field(mesh, qc)
     diff = NodalField(mesh=mesh, values=qc.values - constrained.values)
     reference = energy_norm(constrained)
     gap = energy_norm(diff)
@@ -105,7 +102,7 @@ def error_report(model: ChainModel, mesh: CoarseMesh, atomistic: Displacement,
         # the relative gap of the total energies (stored minus load potential),
         # which is the quantity the reproduced experiments report.
         energy_rel = float((qc_energy - exact_energy) / abs(exact_energy))
-    est = consistency_estimate(mesh, constrained)
+    est = consistency_estimate(constrained)
     return ErrorReport(
         energy_norm_rel=energy_norm_rel,
         energy_rel=energy_rel,
@@ -113,13 +110,13 @@ def error_report(model: ChainModel, mesh: CoarseMesh, atomistic: Displacement,
         consistency=est.value,
         sandwich_lower=est.sandwich_lower,
         sandwich_upper=est.sandwich_upper,
-        kappa=est.kappa,
-        predicted_band=predicted_relative_band(family, est.kappa) if family else None,
+        kappa=mesh.kappa,
+        predicted_band=predicted_relative_band(family, mesh.kappa) if family else None,
         reference_norm=float(reference),
     )
 
 
-def galerkin_defect(model: ChainModel, mesh: CoarseMesh, atomistic: Displacement,
+def galerkin_defect(model: ChainModel, atomistic: Displacement,
                     constrained: NodalField) -> float:
     """Largest normalized residual of the best-approximation property.
 
@@ -128,7 +125,8 @@ def galerkin_defect(model: ChainModel, mesh: CoarseMesh, atomistic: Displacement
     is the constraint direction, not a test direction, so it is excluded.
     Normalized by the energy norm of the atomistic solution.
     """
-    gap = model.epsilon * (atomistic.strains() - prolong(mesh, constrained).strains())
+    mesh = constrained.mesh
+    gap = model.epsilon * (atomistic.strains() - prolong(constrained).strains())
     sums = np.bincount(mesh.element_of_slot(), weights=gap, minlength=2 * mesh.K)
     means = sums / mesh.h
     defect = means - np.roll(means, -1)
@@ -170,7 +168,7 @@ def smooth_mesh_consistency(N: int, K_values, amplitude: float = 0.2) -> Converg
         mesh = build_mesh(MeshSpec(family="smooth", N=N, K=int(K), amplitude=amplitude))
         report = solve_constrained(model, mesh)
         params.append(np.max(mesh.h))
-        values.append(consistency_estimate(mesh, report.solution).value)
+        values.append(consistency_estimate(report.solution).value)
     return ConvergenceTable(
         parameter="h_max",
         metric="consistency",
@@ -179,10 +177,10 @@ def smooth_mesh_consistency(N: int, K_values, amplitude: float = 0.2) -> Converg
     )
 
 
-def load_defect(model: ChainModel, mesh: CoarseMesh, rule: ClusterRule,
-                nu: np.ndarray) -> float:
+def load_defect(model: ChainModel, weights: WeightSet) -> float:
     """Max-norm gap between cluster-sampled and exact hat loads."""
-    return float(np.max(np.abs(cluster_load(model, mesh, rule, nu) - exact_load(mesh, model))))
+    exact = exact_load(weights.rule.mesh, model)
+    return float(np.max(np.abs(cluster_load(model, weights) - exact)))
 
 
 def load_approximation_check(model: ChainModel, K_values, r: int) -> ConvergenceTable:
@@ -191,10 +189,9 @@ def load_approximation_check(model: ChainModel, K_values, r: int) -> Convergence
     values = []
     for K in K_values:
         mesh = build_mesh(MeshSpec(family="uniform", N=model.N, K=int(K)))
-        rule = ClusterRule(mesh=mesh, r=r)
-        nu = solve_weights(assemble_weight_system(mesh, rule)).force
+        weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=r)))
         params.append(np.max(mesh.h))
-        values.append(load_defect(model, mesh, rule, nu))
+        values.append(load_defect(model, weights))
     return ConvergenceTable(
         parameter="h_max",
         metric="load_defect",
@@ -262,9 +259,9 @@ def force_scaling_study(N: int, K_values, r: int) -> ForceScalingStudy:
     for K in K_values:
         mesh = build_mesh(MeshSpec(family="uniform", N=N, K=int(K)))
         rule = ClusterRule(mesh=mesh, r=r)
-        weights = solve_weights(assemble_weight_system(mesh, rule))
+        weights = solve_weights(assemble_weight_system(rule))
         constrained = solve_constrained(model, mesh).solution
-        clustered = solve_force_cluster(model, mesh, rule, weights).solution
+        clustered = solve_force_cluster(model, weights).solution
         h = float(mesh.h[0])
         scale = model.epsilon * rule.size / h
         rows["h"].append(h)

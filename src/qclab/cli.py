@@ -222,12 +222,12 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, np.ndarray], dict[str, 
         payload["smoothness"] = {"coefficients": profile.coefficients,
                                  "max_abs": profile.max_abs}
         reports["constrained"] = solve_constrained(model, mesh)
-        columns["u_constrained"] = prolong(mesh, reports["constrained"].solution).values
+        columns["u_constrained"] = prolong(reports["constrained"].solution).values
 
     errors = None
     if config.method in ("energy-cluster", "force-cluster"):
         rule = ClusterRule(mesh=mesh, r=config.r)
-        system = assemble_weight_system(mesh, rule)
+        system = assemble_weight_system(rule)
         weights = solve_weights(system).with_mode(config.weights)
         payload["weights"] = {
             "mode": weights.mode,
@@ -237,14 +237,14 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, np.ndarray], dict[str, 
             "gap_max": weights.gap_max,
             "residual_max": float(np.max(np.abs(weights.residual))),
             "dominance_margin_min": float(np.min(system.dominance_margin())),
-            "exactness_defect": verify_exactness(mesh, rule, weights),
+            "exactness_defect": verify_exactness(weights),
         }
         solver = solve_energy_cluster if config.method == "energy-cluster" else solve_force_cluster
-        qc = reports[config.method] = solver(model, mesh, rule, weights)
-        columns["u_qc"] = prolong(mesh, qc.solution).values
+        qc = reports[config.method] = solver(model, weights)
+        columns["u_qc"] = prolong(qc.solution).values
         errors = asdict(error_report(
-            model, mesh, reports["atomistic"].solution, reports["constrained"].solution,
-            qc.solution, energy_cluster_functional(model, mesh, rule, weights, qc.solution),
+            model, reports["atomistic"].solution, reports["constrained"].solution,
+            qc.solution, energy_cluster_functional(model, weights, qc.solution),
             family=config.mesh.split(":", 1)[0]))
 
     payload["solves"] = {
@@ -378,11 +378,10 @@ def _weights_audit(preset: str) -> tuple[dict, dict, tuple | None]:
     gap_by_size = []
     for label, mesh, radii in _audit_meshes():
         for r in radii:
-            rule = ClusterRule(mesh=mesh, r=r)
-            system = assemble_weight_system(mesh, rule)
+            system = assemble_weight_system(ClusterRule(mesh=mesh, r=r))
             weights = solve_weights(system)
             margin = float(np.min(system.dominance_margin()))
-            defect = verify_exactness(mesh, rule, weights)
+            defect = verify_exactness(weights)
             lumping_exact = bool(np.array_equal(weights.energy_exact, weights.energy_lumped))
             row_ok = (margin > r) and (defect <= 1e-10)
             if r == 0 or mesh.kappa == 1.0:
@@ -439,17 +438,17 @@ def _sweep_point(metric: str, config: RunConfig, N: int, K: int, r: int) -> tupl
     mesh = build_mesh(parse_mesh_descriptor(config.mesh, N, K))
     if metric == "consistency":
         report = solve_constrained(model, mesh)
-        return float(np.max(mesh.h)), consistency_estimate(mesh, report.solution).value
+        return float(np.max(mesh.h)), consistency_estimate(report.solution).value
     rule = ClusterRule(mesh=mesh, r=r)
-    weights = solve_weights(assemble_weight_system(mesh, rule)).with_mode(config.weights)
+    weights = solve_weights(assemble_weight_system(rule)).with_mode(config.weights)
     if metric == "weight-gap":
         return model.epsilon, weights.gap_max
     if metric == "load-defect":
-        return float(np.max(mesh.h)), load_defect(model, mesh, rule, weights.force)
+        return float(np.max(mesh.h)), load_defect(model, weights)
     # zero-force: cluster solve of an unloaded chain must return the zero field
     unloaded = ChainModel(N=N, potential=harmonic_potential(),
                           force=sample_force("const:0", N))
-    qc = solve_energy_cluster(unloaded, mesh, rule, weights)
+    qc = solve_energy_cluster(unloaded, weights)
     return model.epsilon, float(np.max(np.abs(qc.solution.values)))
 
 

@@ -9,7 +9,7 @@ that coincides with the exact set on uniform meshes and at r = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -57,15 +57,14 @@ class ClusterRule:
 
 @dataclass(frozen=True, eq=False)
 class WeightSystem:
-    """The periodic tridiagonal equations determining exact cluster weights.
+    """The periodic tridiagonal equations for one cluster rule's exact weights.
 
     Row j states that the hats are summed exactly at node j:
     sub_j*w_{j-1} + diag_j*w_j + sup_j*w_{j+1} = g_j, with g_j the exact
     full-lattice hat mass (h_j + h_{j+1})/2.  All arrays are node-slot order.
     """
 
-    mesh: CoarseMesh
-    r: int
+    rule: ClusterRule
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
@@ -80,13 +79,14 @@ class WeightSystem:
         return self.diag - np.abs(self.sub) - np.abs(self.sup)
 
 
-def assemble_weight_system(mesh: CoarseMesh, rule: ClusterRule) -> WeightSystem:
+def assemble_weight_system(rule: ClusterRule) -> WeightSystem:
     """Closed-form assembly of the weight equations.
 
     The hat of node j, summed over the cluster of node j, gives the diagonal
     (2r+1) - r(r+1)/2 * (1/s_j + 1/s_{j+1}); summed over the neighbour
     clusters it gives the off-diagonal entries r(r+1)/2 * (1/s).
     """
+    mesh = rule.mesh
     s = mesh.steps.astype(float)
     s_next = np.roll(s, -1)
     half_rr = 0.5 * rule.r * (rule.r + 1)
@@ -96,7 +96,7 @@ def assemble_weight_system(mesh: CoarseMesh, rule: ClusterRule) -> WeightSystem:
     g = 0.5 * (mesh.h + np.roll(mesh.h, -1))
     for arr in (sub, sup, diag, g):
         arr.setflags(write=False)
-    return WeightSystem(mesh=mesh, r=rule.r, sub=sub, diag=diag, sup=sup, g=g)
+    return WeightSystem(rule=rule, sub=sub, diag=diag, sup=sup, g=g)
 
 
 def _solve_cyclic_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
@@ -125,7 +125,7 @@ def _solve_cyclic_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WeightSet:
-    """Exact and lumped cluster weights for one (mesh, radius) pair.
+    """Exact and lumped cluster weights for one cluster rule.
 
     Energy weights multiply per-site energies; force weights are the same
     numbers divided by epsilon and multiply per-site forces.  ``mode`` selects
@@ -134,8 +134,7 @@ class WeightSet:
     defect of the lumped weights in the exact weight equations.
     """
 
-    mesh: CoarseMesh
-    r: int
+    rule: ClusterRule
     mode: str
     energy_exact: np.ndarray
     energy_lumped: np.ndarray
@@ -147,7 +146,7 @@ class WeightSet:
 
     @property
     def force(self) -> np.ndarray:
-        return self.energy * self.mesh.N
+        return self.energy * self.rule.mesh.N
 
     @property
     def gap_max(self) -> float:
@@ -156,15 +155,11 @@ class WeightSet:
     def with_mode(self, mode: str) -> "WeightSet":
         if mode not in ("exact", "lumped"):
             raise ShapeMismatch(f"weight mode must be 'exact' or 'lumped', got {mode!r}")
-        return WeightSet(mesh=self.mesh, r=self.r, mode=mode,
-                         energy_exact=self.energy_exact,
-                         energy_lumped=self.energy_lumped,
-                         residual=self.residual)
+        return replace(self, mode=mode)
 
 
 def _lumped_and_residual(system: WeightSystem) -> tuple[np.ndarray, np.ndarray]:
-    size = 2 * system.r + 1
-    lumped = system.g / size
+    lumped = system.g / system.rule.size
     # residual of the lumped weights row by row; the diagonal part cancels
     # exactly because (2r+1)*lumped_j = g_j, leaving only difference terms
     residual = system.sub * (np.roll(lumped, 1) - lumped) + system.sup * (
@@ -181,8 +176,8 @@ def solve_weights(system: WeightSystem) -> WeightSet:
     keeps the residual at the rounding floor on every other mesh.
     """
     lumped, residual = _lumped_and_residual(system)
-    steps = system.mesh.steps
-    if system.r == 0 or np.all(steps == steps[0]):
+    steps = system.rule.mesh.steps
+    if system.rule.r == 0 or np.all(steps == steps[0]):
         exact = lumped
     else:
         exact = _solve_cyclic_tridiagonal(system.sub, system.diag, system.sup, system.g)
@@ -197,11 +192,11 @@ def solve_weights(system: WeightSystem) -> WeightSet:
         raise IllPosed("computed cluster weights are not all positive")
     for arr in (exact, lumped, residual):
         arr.setflags(write=False)
-    return WeightSet(mesh=system.mesh, r=system.r, mode="exact",
+    return WeightSet(rule=system.rule, mode="exact",
                      energy_exact=exact, energy_lumped=lumped, residual=residual)
 
 
-def verify_exactness(mesh: CoarseMesh, rule: ClusterRule, weights: WeightSet) -> float:
+def verify_exactness(weights: WeightSet) -> float:
     """Largest hat-summation defect of the active weights, by brute force.
 
     For every node j the full-lattice sum eps*sum_ell hat_j(eps*ell) is
@@ -211,7 +206,8 @@ def verify_exactness(mesh: CoarseMesh, rule: ClusterRule, weights: WeightSet) ->
     meet no other hat), but each sum still runs over the full lattice and
     all clusters, with zeros elsewhere, so it is summed in the same order.
     """
-    members = rule.member_matrix()
+    mesh = weights.rule.mesh
+    members = weights.rule.member_matrix()
     active = weights.energy
     n2k = 2 * mesh.K
     hats = np.zeros(2 * mesh.N)

@@ -138,7 +138,7 @@ def _build_oscillatory(spec: MeshSpec) -> np.ndarray:
 
 def _build_smooth(spec: MeshSpec) -> np.ndarray:
     alpha = spec.amplitude
-    if abs(alpha) * np.pi >= 1.0:
+    if not abs(alpha) * np.pi < 1.0:  # NaN fails this test too
         raise MeshBuildError(
             f"smooth node map needs |amplitude|*pi < 1 to stay monotone, got {alpha}"
         )
@@ -252,6 +252,12 @@ class NodalField:
         return (v - np.roll(v, 1)) / self.mesh.h
 
 
+def check_lattice(model: ChainModel, mesh: CoarseMesh) -> None:
+    """Reject a mesh built for a lattice of another size than the model's."""
+    if model.N != mesh.N:
+        raise ShapeMismatch(f"mesh was built for N={mesh.N}, not N={model.N}")
+
+
 def check_field(mesh: CoarseMesh, V: NodalField) -> None:
     """Reject a nodal field built on a different mesh."""
     if V.mesh is not mesh and (
@@ -278,13 +284,13 @@ def basis_value(mesh: CoarseMesh, j: int, ell):
     return out if out.ndim else float(out)
 
 
-def prolong(mesh: CoarseMesh, V: NodalField) -> Displacement:
+def prolong(V: NodalField) -> Displacement:
     """Piecewise-affine extension of nodal values to every lattice site.
 
     The recorded gradients are exactly the element gradients, and node slots
     carry the nodal values bitwise.
     """
-    check_field(mesh, V)
+    mesh = V.mesh
     vals = V.values
     lefts = np.roll(vals, 1)
     steps = mesh.steps
@@ -314,7 +320,6 @@ class SmoothnessProfile:
     """
 
     coefficients: np.ndarray
-    kappa: float
 
     @property
     def max_abs(self) -> float:
@@ -326,14 +331,13 @@ def smoothness_profile(mesh: CoarseMesh) -> SmoothnessProfile:
     second = (np.roll(h, 1) - 2.0 * h) + np.roll(h, -1)
     coeff = second / (4.0 * h)
     coeff.setflags(write=False)
-    return SmoothnessProfile(coefficients=coeff, kappa=mesh.kappa)
+    return SmoothnessProfile(coefficients=coeff)
 
 
 def exact_load(mesh: CoarseMesh, model: ChainModel) -> np.ndarray:
     """Dead load paired with each hat: f[hat_j] = sum eps*f_ell*hat_j(eps*ell),
     accumulated over the full lattice, slot order."""
-    if model.N != mesh.N:
-        raise ShapeMismatch(f"mesh was built for N={mesh.N}, not N={model.N}")
+    check_lattice(model, mesh)
     # forces in element order, so each element's sites form one contiguous slice
     start = int(slot_of_site(mesh.repatoms[-1] - 2 * mesh.N + 1, mesh.N))
     f = np.roll(model.force.samples, -start)

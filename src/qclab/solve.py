@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvexityLoss, IllPosed, NewtonFailure, ShapeMismatch
+from .errors import ConvexityLoss, IllPosed, NewtonFailure
 from .cluster import ClusterRule, WeightSet
-from .mesh import CoarseMesh, NodalField, check_field, exact_load, prolong
+from .mesh import CoarseMesh, NodalField, check_field, check_lattice, exact_load, prolong
 from .model import (
     ChainModel,
     Displacement,
@@ -111,10 +111,14 @@ def _solve_chain(pot: PairPotential, coeff, h, load, pinned: int):
     return g, values, residual, reaction, max(closure_iters, invert_iters)
 
 
-def _check_residual(residual: float, load, method: str) -> None:
+def _report(method: str, solution, load, residual: float, reaction: float,
+            iterations: int) -> SolveReport:
+    """Package a solve, rejecting a residual above the tolerance its load sets."""
     tol = 1e-10 * (1.0 + float(np.max(np.abs(load))))
     if not residual <= tol:
         raise NewtonFailure(f"{method} solve left residual {residual:.3e} above {tol:.3e}")
+    return SolveReport(solution=solution, residual=residual, reaction=reaction,
+                       iterations=iterations, method=method)
 
 
 def solve_atomistic(model: ChainModel) -> SolveReport:
@@ -125,14 +129,8 @@ def solve_atomistic(model: ChainModel) -> SolveReport:
     g, values, residual, reaction, iters = _solve_chain(
         model.potential, np.ones(n), np.full(n, model.epsilon), load, model.N - 1
     )
-    _check_residual(residual, load, "atomistic")
-    return SolveReport(
-        solution=Displacement(N=model.N, values=values, gradients=g),
-        residual=residual,
-        reaction=reaction,
-        iterations=iters,
-        method="atomistic",
-    )
+    return _report("atomistic", Displacement(N=model.N, values=values, gradients=g),
+                   load, residual, reaction, iters)
 
 
 def solve_constrained(model: ChainModel, mesh: CoarseMesh) -> SolveReport:
@@ -146,48 +144,30 @@ def solve_constrained(model: ChainModel, mesh: CoarseMesh) -> SolveReport:
     g, values, residual, reaction, iters = _solve_chain(
         model.potential, np.ones(2 * mesh.K), mesh.h, load, mesh.K - 1
     )
-    _check_residual(residual, load, "constrained")
-    return SolveReport(
-        solution=NodalField(mesh=mesh, values=values),
-        residual=residual,
-        reaction=reaction,
-        iterations=iters,
-        method="constrained",
-    )
+    return _report("constrained", NodalField(mesh=mesh, values=values),
+                   load, residual, reaction, iters)
 
 
-def _check_cluster_args(model: ChainModel, mesh: CoarseMesh, rule: ClusterRule,
-                        weights: WeightSet | None = None) -> None:
-    if model.N != mesh.N:
-        raise ShapeMismatch(f"mesh was built for N={mesh.N}, not N={model.N}")
-    if rule.mesh is not mesh and not (
-        rule.mesh.N == mesh.N and np.array_equal(rule.mesh.repatoms, mesh.repatoms)
-    ):
-        raise ShapeMismatch("cluster rule belongs to a different mesh")
-    if weights is not None and weights.r != rule.r:
-        raise ShapeMismatch("weight set was computed for a different cluster radius")
-
-
-def cluster_load(model: ChainModel, mesh: CoarseMesh, rule: ClusterRule,
-                 nu: np.ndarray) -> np.ndarray:
+def cluster_load(model: ChainModel, weights: WeightSet) -> np.ndarray:
     """Cluster approximation of the exact hat loads:
-    sum_k nu_k sum_{ell in C_k} eps f_ell hat_j(eps ell), per node j."""
-    _check_cluster_args(model, mesh, rule)
+    sum_k nu_k sum_{ell in C_k} eps f_ell hat_j(eps ell), per node j, with
+    the force weights nu of the active mode."""
+    rule = weights.rule
+    check_lattice(model, rule.mesh)
     members = rule.member_matrix()
-    weighted = model.epsilon * np.asarray(nu)[:, None] * model.force.at(members)
-    return _scatter_cluster_values(mesh, rule, weighted)
+    weighted = model.epsilon * weights.force[:, None] * model.force.at(members)
+    return _scatter_cluster_values(rule, weighted)
 
 
-def _scatter_cluster_values(mesh: CoarseMesh, rule: ClusterRule,
-                            weighted: np.ndarray) -> np.ndarray:
+def _scatter_cluster_values(rule: ClusterRule, weighted: np.ndarray) -> np.ndarray:
     """Accumulate per-member values (already carrying their node weight)
     against the hat functions.
 
     The member at signed offset d from node t lies in element t (d < 0) or
     t+1 (d > 0), so it meets exactly two hats; offset 0 is the node itself.
     """
-    s_own = mesh.steps.astype(float)
-    s_next = np.roll(mesh.steps, -1).astype(float)
+    s_own = rule.mesh.steps.astype(float)
+    s_next = np.roll(rule.mesh.steps, -1).astype(float)
     out = np.array(weighted[:, rule.r])  # offset 0: hat of the own node is 1
     for i in range(rule.r):
         d = i - rule.r  # negative offsets, column i
@@ -202,23 +182,24 @@ def _scatter_cluster_values(mesh: CoarseMesh, rule: ClusterRule,
     return out
 
 
-def assemble_cluster_forces(model: ChainModel, mesh: CoarseMesh, rule: ClusterRule,
-                            nu: np.ndarray, V: NodalField) -> np.ndarray:
+def assemble_cluster_forces(model: ChainModel, weights: WeightSet,
+                            V: NodalField) -> np.ndarray:
     """Cluster-sampled nodal forces of a piecewise-affine field.
 
     Site forces are evaluated generically from the prolonged displacement;
     for nearest-neighbour bonds and admissible clusters the result collapses
     to nu_j*(phi'(V_j') - phi'(V_{j+1}')) minus the cluster load.
     """
-    _check_cluster_args(model, mesh, rule)
-    forces = site_forces(model, prolong(mesh, V))
+    rule = weights.rule
+    check_lattice(model, rule.mesh)
+    check_field(rule.mesh, V)
+    forces = site_forces(model, prolong(V))
     members = rule.member_matrix()
-    weighted = np.asarray(nu)[:, None] * forces[slot_of_site(members, mesh.N)]
-    return _scatter_cluster_values(mesh, rule, weighted)
+    weighted = weights.force[:, None] * forces[slot_of_site(members, model.N)]
+    return _scatter_cluster_values(rule, weighted)
 
 
-def energy_cluster_functional(model: ChainModel, mesh: CoarseMesh, rule: ClusterRule,
-                              weights: WeightSet, V: NodalField) -> float:
+def energy_cluster_functional(model: ChainModel, weights: WeightSet, V: NodalField) -> float:
     """Cluster-rule approximation of the stored energy of a nodal field:
     sum_k omega_k * (site energies over the cluster of node k).
 
@@ -227,12 +208,13 @@ def energy_cluster_functional(model: ChainModel, mesh: CoarseMesh, rule: Cluster
     left of the node carries phi of element k's gradient and a bond right
     of it phi of element k+1's; only those 2K bond energies are evaluated.
     """
-    _check_cluster_args(model, mesh, rule, weights)
-    check_field(mesh, V)
+    rule = weights.rule
+    check_lattice(model, rule.mesh)
+    check_field(rule.mesh, V)
     e = model.potential.value(V.gradients())
     e_next = np.roll(e, -1)
     r = rule.r
-    energies = np.empty((2 * mesh.K, rule.size))
+    energies = np.empty((2 * rule.mesh.K, rule.size))
     energies[:, :r] = (0.5 * (e + e))[:, None]
     energies[:, r] = 0.5 * (e + e_next)
     energies[:, r + 1 :] = (0.5 * (e_next + e_next))[:, None]
@@ -240,7 +222,7 @@ def energy_cluster_functional(model: ChainModel, mesh: CoarseMesh, rule: Cluster
     return float(np.dot(weights.energy, per_cluster))
 
 
-def effective_stiffness(rule: ClusterRule, weights: WeightSet) -> np.ndarray:
+def effective_stiffness(weights: WeightSet) -> np.ndarray:
     """Per-element multiplier the cluster energy puts on phi(V_k').
 
     Collapsing each cluster sum of site energies (admissible clusters sit
@@ -250,48 +232,40 @@ def effective_stiffness(rule: ClusterRule, weights: WeightSet) -> np.ndarray:
     this is exactly 1 plus the element's smoothness coefficient.
     """
     w = weights.energy
-    return rule.size * (w + np.roll(w, 1)) / (2.0 * rule.mesh.h)
+    return weights.rule.size * (w + np.roll(w, 1)) / (2.0 * weights.rule.mesh.h)
 
 
-def solve_energy_cluster(model: ChainModel, mesh: CoarseMesh, rule: ClusterRule,
-                         weights: WeightSet) -> SolveReport:
+def solve_energy_cluster(model: ChainModel, weights: WeightSet) -> SolveReport:
     """Criticality of the cluster energy under exact dead loads.
 
     The nodal equations are a_j phi'(U_j') - a_{j+1} phi'(U_{j+1}') = f[hat_j]
     with the effective per-element stiffness a; nonpositive a makes the
     functional indefinite and is rejected.
     """
-    _check_cluster_args(model, mesh, rule, weights)
-    a = effective_stiffness(rule, weights)
+    mesh = weights.rule.mesh
+    a = effective_stiffness(weights)
     if not np.all(a > 0.0):
         raise IllPosed("cluster energy has a nonpositive effective element stiffness")
     load = exact_load(mesh, model)
     g, values, residual, reaction, iters = _solve_chain(
         model.potential, a, mesh.h, load, mesh.K - 1
     )
-    _check_residual(residual, load, "energy-cluster")
-    return SolveReport(
-        solution=NodalField(mesh=mesh, values=values),
-        residual=residual,
-        reaction=reaction,
-        iterations=iters,
-        method="energy-cluster",
-    )
+    return _report("energy-cluster", NodalField(mesh=mesh, values=values),
+                   load, residual, reaction, iters)
 
 
-def solve_force_cluster(model: ChainModel, mesh: CoarseMesh, rule: ClusterRule,
-                        weights: WeightSet) -> SolveReport:
+def solve_force_cluster(model: ChainModel, weights: WeightSet) -> SolveReport:
     """Roots of the cluster-sampled nodal forces.
 
     For admissible clusters the equations collapse to
     nu_j (phi'(U_j') - phi'(U_{j+1}')) = cluster load at j, which is solved
     exactly; the reported residual re-evaluates that defining form.
     """
-    _check_cluster_args(model, mesh, rule, weights)
+    mesh = weights.rule.mesh
     nu = weights.force
     if not np.all(nu > 0.0):
         raise IllPosed("force weights must be positive")
-    ftilde = cluster_load(model, mesh, rule, nu)
+    ftilde = cluster_load(model, weights)
     g, values, _, _, iters = _solve_chain(
         model.potential, np.ones(2 * mesh.K), mesh.h, ftilde / nu, mesh.K - 1
     )
@@ -300,11 +274,5 @@ def solve_force_cluster(model: ChainModel, mesh: CoarseMesh, rule: ClusterRule,
     reaction = float(equations[mesh.K - 1])
     equations[mesh.K - 1] = 0.0
     residual = float(np.max(np.abs(equations)))
-    _check_residual(residual, ftilde, "force-cluster")
-    return SolveReport(
-        solution=NodalField(mesh=mesh, values=values),
-        residual=residual,
-        reaction=reaction,
-        iterations=iters,
-        method="force-cluster",
-    )
+    return _report("force-cluster", NodalField(mesh=mesh, values=values),
+                   ftilde, residual, reaction, iters)

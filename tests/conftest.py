@@ -14,7 +14,6 @@ import numpy as np
 
 from qclab import (
     ChainModel,
-    CoarseMesh,
     MeshSpec,
     build_mesh,
     basis_value,

@@ -65,14 +65,13 @@ def _figure_pipeline(family, N, K, force_spec):
     model = ChainModel(N=N, potential=harmonic_potential(),
                        force=sample_force(force_spec, N))
     mesh = build_mesh(MeshSpec(family=family, N=N, K=K))
-    rule = ClusterRule(mesh=mesh, r=0)
-    weights = solve_weights(assemble_weight_system(mesh, rule))
+    weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=0)))
     atomistic = solve_atomistic(model).solution
     constrained = solve_constrained(model, mesh).solution
-    qc = solve_energy_cluster(model, mesh, rule, weights).solution
+    qc = solve_energy_cluster(model, weights).solution
     report = error_report(
-        model, mesh, atomistic, constrained, qc,
-        energy_cluster_functional(model, mesh, rule, weights, qc), family=family,
+        model, atomistic, constrained, qc,
+        energy_cluster_functional(model, weights, qc), family=family,
     )
     return model, mesh, constrained, qc, report
 
@@ -121,15 +120,14 @@ def test_c03_estimator_sandwich(capsys):
     for i in range(5):
         mesh, _ = random_custom_mesh(rng)
         model = make_model(mesh.N, force=forces[i % 2])
-        rule = ClusterRule(mesh=mesh, r=0)
-        weights = solve_weights(assemble_weight_system(mesh, rule))
+        weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=0)))
         constrained = solve_constrained(model, mesh).solution
-        qc = solve_energy_cluster(model, mesh, rule, weights).solution
+        qc = solve_energy_cluster(model, weights).solution
         cases.append((model, mesh, constrained, qc, None))
     worst = 0.0
     ok = True
     for model, mesh, constrained, qc, _ in cases:
-        est = consistency_estimate(mesh, constrained)
+        est = consistency_estimate(constrained)
         err = energy_norm(NodalField(mesh=mesh, values=qc.values - constrained.values))
         slack = 1e-10 * max(est.value, err)
         lower = 0.5 * (1.0 + 1.0 / mesh.kappa) * err
@@ -166,15 +164,14 @@ def test_c05_rest_force_identity(capsys):
                              (quartic_potential(0.25), (1,))):
         model = ChainModel(N=64, potential=potential, force=sample_force("const:0", 64))
         for r in radii:
-            rule = ClusterRule(mesh=mesh, r=r)
-            nu = solve_weights(assemble_weight_system(mesh, rule)).force
+            weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=r)))
             for _ in range(10):
                 values = rng.normal(size=2 * mesh.K)
                 values[mesh.K - 1] = 0.0
                 V = NodalField(mesh=mesh, values=values)
-                assembled = assemble_cluster_forces(model, mesh, rule, nu, V)
+                assembled = assemble_cluster_forces(model, weights, V)
                 stress = potential.deriv(V.gradients())
-                predicted = nu * (stress - np.roll(stress, -1))
+                predicted = weights.force * (stress - np.roll(stress, -1))
                 worst = max(worst, float(np.max(np.abs(assembled - predicted))))
     ok = worst <= 1e-12
     _verdict(
@@ -190,10 +187,9 @@ def test_c06_weight_system(capsys):
     bitwise_ok = True
     for label, mesh, radii in _audit_meshes():
         for r in radii:
-            rule = ClusterRule(mesh=mesh, r=r)
-            system = assemble_weight_system(mesh, rule)
+            system = assemble_weight_system(ClusterRule(mesh=mesh, r=r))
             weights = solve_weights(system)
-            worst_defect = max(worst_defect, verify_exactness(mesh, rule, weights))
+            worst_defect = max(worst_defect, verify_exactness(weights))
             worst_margin = min(worst_margin, float(np.min(system.dominance_margin())) - r)
             if r == 0 or mesh.kappa == 1.0:
                 bitwise_ok = bitwise_ok and np.array_equal(
@@ -206,8 +202,7 @@ def test_c06_weight_system(capsys):
         spec = MeshSpec(family="custom", N=int(steps.sum() // 2), K=4,
                         indices=tuple(int(v) for v in cums - cums[3]))
         mesh = build_mesh(spec)
-        rule = ClusterRule(mesh=mesh, r=1)
-        gaps.append(solve_weights(assemble_weight_system(mesh, rule)).gap_max)
+        gaps.append(solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=1))).gap_max)
     gaps = np.array(gaps)
     rates = np.log2(gaps[:-1] / gaps[1:])
     ok = (
@@ -288,10 +283,9 @@ def test_c09_load_approximation(capsys):
     cums = np.cumsum(steps)
     mesh = build_mesh(MeshSpec(family="custom", N=int(steps.sum() // 2), K=4,
                                indices=tuple(int(v) for v in cums - cums[3])))
-    rule = ClusterRule(mesh=mesh, r=1)
-    nu = solve_weights(assemble_weight_system(mesh, rule)).force
+    weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=1)))
     const_model = make_model(mesh.N, force="const:2")
-    const_defect = load_defect(const_model, mesh, rule, nu)
+    const_defect = load_defect(const_model, weights)
 
     # piecewise-affine integrands are summed exactly by the exact weights;
     # checked as a direct cluster quadrature of a triangle-wave profile
@@ -304,7 +298,7 @@ def test_c09_load_approximation(capsys):
         exact_total = eps * float(np.sum(profile))
         for r in radii:
             rule2 = ClusterRule(mesh=mesh2, r=r)
-            nu2 = solve_weights(assemble_weight_system(mesh2, rule2)).force
+            nu2 = solve_weights(assemble_weight_system(rule2)).force
             members = rule2.member_matrix()
             slots = (members + mesh2.N - 1) % (2 * mesh2.N)
             cluster_total = float(np.dot(nu2, np.sum(eps * profile[slots], axis=1)))
@@ -337,16 +331,15 @@ def test_c10_small_lattice_oracles(capsys):
         constrained.solution.values
         - dense_chain(np.ones(n), np.ones(n), mesh.h, load, mesh.K - 1)))))
 
-    rule = ClusterRule(mesh=mesh, r=0)
-    weights = solve_weights(assemble_weight_system(mesh, rule))
-    energy = solve_energy_cluster(model, mesh, rule, weights)
-    a = effective_stiffness(rule, weights)
+    weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=0)))
+    energy = solve_energy_cluster(model, weights)
+    a = effective_stiffness(weights)
     worst_solver = max(worst_solver, float(np.max(np.abs(
         energy.solution.values
         - dense_chain(a, np.ones(n), mesh.h, load, mesh.K - 1)))))
 
-    force = solve_force_cluster(model, mesh, rule, weights)
-    ftilde = cluster_load(model, mesh, rule, weights.force)
+    force = solve_force_cluster(model, weights)
+    ftilde = cluster_load(model, weights)
     worst_solver = max(worst_solver, float(np.max(np.abs(
         force.solution.values
         - dense_chain(np.ones(n), weights.force, mesh.h, ftilde, mesh.K - 1)))))

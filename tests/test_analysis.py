@@ -7,7 +7,6 @@ from qclab import (
     ChainModel,
     ClusterRule,
     ConvergenceTable,
-    Displacement,
     MeshSpec,
     NodalField,
     ShapeMismatch,
@@ -33,16 +32,15 @@ from qclab import (
     stored_energy,
     energy_cluster_functional,
 )
-from conftest import make_model, random_custom_mesh, random_displacement
+from conftest import make_model, random_custom_mesh
 
 
 def qc_solve(mesh, force="sinpi", r=0):
     model = make_model(mesh.N, force=force)
-    rule = ClusterRule(mesh=mesh, r=r)
-    weights = solve_weights(assemble_weight_system(mesh, rule))
+    weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=r)))
     constrained = solve_constrained(model, mesh).solution
-    qc = solve_energy_cluster(model, mesh, rule, weights).solution
-    return model, rule, weights, constrained, qc
+    qc = solve_energy_cluster(model, weights).solution
+    return model, weights, constrained, qc
 
 
 def test_consistency_vanishes_on_uniform_meshes():
@@ -50,12 +48,9 @@ def test_consistency_vanishes_on_uniform_meshes():
     rng = np.random.default_rng(31)
     values = rng.normal(size=2 * mesh.K)
     values[mesh.K - 1] = 0.0
-    est = consistency_estimate(mesh, NodalField(mesh=mesh, values=values))
+    est = consistency_estimate(NodalField(mesh=mesh, values=values))
     assert est.value == 0.0
     assert est.mean == 0.0
-    with pytest.raises(ShapeMismatch):
-        other = build_mesh(MeshSpec(family="uniform", N=64, K=4))
-        consistency_estimate(other, NodalField(mesh=mesh, values=values))
 
 
 def test_consistency_centred_and_raw_forms_agree():
@@ -66,7 +61,7 @@ def test_consistency_centred_and_raw_forms_agree():
         values = rng.normal(size=2 * mesh.K)
         values[mesh.K - 1] = 0.0
         field = NodalField(mesh=mesh, values=values)
-        est = consistency_estimate(mesh, field)
+        est = consistency_estimate(field)
         weighted = smoothness_profile(mesh).coefficients * field.gradients()
         raw = float(np.dot(mesh.h, weighted ** 2))
         np.testing.assert_allclose(
@@ -82,8 +77,8 @@ def test_consistency_sandwich_brackets_the_cluster_error():
     ]
     cases.extend(random_custom_mesh(rng)[0] for _ in range(3))
     for mesh in cases:
-        _, _, _, constrained, qc = qc_solve(mesh, force="sinpi", r=0)
-        est = consistency_estimate(mesh, constrained)
+        _, _, constrained, qc = qc_solve(mesh, force="sinpi", r=0)
+        est = consistency_estimate(constrained)
         err = energy_norm(NodalField(mesh=mesh, values=qc.values - constrained.values))
         slack = 1e-10 * max(est.value, err)
         assert 0.5 * (1.0 + 1.0 / mesh.kappa) * err <= est.value + slack
@@ -107,7 +102,7 @@ def test_galerkin_orthogonality_of_constrained_solve():
     mesh = build_mesh(MeshSpec(family="graded", N=N, K=15))
     atom = solve_atomistic(model).solution
     constrained = solve_constrained(model, mesh).solution
-    assert galerkin_defect(model, mesh, atom, constrained) <= 1e-10
+    assert galerkin_defect(model, atom, constrained) <= 1e-10
 
 
 def test_galerkin_defect_vanishes_on_full_lattice():
@@ -116,17 +111,15 @@ def test_galerkin_defect_vanishes_on_full_lattice():
     mesh = build_mesh(MeshSpec(family="uniform", N=N, K=N))
     atom = solve_atomistic(model).solution
     constrained = solve_constrained(model, mesh).solution
-    assert galerkin_defect(model, mesh, atom, constrained) <= 1e-12
+    assert galerkin_defect(model, atom, constrained) <= 1e-12
 
 
 def test_error_report_of_the_constrained_solution_itself():
     mesh = build_mesh(MeshSpec(family="graded", N=256, K=9))
-    model, rule, weights, constrained, qc = qc_solve(mesh)
+    model, weights, constrained, qc = qc_solve(mesh)
     atom = solve_atomistic(model).solution
-    qc_energy = energy_cluster_functional(model, mesh, rule, weights, qc)
-    report = error_report(
-        model, mesh, atom, constrained, constrained, qc_energy, family="graded"
-    )
+    qc_energy = energy_cluster_functional(model, weights, qc)
+    report = error_report(model, atom, constrained, constrained, qc_energy, family="graded")
     assert report.energy_norm_rel == 0.0
     exact = stored_energy(model, atom)
     np.testing.assert_allclose(
@@ -138,11 +131,21 @@ def test_error_report_of_the_constrained_solution_itself():
 
 def test_error_report_skips_energy_ratio_without_stored_energy():
     mesh = build_mesh(MeshSpec(family="uniform", N=64, K=4))
-    model, rule, weights, constrained, qc = qc_solve(mesh, force="const:0")
+    model, _, constrained, qc = qc_solve(mesh, force="const:0")
     atom = solve_atomistic(model).solution
-    report = error_report(model, mesh, atom, constrained, qc, 0.0)
+    report = error_report(model, atom, constrained, qc, 0.0)
     assert report.energy_rel is None
     assert report.predicted_band is None
+
+
+def test_error_report_rejects_a_solution_on_another_mesh():
+    mesh = build_mesh(MeshSpec(family="uniform", N=64, K=4))
+    model, _, constrained, qc = qc_solve(mesh)
+    other = build_mesh(MeshSpec(family="oscillatory", N=64, K=4))
+    foreign = NodalField(mesh=other, values=qc.values)
+    atom = solve_atomistic(model).solution
+    with pytest.raises(ShapeMismatch):
+        error_report(model, atom, constrained, foreign, 0.0)
 
 
 def test_convergence_table_recovers_power_law():
@@ -205,14 +208,13 @@ def test_load_defect_of_affine_force_under_product_sampling():
     # accurate for an affine force profile: the product is piecewise quadratic
     model = make_model(1024, force="lin:0.3,0.7")
     mesh = build_mesh(MeshSpec(family="uniform", N=1024, K=4))
-    rule = ClusterRule(mesh=mesh, r=1)
-    nu = solve_weights(assemble_weight_system(mesh, rule)).force
-    assert load_defect(model, mesh, rule, nu) > 1e-3
+    weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=1)))
+    assert load_defect(model, weights) > 1e-3
 
 
 def test_gradient_alternation_on_the_oscillatory_mesh():
     mesh = build_mesh(MeshSpec(family="oscillatory", N=10 ** 4, K=20))
-    _, _, _, constrained, qc = qc_solve(mesh)
+    _, _, constrained, qc = qc_solve(mesh)
     alternating, pairs = gradient_alternation(constrained, qc)
     assert alternating
     assert pairs == 33

@@ -50,7 +50,7 @@ def test_weight_system_matches_brute_assembly():
         mesh, _ = random_custom_mesh(rng)
         r = int(rng.integers(0, (np.min(mesh.steps) - 1) // 2 + 1))
         rule = ClusterRule(mesh=mesh, r=r)
-        system = assemble_weight_system(mesh, rule)
+        system = assemble_weight_system(rule)
         dense = dense_weight_matrix(mesh, rule)
         n = 2 * mesh.K
         structured = np.zeros((n, n))
@@ -67,7 +67,7 @@ def test_exact_weights_match_dense_solve():
     for m in (0, 1):
         mesh = graded_like_mesh(m)
         rule = ClusterRule(mesh=mesh, r=1)
-        system = assemble_weight_system(mesh, rule)
+        system = assemble_weight_system(rule)
         weights = solve_weights(system)
         dense = np.linalg.solve(dense_weight_matrix(mesh, rule), np.asarray(system.g))
         np.testing.assert_allclose(weights.energy_exact, dense, rtol=1e-12)
@@ -76,7 +76,7 @@ def test_exact_weights_match_dense_solve():
 def test_uniform_weights_collapse_to_lumping():
     mesh = build_mesh(MeshSpec(family="uniform", N=64, K=4))
     for r in (0, 1, 3, 7):
-        weights = solve_weights(assemble_weight_system(mesh, ClusterRule(mesh=mesh, r=r)))
+        weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=r)))
         np.testing.assert_array_equal(weights.energy_exact, weights.energy_lumped)
         np.testing.assert_array_equal(weights.residual, 0.0)
         np.testing.assert_allclose(weights.energy_exact, 0.25 / (2 * r + 1), rtol=1e-15)
@@ -86,7 +86,7 @@ def test_uniform_weights_collapse_to_lumping():
 def test_radius_zero_weights_are_hat_masses():
     rng = np.random.default_rng(17)
     mesh, _ = random_custom_mesh(rng)
-    weights = solve_weights(assemble_weight_system(mesh, ClusterRule(mesh=mesh, r=0)))
+    weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=0)))
     g = 0.5 * (mesh.h + np.roll(mesh.h, -1))
     np.testing.assert_array_equal(weights.energy_exact, weights.energy_lumped)
     np.testing.assert_allclose(weights.energy_exact, g, rtol=1e-15)
@@ -103,7 +103,7 @@ def test_dominance_margin_exceeds_radius():
     ]
     for mesh, radii in cases:
         for r in radii:
-            system = assemble_weight_system(mesh, ClusterRule(mesh=mesh, r=r))
+            system = assemble_weight_system(ClusterRule(mesh=mesh, r=r))
             assert float(np.min(system.dominance_margin())) > r
 
 
@@ -116,16 +116,16 @@ def test_exactness_defect_of_exact_weights():
         max_r = int((np.min(mesh.steps) - 1) // 2)
         for r in {0, 1, max_r}:
             rule = ClusterRule(mesh=mesh, r=r)
-            weights = solve_weights(assemble_weight_system(mesh, rule))
-            assert verify_exactness(mesh, rule, weights) <= 1e-10
+            weights = solve_weights(assemble_weight_system(rule))
+            assert verify_exactness(weights) <= 1e-10
 
 
 def test_lumped_weights_exact_on_uniform():
     mesh = build_mesh(MeshSpec(family="uniform", N=64, K=4))
     rule = ClusterRule(mesh=mesh, r=3)
-    weights = solve_weights(assemble_weight_system(mesh, rule)).with_mode("lumped")
+    weights = solve_weights(assemble_weight_system(rule)).with_mode("lumped")
     assert weights.mode == "lumped"
-    assert verify_exactness(mesh, rule, weights) <= 1e-12
+    assert verify_exactness(weights) <= 1e-12
 
 
 def test_lumping_gap_bounded_by_residual():
@@ -134,7 +134,7 @@ def test_lumping_gap_bounded_by_residual():
     for m in (0, 1, 2):
         mesh = graded_like_mesh(m)
         rule = ClusterRule(mesh=mesh, r=1)
-        weights = solve_weights(assemble_weight_system(mesh, rule))
+        weights = solve_weights(assemble_weight_system(rule))
         assert weights.gap_max <= np.max(np.abs(weights.residual)) / max(1, rule.r)
         assert weights.gap_max > 0.0
 
@@ -144,7 +144,7 @@ def test_lumping_gap_refinement_rate():
     for m in range(4):
         mesh = graded_like_mesh(m)
         rule = ClusterRule(mesh=mesh, r=1)
-        gaps.append(solve_weights(assemble_weight_system(mesh, rule)).gap_max)
+        gaps.append(solve_weights(assemble_weight_system(rule)).gap_max)
     gaps = np.array(gaps)
     rates = np.log2(gaps[:-1] / gaps[1:])
     assert np.all(np.diff(gaps) < 0)
@@ -153,7 +153,7 @@ def test_lumping_gap_refinement_rate():
 
 def test_force_weights_are_scaled_energy_weights():
     mesh = graded_like_mesh(0)
-    weights = solve_weights(assemble_weight_system(mesh, ClusterRule(mesh=mesh, r=1)))
+    weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=1)))
     np.testing.assert_array_equal(weights.force, weights.energy_exact * mesh.N)
     np.testing.assert_array_equal(weights.with_mode("lumped").force,
                                   weights.energy_lumped * mesh.N)
@@ -163,7 +163,7 @@ def test_force_weights_are_scaled_energy_weights():
 
 def test_mode_selection():
     mesh = graded_like_mesh(0)
-    weights = solve_weights(assemble_weight_system(mesh, ClusterRule(mesh=mesh, r=1)))
+    weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=1)))
     assert weights.mode == "exact"
     np.testing.assert_array_equal(weights.energy, weights.energy_exact)
     lumped = weights.with_mode("lumped")

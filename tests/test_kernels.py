@@ -72,7 +72,7 @@ def test_prolong_matches_reference(seed, K):
     rng = np.random.default_rng(seed)
     mesh, _ = random_custom_mesh(rng, K)
     V = nodal_field(rng, mesh)
-    got, want = prolong(mesh, V), reference_prolong(mesh, V)
+    got, want = prolong(V), reference_prolong(mesh, V)
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(got.gradients, want.gradients)
 
@@ -92,8 +92,8 @@ def test_verify_exactness_matches_reference(seed, K, r, mode):
     rng = np.random.default_rng(seed)
     mesh, _ = random_custom_mesh(rng, K)
     rule = ClusterRule(mesh=mesh, r=admissible(mesh, r))
-    weights = solve_weights(assemble_weight_system(mesh, rule)).with_mode(mode)
-    assert verify_exactness(mesh, rule, weights) == reference_verify_exactness(
+    weights = solve_weights(assemble_weight_system(rule)).with_mode(mode)
+    assert verify_exactness(weights) == reference_verify_exactness(
         mesh, rule, weights
     )
 
@@ -105,9 +105,9 @@ def test_energy_cluster_functional_matches_reference(seed, K, r, potential):
     mesh, N = random_custom_mesh(rng, K)
     model = random_model(rng, N, potential)
     rule = ClusterRule(mesh=mesh, r=admissible(mesh, r))
-    weights = solve_weights(assemble_weight_system(mesh, rule))
+    weights = solve_weights(assemble_weight_system(rule))
     V = nodal_field(rng, mesh)
-    assert energy_cluster_functional(model, mesh, rule, weights, V) == (
+    assert energy_cluster_functional(model, weights, V) == (
         reference_energy_cluster_functional(model, mesh, rule, weights, V)
     )
 
@@ -118,9 +118,9 @@ def test_energy_cluster_functional_rejects_foreign_field():
     other, _ = random_custom_mesh(np.random.default_rng(4))
     model = random_model(rng, N)
     rule = ClusterRule(mesh=mesh, r=0)
-    weights = solve_weights(assemble_weight_system(mesh, rule))
+    weights = solve_weights(assemble_weight_system(rule))
     with pytest.raises(ShapeMismatch):
-        energy_cluster_functional(model, mesh, rule, weights, nodal_field(rng, other))
+        energy_cluster_functional(model, weights, nodal_field(rng, other))
 
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 3.0, -1e22]

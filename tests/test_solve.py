@@ -50,9 +50,8 @@ from test_cluster import graded_like_mesh
 
 def cluster_setup(mesh, r, force="sinpi", potential=None):
     model = make_model(mesh.N, force=force, potential=potential)
-    rule = ClusterRule(mesh=mesh, r=r)
-    weights = solve_weights(assemble_weight_system(mesh, rule))
-    return model, rule, weights
+    weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=r)))
+    return model, weights
 
 
 def test_atomistic_matches_dense_solve():
@@ -100,7 +99,7 @@ def test_reaction_balances_stress_kink():
 
 def test_reaction_equals_negative_total_load():
     mesh = graded_like_mesh(0)
-    model, rule, weights = cluster_setup(mesh, 1, force="gauss:1,30")
+    model, weights = cluster_setup(mesh, 1, force="gauss:1,30")
     load = exact_load(mesh, model)
     scale = 1.0 + float(np.max(np.abs(load)))
     atom = solve_atomistic(model)
@@ -110,7 +109,7 @@ def test_reaction_equals_negative_total_load():
     )
     for report in (
         solve_constrained(model, mesh),
-        solve_energy_cluster(model, mesh, rule, weights),
+        solve_energy_cluster(model, weights),
     ):
         np.testing.assert_allclose(report.reaction, -np.sum(load), atol=1e-10 * scale)
 
@@ -136,15 +135,15 @@ def test_constrained_on_full_lattice_is_atomistic():
     fine = solve_atomistic(model)
     coarse = solve_constrained(model, mesh)
     np.testing.assert_allclose(
-        prolong(mesh, coarse.solution).values, fine.solution.values, atol=1e-12
+        prolong(coarse.solution).values, fine.solution.values, atol=1e-12
     )
 
 
 def test_energy_cluster_matches_dense_solve():
     mesh = graded_like_mesh(0)
-    model, rule, weights = cluster_setup(mesh, 1)
-    report = solve_energy_cluster(model, mesh, rule, weights)
-    a = effective_stiffness(rule, weights)
+    model, weights = cluster_setup(mesh, 1)
+    report = solve_energy_cluster(model, weights)
+    a = effective_stiffness(weights)
     dense = dense_chain(
         a, np.ones(2 * mesh.K), mesh.h, exact_load(mesh, model), mesh.K - 1
     )
@@ -154,10 +153,10 @@ def test_energy_cluster_matches_dense_solve():
 
 def test_force_cluster_matches_dense_solve():
     mesh = graded_like_mesh(0)
-    model, rule, weights = cluster_setup(mesh, 1)
-    report = solve_force_cluster(model, mesh, rule, weights)
+    model, weights = cluster_setup(mesh, 1)
+    report = solve_force_cluster(model, weights)
     nu = weights.force
-    ftilde = cluster_load(model, mesh, rule, nu)
+    ftilde = cluster_load(model, weights)
     dense = dense_chain(np.ones(2 * mesh.K), nu, mesh.h, ftilde, mesh.K - 1)
     np.testing.assert_allclose(report.solution.values, dense, atol=1e-10)
     assert report.residual <= 1e-9
@@ -165,63 +164,60 @@ def test_force_cluster_matches_dense_solve():
 
 def test_cluster_load_exact_for_constant_force():
     mesh = graded_like_mesh(0)
-    model, rule, weights = cluster_setup(mesh, 1, force="const:1")
+    model, weights = cluster_setup(mesh, 1, force="const:1")
     exact = exact_load(mesh, model)
-    approx = cluster_load(model, mesh, rule, weights.force)
+    approx = cluster_load(model, weights)
     np.testing.assert_allclose(approx, exact, atol=1e-14)
     # lumped force weights lose that exactness on a nonuniform mesh
-    lumped = cluster_load(model, mesh, rule, weights.with_mode("lumped").force)
+    lumped = cluster_load(model, weights.with_mode("lumped"))
     assert float(np.max(np.abs(lumped - exact))) > 1e-6
 
 
 def test_cluster_load_matches_brute_scatter():
     rng = np.random.default_rng(22)
     mesh, _ = random_custom_mesh(rng)
-    model, rule, weights = cluster_setup(mesh, 0, force="gauss:2,25")
-    nu = weights.force
+    model, weights = cluster_setup(mesh, 0, force="gauss:2,25")
     brute = brute_hat_scatter(
-        mesh, rule, nu, model.epsilon * model.force.samples
+        mesh, weights.rule, weights.force, model.epsilon * model.force.samples
     )
-    np.testing.assert_allclose(cluster_load(model, mesh, rule, nu), brute, atol=1e-13)
+    np.testing.assert_allclose(cluster_load(model, weights), brute, atol=1e-13)
 
 
 def test_assembled_forces_match_brute_scatter():
     rng = np.random.default_rng(23)
     mesh = graded_like_mesh(0)
-    model, rule, weights = cluster_setup(mesh, 1, force="gauss:2,25")
+    model, weights = cluster_setup(mesh, 1, force="gauss:2,25")
     values = rng.normal(size=2 * mesh.K)
     values[mesh.K - 1] = 0.0
     V = NodalField(mesh=mesh, values=values)
-    nu = weights.force
-    assembled = assemble_cluster_forces(model, mesh, rule, nu, V)
+    assembled = assemble_cluster_forces(model, weights, V)
     brute = brute_hat_scatter(
-        mesh, rule, nu, site_forces(model, prolong(mesh, V))
+        mesh, weights.rule, weights.force, site_forces(model, prolong(V))
     )
     np.testing.assert_allclose(assembled, brute, atol=1e-13)
 
 
 def test_assembled_forces_at_rest_equal_negative_load():
     mesh = graded_like_mesh(0)
-    model, rule, weights = cluster_setup(mesh, 1, force="gauss:2,25")
+    model, weights = cluster_setup(mesh, 1, force="gauss:2,25")
     V = NodalField(mesh=mesh, values=np.zeros(2 * mesh.K))
-    nu = weights.force
-    forces = assemble_cluster_forces(model, mesh, rule, nu, V)
+    forces = assemble_cluster_forces(model, weights, V)
     np.testing.assert_allclose(
-        forces, -cluster_load(model, mesh, rule, nu), rtol=1e-14, atol=0.0
+        forces, -cluster_load(model, weights), rtol=1e-14, atol=0.0
     )
 
 
 def test_unloaded_chain_stays_at_rest():
     mesh = build_mesh(MeshSpec(family="uniform", N=240, K=4))
     for r in (0, 1, 3):
-        model, rule, weights = cluster_setup(mesh, r, force="const:0")
+        model, weights = cluster_setup(mesh, r, force="const:0")
         for solver in (solve_energy_cluster, solve_force_cluster):
-            report = solver(model, mesh, rule, weights)
+            report = solver(model, weights)
             assert float(np.max(np.abs(report.solution.values))) <= 1e-12
-    model, rule, weights = cluster_setup(
+    model, weights = cluster_setup(
         mesh, 1, force="const:0", potential=quartic_potential(0.25)
     )
-    report = solve_energy_cluster(model, mesh, rule, weights)
+    report = solve_energy_cluster(model, weights)
     assert float(np.max(np.abs(report.solution.values))) <= 1e-12
 
 
@@ -232,12 +228,12 @@ def test_cluster_energy_identity_at_radius_zero():
 
     rng = np.random.default_rng(24)
     mesh, _ = random_custom_mesh(rng)
-    model, rule, weights = cluster_setup(mesh, 0)
+    model, weights = cluster_setup(mesh, 0)
     values = rng.normal(size=2 * mesh.K)
     values[mesh.K - 1] = 0.0
     V = NodalField(mesh=mesh, values=values)
-    summed = energy_cluster_functional(model, mesh, rule, weights, V)
-    exact = stored_energy(model, prolong(mesh, V))
+    summed = energy_cluster_functional(model, weights, V)
+    exact = stored_energy(model, prolong(V))
     correction = float(
         np.dot(
             mesh.h * smoothness_profile(mesh).coefficients,
@@ -250,26 +246,26 @@ def test_cluster_energy_identity_at_radius_zero():
 def test_cluster_energy_exact_on_uniform_mesh():
     mesh = build_mesh(MeshSpec(family="uniform", N=64, K=4))
     rng = np.random.default_rng(25)
-    model, rule, weights = cluster_setup(mesh, 3)
+    model, weights = cluster_setup(mesh, 3)
     values = rng.normal(size=2 * mesh.K)
     values[mesh.K - 1] = 0.0
     V = NodalField(mesh=mesh, values=values)
-    summed = energy_cluster_functional(model, mesh, rule, weights, V)
-    exact = stored_energy(model, prolong(mesh, V))
+    summed = energy_cluster_functional(model, weights, V)
+    exact = stored_energy(model, prolong(V))
     np.testing.assert_allclose(summed, exact, rtol=1e-14)
 
 
 def test_energy_cluster_solution_minimizes_its_functional():
     mesh = graded_like_mesh(0)
-    model, rule, weights = cluster_setup(mesh, 1)
+    model, weights = cluster_setup(mesh, 1)
     load = exact_load(mesh, model)
 
     def functional(V):
-        return energy_cluster_functional(model, mesh, rule, weights, V) - float(
+        return energy_cluster_functional(model, weights, V) - float(
             np.dot(load, V.values)
         )
 
-    U = solve_energy_cluster(model, mesh, rule, weights).solution
+    U = solve_energy_cluster(model, weights).solution
     Ubar = solve_constrained(model, mesh).solution
     assert functional(U) <= functional(Ubar) + 1e-12
 
@@ -279,11 +275,11 @@ def test_force_cluster_gradient_deflation():
     # eps*(2r+1)/h, the cluster's covered fraction of each element
     N, K, r = 1024, 16, 1
     mesh = build_mesh(MeshSpec(family="uniform", N=N, K=K))
-    model, rule, weights = cluster_setup(mesh, r)
-    U = solve_force_cluster(model, mesh, rule, weights).solution
+    model, weights = cluster_setup(mesh, r)
+    U = solve_force_cluster(model, weights).solution
     Ubar = solve_constrained(model, mesh).solution
     ratio = energy_norm(U) / energy_norm(Ubar)
-    predicted = model.epsilon * rule.size / float(mesh.h[0])
+    predicted = model.epsilon * weights.rule.size / float(mesh.h[0])
     assert abs(ratio / predicted - 1.0) <= 0.02
 
 
@@ -313,14 +309,14 @@ def test_atomistic_quartic_matches_direct_minimization():
 
 def test_energy_cluster_quartic_is_a_critical_point():
     mesh = build_mesh(MeshSpec(family="uniform", N=64, K=4))
-    model, rule, weights = cluster_setup(mesh, 1, potential=quartic_potential(0.25))
-    report = solve_energy_cluster(model, mesh, rule, weights)
+    model, weights = cluster_setup(mesh, 1, potential=quartic_potential(0.25))
+    report = solve_energy_cluster(model, weights)
     assert report.iterations > 1
     load = exact_load(mesh, model)
 
     def functional(vals):
         V = NodalField(mesh=mesh, values=vals)
-        return energy_cluster_functional(model, mesh, rule, weights, V) - float(
+        return energy_cluster_functional(model, weights, V) - float(
             np.dot(load, vals)
         )
 
@@ -353,36 +349,28 @@ def test_convexity_loss_is_reported():
 
 def test_nonpositive_stiffness_is_rejected():
     mesh = build_mesh(MeshSpec(family="uniform", N=64, K=4))
-    model, rule, weights = cluster_setup(mesh, 1)
+    model, weights = cluster_setup(mesh, 1)
     bad_energy = np.array(weights.energy_exact)
     bad_energy[2] = -bad_energy[2]
     bad = WeightSet(
-        mesh=mesh,
-        r=rule.r,
+        rule=weights.rule,
         mode="exact",
         energy_exact=bad_energy,
         energy_lumped=weights.energy_lumped,
         residual=weights.residual,
     )
     with pytest.raises(IllPosed):
-        solve_energy_cluster(model, mesh, rule, bad)
+        solve_energy_cluster(model, bad)
     with pytest.raises(IllPosed):
-        solve_force_cluster(model, mesh, rule, bad)
+        solve_force_cluster(model, bad)
 
 
 def test_cluster_argument_validation():
     mesh = build_mesh(MeshSpec(family="uniform", N=64, K=4))
-    other = build_mesh(MeshSpec(family="graded", N=64, K=7))
-    model, rule, weights = cluster_setup(mesh, 1)
-    with pytest.raises(ShapeMismatch):
-        solve_energy_cluster(make_model(32), mesh, rule, weights)
-    foreign_rule = ClusterRule(mesh=other, r=0)
-    with pytest.raises(ShapeMismatch):
-        solve_energy_cluster(model, mesh, foreign_rule, weights)
-    wider = ClusterRule(mesh=mesh, r=2)
-    mismatched = solve_weights(assemble_weight_system(mesh, wider)).with_mode("lumped")
-    with pytest.raises(ShapeMismatch):
-        solve_energy_cluster(model, mesh, rule, mismatched)
+    _, weights = cluster_setup(mesh, 1)
+    for solver in (solve_energy_cluster, solve_force_cluster):
+        with pytest.raises(ShapeMismatch):
+            solver(make_model(32), weights)
 
 
 def test_constrained_best_approximation_rate():
@@ -394,7 +382,7 @@ def test_constrained_best_approximation_rate():
     errors = []
     for K in (8, 16, 32, 64):
         mesh = build_mesh(MeshSpec(family="uniform", N=N, K=K))
-        coarse = prolong(mesh, solve_constrained(model, mesh).solution)
+        coarse = prolong(solve_constrained(model, mesh).solution)
         gap = Displacement(N=N, values=coarse.values - fine.values)
         errors.append(energy_norm(gap))
     errors = np.array(errors)
