@@ -77,11 +77,11 @@ from .analysis import (
     ErrorReport,
     ForceScalingStudy,
     consistency_estimate,
+    convergence_study,
     error_report,
     force_scaling_study,
     galerkin_defect,
     gradient_alternation,
-    load_approximation_check,
     load_defect,
     predicted_relative_band,
     smooth_mesh_consistency,
@@ -108,7 +108,7 @@ __all__ = [
     "effective_stiffness",
     "ConsistencyEstimate", "ErrorReport", "ConvergenceTable", "ForceScalingStudy",
     "consistency_estimate", "error_report", "galerkin_defect",
-    "predicted_relative_band", "smooth_mesh_consistency",
-    "load_defect", "load_approximation_check", "gradient_alternation",
+    "predicted_relative_band", "convergence_study", "smooth_mesh_consistency",
+    "load_defect", "gradient_alternation",
     "force_scaling_study",
 ]

@@ -11,14 +11,17 @@ ever touching the full chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cluster import ClusterRule, WeightSet, assemble_weight_system, solve_weights
-from .mesh import MeshSpec, NodalField, build_mesh, check_field, exact_load, prolong, smoothness_profile
-from .model import ChainModel, Displacement, energy_norm, harmonic_potential, sample_force, stored_energy
-from .solve import cluster_load, solve_constrained, solve_force_cluster
+from .errors import UnknownFamily
+from .mesh import MeshSpec, NodalField, build_mesh, check_field, check_lattice, exact_load
+from .mesh import parse_mesh_descriptor, prolong, smoothness_profile
+from .model import ChainModel, Displacement, _checked_strains, energy_norm, harmonic_potential
+from .model import sample_force, stored_energy
+from .solve import cluster_load, solve_constrained, solve_energy_cluster, solve_force_cluster
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +91,7 @@ class ErrorReport:
 def error_report(model: ChainModel, atomistic: Displacement, constrained: NodalField,
                  qc: NodalField, qc_energy: float, family: str | None = None) -> ErrorReport:
     mesh = constrained.mesh
+    check_lattice(model, mesh)
     check_field(mesh, qc)
     diff = NodalField(mesh=mesh, values=qc.values - constrained.values)
     reference = energy_norm(constrained)
@@ -126,7 +130,8 @@ def galerkin_defect(model: ChainModel, atomistic: Displacement,
     Normalized by the energy norm of the atomistic solution.
     """
     mesh = constrained.mesh
-    gap = model.epsilon * (atomistic.strains() - prolong(constrained).strains())
+    check_lattice(model, mesh)
+    gap = model.epsilon * (_checked_strains(model, atomistic) - prolong(constrained).strains())
     sums = np.bincount(mesh.element_of_slot(), weights=gap, minlength=2 * mesh.K)
     means = sums / mesh.h
     defect = means - np.roll(means, -1)
@@ -144,9 +149,10 @@ class ConvergenceTable:
     values: np.ndarray
 
     def rates(self) -> np.ndarray:
-        """Pairwise orders: log-ratio of consecutive values over parameters."""
+        """Pairwise orders: log-ratio of consecutive values over parameters;
+        empty unless every value is positive and every parameter step moves."""
         p, v = self.parameters, self.values
-        if len(v) < 2:
+        if not (np.all(v > 0.0) and np.all(np.diff(p) != 0.0)):
             return np.empty(0)
         return np.log(v[:-1] / v[1:]) / np.log(p[:-1] / p[1:])
 
@@ -156,48 +162,58 @@ class ConvergenceTable:
         return float(slope)
 
 
+_STUDY_PARAMETERS = {"consistency": "h_max", "weight-gap": "epsilon",
+                     "load-defect": "h_max", "zero-force": "epsilon"}
+
+
+def convergence_study(metric: str, mesh: str, force: str, points,
+                      weights: str = "exact") -> ConvergenceTable:
+    """One metric, against h_max or epsilon, on the chain and mesh (both given
+    by descriptors) of each (N, K, r) point.  Metrics: "consistency" of the
+    constrained solution, "weight-gap", "load-defect", and "zero-force": the
+    largest nodal value of the unloaded cluster solution, which must vanish."""
+    if metric not in _STUDY_PARAMETERS:
+        raise UnknownFamily(f"unknown metric {metric!r}; choose from {tuple(_STUDY_PARAMETERS)}")
+    parameter = _STUDY_PARAMETERS[metric]
+    model = None
+    params = []
+    values = []
+    for N, K, r in points:
+        if model is None or model.N != N:  # one force sampling per run of equal N
+            model = ChainModel(N=N, potential=harmonic_potential(), force=sample_force(force, N))
+        grid = build_mesh(parse_mesh_descriptor(mesh, N, K))
+        params.append(float(np.max(grid.h)) if parameter == "h_max" else model.epsilon)
+        if metric == "consistency":
+            values.append(consistency_estimate(solve_constrained(model, grid).solution).value)
+            continue
+        rule = ClusterRule(mesh=grid, r=r)
+        weight_set = solve_weights(assemble_weight_system(rule)).with_mode(weights)
+        if metric == "weight-gap":
+            values.append(weight_set.gap_max)
+        elif metric == "load-defect":
+            values.append(load_defect(model, weight_set))
+        else:
+            unloaded = replace(model, force=sample_force("const:0", N))
+            qc = solve_energy_cluster(unloaded, weight_set).solution
+            values.append(float(np.max(np.abs(qc.values))))
+    return ConvergenceTable(parameter=parameter, metric=metric,
+                            parameters=np.array(params), values=np.array(values))
+
+
 def smooth_mesh_consistency(N: int, K_values, amplitude: float = 0.2) -> ConvergenceTable:
     """Consistency estimator of the constrained solution under the sinpi
     load on smoothly graded meshes of increasing resolution; decays
     quadratically in the mesh size until integer rounding of the node
     positions takes over."""
-    model = ChainModel(N=N, potential=harmonic_potential(), force=sample_force("sinpi", N))
-    params = []
-    values = []
-    for K in K_values:
-        mesh = build_mesh(MeshSpec(family="smooth", N=N, K=int(K), amplitude=amplitude))
-        report = solve_constrained(model, mesh)
-        params.append(np.max(mesh.h))
-        values.append(consistency_estimate(report.solution).value)
-    return ConvergenceTable(
-        parameter="h_max",
-        metric="consistency",
-        parameters=np.array(params),
-        values=np.array(values),
-    )
+    # float(): the repr of a numpy scalar is not a float literal under numpy 2
+    return convergence_study("consistency", f"smooth:{float(amplitude)!r}", "sinpi",
+                             [(N, int(K), 0) for K in K_values])
 
 
 def load_defect(model: ChainModel, weights: WeightSet) -> float:
     """Max-norm gap between cluster-sampled and exact hat loads."""
     exact = exact_load(weights.rule.mesh, model)
     return float(np.max(np.abs(cluster_load(model, weights) - exact)))
-
-
-def load_approximation_check(model: ChainModel, K_values, r: int) -> ConvergenceTable:
-    """Load-defect decay under uniform mesh refinement at fixed cluster radius."""
-    params = []
-    values = []
-    for K in K_values:
-        mesh = build_mesh(MeshSpec(family="uniform", N=model.N, K=int(K)))
-        weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=r)))
-        params.append(np.max(mesh.h))
-        values.append(load_defect(model, weights))
-    return ConvergenceTable(
-        parameter="h_max",
-        metric="load_defect",
-        parameters=np.array(params),
-        values=np.array(values),
-    )
 
 
 def gradient_alternation(constrained: NodalField, qc: NodalField) -> tuple[bool, int]:

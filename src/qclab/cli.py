@@ -43,12 +43,10 @@ from .solve import (
     solve_force_cluster,
 )
 from .analysis import (
-    ConvergenceTable,
-    consistency_estimate,
+    convergence_study,
     error_report,
     force_scaling_study,
     gradient_alternation,
-    load_defect,
     smooth_mesh_consistency,
 )
 
@@ -106,7 +104,10 @@ def _to_json(value, indent: int = 0) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(_to_json(payload) + "\n")
+    try:
+        path.write_text(_to_json(payload) + "\n")
+    except OSError as exc:
+        raise QCLabError(f"cannot write {str(path)!r}: {exc}") from None
 
 
 _CSV_CHUNK_ROWS = 4096
@@ -117,14 +118,17 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray],
     """Write header, one %.17g row per index of the columns, then footer
     lines; rows are formatted and written in bounded chunks."""
     rows = len(columns[0]) if columns else 0
-    with path.open("w") as handle:
-        handle.write(",".join(header) + "\n")
-        line = ",".join(["%.17g"] * len(columns)) + "\n"
-        for at in range(0, rows, _CSV_CHUNK_ROWS):
-            block = np.column_stack([col[at : at + _CSV_CHUNK_ROWS] for col in columns])
-            handle.write((line * len(block)) % tuple(block.ravel().tolist()))
-        for extra in footer or ():
-            handle.write(extra + "\n")
+    try:
+        with path.open("w") as handle:
+            handle.write(",".join(header) + "\n")
+            line = ",".join(["%.17g"] * len(columns)) + "\n"
+            for at in range(0, rows, _CSV_CHUNK_ROWS):
+                block = np.column_stack([col[at : at + _CSV_CHUNK_ROWS] for col in columns])
+                handle.write((line * len(block)) % tuple(block.ravel().tolist()))
+            for extra in footer or ():
+                handle.write(extra + "\n")
+    except OSError as exc:
+        raise QCLabError(f"cannot write {str(path)!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------- configuration
@@ -427,31 +431,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- sweeps
 
-_SWEEP_PARAMS = {"consistency": "h_max", "weight-gap": "epsilon",
-                 "load-defect": "h_max", "zero-force": "epsilon"}
-
-
-def _sweep_point(metric: str, config: RunConfig, N: int, K: int, r: int) -> tuple[float, float]:
-    """One (resolution parameter, metric value) sample."""
-    model = ChainModel(N=N, potential=harmonic_potential(),
-                       force=sample_force(config.force, N))
-    mesh = build_mesh(parse_mesh_descriptor(config.mesh, N, K))
-    if metric == "consistency":
-        report = solve_constrained(model, mesh)
-        return float(np.max(mesh.h)), consistency_estimate(report.solution).value
-    rule = ClusterRule(mesh=mesh, r=r)
-    weights = solve_weights(assemble_weight_system(rule)).with_mode(config.weights)
-    if metric == "weight-gap":
-        return model.epsilon, weights.gap_max
-    if metric == "load-defect":
-        return float(np.max(mesh.h)), load_defect(model, weights)
-    # zero-force: cluster solve of an unloaded chain must return the zero field
-    unloaded = ChainModel(N=N, potential=harmonic_potential(),
-                          force=sample_force("const:0", N))
-    qc = solve_energy_cluster(unloaded, weights)
-    return model.epsilon, float(np.max(np.abs(qc.solution.values)))
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _merge_config(args, need_method=False, need_N=(args.axis != "N"))
     if config.mesh is None:
@@ -460,28 +439,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise QCLabError("sweep needs --K unless K is the swept axis")
     out = _output_dir(Path(config.out))
     try:
-        points = [int(v) for v in args.values.split(",")]
+        values = [int(v) for v in args.values.split(",")]
     except ValueError:
         raise UnknownFamily(
             f"sweep --values must be comma-separated integers, got {args.values!r}"
         ) from None
-    params = []
-    values = []
-    for point in points:
-        N = point if args.axis == "N" else config.N
-        K = point if args.axis == "K" else config.K
-        r = point if args.axis == "r" else config.r
-        param, value = _sweep_point(args.metric, config, N, K, r)
-        params.append(param)
-        values.append(value)
-    table = ConvergenceTable(parameter=_SWEEP_PARAMS[args.metric], metric=args.metric,
-                             parameters=np.array(params), values=np.array(values))
-    footer = []
-    # a rate needs positive values and a resolution parameter that moves
-    if np.all(table.values > 0.0) and np.all(np.diff(table.parameters) != 0.0):
-        footer = ["rate,%.17g" % r for r in table.rates()]
+    points = [(value if args.axis == "N" else config.N,
+               value if args.axis == "K" else config.K,
+               value if args.axis == "r" else config.r) for value in values]
+    table = convergence_study(args.metric, config.mesh, config.force, points, config.weights)
     _write_csv(out / "sweep.csv", [args.axis, table.parameter, table.metric],
-               [np.array(points, dtype=float), table.parameters, table.values], footer=footer)
+               [np.array(values, dtype=float), table.parameters, table.values],
+               footer=["rate,%.17g" % r for r in table.rates()])
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 

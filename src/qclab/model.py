@@ -88,7 +88,6 @@ class ExternalForce:
 
     N: int
     samples: np.ndarray
-    descriptor: str
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _frozen(self.samples, 2 * self.N, "force samples"))
@@ -139,7 +138,7 @@ def sample_force(spec: str, N: int) -> ExternalForce:
     samples = fbar(lattice_coordinates(N))
     if not np.all(np.isfinite(samples)):
         raise UnknownFamily(f"force descriptor {spec!r} produced non-finite samples")
-    return ExternalForce(N=N, samples=samples, descriptor=spec)
+    return ExternalForce(N=N, samples=samples)
 
 
 @dataclass(frozen=True, eq=False)

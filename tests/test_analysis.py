@@ -10,16 +10,17 @@ from qclab import (
     MeshSpec,
     NodalField,
     ShapeMismatch,
+    UnknownFamily,
     assemble_weight_system,
     build_mesh,
     consistency_estimate,
+    convergence_study,
     energy_norm,
     error_report,
     force_scaling_study,
     galerkin_defect,
     gradient_alternation,
     harmonic_potential,
-    load_approximation_check,
     load_defect,
     predicted_relative_band,
     sample_force,
@@ -114,6 +115,20 @@ def test_galerkin_defect_vanishes_on_full_lattice():
     assert galerkin_defect(model, atom, constrained) <= 1e-12
 
 
+def test_estimators_reject_a_model_of_another_size():
+    mesh = build_mesh(MeshSpec(family="uniform", N=64, K=4))
+    _, _, constrained, qc = qc_solve(mesh)
+    small = make_model(32)
+    atom = solve_atomistic(small).solution
+    with pytest.raises(ShapeMismatch):
+        error_report(small, atom, constrained, qc, 0.0)
+    with pytest.raises(ShapeMismatch):
+        galerkin_defect(small, atom, constrained)
+    # the model matches the mesh, the atomistic solution does not
+    with pytest.raises(ShapeMismatch):
+        galerkin_defect(make_model(64), atom, constrained)
+
+
 def test_error_report_of_the_constrained_solution_itself():
     mesh = build_mesh(MeshSpec(family="graded", N=256, K=9))
     model, weights, constrained, qc = qc_solve(mesh)
@@ -159,6 +174,35 @@ def test_convergence_table_recovers_power_law():
         parameter="h", metric="synthetic", parameters=h[:1], values=h[:1]
     )
     assert short.rates().size == 0
+    # no rate is defined for a zero value or for a parameter that does not move
+    zeros = ConvergenceTable(parameter="h", metric="synthetic", parameters=h,
+                             values=np.zeros(4))
+    assert zeros.rates().size == 0
+    fixed = ConvergenceTable(parameter="h", metric="synthetic", parameters=np.full(4, 0.5),
+                             values=3.0 * h ** 1.7)
+    assert fixed.rates().size == 0
+
+
+def test_convergence_study_samples_each_force_once(monkeypatch):
+    import qclab.analysis
+
+    sampled = []
+
+    def counting(spec, N):
+        sampled.append((spec, N))
+        return sample_force(spec, N)
+
+    monkeypatch.setattr(qclab.analysis, "sample_force", counting)
+    table = convergence_study("consistency", "smooth", "sinpi",
+                              [(256, 8, 0), (256, 16, 0), (512, 8, 0), (512, 4, 0)])
+    assert sampled == [("sinpi", 256), ("sinpi", 512)]
+    assert table.parameter == "h_max" and table.metric == "consistency"
+    assert table.values.shape == (4,)
+
+
+def test_convergence_study_rejects_an_unknown_metric():
+    with pytest.raises(UnknownFamily):
+        convergence_study("energy", "uniform", "sinpi", [(64, 4, 0)])
 
 
 def test_smooth_mesh_consistency_reference_values():
@@ -195,8 +239,8 @@ def test_smooth_profile_quadratic_bound():
 
 
 def test_load_defect_refinement_rate():
-    model = make_model(1024)
-    table = load_approximation_check(model, (8, 16, 32, 64), r=1)
+    table = convergence_study("load-defect", "uniform", "sinpi",
+                              [(1024, K, 1) for K in (8, 16, 32, 64)])
     np.testing.assert_allclose(table.values[0], 1.5489e-3, rtol=1e-3)
     assert np.all(np.diff(table.values) < 0)
     assert table.fit_rate() >= 2.5

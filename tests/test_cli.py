@@ -263,3 +263,31 @@ def test_out_naming_a_file(tmp_path, capsys, argv):
     error = error_of(capsys)
     assert error["code"] == "Error"
     assert str(taken) in error["message"]
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["run", "--mesh", "uniform", "--N", "8", "--K", "4", "--method", "constrained",
+      "--force", "sinpi"], "profile.csv"),
+    (["run", "--method", "atomistic", "--N", "8", "--force", "sinpi"], "report.json"),
+    (["reproduce", "weights-audit"], "weights-audit/report.json"),
+    (["sweep", "--axis", "K", "--values", "4", "--metric", "consistency",
+      "--mesh", "uniform", "--N", "8", "--force", "sinpi"], "sweep.csv"),
+], ids=["run-csv", "run-json", "reproduce", "sweep"])
+def test_output_file_that_cannot_be_written(tmp_path, capsys, argv, target):
+    # an existing directory where an output file goes
+    (tmp_path / target).mkdir(parents=True)
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 1
+    error = error_of(capsys)
+    assert error["code"] == "Error"
+    assert str(tmp_path / target) in error["message"]
+
+
+def test_reproduce_example1_is_the_consistency_sweep(tmp_path, capsys):
+    assert main(["reproduce", "example1", "--out", str(tmp_path / "preset")]) == 2
+    assert main(["sweep", "--axis", "K", "--values", "8,16,32,64", "--metric", "consistency",
+                 "--mesh", "smooth:0.2", "--N", "16384", "--force", "sinpi",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    preset = (tmp_path / "preset" / "example1" / "sweep.csv").read_bytes()
+    assert preset == (tmp_path / "sweep" / "sweep.csv").read_bytes()
+    assert preset.count(b"\nrate,") == 3

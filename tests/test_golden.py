@@ -6,7 +6,9 @@ benchmark's thread caps: reports are byte-identical only at a fixed BLAS
 thread count, and pytest's own process may run with more threads.  The
 digests are compared with ``bench/golden.json``; nothing is written under
 ``bench/``.  The lattice workload is left out: it writes an 84 MB profile and
-runs the same graded energy-cluster path as fig1.
+runs the same graded energy-cluster path as fig1.  A second test checks that
+every function the traced benchmark run wraps (``bench/spans.py``) still
+exists.
 """
 
 import importlib.util
@@ -38,9 +40,9 @@ print(json.dumps(codes))
 """
 
 
-def _load_workloads():
-    """Import bench/workloads.py without writing its bytecode cache there."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+def _load_bench(name):
+    """Import bench/<name>.py without writing its bytecode cache there."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
@@ -52,7 +54,7 @@ def _load_workloads():
 
 
 def test_benchmark_outputs_match_golden(tmp_path):
-    workloads = _load_workloads()
+    workloads = _load_bench("workloads")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1",
                **workloads.THREAD_CAPS)
     done = subprocess.run([sys.executable, "-c", _RUN_CALLS, str(BENCH), str(tmp_path),
@@ -66,3 +68,12 @@ def test_benchmark_outputs_match_golden(tmp_path):
             problems += workloads.check_call(call, codes[f"{name}/{call.label}"],
                                              tmp_path / name, golden[name])
     assert problems == []
+
+
+def test_traced_names_resolve():
+    # the traced benchmark run wraps these by name; a renamed or deleted one
+    # drops out of its per-layer metrics, and only the traced run says so
+    spans = _load_bench("spans")
+    missing = [f"{module}.{function}" for module, function, _, _ in spans.TARGETS
+               if not callable(getattr(importlib.import_module(f"qclab.{module}"), function, None))]
+    assert missing == []

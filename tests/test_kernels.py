@@ -57,7 +57,7 @@ def nodal_field(rng, mesh):
 
 def random_model(rng, N, potential="harmonic"):
     pot = harmonic_potential() if potential == "harmonic" else quartic_potential(0.25)
-    force = ExternalForce(N=N, samples=rng.normal(size=2 * N), descriptor="random")
+    force = ExternalForce(N=N, samples=rng.normal(size=2 * N))
     return ChainModel(N=N, potential=pot, force=force)
 
 
