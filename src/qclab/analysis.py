@@ -148,16 +148,25 @@ class ConvergenceTable:
     parameters: np.ndarray
     values: np.ndarray
 
+    def _has_rates(self) -> bool:
+        """A rate is defined: two points or more, every value is positive and
+        every parameter step moves."""
+        p, v = self.parameters, self.values
+        return len(v) > 1 and bool(np.all(v > 0.0) and np.all(np.diff(p) != 0.0))
+
     def rates(self) -> np.ndarray:
         """Pairwise orders: log-ratio of consecutive values over parameters;
-        empty unless every value is positive and every parameter step moves."""
-        p, v = self.parameters, self.values
-        if not (np.all(v > 0.0) and np.all(np.diff(p) != 0.0)):
+        empty where no rate is defined."""
+        if not self._has_rates():
             return np.empty(0)
+        p, v = self.parameters, self.values
         return np.log(v[:-1] / v[1:]) / np.log(p[:-1] / p[1:])
 
     def fit_rate(self) -> float:
-        """Least-squares slope of log(value) against log(parameter)."""
+        """Least-squares slope of log(value) against log(parameter); nan where
+        no rate is defined."""
+        if not self._has_rates():
+            return float("nan")
         slope, _ = np.polyfit(np.log(self.parameters), np.log(self.values), 1)
         return float(slope)
 

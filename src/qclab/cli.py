@@ -7,15 +7,16 @@ Subcommands:
   mesh-inspect  mesh diagnostics as JSON on stdout
 
 Reports are deterministic: floats are serialized with 17 significant digits
-in a fixed key order, so identical configs produce byte-identical files
-except for the trailing wall_time_s entry.  That holds at a fixed BLAS thread
-count only: at N >= 2^14 some profiles and reports differ in their last
-digits between one and two OpenBLAS threads.
+(the bytes of '%.17g') in a fixed key order, so identical configs produce
+byte-identical files except for the trailing wall_time_s entry.  That holds
+at a fixed BLAS thread count only: at N >= 2^14 some profiles and reports
+differ in their last digits between one and two OpenBLAS threads.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -66,6 +67,169 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------- serialization
+#
+# Every float of profile.csv and of a report's float arrays is written with
+# exactly the bytes of '%.17g' % value, by one vectorized kernel.  It scales
+# |x| to the integer range [1e16, 1e17) in double-double arithmetic and rounds
+# half to even; where the rounding cannot be certified it formats that value
+# on its own.
+
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
+_POW10_SPAN = 300  # the power table holds 10**q for |q| <= 300
+_TIE_MARGIN = 2.0 ** -40  # bounds the error of lo (a few 2**-50) where 10**p is not a double
+
+
+@functools.cache
+def _powers_of_ten() -> tuple[np.ndarray, ...]:
+    """10**q for |q| <= _POW10_SPAN as a double-double hi + lo, and the
+    Veltkamp halves of hi.  Built on first use, not at import."""
+    hi, lo = [], []
+    for q in range(-_POW10_SPAN, _POW10_SPAN + 1):
+        if q >= 0:
+            power = 10 ** q
+            hi.append(float(power))
+            lo.append(float(power - int(hi[-1])))
+        else:
+            power = 10 ** -q
+            hi.append(1 / power)  # int division is correctly rounded
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * power) / (den * power))
+    hi = np.array(hi)
+    return hi, np.array(lo), *_veltkamp(hi)
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """head + tail == a, each half with at most 26 significant bits."""
+    head = _SPLIT * a
+    head -= head - a
+    return head, a - head
+
+
+def _words(texts: list[bytes]) -> np.ndarray:
+    """Byte strings, NUL-padded to a multiple of 8 bytes, as rows of
+    little-endian uint64 words."""
+    width = -(-max(map(len, texts)) // 8) * 8
+    packed = b"".join(text.ljust(width, b"\0") for text in texts)
+    return np.frombuffer(packed, "<u8").reshape(len(texts), -1)
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, ...]:
+    """Word tables of the output row: the four digits of each of 0..9999 with
+    a point slot after each, then again with trailing zeros blanked; per
+    position p of the point, "0" in digits 1..p of 1..16 (zeros before the
+    point are shown); per exponent e10, the text before the leading digit
+    ("0.000" for e10 = -4) and the exponent text ("e-05") as %.17g writes
+    them."""
+    quads = np.arange(10000)[:, None]
+    chars = np.zeros((2, 10000, 8), np.uint8)
+    chars[:, :, ::2] = quads // [1000, 100, 10, 1] % 10 + ord("0")
+    chars[1, :, ::2][quads % [10000, 1000, 100, 10] == 0] = 0  # this and later digits are 0
+    digits = chars.reshape(20000, 8).view("<u8")[:, 0]
+    zeros = _words([b"0\0" * p for p in range(17)])
+    exponents = range(-_POW10_SPAN, _POW10_SPAN + 1)
+    prefixes = _words([b"\0" + (b"0." + b"0" * (-1 - e) if -4 <= e < 0 else b"")
+                       for e in exponents])[:, 0]
+    suffixes = _words([b"" if -4 <= e < 17 else b"e%+03d" % e for e in exponents])[:, 0]
+    return digits, zeros, prefixes, suffixes
+
+
+def _below_power_of_ten(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """a < 10**q exactly, for a >= 0 and |q| <= _POW10_SPAN."""
+    hi10, lo10, _, _ = _powers_of_ten()
+    power, low = np.take(hi10, q + _POW10_SPAN), np.take(lo10, q + _POW10_SPAN)
+    return (a < power) | ((a == power) & (low > 0.0))
+
+
+def _two_product(a: np.ndarray, b: np.ndarray, b_head: np.ndarray,
+                 b_tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi, err with hi + err == a * b exactly (Dekker's product; b_head and
+    b_tail are the Veltkamp halves of b)."""
+    head, tail = _veltkamp(a)
+    hi = a * b
+    err = hi - head * b_head
+    err -= tail * b_head
+    err -= head * b_tail
+    return hi, tail * b_tail - err
+
+
+def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|x| rounded half to even to 17 significant digits, as an integer in
+    [1e16, 1e17) (0 for a zero) and a decimal exponent e10, with where the
+    rounding is certified.  Not certified: nan, inf, magnitudes outside
+    [1e-280, 1e280] and near-ties where 10**(16 - e10) is not a double."""
+    a = np.abs(x)
+    zero = a == 0.0
+    certified = (a >= 1e-280) & (a <= 1e280)
+    a[~certified] = 1.0
+    # e10 = floor(log10(a)) exactly: log10 may be off by one next to a power
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    e10 -= _below_power_of_ten(a, e10)
+    e10 += ~_below_power_of_ten(a, e10 + 1)
+
+    # a * 10**(16 - e10) = hi + lo; whole + frac = lo with 0 <= frac < 1
+    hi10, lo10, head10, tail10 = _powers_of_ten()
+    at = 16 - e10 + _POW10_SPAN
+    hi, lo = _two_product(a, np.take(hi10, at), np.take(head10, at), np.take(tail10, at))
+    lo += a * np.take(lo10, at)
+    whole = np.floor(lo)
+    frac = lo
+    frac -= whole
+    digits = hi.astype(np.int64) + whole.astype(np.int64)
+    # 10**p is a double for 0 <= p <= 22, so there lo and frac are exact and
+    # ties (a quarter of the values of a grid i / 2**19) are decided exactly
+    exact = (e10 >= -6) & (e10 <= 16)
+    certified &= exact | (np.abs(frac - 0.5) > _TIE_MARGIN)
+    digits += (frac > 0.5) | ((frac == 0.5) & (digits % 2 == 1))
+    carry = digits == 10 ** 17
+    digits[carry] = 10 ** 16
+    e10 += carry
+    digits[zero] = 0  # with e10 = 0 this writes "0"
+    return digits, e10, certified | zero
+
+
+def _row_words(x: np.ndarray, digits: np.ndarray, e10: np.ndarray,
+               shape: tuple[int, int]) -> np.ndarray:
+    """Six NUL-padded words of text per value of x, given its digits and
+    exponent: sign, "0.000", the leading digit and its point slot; digits
+    1..16, each with a point slot; exponent and separator (a comma, or a
+    newline after the last value of each row of shape)."""
+    quad_digits, zeros, prefixes, suffixes = _text_tables()
+    lead, rest = np.divmod(digits, 10 ** 16)
+    point = np.where((e10 >= 0) & (e10 < 17), e10, 0)  # the digit the point follows
+    at = e10 + _POW10_SPAN
+    words = np.empty((len(x), 6), "<u8")
+    words[:, 0] = np.take(prefixes, at) | (lead + ord("0")).astype(np.uint64) << np.uint64(48)
+    words[:, 0] |= np.where(np.signbit(x), np.uint64(ord("-")), np.uint64(0))
+    for j, scale in enumerate((10 ** 12, 10 ** 8, 10 ** 4, 1)):
+        # the blanked form of a quad that no nonzero digit follows
+        quad = rest // scale % 10 ** 4 + 10000 * (rest % scale == 0)
+        words[:, 1 + j] = np.take(quad_digits, quad) | np.take(zeros[:, j], point)
+    words[:, 5] = np.take(suffixes, at)
+    cells = words.reshape(*shape, 6)
+    cells[:, :-1, 5] |= np.uint64(ord(",")) << np.uint64(56)
+    cells[:, -1, 5] |= np.uint64(ord("\n")) << np.uint64(56)
+    fraction = rest % 10 ** (16 - point)  # the digits after the point
+    dotted = np.flatnonzero((fraction != 0) & ((e10 >= 0) | (e10 < -4)))
+    words.view(np.uint8)[dotted, 7 + 2 * point[dotted]] = ord(".")
+    return words
+
+
+def _format_rows(block: np.ndarray) -> tuple[bytes, int]:
+    """The rows of a 2-D array as CSV lines: each value as the bytes of
+    '%.17g' % value, "," between values and a newline after each row.  Also
+    returns how many values were formatted one at a time, those whose
+    digits _decimal_digits does not certify."""
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    digits, e10, certified = _decimal_digits(x)
+    text = _row_words(x, digits, e10, block.shape).view(np.uint8)
+    fallback = np.flatnonzero(~certified)
+    text[fallback, :-1] = 0
+    for k in fallback:
+        value = ("%.17g" % x[k]).encode()
+        text[k, : len(value)] = np.frombuffer(value, np.uint8)
+    return text.tobytes().translate(None, b"\0"), len(fallback)
+
 
 def _format_float(x: float) -> str:
     if np.isnan(x):
@@ -88,7 +252,10 @@ def _to_json(value, indent: int = 0) -> str:
         if value.ndim == 1 and value.dtype.kind in "iu":
             return "[" + ", ".join(map("%d".__mod__, value.tolist())) + "]"
         if value.ndim == 1 and value.dtype.kind == "f" and np.all(np.isfinite(value)):
-            return "[" + ", ".join(map("%.17g".__mod__, value.tolist())) + "]"
+            if not value.size:
+                return "[]"
+            text, _ = _format_rows(value[None, :])
+            return "[" + text[:-1].replace(b",", b", ").decode() + "]"
         value = value.tolist()
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_to_json(entry, indent + 1) for entry in value) + "]"
@@ -115,18 +282,17 @@ _CSV_CHUNK_ROWS = 4096
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray],
                footer: list[str] | None = None) -> None:
-    """Write header, one %.17g row per index of the columns, then footer
-    lines; rows are formatted and written in bounded chunks."""
+    """Write header, one row per index of the columns, then footer lines;
+    rows are formatted by _format_rows and written in bounded chunks."""
     rows = len(columns[0]) if columns else 0
     try:
-        with path.open("w") as handle:
-            handle.write(",".join(header) + "\n")
-            line = ",".join(["%.17g"] * len(columns)) + "\n"
+        with path.open("wb") as handle:
+            handle.write((",".join(header) + "\n").encode())
             for at in range(0, rows, _CSV_CHUNK_ROWS):
                 block = np.column_stack([col[at : at + _CSV_CHUNK_ROWS] for col in columns])
-                handle.write((line * len(block)) % tuple(block.ravel().tolist()))
+                handle.write(_format_rows(block)[0])
             for extra in footer or ():
-                handle.write(extra + "\n")
+                handle.write((extra + "\n").encode())
     except OSError as exc:
         raise QCLabError(f"cannot write {str(path)!r}: {exc}") from None
 

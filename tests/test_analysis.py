@@ -173,14 +173,14 @@ def test_convergence_table_recovers_power_law():
     short = ConvergenceTable(
         parameter="h", metric="synthetic", parameters=h[:1], values=h[:1]
     )
-    assert short.rates().size == 0
+    assert short.rates().size == 0 and np.isnan(short.fit_rate())
     # no rate is defined for a zero value or for a parameter that does not move
     zeros = ConvergenceTable(parameter="h", metric="synthetic", parameters=h,
                              values=np.zeros(4))
-    assert zeros.rates().size == 0
+    assert zeros.rates().size == 0 and np.isnan(zeros.fit_rate())
     fixed = ConvergenceTable(parameter="h", metric="synthetic", parameters=np.full(4, 0.5),
                              values=3.0 * h ** 1.7)
-    assert fixed.rates().size == 0
+    assert fixed.rates().size == 0 and np.isnan(fixed.fit_rate())
 
 
 def test_convergence_study_samples_each_force_once(monkeypatch):
@@ -223,6 +223,8 @@ def test_smooth_mesh_consistency_is_second_order_above_noise_floor():
 def test_smooth_mesh_amplitude_zero_is_uniform():
     table = smooth_mesh_consistency(256, (4, 8), amplitude=0.0)
     np.testing.assert_array_equal(table.values, 0.0)
+    # no rate is defined for a vanishing error: nan, without a RuntimeWarning
+    assert table.rates().size == 0 and np.isnan(table.fit_rate())
 
 
 def test_smooth_profile_quadratic_bound():

@@ -27,7 +27,7 @@ from qclab import (
     solve_weights,
     verify_exactness,
 )
-from qclab.cli import _CSV_CHUNK_ROWS, _to_json, _write_csv
+from qclab.cli import _CSV_CHUNK_ROWS, _FIGURES, _execute, _format_rows, _to_json, _write_csv
 from conftest import (
     random_custom_mesh,
     reference_energy_cluster_functional,
@@ -123,7 +123,14 @@ def test_energy_cluster_functional_rejects_foreign_field():
         energy_cluster_functional(model, weights, nodal_field(rng, other))
 
 
-SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 3.0, -1e22]
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 3.0, -1e22,
+           # ties at the 17th digit, rounded up and down to even
+           26215 / 2**18, 26217 / 2**18, -5243 / 2**19, 1049 / 2**20,
+           # ties where 10**(16 - e10) is not a double
+           3 / 2**24, 2.0**-25,
+           # doubles below a power of ten: 1e-14 and 1e98 round up to it
+           1e-14, 1e98, 1e-06, np.nextafter(1e-06, 0.0), np.nextafter(1e-06, 1.0),
+           1e23, np.nextafter(1e23, 0.0), np.nextafter(1e23, np.inf), 1e-300, -1e300]
 
 
 @pytest.mark.parametrize("rows", [0, 1, _CSV_CHUNK_ROWS, 2 * _CSV_CHUNK_ROWS + 3])
@@ -163,3 +170,48 @@ def test_to_json_matches_reference(floats, ints, scalar):
         "text": 'say "q" \\ done',
     }
     assert _to_json(payload) == reference_to_json(payload)
+
+
+def percent_17g(block):
+    """The bytes of _format_rows, one '%.17g' % value at a time."""
+    return "".join(",".join(map("%.17g".__mod__, row)) + "\n"
+                   for row in block.tolist()).encode()
+
+
+raw_floats = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+dyadic_floats = st.builds(lambda i, k: i / 2**k, st.integers(1, 2**20), st.integers(17, 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats() | raw_floats | dyadic_floats, min_size=1, max_size=48),
+       columns=st.integers(1, 4))
+def test_format_rows_is_percent_17g(values, columns):
+    block = np.resize(np.array(values), (-(-len(values) // columns), columns))
+    assert _format_rows(block)[0] == percent_17g(block)
+
+
+def edge_values():
+    powers = np.array([float(f"1e{q}") for q in range(-300, 301)])
+    subnormal = np.array([5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308])
+    other = np.array([0.0, np.inf, np.nan, 1e16, 1e17, 1.5e-123, 6.02e123])
+    edges = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                            subnormal, other])
+    # a quarter of the values i / 2**19 are ties at the 17th digit; odd i
+    # keeps i / 2**k off the coarser grids
+    dyadic = [np.arange(2**17) / 2**17] + [np.arange(1, 2**17, 2) / 2**k for k in (18, 19, 20)]
+    return np.concatenate([edges, -edges, *dyadic])
+
+
+def test_format_rows_on_edge_values():
+    values = edge_values()
+    assert _format_rows(values[:, None])[0] == percent_17g(values[:, None])
+
+
+def test_format_rows_rarely_falls_back():
+    # one value at a time is ~4x slower: a kernel that stops certifying
+    # ties, zeros (all smoothness coefficients of a uniform mesh) or common
+    # magnitudes fails here, without timing anything
+    _, columns, _ = _execute(_FIGURES["fig1"][0])
+    for values in [*columns.values(), np.arange(2**18) / 2**18, np.zeros(4096)]:
+        _, fallback = _format_rows(values[:, None])
+        assert fallback < 1e-3 * len(values)
