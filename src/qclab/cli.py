@@ -8,7 +8,8 @@ Subcommands:
 
 Reports are deterministic: floats are serialized with 17 significant digits
 (the bytes of '%.17g') in a fixed key order, so identical configs produce
-byte-identical files except for the trailing wall_time_s entry.  That holds
+byte-identical files except for their wall times: the trailing wall_time_s
+entry and, in the fig1 and fig2 reports, checks.runtime_s.value.  That holds
 at a fixed BLAS thread count only: at N >= 2^14 some profiles and reports
 differ in their last digits between one and two OpenBLAS threads.
 """
@@ -694,10 +695,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except QCLabError as exc:
+    except (QCLabError, MemoryError) as exc:  # MemoryError: a lattice too large to allocate
         import json  # needed on this path only
 
-        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
+        code = getattr(exc, "code", QCLabError.code)
+        print(json.dumps({"error": {"code": code, "message": str(exc)}}))
         return 1
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ClusterOverlap, IllPosed, ShapeMismatch
 from .mesh import CoarseMesh, basis_value
@@ -99,28 +98,35 @@ def assemble_weight_system(rule: ClusterRule) -> WeightSystem:
     return WeightSystem(rule=rule, sub=sub, diag=diag, sup=sup, g=g)
 
 
-def _solve_cyclic_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
-    """Direct solve of a cyclic tridiagonal system.
+def _solve_cyclic_tridiagonal(system: WeightSystem, rhs: np.ndarray) -> np.ndarray:
+    """Direct solve of the cyclic tridiagonal weight equations.
 
     Rank-one correction of a plain tridiagonal solve: the two corner entries
-    are removed, the path system is solved twice with a banded solver, and the
-    pair is recombined.
+    are removed, the path system is solved for rhs and u together, and the
+    pair is recombined.  Elimination follows LAPACK dgtsv's operation order,
+    so the result is scipy's banded solve bit for bit, and never pivots: the
+    matrix is symmetric (sub_{j+1} = sup_j = r(r+1)/(2 s_{j+1})) and strictly
+    diagonally dominant with margin > r, and the correction only enlarges
+    d_0 and d_{n-1}, so dgtsv's test |d_j| >= |sub_{j+1}| never swaps rows.
     """
-    n = len(diag)
-    gamma = -diag[0]
-    d = diag.copy()
+    sub, d, sup, y = system.sub.tolist(), system.diag.tolist(), system.sup.tolist(), rhs.tolist()
+    n = len(d)
+    gamma = -d[0]
     d[0] -= gamma
     d[-1] -= sup[-1] * sub[0] / gamma
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1] = d
-    ab[2, :-1] = sub[1:]
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = sup[-1]
-    y, q = scipy.linalg.solve_banded((1, 1), ab, np.column_stack([rhs, u])).T
+    q = [gamma] + [0.0] * (n - 2) + [sup[-1]]
+    for j in range(n - 1):
+        f = sub[j + 1] / d[j]
+        d[j + 1] -= f * sup[j]
+        y[j + 1] -= f * y[j]
+        q[j + 1] -= f * q[j]
+    y[-1] /= d[-1]
+    q[-1] /= d[-1]
+    for j in range(n - 2, -1, -1):
+        y[j] = (y[j] - sup[j] * y[j + 1]) / d[j]
+        q[j] = (q[j] - sup[j] * q[j + 1]) / d[j]
     factor = (y[0] + sub[0] * y[-1] / gamma) / (1.0 + q[0] + sub[0] * q[-1] / gamma)
-    return y - factor * q
+    return np.array(y) - factor * np.array(q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,16 +164,6 @@ class WeightSet:
         return replace(self, mode=mode)
 
 
-def _lumped_and_residual(system: WeightSystem) -> tuple[np.ndarray, np.ndarray]:
-    lumped = system.g / system.rule.size
-    # residual of the lumped weights row by row; the diagonal part cancels
-    # exactly because (2r+1)*lumped_j = g_j, leaving only difference terms
-    residual = system.sub * (np.roll(lumped, 1) - lumped) + system.sup * (
-        np.roll(lumped, -1) - lumped
-    )
-    return lumped, residual
-
-
 def solve_weights(system: WeightSystem) -> WeightSet:
     """Exact cluster weights: solve the weight equations directly.
 
@@ -175,15 +171,18 @@ def solve_weights(system: WeightSystem) -> WeightSet:
     satisfies the equations exactly there.  One step of iterative refinement
     keeps the residual at the rounding floor on every other mesh.
     """
-    lumped, residual = _lumped_and_residual(system)
+    lumped = system.g / system.rule.size
+    # residual of the lumped weights row by row; the diagonal part cancels
+    # exactly because (2r+1)*lumped_j = g_j, leaving only difference terms
+    residual = system.sub * (np.roll(lumped, 1) - lumped) + system.sup * (
+        np.roll(lumped, -1) - lumped
+    )
     steps = system.rule.mesh.steps
     if system.rule.r == 0 or np.all(steps == steps[0]):
         exact = lumped
     else:
-        exact = _solve_cyclic_tridiagonal(system.sub, system.diag, system.sup, system.g)
-        exact += _solve_cyclic_tridiagonal(
-            system.sub, system.diag, system.sup, system.g - system.apply(exact)
-        )
+        exact = _solve_cyclic_tridiagonal(system, system.g)
+        exact += _solve_cyclic_tridiagonal(system, system.g - system.apply(exact))
     defect = np.max(np.abs(system.apply(exact) - system.g))
     scale = np.max(np.abs(system.g))
     if not defect <= 1e-12 * scale:

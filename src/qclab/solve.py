@@ -88,23 +88,24 @@ def _closure_constant(pot: PairPotential, coeff, h, tbar) -> tuple[float, int]:
     raise NewtonFailure(f"closure constant stalled after {_NEWTON_STEPS} steps")
 
 
-def _solve_chain(pot: PairPotential, coeff, h, load, pinned: int):
+def _solve_chain(pot: PairPotential, coeff, h, load, pinned: int, scale=1.0):
     """Shared path-elimination core; see the module docstring.
 
-    Returns (gradients, values, residual, reaction, iterations) where the
-    residual and reaction re-evaluate c_j phi'(g_j) - c_{j+1} phi'(g_{j+1}) - L_j.
+    Returns (gradients, values, residual, reaction, iterations) where the residual
+    and reaction re-evaluate scale_j (c_j phi'(g_j) - c_{j+1} phi'(g_{j+1})) - L_j,
+    whose rows are solved as the unscaled ones with load L_j / scale_j.
     """
     n = len(h)
     order = (pinned + 1 + np.arange(n)) % n
     tbar = np.zeros(n)
-    tbar[order[1:]] = -np.cumsum(load[order[:-1]])
+    tbar[order[1:]] = -np.cumsum((load / scale)[order[:-1]])
     c0, closure_iters = _closure_constant(pot, coeff, h, tbar)
     g, invert_iters = _invert_stress(pot, (tbar + c0) / coeff)
     values = np.zeros(n)
     values[order[:-1]] = np.cumsum((h * g)[order[:-1]])
     values[pinned] = 0.0
     t = coeff * pot.deriv(g)
-    equations = t - np.roll(t, -1) - load
+    equations = scale * (t - np.roll(t, -1)) - load
     reaction = float(equations[pinned])
     equations[pinned] = 0.0
     residual = float(np.max(np.abs(equations)))
@@ -266,13 +267,8 @@ def solve_force_cluster(model: ChainModel, weights: WeightSet) -> SolveReport:
     if not np.all(nu > 0.0):
         raise IllPosed("force weights must be positive")
     ftilde = cluster_load(model, weights)
-    g, values, _, _, iters = _solve_chain(
-        model.potential, np.ones(2 * mesh.K), mesh.h, ftilde / nu, mesh.K - 1
+    g, values, residual, reaction, iters = _solve_chain(
+        model.potential, np.ones(2 * mesh.K), mesh.h, ftilde, mesh.K - 1, scale=nu
     )
-    t = model.potential.deriv(g)
-    equations = nu * (t - np.roll(t, -1)) - ftilde
-    reaction = float(equations[mesh.K - 1])
-    equations[mesh.K - 1] = 0.0
-    residual = float(np.max(np.abs(equations)))
     return _report("force-cluster", NodalField(mesh=mesh, values=values),
                    ftilde, residual, reaction, iters)

@@ -4,13 +4,15 @@ Everything here recomputes library quantities from first principles (dense
 linear algebra, per-site loops over the hat basis, finite differences) so the
 tests compare two independent code paths.  The ``reference_*`` functions are
 the straightforward per-element / per-row / full-lattice versions of the
-library's single-pass kernels; ``tests/test_kernels.py`` requires the
-kernels to reproduce them bit for bit.
+library's single-pass kernels, and of the weight solve the scipy banded
+solve it replaced; ``tests/test_kernels.py`` requires the kernels to
+reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from qclab import (
     ChainModel,
@@ -180,6 +182,26 @@ def reference_verify_exactness(mesh, rule, weights):
         clustered = float(np.sum(active * np.sum(basis_value(mesh, j, members), axis=1)))
         worst = max(worst, abs(full - clustered))
     return worst
+
+
+def reference_solve_cyclic_tridiagonal(sub, diag, sup, rhs):
+    """The cyclic weight solve with the path system handed to scipy's banded
+    solver (LAPACK dgtsv for one sub- and one superdiagonal)."""
+    n = len(diag)
+    gamma = -diag[0]
+    d = diag.copy()
+    d[0] -= gamma
+    d[-1] -= sup[-1] * sub[0] / gamma
+    ab = np.zeros((3, n))
+    ab[0, 1:] = sup[:-1]
+    ab[1] = d
+    ab[2, :-1] = sub[1:]
+    u = np.zeros(n)
+    u[0] = gamma
+    u[-1] = sup[-1]
+    y, q = scipy.linalg.solve_banded((1, 1), ab, np.column_stack([rhs, u])).T
+    factor = (y[0] + sub[0] * y[-1] / gamma) / (1.0 + q[0] + sub[0] * q[-1] / gamma)
+    return y - factor * q
 
 
 def reference_energy_cluster_functional(model, mesh, rule, weights, V):

@@ -238,6 +238,16 @@ def test_run_requires_particle_count(capsys):
     assert error_of(capsys)["code"] == "Error"
 
 
+def test_lattice_too_large_to_allocate(tmp_path, capsys):
+    # 2N sites of 8 bytes each is 16 PiB: numpy refuses before allocating
+    rc = main(["run", "--N", "1125899906842624", "--method", "atomistic", "--force", "sinpi",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    error = error_of(capsys)
+    assert error["code"] == "Error"
+    assert "allocate" in error["message"]
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 def test_unreadable_config_file(tmp_path, capsys, kind):
     path = tmp_path / "missing.cfg" if kind == "missing" else tmp_path

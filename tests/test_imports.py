@@ -1,15 +1,21 @@
-"""Import hygiene: no module imports a name it never references.
+"""Import hygiene: no module imports a name it never references, and the
+package imports nothing at run time but the standard library and numpy.
 
 No linter is part of the toolchain, so the syntax trees are scanned here.
-The package's ``__init__.py`` is left out: its imports are re-exports.
+The package's ``__init__.py`` is left out of the unused-name check: its
+imports are re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "qclab").glob("*.py"))
 MODULES = sorted(
-    [path for path in (ROOT / "src" / "qclab").glob("*.py") if path.name != "__init__.py"]
+    [path for path in PACKAGE if path.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
 )
 
@@ -40,3 +46,29 @@ def test_every_import_is_used():
         if names:
             unused[path.relative_to(ROOT).as_posix()] = names
     assert unused == {}
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    foreign = {}
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "numpy" and top not in sys.stdlib_module_names:
+                    foreign[top] = path.name
+    assert foreign == {}
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    probe = ("import sys, qclab.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

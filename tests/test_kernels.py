@@ -3,8 +3,9 @@
 The kernels restrict work to where it is nonzero (hat supports, the
 clusters next to a node, one bond energy per element) or batch it (whole
 lattice arrays, chunks of CSV rows, whole JSON arrays), but perform the same
-IEEE operations on the same values, summed in the same order.  So every
-comparison here is exact, never a tolerance.
+IEEE operations on the same values, summed in the same order.  The weight
+solve eliminates in the order of the LAPACK routine scipy's banded solver
+calls.  So every comparison here is exact, never a tolerance.
 """
 
 import numpy as np
@@ -16,9 +17,11 @@ from qclab import (
     ChainModel,
     ClusterRule,
     ExternalForce,
+    MeshSpec,
     NodalField,
     ShapeMismatch,
     assemble_weight_system,
+    build_mesh,
     energy_cluster_functional,
     exact_load,
     harmonic_potential,
@@ -27,12 +30,14 @@ from qclab import (
     solve_weights,
     verify_exactness,
 )
+from qclab.cluster import _solve_cyclic_tridiagonal
 from qclab.cli import _CSV_CHUNK_ROWS, _FIGURES, _execute, _format_rows, _to_json, _write_csv
 from conftest import (
     random_custom_mesh,
     reference_energy_cluster_functional,
     reference_exact_load,
     reference_prolong,
+    reference_solve_cyclic_tridiagonal,
     reference_to_json,
     reference_verify_exactness,
     reference_write_csv,
@@ -110,6 +115,32 @@ def test_energy_cluster_functional_matches_reference(seed, K, r, potential):
     assert energy_cluster_functional(model, weights, V) == (
         reference_energy_cluster_functional(model, mesh, rule, weights, V)
     )
+
+
+def assert_weight_solves_match(system):
+    """The weight solve against scipy's banded solve, bit for bit, for the
+    right-hand side g and for the residual of the refinement step."""
+    matrix = (system.sub, system.diag, system.sup)
+    first = reference_solve_cyclic_tridiagonal(*matrix, system.g)
+    assert np.array_equal(_solve_cyclic_tridiagonal(system, system.g).view(np.uint64),
+                          first.view(np.uint64))
+    residual = system.g - system.apply(first)
+    assert np.array_equal(_solve_cyclic_tridiagonal(system, residual).view(np.uint64),
+                          reference_solve_cyclic_tridiagonal(*matrix, residual).view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, K=st.integers(2, 40), data=st.data())
+def test_weight_solve_matches_reference(seed, K, data):
+    mesh, _ = random_custom_mesh(np.random.default_rng(seed), K)
+    r = data.draw(st.integers(1, admissible(mesh, 7)), label="r")
+    assert_weight_solves_match(assemble_weight_system(ClusterRule(mesh=mesh, r=r)))
+
+
+def test_weight_solve_matches_reference_on_the_cluster_benchmark():
+    # the benchmark's cluster workload: smooth mesh, N = 2^17, K = 256, r = 2
+    mesh = build_mesh(MeshSpec(family="smooth", N=2**17, K=256))
+    assert_weight_solves_match(assemble_weight_system(ClusterRule(mesh=mesh, r=2)))
 
 
 def test_energy_cluster_functional_rejects_foreign_field():
