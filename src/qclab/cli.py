@@ -70,33 +70,15 @@ class RunConfig:
 # ---------------------------------------------------------------- serialization
 #
 # Every float of profile.csv and of a report's float arrays is written with
-# exactly the bytes of '%.17g' % value, by one vectorized kernel.  It scales
-# |x| to the integer range [1e16, 1e17) in double-double arithmetic and rounds
-# half to even; where the rounding cannot be certified it formats that value
-# on its own.
+# exactly the bytes of '%.17g' % value by one vectorized kernel: |x| scaled to
+# [1e16, 1e17) in double-double arithmetic and rounded half to even, its text
+# laid out in a 32-byte cell of four NUL-padded words whose NULs one
+# bytes.translate drops.  Values it cannot certify are formatted one at a
+# time.  About 100 ns per value on lattice profiles (one Xeon thread).
 
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
-_POW10_SPAN = 300  # the power table holds 10**q for |q| <= 300
+_SPAN = 280  # the kernel formats |e10| <= _SPAN; its tables hold slot e10 + _SPAN + 1
 _TIE_MARGIN = 2.0 ** -40  # bounds the error of lo (a few 2**-50) where 10**p is not a double
-
-
-@functools.cache
-def _powers_of_ten() -> tuple[np.ndarray, ...]:
-    """10**q for |q| <= _POW10_SPAN as a double-double hi + lo, and the
-    Veltkamp halves of hi.  Built on first use, not at import."""
-    hi, lo = [], []
-    for q in range(-_POW10_SPAN, _POW10_SPAN + 1):
-        if q >= 0:
-            power = 10 ** q
-            hi.append(float(power))
-            lo.append(float(power - int(hi[-1])))
-        else:
-            power = 10 ** -q
-            hi.append(1 / power)  # int division is correctly rounded
-            num, den = hi[-1].as_integer_ratio()
-            lo.append((den - num * power) / (den * power))
-    hi = np.array(hi)
-    return hi, np.array(lo), *_veltkamp(hi)
 
 
 def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,128 +88,145 @@ def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return head, a - head
 
 
-def _words(texts: list[bytes]) -> np.ndarray:
-    """Byte strings, NUL-padded to a multiple of 8 bytes, as rows of
-    little-endian uint64 words."""
-    width = -(-max(map(len, texts)) // 8) * 8
-    packed = b"".join(text.ljust(width, b"\0") for text in texts)
-    return np.frombuffer(packed, "<u8").reshape(len(texts), -1)
+def _double_double(num: int, den: int) -> tuple[float, float]:
+    """num / den as hi + lo, each correctly rounded (int division is)."""
+    hi = num / den
+    n, d = hi.as_integer_ratio()
+    return hi, (num * d - n * den) / (den * d)
+
+
+@functools.cache
+def _exponent_tables() -> tuple[np.ndarray, ...]:
+    """By binade of |x| (see _decimal_digits): the slot of the lower e10 that
+    %.17g writes in it and the smallest double written with the next one; slot
+    0 (subnormals, nan, inf, |e10| > _SPAN) is formatted one at a time.  By
+    slot: 10**(16 - e10) as hi + lo, the Veltkamp halves of hi (all 0 in slot
+    0), and the largest |lo - rint(lo)| whose rounding is certified."""
+    # %.17g writes e10 >= n from 10**n - 5 * 10**(n - 18) on (a tie rounds up)
+    bounds = np.array([hi if lo <= 0 else np.nextafter(hi, np.inf) for hi, lo in (
+        _double_double((10**18 - 5) * 10 ** max(n - 18, 0), 10 ** max(18 - n, 0))
+        for n in range(-_SPAN - 1, _SPAN + 2))])
+    lowest = np.nextafter(2.0 ** np.arange(-1022, 1024), np.inf)  # of binades 2..2047
+    k = np.searchsorted(bounds, lowest, "right") - (_SPAN + 2)  # its e10
+    good = (k >= -_SPAN) & (k < _SPAN)
+    start, threshold = np.zeros(2049, np.intp), np.full(2049, np.inf)
+    start[0] = _SPAN + 1  # zero, as e10 = 0
+    start[2:2048][good] = k[good] + _SPAN + 1
+    threshold[2:2048][good] = bounds[k[good] + _SPAN + 2]
+    e10 = np.arange(-_SPAN - 1, _SPAN + 1)
+    hi, lo = np.array([_double_double(10 ** max(16 - e, 0), 10 ** max(e - 16, 0))
+                       for e in e10.tolist()]).T
+    hi[0] = lo[0] = 0.0
+    limit = np.where((e10 >= -6) & (e10 <= 16), 0.5, 0.5 - _TIE_MARGIN)  # 10**p a double
+    limit[0] = -1.0
+    return start, threshold, np.array([hi, lo, *_veltkamp(hi)]), limit
 
 
 @functools.cache
 def _text_tables() -> tuple[np.ndarray, ...]:
-    """Word tables of the output row: the four digits of each of 0..9999 with
-    a point slot after each, then again with trailing zeros blanked; per
-    position p of the point, "0" in digits 1..p of 1..16 (zeros before the
-    point are shown); per exponent e10, the text before the leading digit
-    ("0.000" for e10 = -4) and the exponent text ("e-05") as %.17g writes
-    them."""
+    """Word tables of a text cell: word 0 holds the sign, "0.000" (e10 = -4),
+    the leading digit at byte 6 and a point after it; words 1-2 digits 1..16;
+    word 3 a digit pushed out by a point among them, the exponent ("e-05") and
+    ",".  By slot: word 0 without sign and digit, and word 3.  By quad q:
+    its digits as bytes 0-3 and 4-7, blanked from the first trailing zero at
+    q + 10000.  By leading digit (+10 if negative): sign and digit.  By the
+    digit p the point follows: "0" in digits 1..p."""
+    slots = b"".join((b"\0" + (b"0." + b"0" * (-1 - e) if -4 <= e < 0 else b"")).ljust(7, b"\0")
+                     + (b"." if e == 0 or not -4 <= e < 17 else b"\0")
+                     + (b"\0e%+03d" % e if not -4 <= e < 17 else b"").ljust(7, b"\0") + b","
+                     for e in range(-_SPAN - 1, _SPAN + 1))
+    prefixes, suffixes = np.frombuffer(slots, "<u8").reshape(-1, 2).T.copy()
     quads = np.arange(10000)[:, None]
     chars = np.zeros((2, 10000, 8), np.uint8)
-    chars[:, :, ::2] = quads // [1000, 100, 10, 1] % 10 + ord("0")
-    chars[1, :, ::2][quads % [10000, 1000, 100, 10] == 0] = 0  # this and later digits are 0
-    digits = chars.reshape(20000, 8).view("<u8")[:, 0]
-    zeros = _words([b"0\0" * p for p in range(17)])
-    exponents = range(-_POW10_SPAN, _POW10_SPAN + 1)
-    prefixes = _words([b"\0" + (b"0." + b"0" * (-1 - e) if -4 <= e < 0 else b"")
-                       for e in exponents])[:, 0]
-    suffixes = _words([b"" if -4 <= e < 17 else b"e%+03d" % e for e in exponents])[:, 0]
-    return digits, zeros, prefixes, suffixes
-
-
-def _below_power_of_ten(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """a < 10**q exactly, for a >= 0 and |q| <= _POW10_SPAN."""
-    hi10, lo10, _, _ = _powers_of_ten()
-    power, low = np.take(hi10, q + _POW10_SPAN), np.take(lo10, q + _POW10_SPAN)
-    return (a < power) | ((a == power) & (low > 0.0))
-
-
-def _two_product(a: np.ndarray, b: np.ndarray, b_head: np.ndarray,
-                 b_tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hi, err with hi + err == a * b exactly (Dekker's product; b_head and
-    b_tail are the Veltkamp halves of b)."""
-    head, tail = _veltkamp(a)
-    hi = a * b
-    err = hi - head * b_head
-    err -= tail * b_head
-    err -= head * b_tail
-    return hi, tail * b_tail - err
+    chars[:, :, :4] = quads // [1000, 100, 10, 1] % 10 + ord("0")
+    chars[1, :, :4][quads % [10000, 1000, 100, 10] == 0] = 0  # this and later digits are 0
+    quad_lo = chars.reshape(20000, 8).view("<u8")[:, 0]
+    leads = (np.arange(20) % 10 + ord("0") << 48 | np.arange(20) // 10 * ord("-")).astype(np.uint64)
+    zeros = (np.arange(16) < np.arange(17)[:, None]).astype(np.uint8) * np.uint8(ord("0"))
+    return prefixes, suffixes, quad_lo, quad_lo << np.uint64(32), leads, zeros
 
 
 def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|x| rounded half to even to 17 significant digits, as an integer in
-    [1e16, 1e17) (0 for a zero) and a decimal exponent e10, with where the
-    rounding is certified.  Not certified: nan, inf, magnitudes outside
-    [1e-280, 1e280] and near-ties where 10**(16 - e10) is not a double."""
+    [1e16, 1e17) (0 for a zero), the slot of its decimal exponent e10, and
+    where the rounding is certified: not in slot 0 and not a near-tie where
+    10**(16 - e10) is not a double."""
+    start, threshold, powers, limit = _exponent_tables()
     a = np.abs(x)
-    zero = a == 0.0
-    certified = (a >= 1e-280) & (a <= 1e280)
-    a[~certified] = 1.0
-    # e10 = floor(log10(a)) exactly: log10 may be off by one next to a power
-    e10 = np.floor(np.log10(a)).astype(np.int64)
-    e10 -= _below_power_of_ten(a, e10)
-    e10 += ~_below_power_of_ten(a, e10 + 1)
-
-    # a * 10**(16 - e10) = hi + lo; whole + frac = lo with 0 <= frac < 1
-    hi10, lo10, head10, tail10 = _powers_of_ten()
-    at = 16 - e10 + _POW10_SPAN
-    hi, lo = _two_product(a, np.take(hi10, at), np.take(head10, at), np.take(tail10, at))
-    lo += a * np.take(lo10, at)
-    whole = np.floor(lo)
-    frac = lo
-    frac -= whole
-    digits = hi.astype(np.int64) + whole.astype(np.int64)
-    # 10**p is a double for 0 <= p <= 22, so there lo and frac are exact and
-    # ties (a quarter of the values of a grid i / 2**19) are decided exactly
-    exact = (e10 >= -6) & (e10 <= 16)
-    certified &= exact | (np.abs(frac - 0.5) > _TIE_MARGIN)
-    digits += (frac > 0.5) | ((frac == 0.5) & (digits % 2 == 1))
-    carry = digits == 10 ** 17
-    digits[carry] = 10 ** 16
-    e10 += carry
-    digits[zero] = 0  # with e10 = 0 this writes "0"
-    return digits, e10, certified | zero
+    # 0 for zero, 1 for subnormals, 2048 for nan; binade c >= 2 is (2**(c-1024), 2**(c-1023)]
+    binade = ((a.view(np.uint64) + (2**52 - 1)) >> 52).view(np.int64)
+    np.fmin(a, 1e300, out=a)  # nan and inf, in slot 0, times 0
+    slot = start.take(binade)
+    slot += a >= threshold.take(binade)
+    del binade
+    # a * 10**(16 - e10) = hi + lo exactly (Dekker's product); hi is an even
+    # integer, as a double >= 1e16, so rint(lo) rounds hi + lo half to even
+    head, tail = _veltkamp(a)
+    hi10, lo10, head10, tail10 = powers.take(slot, axis=1)
+    hi = a * hi10
+    lo = head * head10 - hi + head * tail10 + tail * head10 + tail * tail10 + a * lo10
+    rounded = np.rint(lo)
+    lo -= rounded
+    digits = hi.astype(np.int64)
+    digits += rounded.astype(np.int64)
+    return digits, slot, np.abs(lo) <= limit.take(slot)
 
 
-def _row_words(x: np.ndarray, digits: np.ndarray, e10: np.ndarray,
-               shape: tuple[int, int]) -> np.ndarray:
-    """Six NUL-padded words of text per value of x, given its digits and
-    exponent: sign, "0.000", the leading digit and its point slot; digits
-    1..16, each with a point slot; exponent and separator (a comma, or a
-    newline after the last value of each row of shape)."""
-    quad_digits, zeros, prefixes, suffixes = _text_tables()
-    lead, rest = np.divmod(digits, 10 ** 16)
-    point = np.where((e10 >= 0) & (e10 < 17), e10, 0)  # the digit the point follows
-    at = e10 + _POW10_SPAN
-    words = np.empty((len(x), 6), "<u8")
-    words[:, 0] = np.take(prefixes, at) | (lead + ord("0")).astype(np.uint64) << np.uint64(48)
-    words[:, 0] |= np.where(np.signbit(x), np.uint64(ord("-")), np.uint64(0))
-    for j, scale in enumerate((10 ** 12, 10 ** 8, 10 ** 4, 1)):
-        # the blanked form of a quad that no nonzero digit follows
-        quad = rest // scale % 10 ** 4 + 10000 * (rest % scale == 0)
-        words[:, 1 + j] = np.take(quad_digits, quad) | np.take(zeros[:, j], point)
-    words[:, 5] = np.take(suffixes, at)
-    cells = words.reshape(*shape, 6)
-    cells[:, :-1, 5] |= np.uint64(ord(",")) << np.uint64(56)
-    cells[:, -1, 5] |= np.uint64(ord("\n")) << np.uint64(56)
-    fraction = rest % 10 ** (16 - point)  # the digits after the point
-    dotted = np.flatnonzero((fraction != 0) & ((e10 >= 0) | (e10 < -4)))
-    words.view(np.uint8)[dotted, 7 + 2 * point[dotted]] = ord(".")
-    return words
+def _divmod(n: np.ndarray, d: int) -> np.ndarray:
+    """n // d, leaving n % d in n (numpy has a fast // by a scalar, not %)."""
+    quotient = n // d
+    n -= quotient * d
+    return quotient
+
+
+def _text_cells(x: np.ndarray, digits: np.ndarray, slot: np.ndarray,
+                shape: tuple[int, int]) -> np.ndarray:
+    """The 32-byte text cells of x (see _text_tables), given its digits (which
+    this overwrites) and slots, with a comma after each value or a newline
+    after the last value of each row of shape."""
+    prefixes, suffixes, quad_lo, quad_hi, leads, zeros = _text_tables()
+    upper = _divmod(digits, 10**8)
+    lead = _divmod(upper, 10**8)
+    q0, q1 = _divmod(upper, 10**4), upper
+    q2, q3 = _divmod(digits, 10**4), digits
+    # the blanked form of a quad that no nonzero digit follows
+    q2 += (q3 == 0) * 10000
+    q1 += (q2 == 10000) * 10000
+    q0 += (q1 == 10000) * 10000
+    cells = np.empty((len(x), 4), np.uint64)
+    np.bitwise_or(quad_lo.take(q0), quad_hi.take(q1), out=cells[:, 1])
+    np.bitwise_or(quad_lo.take(q2), quad_hi[10000:].take(q3), out=cells[:, 2])
+    word = prefixes.take(slot)
+    word -= (q0 == 10000) * (word & np.uint64(0xFF << 56))  # no point if no digit follows
+    lead += np.signbit(x) * 10
+    np.bitwise_or(word, leads.take(lead), out=cells[:, 0])
+    cells[:, 3] = suffixes.take(slot)
+    cells.reshape(*shape, 4)[:, -1, 3] ^= np.uint64((ord(",") ^ ord("\n")) << 56)
+    rows = ((slot > _SPAN + 1) & (slot < _SPAN + 18)).nonzero()[0]  # 1 <= e10 <= 16
+    if len(rows):
+        point = slot[rows] - (_SPAN + 1)  # e10: the digit among 1..16 the point follows
+        chars = cells[rows].view(np.uint8)
+        chars[:, 8:24] |= zeros[point]
+        dotted = chars[np.arange(len(rows)), 8 + point] != 0  # a nonzero digit follows
+        for p in np.unique(point[dotted]).tolist():
+            shift = dotted & (point == p)
+            chars[shift, 9 + p : 25] = chars[shift, 8 + p : 24]
+            chars[shift, 8 + p] = ord(".")
+        cells[rows] = chars.view(np.uint64)
+    return cells
 
 
 def _format_rows(block: np.ndarray) -> tuple[bytes, int]:
     """The rows of a 2-D array as CSV lines: each value as the bytes of
     '%.17g' % value, "," between values and a newline after each row.  Also
-    returns how many values were formatted one at a time, those whose
-    digits _decimal_digits does not certify."""
+    returns how many values were formatted one at a time (not certified)."""
     x = np.ascontiguousarray(block, dtype=np.float64).ravel()
-    digits, e10, certified = _decimal_digits(x)
-    text = _row_words(x, digits, e10, block.shape).view(np.uint8)
-    fallback = np.flatnonzero(~certified)
-    text[fallback, :-1] = 0
+    digits, slot, certified = _decimal_digits(x)
+    text = _text_cells(x, digits, slot, block.shape).view(np.uint8)
+    fallback = (~certified).nonzero()[0]
     for k in fallback:
         value = ("%.17g" % x[k]).encode()
+        text[k, :-1] = 0
         text[k, : len(value)] = np.frombuffer(value, np.uint8)
     return text.tobytes().translate(None, b"\0"), len(fallback)
 
@@ -252,7 +251,7 @@ def _to_json(value, indent: int = 0) -> str:
     if isinstance(value, np.ndarray):
         if value.ndim == 1 and value.dtype.kind in "iu":
             return "[" + ", ".join(map("%d".__mod__, value.tolist())) + "]"
-        if value.ndim == 1 and value.dtype.kind == "f" and np.all(np.isfinite(value)):
+        if value.ndim == 1 and value.dtype.kind == "f" and np.isfinite(value).all():
             if not value.size:
                 return "[]"
             text, _ = _format_rows(value[None, :])

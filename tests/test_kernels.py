@@ -8,6 +8,9 @@ solve eliminates in the order of the LAPACK routine scipy's banded solver
 calls.  So every comparison here is exact, never a tolerance.
 """
 
+import tracemalloc
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,3 +249,51 @@ def test_format_rows_rarely_falls_back():
     for values in [*columns.values(), np.arange(2**18) / 2**18, np.zeros(4096)]:
         _, fallback = _format_rows(values[:, None])
         assert fallback < 1e-3 * len(values)
+
+
+def decimal_cell(value):
+    """(e10, position of the last nonzero digit) of '%.17g' % value."""
+    digits, exponent = Decimal("%.17g" % value).normalize().as_tuple()[1:]
+    return len(digits) - 1 + exponent, len(digits) - 1
+
+
+def test_format_rows_every_point_and_trailing_zero():
+    # the decimal exponent decides the layout ("0.000" prefix, point among
+    # digits 1..16, exponent) and, with the last nonzero digit, whether the
+    # point shows, which zeros are blanked and which are restored
+    rng = np.random.default_rng(17)
+    found = {}
+    for e10 in range(-7, 19):
+        for last in range(17):
+            # every mantissa of up to four digits, else 400 random ones
+            draws = np.arange(10**last, 10 ** (last + 1)) if last < 4 else rng.integers(
+                10**last, 10 ** (last + 1), 400)
+            for draw in draws[draws % 10 != 0].tolist():
+                value = float(f"{draw}e{e10 - last}")
+                if decimal_cell(value) == (e10, last):
+                    found[e10, last] = value
+                    break
+    # no double is written with one significant digit at e10 = -7, -6, -5:
+    # the doubles nearest d * 10**e10, d = 1..9, were all tried
+    assert sorted({(e, n) for e in range(-7, 19) for n in range(17)} - set(found)) == [
+        (-7, 0), (-6, 0), (-5, 0)]
+    values = np.array(list(found.values()))
+    block = np.stack([values, -values[::-1], values[::-1]], axis=1)
+    assert _format_rows(block)[0] == percent_17g(block)
+
+
+def test_format_rows_temporaries():
+    # the kernel's temporaries per value stay a few times its ~20 bytes of
+    # text: fig1-like coordinates, and magnitudes of every layout
+    rng = np.random.default_rng(5)
+    blocks = [np.arange(4 * _CSV_CHUNK_ROWS).reshape(-1, 4) / 2**14 - 1.0,
+              rng.normal(size=(_CSV_CHUNK_ROWS, 4)) * 10.0 ** rng.integers(-20, 20, (_CSV_CHUNK_ROWS, 4))]
+    for block in blocks:
+        _format_rows(block)  # builds the tables
+        tracemalloc.start()
+        try:
+            _format_rows(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * block.size
