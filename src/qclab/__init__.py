@@ -13,6 +13,7 @@ from .errors import (
     ConstraintViolation,
     ConvexityLoss,
     IllPosed,
+    LatticeTooLarge,
     MeshBuildError,
     NewtonFailure,
     QCLabError,
@@ -91,6 +92,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QCLabError", "MeshBuildError", "ClusterOverlap", "IllPosed", "ConvexityLoss",
+    "LatticeTooLarge",
     "NewtonFailure", "UnknownFamily", "ShapeMismatch", "ConstraintViolation",
     "ChainModel", "Displacement", "ExternalForce", "PairPotential",
     "harmonic_potential", "quartic_potential", "sample_force",

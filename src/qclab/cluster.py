@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ClusterOverlap, IllPosed, ShapeMismatch
-from .mesh import CoarseMesh, basis_value
+from .mesh import CoarseMesh, basis_value, hat_ramps
 from .model import slot_of_site
 
 
@@ -195,36 +195,73 @@ def solve_weights(system: WeightSystem) -> WeightSet:
                      energy_exact=exact, energy_lumped=lumped, residual=residual)
 
 
+def _pairwise_node(n: int, lo: int, length: int) -> tuple[int, int]:
+    """Offset and length of the smallest node of numpy's pairwise summation
+    tree over n values that holds slots lo .. lo+length-1; the root when
+    they wrap past slot n-1.
+
+    np.sum of a contiguous float64 array sums leaves of at most 128 values
+    in 8 lanes and splits a longer node of m values at m//2 rounded down to
+    a multiple of 8.  Any node holding the slots sums them to the same bits
+    when the rest is zero; the smallest one is the cheapest.
+    """
+    if lo + length > n:
+        return 0, n
+    start = 0
+    while n > 128:
+        half = n // 2 - (n // 2) % 8
+        if lo + length <= start + half:
+            n = half
+        elif lo >= start + half:
+            start, n = start + half, n - half
+        else:
+            break
+    return start, n
+
+
 def verify_exactness(weights: WeightSet) -> float:
     """Largest hat-summation defect of the active weights, by brute force.
 
     For every node j the full-lattice sum eps*sum_ell hat_j(eps*ell) is
     compared against the weighted cluster sums; exact weights push this to
-    the rounding floor by construction.  Hat j is evaluated only on its two
-    elements and on the clusters of nodes j-1, j, j+1 (admissible clusters
-    meet no other hat), but each sum still runs over the full lattice and
-    all clusters, with zeros elsewhere, so it is summed in the same order.
+    the rounding floor by construction.  Hat j lives on its two elements
+    and meets only the clusters of nodes j-1, j, j+1, so each sum runs over
+    the smallest node of numpy's pairwise summation tree (`_pairwise_node`)
+    that holds those slots, over the lattice and over the 2K clusters.  The
+    result is bit for bit the sum over the whole zero-padded buffer: every
+    tree node above that one adds the +0.0 sum of its other half, which is
+    exact for the nonnegative hat values and weighted cluster sums.  Hats
+    and clusters that wrap past the last slot are summed over the root.
     """
     mesh = weights.rule.mesh
     members = weights.rule.member_matrix()
     active = weights.energy
-    n2k = 2 * mesh.K
-    hats = np.zeros(2 * mesh.N)
+    n2k, n2 = 2 * mesh.K, 2 * mesh.N
+    steps = mesh.steps.tolist()
+    # slot of the first site of element t, site node(t-1) + 1
+    firsts = slot_of_site(np.roll(mesh.repatoms, 1) + 1, mesh.N).tolist()
+    hats = np.zeros(n2)
     per_cluster = np.zeros(n2k)
-    support = slice(0, 0)
     worst = 0.0
+    rising, _ = hat_ramps(steps[0])
     for t in range(n2k):
         j = t - (mesh.K - 1)
-        left = int(mesh.node(j - 1))
-        span = int(mesh.steps[t] + mesh.steps[(t + 1) % n2k])
-        sites = np.arange(left + 1, left + span)
-        hats[support] = 0.0
-        support = slot_of_site(sites, mesh.N)
-        hats[support] = basis_value(mesh, j, sites)
-        full = mesh.epsilon * np.sum(hats)
+        # hat t rises over element t and falls over element t+1
+        next_rising, falling = hat_ramps(steps[(t + 1) % n2k])
+        values = np.concatenate((rising, falling[:-1]))
+        rising = next_rising
+        lo = firsts[t]
+        inside = min(values.size, n2 - lo)  # the rest wraps to slot 0
+        hats[lo : lo + inside] = values[:inside]
+        hats[: values.size - inside] = values[inside:]
+        start, size = _pairwise_node(n2, lo, values.size)
+        full = mesh.epsilon * np.sum(hats[start : start + size])
+        hats[lo : lo + inside] = 0.0
+        hats[: values.size - inside] = 0.0
         near = np.arange(t - 1, t + 2) % n2k
         per_cluster[near] = np.sum(basis_value(mesh, j, members[near]), axis=1)
-        clustered = float(np.sum(active * per_cluster))
+        start, size = _pairwise_node(n2k, int(near[0]), 3)
+        clustered = float(np.sum(active[start : start + size] * per_cluster[start : start + size]))
         per_cluster[near] = 0.0
         worst = max(worst, abs(full - clustered))
     return worst

@@ -33,6 +33,12 @@ class IllPosed(QCLabError):
     code = "IllPosed"
 
 
+class LatticeTooLarge(QCLabError):
+    """N is beyond the largest lattice numpy can index (see model.MAX_N)."""
+
+    code = "LatticeTooLarge"
+
+
 class ConvexityLoss(QCLabError):
     """The pair potential stopped being convex at a strain reached by the solver."""
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConstraintViolation, MeshBuildError, ShapeMismatch, UnknownFamily
-from .model import ChainModel, Displacement, slot_of_site
+from .model import ChainModel, Displacement, check_lattice_size, slot_of_site
 
 _FAMILIES = ("uniform", "graded", "oscillatory", "smooth", "custom")
 
@@ -179,6 +179,7 @@ def build_mesh(spec: MeshSpec) -> CoarseMesh:
         raise MeshBuildError(f"need at least K = 2 node pairs, got K = {spec.K}")
     if spec.N < 2:
         raise MeshBuildError(f"need N >= 2 atoms per half-period, got N = {spec.N}")
+    check_lattice_size(spec.N)
     builder = {
         "uniform": _build_uniform,
         "graded": _build_graded,
@@ -284,6 +285,14 @@ def basis_value(mesh: CoarseMesh, j: int, ell):
     return out if out.ndim else float(out)
 
 
+def hat_ramps(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hat values on an element of s sites: the rising ramp (1..s)/s
+    and the falling ramp 1 - (1..s)/s, bit for bit basis_value's d/s_in and
+    1 - (d - s_in)/s_out at distances 1..s into the element."""
+    up = np.arange(1, s + 1) / s
+    return up, 1.0 - up
+
+
 def prolong(V: NodalField) -> Displacement:
     """Piecewise-affine extension of nodal values to every lattice site.
 
@@ -347,8 +356,7 @@ def exact_load(mesh: CoarseMesh, model: ChainModel) -> np.ndarray:
     at = 0
     for t, s in enumerate(mesh.steps.tolist()):
         if s not in ramps:
-            up = np.arange(1, s + 1) / s
-            ramps[s] = (up, 1.0 - up)
+            ramps[s] = hat_ramps(s)
         up, down = ramps[s]
         seg = f[at : at + s]
         rising[t] = np.dot(seg, up)

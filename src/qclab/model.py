@@ -16,7 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstraintViolation, QCLabError, ShapeMismatch, UnknownFamily
+from .errors import ConstraintViolation, LatticeTooLarge, QCLabError, ShapeMismatch, UnknownFamily
+
+# The largest lattice: its 2N float64 values take 2**62 bytes, half of
+# numpy's largest array (2**63 - 1 bytes), so the sizes numpy derives in
+# floating point (np.arange) and every lattice or node index (a few
+# multiples of N) stay inside int64.
+MAX_N = 2**58
 
 
 def lattice_sites(N: int) -> np.ndarray:
@@ -27,6 +33,13 @@ def lattice_sites(N: int) -> np.ndarray:
 def lattice_coordinates(N: int) -> np.ndarray:
     """Site coordinates x = epsilon*ell in (-1, 1], slot order."""
     return lattice_sites(N) / N
+
+
+def check_lattice_size(N: int) -> None:
+    """Reject a lattice beyond MAX_N before any index arithmetic overflows."""
+    if N > MAX_N:
+        raise LatticeTooLarge(f"N = {N} exceeds the largest lattice numpy can index, "
+                              f"N = {MAX_N}")
 
 
 def slot_of_site(ell, N: int):
@@ -134,6 +147,7 @@ def sample_force(spec: str, N: int) -> ExternalForce:
     """
     if N < 2:
         raise ShapeMismatch(f"need N >= 2 atoms per half-period, got {N}")
+    check_lattice_size(N)
     fbar = _force_closed_form(spec)
     samples = fbar(lattice_coordinates(N))
     if not np.all(np.isfinite(samples)):
@@ -183,6 +197,7 @@ class ChainModel:
     def __post_init__(self):
         if self.N < 2:
             raise ShapeMismatch(f"need N >= 2 atoms per half-period, got {self.N}")
+        check_lattice_size(self.N)
         if self.force.N != self.N:
             raise ShapeMismatch("force was sampled for a different lattice size")
 

@@ -99,11 +99,11 @@ def dense_weight_matrix(mesh, rule):
     return A
 
 
-def random_custom_mesh(rng, K=None):
-    """Periodic mesh with random integer steps, node 0 at lattice site 0;
-    K is drawn from 3..6 unless given."""
+def random_custom_mesh(rng, K=None, steps=(5, 15)):
+    """Periodic mesh with random integer steps in the closed range ``steps``,
+    node 0 at lattice site 0; K is drawn from 3..6 unless given."""
     K = int(rng.integers(3, 7)) if K is None else K
-    steps = rng.integers(5, 16, size=2 * K)
+    steps = rng.integers(steps[0], steps[1] + 1, size=2 * K)
     if steps.sum() % 2:
         steps[-1] += 1
     N = int(steps.sum() // 2)

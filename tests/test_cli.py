@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qclab.cli import main
+from qclab.model import MAX_N
 
 
 def read_lines(path):
@@ -246,6 +247,30 @@ def test_lattice_too_large_to_allocate(tmp_path, capsys):
     error = error_of(capsys)
     assert error["code"] == "Error"
     assert "allocate" in error["message"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["mesh-inspect", "--mesh", "graded", "--N", str(2**63), "--K", "64"], "LatticeTooLarge"),
+    (["mesh-inspect", "--mesh", "smooth", "--N", str(2**62), "--K", "4"], "LatticeTooLarge"),
+    (["mesh-inspect", "--mesh", "oscillatory", "--N", "99999999999999999999", "--K", "4"],
+     "LatticeTooLarge"),
+    (["run", "--N", "99999999999999999999", "--method", "atomistic", "--force", "sinpi"],
+     "LatticeTooLarge"),
+    (["sweep", "--axis", "N", "--values", "99999999999999999999", "--metric", "consistency",
+      "--mesh", "uniform", "--K", "4", "--force", "sinpi"], "LatticeTooLarge"),
+    (["run", "--N", str(2**62 - 1), "--method", "atomistic", "--force", "sinpi"],
+     "LatticeTooLarge"),
+    (["run", "--N", str(MAX_N + 1), "--method", "atomistic", "--force", "sinpi"],
+     "LatticeTooLarge"),
+    # the largest lattice passes the bound and fails to allocate
+    (["run", "--N", str(MAX_N), "--method", "atomistic", "--force", "sinpi"], "Error"),
+], ids=["inspect-graded", "inspect-smooth", "inspect-oscillatory", "run", "sweep-N",
+        "run-atomistic", "run-above-bound", "run-at-bound"])
+def test_lattice_beyond_numpy_arrays(tmp_path, capsys, argv, code):
+    out = [] if argv[0] == "mesh-inspect" else ["--out", str(tmp_path)]
+    rc = main(argv + out)
+    assert rc == 1
+    assert error_of(capsys)["code"] == code
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

@@ -33,7 +33,7 @@ from qclab import (
     solve_weights,
     verify_exactness,
 )
-from qclab.cluster import _solve_cyclic_tridiagonal
+from qclab.cluster import _pairwise_node, _solve_cyclic_tridiagonal
 from qclab.cli import _CSV_CHUNK_ROWS, _FIGURES, _execute, _format_rows, _to_json, _write_csv
 from conftest import (
     random_custom_mesh,
@@ -94,16 +94,64 @@ def test_exact_load_matches_reference(seed, K):
     assert np.array_equal(exact_load(mesh, model), reference_exact_load(mesh, model))
 
 
+# Small meshes keep both sums of verify_exactness at the root of numpy's
+# pairwise tree.  Deep ones, 2K > 128 clusters and 2N of about 1,000 to
+# 20,000 sites, put them several levels below it.  Some hat always covers
+# the lattice's last and first slots, so every draw has a wrapping hat.
+mesh_shapes = st.one_of(
+    st.tuples(mesh_K, st.just((5, 15))),
+    st.tuples(st.integers(65, 90), st.sampled_from([(5, 15), (40, 120)])),
+)
+
+
 @KERNELS
-@given(seed=seeds, K=mesh_K, r=radius_draw, mode=st.sampled_from(["exact", "lumped"]))
-def test_verify_exactness_matches_reference(seed, K, r, mode):
+@given(seed=seeds, shape=mesh_shapes, r=radius_draw, mode=st.sampled_from(["exact", "lumped"]))
+def test_verify_exactness_matches_reference(seed, shape, r, mode):
     rng = np.random.default_rng(seed)
-    mesh, _ = random_custom_mesh(rng, K)
+    mesh, _ = random_custom_mesh(rng, *shape)
     rule = ClusterRule(mesh=mesh, r=admissible(mesh, r))
     weights = solve_weights(assemble_weight_system(rule)).with_mode(mode)
     assert verify_exactness(weights) == reference_verify_exactness(
         mesh, rule, weights
     )
+
+
+def pairwise_splits(n):
+    """(start, split) of every node of numpy's pairwise tree over n values
+    longer than its 128-value leaves."""
+    nodes, splits = [(0, n)], []
+    while nodes:
+        start, size = nodes.pop()
+        if size > 128:
+            half = size // 2 - (size // 2) % 8
+            splits.append((start, start + half))
+            nodes += [(start, half), (start + half, size - half)]
+    return splits
+
+
+@pytest.mark.parametrize("n", [7, 8, 127, 128, 129, 1000, 20000, 2**18 + 24])
+def test_sum_ignores_zeros_outside_the_pairwise_node(n):
+    # the numpy contract verify_exactness rests on: np.sum of a buffer that
+    # is zero outside some slots equals np.sum of the pairwise-tree node
+    # holding them, bit for bit; a numpy with another reduction fails here
+    rng = np.random.default_rng(n)
+    intervals = []
+    for _ in range(40):
+        length = int(rng.integers(1, min(n, 400) + 1))
+        intervals.append((int(rng.integers(0, n - length + 1)), length))
+    splits = pairwise_splits(n)
+    for at in rng.permutation(len(splits))[:25]:
+        start, split = splits[at]
+        width = int(rng.integers(1, split - start + 1))
+        # ending at the split, starting at it, and straddling it
+        intervals += [(split - width, width), (split, width), (split - 1, 2)]
+    buffer = np.zeros(n)
+    for lo, length in intervals:
+        buffer[lo : lo + length] = rng.random(length) * 10.0 ** rng.integers(-6, 7, length)
+        start, size = _pairwise_node(n, lo, length)
+        assert start <= lo and lo + length <= start + size <= n
+        assert np.sum(buffer) == np.sum(buffer[start : start + size]), (lo, length)
+        buffer[lo : lo + length] = 0.0
 
 
 @KERNELS

@@ -4,8 +4,9 @@
 
 PARENT and CHANGE are checkouts (directories holding src/qclab).  Every
 configuration runs in a fresh interpreter with BLAS and OpenMP capped at one
-thread; cli._execute, cli._write_csv and cli._write_json are wrapped with
-perf_counter timers from outside the program, and peak_rss_mb is the
+thread; cli._execute, cli._write_csv and cli._write_json, and the
+solve_atomistic and verify_exactness that cli._execute calls, are wrapped
+with perf_counter timers from outside the program, and peak_rss_mb is the
 process's ru_maxrss.  The two trees alternate, the first one per run
 alternating too, and each value is the median over the runs.  Another fresh
 interpreter per tree and run times cli._to_json on a 4-value float array.
@@ -28,6 +29,10 @@ SIZES = (2**14, 2**17, 2**20)
 STAGES = {
     "cli.execute_s": "cli._execute: force sampling, mesh, the atomistic, constrained and "
                      "energy-cluster solves, diagnostics",
+    "cli.solve_atomistic_s": "cli.solve_atomistic: the atomistic reference solve, part of "
+                             "cli.execute_s",
+    "cli.verify_exactness_s": "cli.verify_exactness: the hat-summation defect of the weights, "
+                              "part of cli.execute_s",
     "cli.write_csv_s": "cli._write_csv: profile.csv, 2N rows of 4 columns",
     "cli.write_json_s": "cli._write_json: report.json",
     "peak_rss_mb": "peak resident set size of the whole `qclab run` process",
@@ -70,6 +75,8 @@ def worker(mode: str, args: list[str]) -> dict:
         return wrapper
 
     cli._execute = timed("cli.execute_s", cli._execute)
+    cli.solve_atomistic = timed("cli.solve_atomistic_s", cli.solve_atomistic)
+    cli.verify_exactness = timed("cli.verify_exactness_s", cli.verify_exactness)
     cli._write_csv = timed("cli.write_csv_s", cli._write_csv)
     cli._write_json = timed("cli.write_json_s", cli._write_json)
     with open(os.devnull, "w") as sink:
