@@ -22,6 +22,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .mesh import (
     MeshSpec,
     build_mesh,
     parse_mesh_descriptor,
-    prolong,
+    prolong_rows,
     smoothness_profile,
 )
 from .cluster import ClusterRule, assemble_weight_system, solve_weights, verify_exactness
@@ -279,17 +280,25 @@ def _write_json(path: Path, payload: dict) -> None:
 
 _CSV_CHUNK_ROWS = 4096
 
+# A CSV column: an array, or a function of a row range (start, stop) that
+# returns those rows, so a lattice column need not exist whole.
+Column = np.ndarray | Callable[[int, int], np.ndarray]
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray],
+
+def _write_csv(path: Path, header: list[str], columns: list[Column],
                footer: list[str] | None = None) -> None:
     """Write header, one row per index of the columns, then footer lines;
-    rows are formatted by _format_rows and written in bounded chunks."""
-    rows = len(columns[0]) if columns else 0
+    rows are formatted by _format_rows and written in bounded chunks.  The
+    row count is the length of the array columns; at least one column must
+    be an array unless there are no rows."""
+    rows = next((len(col) for col in columns if not callable(col)), 0)
     try:
         with path.open("wb") as handle:
             handle.write((",".join(header) + "\n").encode())
             for at in range(0, rows, _CSV_CHUNK_ROWS):
-                block = np.column_stack([col[at : at + _CSV_CHUNK_ROWS] for col in columns])
+                stop = min(at + _CSV_CHUNK_ROWS, rows)
+                block = np.column_stack([col(at, stop) if callable(col) else col[at:stop]
+                                         for col in columns])
                 handle.write(_format_rows(block)[0])
             for extra in footer or ():
                 handle.write((extra + "\n").encode())
@@ -366,9 +375,11 @@ def _output_dir(path: Path) -> Path:
     return path
 
 
-def _execute(config: RunConfig) -> tuple[dict, dict[str, np.ndarray], dict[str, SolveReport]]:
+def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, SolveReport]]:
     """Solve per config; returns (report payload, profile columns in file
-    order, solve reports by method)."""
+    order, solve reports by method).  Of the columns only u_atomistic is a
+    lattice array; x and the prolonged coarse solutions are row-range
+    functions (see _write_csv)."""
     started = time.perf_counter()
     model = ChainModel(N=config.N, potential=harmonic_potential(),
                        force=sample_force(config.force, config.N))
@@ -377,7 +388,7 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, np.ndarray], dict[str, 
         "weights": config.weights, "method": config.method, "force": config.force,
     }}
     reports = {"atomistic": solve_atomistic(model)}
-    columns = {"x": lattice_coordinates(config.N),
+    columns = {"x": functools.partial(lattice_coordinates, config.N),
                "u_atomistic": reports["atomistic"].solution.values}
 
     if config.mesh is not None and config.K is not None:
@@ -392,7 +403,7 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, np.ndarray], dict[str, 
         payload["smoothness"] = {"coefficients": profile.coefficients,
                                  "max_abs": profile.max_abs}
         reports["constrained"] = solve_constrained(model, mesh)
-        columns["u_constrained"] = prolong(reports["constrained"].solution).values
+        columns["u_constrained"] = prolong_rows(reports["constrained"].solution)
 
     errors = None
     if config.method in ("energy-cluster", "force-cluster"):
@@ -411,7 +422,7 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, np.ndarray], dict[str, 
         }
         solver = solve_energy_cluster if config.method == "energy-cluster" else solve_force_cluster
         qc = reports[config.method] = solver(model, weights)
-        columns["u_qc"] = prolong(qc.solution).values
+        columns["u_qc"] = prolong_rows(qc.solution)
         errors = asdict(error_report(
             model, reports["atomistic"].solution, reports["constrained"].solution,
             qc.solution, energy_cluster_functional(model, weights, qc.solution),

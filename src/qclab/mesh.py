@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -113,7 +114,9 @@ def _build_uniform(spec: MeshSpec) -> np.ndarray:
 
 
 def _build_graded(spec: MeshSpec) -> np.ndarray:
-    if spec.N != 2 ** (spec.K - 1):
+    # N = 2^(K-1) read off N's bits: 2 ** (K - 1) of a huge K is a huge integer
+    N = int(spec.N)
+    if N & (N - 1) or N.bit_length() != spec.K:
         raise MeshBuildError(
             f"graded family needs N = 2^(K-1), got N={spec.N}, K={spec.K}"
         )
@@ -180,6 +183,10 @@ def build_mesh(spec: MeshSpec) -> CoarseMesh:
     if spec.N < 2:
         raise MeshBuildError(f"need N >= 2 atoms per half-period, got N = {spec.N}")
     check_lattice_size(spec.N)
+    if spec.K > spec.N:
+        raise MeshBuildError(
+            f"2K distinct nodes on 2N lattice sites need K <= N, got N={spec.N}, K={spec.K}"
+        )
     builder = {
         "uniform": _build_uniform,
         "graded": _build_graded,
@@ -293,6 +300,49 @@ def hat_ramps(s: int) -> tuple[np.ndarray, np.ndarray]:
     return up, 1.0 - up
 
 
+def prolong_rows(V: NodalField) -> Callable[[int, int], np.ndarray]:
+    """The piecewise-affine extension of V as a function of a row range:
+    rows(start, stop) returns slots start..stop-1 of prolong(V).values, bit
+    for bit, for 0 <= start <= stop <= 2N, in O(stop - start) memory.
+
+    Per site, in element order (from the site after the wrap element's left
+    node): left + (i/s)*(right - left) at distance i = 1..s into an element
+    of s sites, and the node value itself at i = s.
+    """
+    mesh = V.mesh
+    vals = V.values
+    lefts = np.roll(vals, 1)
+    rises = vals - lefts
+    steps = mesh.steps
+    ends = np.cumsum(steps)
+    starts = ends - steps
+    n2 = 2 * mesh.N
+    shift = int(slot_of_site(mesh.repatoms[-1] - n2 + 1, mesh.N))
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        out = np.empty(stop - start)
+        at = (start - shift) % n2  # element-order position of slot start
+        done = 0
+        while done < out.size:  # twice if the range wraps past element order's end
+            piece = out[done : done + min(out.size - done, n2 - at)]
+            lo, hi = at, at + piece.size
+            # the elements meeting positions lo .. hi-1, and how many of them each holds
+            t = slice(np.searchsorted(ends, lo, "right"),
+                      np.searchsorted(ends, hi - 1, "right") + 1)
+            counts = np.minimum(ends[t], hi) - np.maximum(starts[t], lo)
+            np.subtract(np.arange(lo + 1, hi + 1), np.repeat(starts[t], counts), out=piece)
+            piece /= np.repeat(steps[t], counts)
+            piece *= np.repeat(rises[t], counts)
+            piece += np.repeat(lefts[t], counts)
+            nodes = ends[t] - 1
+            inside = nodes < hi
+            piece[nodes[inside] - lo] = vals[t][inside]  # exact node values
+            at, done = 0, done + piece.size
+        return out
+
+    return rows
+
+
 def prolong(V: NodalField) -> Displacement:
     """Piecewise-affine extension of nodal values to every lattice site.
 
@@ -300,22 +350,11 @@ def prolong(V: NodalField) -> Displacement:
     carry the nodal values bitwise.
     """
     mesh = V.mesh
-    vals = V.values
-    lefts = np.roll(vals, 1)
-    steps = mesh.steps
-    ends = np.cumsum(steps)
-    # element order (wrap element first); per site: left + frac*(right - left)
-    # with frac = i/s, the same IEEE operations as a per-element blend
-    seq = np.arange(1, 2 * mesh.N + 1, dtype=float)
-    seq -= np.repeat(ends - steps, steps)
-    seq /= np.repeat(steps, steps)
-    seq *= np.repeat(vals - lefts, steps)
-    seq += np.repeat(lefts, steps)
-    seq[ends - 1] = vals  # exact node values, immune to rounding in the blend
-    # element order starts at the site after the wrap element's left node
+    values = prolong_rows(V)(0, 2 * mesh.N)
     shift = int(slot_of_site(mesh.repatoms[-1] - 2 * mesh.N + 1, mesh.N))
-    values = np.roll(seq, shift)
-    gradients = np.roll(np.repeat(V.gradients(), steps), shift)
+    gradients = np.roll(np.repeat(V.gradients(), mesh.steps), shift)
+    values.setflags(write=False)
+    gradients.setflags(write=False)
     return Displacement(N=mesh.N, values=values, gradients=gradients)
 
 

@@ -30,9 +30,11 @@ def lattice_sites(N: int) -> np.ndarray:
     return np.arange(-N + 1, N + 1)
 
 
-def lattice_coordinates(N: int) -> np.ndarray:
-    """Site coordinates x = epsilon*ell in (-1, 1], slot order."""
-    return lattice_sites(N) / N
+def lattice_coordinates(N: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Site coordinates x = epsilon*ell in (-1, 1], slot order; slots
+    start..stop-1 of them when a row range is given."""
+    stop = 2 * N if stop is None else stop
+    return np.arange(start - N + 1, stop - N + 1) / N
 
 
 def check_lattice_size(N: int) -> None:
@@ -48,7 +50,11 @@ def slot_of_site(ell, N: int):
 
 
 def _frozen(values, length: int, what: str) -> np.ndarray:
-    out = np.array(values, dtype=float)
+    """values as a read-only float64 array of shape (length,); an array that
+    already is read-only float64 is kept as it is, not copied."""
+    kept = (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and not values.flags.writeable)
+    out = values if kept else np.array(values, dtype=float)
     if out.shape != (length,):
         raise ShapeMismatch(f"{what} must have length {length}, got shape {out.shape}")
     out.setflags(write=False)
@@ -152,6 +158,7 @@ def sample_force(spec: str, N: int) -> ExternalForce:
     samples = fbar(lattice_coordinates(N))
     if not np.all(np.isfinite(samples)):
         raise UnknownFamily(f"force descriptor {spec!r} produced non-finite samples")
+    samples.setflags(write=False)  # a fresh array: ExternalForce keeps it
     return ExternalForce(N=N, samples=samples)
 
 

@@ -56,9 +56,10 @@ class SolveReport:
 
 
 def _invert_stress(pot: PairPotential, s: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solve phi'(g) = s elementwise; returns (g, iterations)."""
+    """Solve phi'(g) = s elementwise; returns (g, iterations).  For a
+    quadratic potential g is s itself."""
     if pot.is_quadratic:
-        return np.array(s, dtype=float), 1
+        return s, 1
     g = np.array(s, dtype=float)
     tol = 1e-12 * (1.0 + np.abs(s))
     for it in range(1, _NEWTON_STEPS + 1):
@@ -73,11 +74,16 @@ def _invert_stress(pot: PairPotential, s: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _closure_constant(pot: PairPotential, coeff, h, tbar) -> tuple[float, int]:
-    """Find c such that sum_j h_j * (phi')^{-1}((tbar_j + c)/c_j) = 0."""
-    weight = h / coeff
+    """Find c such that sum_j h_j * (phi')^{-1}((tbar_j + c)/c_j) = 0.
+
+    A scalar h or coeff stands for a constant array.  The dots need arrays:
+    BLAS sums a dot in an order that no scalar form repeats bit for bit.
+    """
+    weight = np.divide(h, coeff, out=np.empty(len(tbar)))
     c = -np.dot(weight, tbar) / np.sum(weight)
     if pot.is_quadratic:
         return float(c), 1
+    h = np.ascontiguousarray(np.broadcast_to(h, tbar.shape))
     for it in range(1, _NEWTON_STEPS + 1):
         g, _ = _invert_stress(pot, (tbar + c) / coeff)
         gap = np.dot(h, g)
@@ -88,34 +94,71 @@ def _closure_constant(pot: PairPotential, coeff, h, tbar) -> tuple[float, int]:
     raise NewtonFailure(f"closure constant stalled after {_NEWTON_STEPS} steps")
 
 
+def _path_cumsum(x: np.ndarray, first: int) -> None:
+    """Cumulative sums of x, in place, along the path first, first+1, ...,
+    n-1, 0, ..., first-2 (slot first-1, mod n, keeps its entry).  The path is
+    one sequential sum: its carry across the wrap is added into slot 0 before
+    the second cumsum, exactly as np.cumsum of the gathered path adds it."""
+    if first:
+        np.cumsum(x[first:], out=x[first:])
+        if first > 1:
+            x[0] += x[-1]
+    end = (first - 1) % len(x)
+    np.cumsum(x[:end], out=x[:end])
+
+
 def _solve_chain(pot: PairPotential, coeff, h, load, pinned: int, scale=1.0):
     """Shared path-elimination core; see the module docstring.
 
     Returns (gradients, values, residual, reaction, iterations) where the residual
     and reaction re-evaluate scale_j (c_j phi'(g_j) - c_{j+1} phi'(g_{j+1})) - L_j,
-    whose rows are solved as the unscaled ones with load L_j / scale_j.
+    whose rows are solved as the unscaled ones with load L_j / scale_j.  coeff,
+    h and scale may be scalars.  Besides the load, a quadratic solve holds at
+    most two arrays of its length at a time: the gradients, built in place
+    from the cumulated loads, and one of the closure weights, the equations
+    or the values.  The returned arrays are read-only.
     """
-    n = len(h)
-    order = (pinned + 1 + np.arange(n)) % n
-    tbar = np.zeros(n)
-    tbar[order[1:]] = -np.cumsum((load / scale)[order[:-1]])
+    n = len(load)
+    first = (pinned + 1) % n
+    # tbar_j = -(sum of L/scale along the path from node first to j-1): the
+    # load at slot j goes to buf[j + 1], so the wrap's sum lands in buf[n]
+    buf = np.empty(n + 1)
+    np.divide(load, scale, out=buf[1:])
+    _path_cumsum(buf[1:], first)
+    buf[0] = buf[n]
+    tbar = np.negative(buf[:n], out=buf[:n])
+    tbar[first] = 0.0
     c0, closure_iters = _closure_constant(pot, coeff, h, tbar)
-    g, invert_iters = _invert_stress(pot, (tbar + c0) / coeff)
-    values = np.zeros(n)
-    values[order[:-1]] = np.cumsum((h * g)[order[:-1]])
-    values[pinned] = 0.0
-    t = coeff * pot.deriv(g)
-    equations = scale * (t - np.roll(t, -1)) - load
+    tbar += c0
+    tbar /= coeff
+    g, invert_iters = _invert_stress(pot, tbar)
+    # the stresses t_j = c_j phi'(g_j), overwritten in place by the equations
+    # (numpy computes overlapping operands as if they did not overlap)
+    equations = pot.deriv(g)
+    if np.may_share_memory(equations, g):  # a potential may return its argument
+        equations = equations.copy()
+    equations *= coeff
+    wrap = equations[-1] - equations[0]
+    np.subtract(equations[:-1], equations[1:], out=equations[:-1])
+    equations[-1] = wrap
+    equations *= scale
+    equations -= load
     reaction = float(equations[pinned])
     equations[pinned] = 0.0
-    residual = float(np.max(np.abs(equations)))
+    residual = float(np.max(np.abs(equations, out=equations)))
+    del equations
+    values = np.multiply(h, g)
+    _path_cumsum(values, first)
+    values[pinned] = 0.0
+    g.setflags(write=False)
+    values.setflags(write=False)
     return g, values, residual, reaction, max(closure_iters, invert_iters)
 
 
 def _report(method: str, solution, load, residual: float, reaction: float,
             iterations: int) -> SolveReport:
     """Package a solve, rejecting a residual above the tolerance its load sets."""
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(load))))
+    tol = 1e-10 * (1.0 + max(float(np.max(load)), -float(np.min(load))))  # max |L|
     if not residual <= tol:
         raise NewtonFailure(f"{method} solve left residual {residual:.3e} above {tol:.3e}")
     return SolveReport(solution=solution, residual=residual, reaction=reaction,
@@ -125,10 +168,9 @@ def _report(method: str, solution, load, residual: float, reaction: float,
 def solve_atomistic(model: ChainModel) -> SolveReport:
     """Equilibrium of the full chain: every site force vanishes except at the
     pinned site 0, whose equation is reported as the reaction."""
-    n = 2 * model.N
     load = model.epsilon * model.force.samples
     g, values, residual, reaction, iters = _solve_chain(
-        model.potential, np.ones(n), np.full(n, model.epsilon), load, model.N - 1
+        model.potential, 1.0, model.epsilon, load, model.N - 1
     )
     return _report("atomistic", Displacement(N=model.N, values=values, gradients=g),
                    load, residual, reaction, iters)
@@ -143,7 +185,7 @@ def solve_constrained(model: ChainModel, mesh: CoarseMesh) -> SolveReport:
     """
     load = exact_load(mesh, model)
     g, values, residual, reaction, iters = _solve_chain(
-        model.potential, np.ones(2 * mesh.K), mesh.h, load, mesh.K - 1
+        model.potential, 1.0, mesh.h, load, mesh.K - 1
     )
     return _report("constrained", NodalField(mesh=mesh, values=values),
                    load, residual, reaction, iters)
@@ -268,7 +310,7 @@ def solve_force_cluster(model: ChainModel, weights: WeightSet) -> SolveReport:
         raise IllPosed("force weights must be positive")
     ftilde = cluster_load(model, weights)
     g, values, residual, reaction, iters = _solve_chain(
-        model.potential, np.ones(2 * mesh.K), mesh.h, ftilde, mesh.K - 1, scale=nu
+        model.potential, 1.0, mesh.h, ftilde, mesh.K - 1, scale=nu
     )
     return _report("force-cluster", NodalField(mesh=mesh, values=values),
                    ftilde, residual, reaction, iters)

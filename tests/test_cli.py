@@ -273,6 +273,28 @@ def test_lattice_beyond_numpy_arrays(tmp_path, capsys, argv, code):
     assert error_of(capsys)["code"] == code
 
 
+@pytest.mark.parametrize("family", ["uniform", "graded", "oscillatory", "smooth", "custom"])
+def test_more_node_pairs_than_atoms(tmp_path, capsys, family):
+    # 2K distinct nodes on 2N sites need K <= N; the graded family must not
+    # evaluate 2 ** (K - 1) for such a K
+    if family == "custom":
+        (tmp_path / "nodes.txt").write_text("-3\n0\n2\n4\n")
+        family = f"custom:{tmp_path / 'nodes.txt'}"
+    rc = main(["mesh-inspect", "--mesh", family, "--N", "8", "--K", "99999999999999999999"])
+    assert rc == 1
+    error = error_of(capsys)
+    assert error["code"] == "MeshBuild"
+    assert "K <= N" in error["message"]
+
+
+def test_graded_checks_k_from_the_bits_of_n(capsys):
+    # K <= N here, so only the graded test itself stands between this K and
+    # a 2**39-bit integer
+    rc = main(["mesh-inspect", "--mesh", "graded", "--N", str(2**40), "--K", str(2**39)])
+    assert rc == 1
+    assert "N = 2^(K-1)" in error_of(capsys)["message"]
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 def test_unreadable_config_file(tmp_path, capsys, kind):
     path = tmp_path / "missing.cfg" if kind == "missing" else tmp_path

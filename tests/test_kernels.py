@@ -28,12 +28,15 @@ from qclab import (
     energy_cluster_functional,
     exact_load,
     harmonic_potential,
+    lattice_coordinates,
     prolong,
     quartic_potential,
+    slot_of_site,
     solve_weights,
     verify_exactness,
 )
 from qclab.cluster import _pairwise_node, _solve_cyclic_tridiagonal
+from qclab.mesh import prolong_rows
 from qclab.cli import _CSV_CHUNK_ROWS, _FIGURES, _execute, _format_rows, _to_json, _write_csv
 from conftest import (
     random_custom_mesh,
@@ -83,6 +86,46 @@ def test_prolong_matches_reference(seed, K):
     got, want = prolong(V), reference_prolong(mesh, V)
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(got.gradients, want.gradients)
+
+
+def family_mesh(rng, family):
+    """A small mesh of the family; custom meshes put the lattice's wrap point
+    anywhere, also inside an element."""
+    K = int(rng.integers(2, 7))
+    if family == "custom":
+        return random_custom_mesh(rng, K)[0]
+    N = {"uniform": K * int(rng.integers(1, 6)), "graded": 2 ** (K - 1),
+         "oscillatory": -(-3 * K // 2) + int(rng.integers(0, 20)),
+         "smooth": 4 * K + int(rng.integers(0, 20))}[family]
+    return build_mesh(MeshSpec(family=family, N=N, K=K))
+
+
+@KERNELS
+@given(seed=seeds, family=st.sampled_from(["uniform", "graded", "oscillatory", "smooth", "custom"]),
+       data=st.data())
+def test_prolong_rows_are_slices_of_prolong(seed, family, data):
+    rng = np.random.default_rng(seed)
+    mesh = family_mesh(rng, family)
+    V = nodal_field(rng, mesh)
+    whole, rows, n2 = prolong(V).values, prolong_rows(V), 2 * mesh.N
+    # element order starts at slot `shift`; element t holds its positions
+    # ends[t] - steps[t] .. ends[t] - 1, its node last
+    shift = int(slot_of_site(mesh.repatoms[-1] - n2 + 1, mesh.N))
+    ends = np.cumsum(mesh.steps)
+    a = data.draw(st.integers(0, n2 - 1))
+    b = data.draw(st.integers(a, n2))
+    ranges = [(a, a + 1), (a, b), (a, n2), (0, n2), (a, a)]
+    if 0 < shift:  # across the end of element order
+        ranges.append((shift - 1, shift + 1))
+    for t in range(2 * mesh.K):
+        first = (ends[t] - mesh.steps[t] + shift) % n2
+        last = (ends[t] - 1 + shift) % n2
+        if first <= last:  # the element's sites, and its sites but the node
+            ranges += [(first, last + 1), (first, last)]
+        else:  # the element the lattice's wrap point splits
+            ranges += [(first, n2), (0, last + 1)]
+    for start, stop in ranges:
+        assert rows(start, stop).tobytes() == whole[start:stop].tobytes(), (start, stop)
 
 
 @KERNELS
@@ -226,8 +269,29 @@ def test_write_csv_matches_reference(tmp_path, rows, footer):
         specials = np.resize(SPECIAL, rows)
         columns[1][: len(specials)] = specials
     header = ["x", "u_a", "u_b", "i"]
+    # a column may also be a function of a row range
+    streamed = [(lambda a, b, col=col: col[a:b]) if i % 2 else col
+                for i, col in enumerate(columns)]
     _write_csv(tmp_path / "got.csv", header, columns, footer=footer)
+    _write_csv(tmp_path / "streamed.csv", header, streamed, footer=footer)
     reference_write_csv(tmp_path / "want.csv", header, columns, footer=footer)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_streamed_profile_is_the_materialized_one(tmp_path):
+    # fig2's 20,000 rows end in a partial chunk; its columns as whole arrays
+    # are x, the atomistic values and the full prolongations
+    config = _FIGURES["fig2"][0]
+    _, columns, reports = _execute(config)
+    whole = {"x": lattice_coordinates(config.N),
+             "u_atomistic": reports["atomistic"].solution.values,
+             "u_constrained": prolong(reports["constrained"].solution).values,
+             "u_qc": prolong(reports[config.method].solution).values}
+    assert list(columns) == list(whole)
+    assert all(callable(columns[name]) for name in ("x", "u_constrained", "u_qc"))
+    _write_csv(tmp_path / "got.csv", list(columns), list(columns.values()))
+    _write_csv(tmp_path / "want.csv", list(whole), list(whole.values()))
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -293,8 +357,11 @@ def test_format_rows_rarely_falls_back():
     # one value at a time is ~4x slower: a kernel that stops certifying
     # ties, zeros (all smoothness coefficients of a uniform mesh) or common
     # magnitudes fails here, without timing anything
-    _, columns, _ = _execute(_FIGURES["fig1"][0])
-    for values in [*columns.values(), np.arange(2**18) / 2**18, np.zeros(4096)]:
+    config = _FIGURES["fig1"][0]
+    _, columns, _ = _execute(config)
+    rows = 2 * config.N
+    profile = [col(0, rows) if callable(col) else col for col in columns.values()]
+    for values in [*profile, np.arange(2**18) / 2**18, np.zeros(4096)]:
         _, fallback = _format_rows(values[:, None])
         assert fallback < 1e-3 * len(values)
 

@@ -1,0 +1,54 @@
+"""Memory budget of `qclab run`, counted in lattice arrays.
+
+One lattice array is the 2N float64 values of one field, 16·N bytes.  The
+run's lattice work needs a handful of them at once: the force samples, the
+atomistic solution (values and gradients) and the solver's working arrays.
+The profile's other columns are computed 4096 rows at a time.  These tests
+take tracemalloc's peak over one call, at N = 2^16, where one array is 1 MiB
+and the CSV kernel's fixed chunk temporaries are about two more.
+"""
+
+import tracemalloc
+
+import pytest
+
+from qclab.cli import RunConfig, _execute, main
+
+N = 2**16
+BUDGET = 7  # lattice arrays
+
+CONFIGS = {
+    "graded-energy-cluster": RunConfig(mesh="graded", N=N, K=17, r=0, weights="exact",
+                                       method="energy-cluster", force="sinpi", out="."),
+    "uniform-constrained": RunConfig(mesh="uniform", N=N, K=4096, r=0, weights="exact",
+                                     method="constrained", force="sinpi", out="."),
+}
+
+
+def peak_arrays(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (16 * N)
+    finally:
+        tracemalloc.stop()
+
+
+def run_argv(config: RunConfig, out) -> list[str]:
+    return ["run", "--mesh", config.mesh, "--N", str(config.N), "--K", str(config.K),
+            "--r", str(config.r), "--method", config.method, "--force", config.force,
+            "--out", str(out)]
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_execute_peak_in_lattice_arrays(name):
+    assert peak_arrays(lambda: _execute(CONFIGS[name])) <= BUDGET
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_run_peak_in_lattice_arrays(tmp_path, capsys, name):
+    # the whole command: the solves, then profile.csv and report.json
+    main(["run", "--N", "16", "--method", "atomistic", "--force", "sinpi",
+          "--out", str(tmp_path / "warm")])  # builds the CSV kernel's lazy tables
+    argv = run_argv(CONFIGS[name], tmp_path)
+    assert peak_arrays(lambda: main(argv)) <= BUDGET

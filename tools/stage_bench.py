@@ -7,10 +7,11 @@ configuration runs in a fresh interpreter with BLAS and OpenMP capped at one
 thread; cli._execute, cli._write_csv and cli._write_json, and the
 solve_atomistic and verify_exactness that cli._execute calls, are wrapped
 with perf_counter timers from outside the program, and peak_rss_mb is the
-process's ru_maxrss.  The two trees alternate, the first one per run
-alternating too, and each value is the median over the runs.  Another fresh
-interpreter per tree and run times cli._to_json on a 4-value float array.
-Times are raw wall seconds on whatever host this runs on.
+process's ru_maxrss; minor_faults and run_minor_faults are its ru_minflt,
+in total and over the cli.main call.  The two trees alternate, the first one
+per run alternating too, and each value is the median over the runs.
+Another fresh interpreter per tree and run times cli._to_json on a 4-value
+float array.  Times are raw wall seconds on whatever host this runs on.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ STAGES = {
     "cli.write_csv_s": "cli._write_csv: profile.csv, 2N rows of 4 columns",
     "cli.write_json_s": "cli._write_json: report.json",
     "peak_rss_mb": "peak resident set size of the whole `qclab run` process",
+    "minor_faults": "minor page faults of the whole `qclab run` process (ru_minflt), imports "
+                    "included",
+    "run_minor_faults": "minor page faults of cli.main alone, the `qclab run` call itself",
 }
 THREAD_CAPS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                       "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
@@ -81,13 +85,17 @@ def worker(mode: str, args: list[str]) -> dict:
     cli._write_json = timed("cli.write_json_s", cli._write_json)
     with open(os.devnull, "w") as sink:
         stdout, sys.stdout = sys.stdout, sink
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         try:
             code = cli.main(args)
         finally:
             sys.stdout = stdout
     if code != 0:
         raise SystemExit(f"qclab {' '.join(args)} exited with {code}")
-    seconds["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    seconds["peak_rss_mb"] = usage.ru_maxrss / 1024
+    seconds["minor_faults"] = usage.ru_minflt
+    seconds["run_minor_faults"] = usage.ru_minflt - faults
     return seconds
 
 
