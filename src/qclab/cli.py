@@ -251,7 +251,7 @@ def _to_json(value, indent: int = 0) -> str:
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(value, np.ndarray):
         if value.ndim == 1 and value.dtype.kind in "iu":
-            return "[" + ", ".join(map("%d".__mod__, value.tolist())) + "]"
+            return repr(value.tolist())
         if value.ndim == 1 and value.dtype.kind == "f" and np.isfinite(value).all():
             if not value.size:
                 return "[]"

@@ -219,6 +219,14 @@ def _pairwise_node(n: int, lo: int, length: int) -> tuple[int, int]:
     return start, n
 
 
+def _write_wrapped(buffer: np.ndarray, lo: int, values: np.ndarray) -> None:
+    """buffer[lo : lo + values.size] = values, continued at slot 0 past the
+    last slot."""
+    inside = min(values.size, buffer.size - lo)
+    buffer[lo : lo + inside] = values[:inside]
+    buffer[: values.size - inside] = values[inside:]
+
+
 def verify_exactness(weights: WeightSet) -> float:
     """Largest hat-summation defect of the active weights, by brute force.
 
@@ -246,18 +254,17 @@ def verify_exactness(weights: WeightSet) -> float:
     rising, _ = hat_ramps(steps[0])
     for t in range(n2k):
         j = t - (mesh.K - 1)
-        # hat t rises over element t and falls over element t+1
+        # hat t rises over element t and falls over element t+1 up to node t+1
         next_rising, falling = hat_ramps(steps[(t + 1) % n2k])
-        values = np.concatenate((rising, falling[:-1]))
+        lo, length = firsts[t], steps[t] + falling.size - 1
+        _write_wrapped(hats, lo, rising)
+        _write_wrapped(hats, (lo + steps[t]) % n2, falling[:-1])
         rising = next_rising
-        lo = firsts[t]
-        inside = min(values.size, n2 - lo)  # the rest wraps to slot 0
-        hats[lo : lo + inside] = values[:inside]
-        hats[: values.size - inside] = values[inside:]
-        start, size = _pairwise_node(n2, lo, values.size)
+        start, size = _pairwise_node(n2, lo, length)
         full = mesh.epsilon * np.sum(hats[start : start + size])
+        inside = min(length, n2 - lo)
         hats[lo : lo + inside] = 0.0
-        hats[: values.size - inside] = 0.0
+        hats[: length - inside] = 0.0
         near = np.arange(t - 1, t + 2) % n2k
         per_cluster[near] = np.sum(basis_value(mesh, j, members[near]), axis=1)
         start, size = _pairwise_node(n2k, int(near[0]), 3)

@@ -296,7 +296,7 @@ def hat_ramps(s: int) -> tuple[np.ndarray, np.ndarray]:
     """The hat values on an element of s sites: the rising ramp (1..s)/s
     and the falling ramp 1 - (1..s)/s, bit for bit basis_value's d/s_in and
     1 - (d - s_in)/s_out at distances 1..s into the element."""
-    up = np.arange(1, s + 1) / s
+    up = np.arange(1.0, s + 1.0) / s
     return up, 1.0 - up
 
 
@@ -382,25 +382,60 @@ def smoothness_profile(mesh: CoarseMesh) -> SmoothnessProfile:
     return SmoothnessProfile(coefficients=coeff)
 
 
+_GATHER_VALUES = 2**14  # force samples exact_load copies per block, 128 KiB
+
+
 def exact_load(mesh: CoarseMesh, model: ChainModel) -> np.ndarray:
     """Dead load paired with each hat: f[hat_j] = sum eps*f_ell*hat_j(eps*ell),
-    accumulated over the full lattice, slot order."""
+    accumulated over the full lattice, slot order.
+
+    The elements of one step length s are reduced together: np.vecdot dots
+    their rows of s force samples with the two ramps of hat_ramps(s).  Per
+    row it calls the BLAS ddot that np.dot calls on one element's slice, so
+    every load is bit for bit the element-by-element dot (np.dot of a
+    one-site element is the plain product, which can differ only in the
+    sign of a zero, and the sum into zeros below drops that).  Evenly spaced
+    rows (always one or two, and all of a uniform mesh) are one strided view
+    of the samples; others are gathered, at most _GATHER_VALUES samples or
+    one row at a time, and a row longer than that is a view.  The one
+    element that can cross the last slot (when the lattice site N is no
+    node) is copied out whole.
+    """
     check_lattice(model, mesh)
-    # forces in element order, so each element's sites form one contiguous slice
-    start = int(slot_of_site(mesh.repatoms[-1] - 2 * mesh.N + 1, mesh.N))
-    f = np.roll(model.force.samples, -start)
-    ramps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    f = model.force.samples
+    n2, item = f.size, f.itemsize
+    steps = mesh.steps
+    # slot of the first site of element t, site node(t-1) + 1
+    firsts = slot_of_site(mesh.repatoms - steps + 1, mesh.N)
     rising = np.empty(2 * mesh.K)
     falling = np.empty(2 * mesh.K)
-    at = 0
-    for t, s in enumerate(mesh.steps.tolist()):
-        if s not in ramps:
-            ramps[s] = hat_ramps(s)
-        up, down = ramps[s]
-        seg = f[at : at + s]
-        rising[t] = np.dot(seg, up)
-        falling[t] = np.dot(seg, down)
-        at += s
+    wraps = firsts > n2 - steps
+    for t in np.flatnonzero(wraps).tolist():
+        row = np.concatenate((f[firsts[t]:], f[: firsts[t] + steps[t] - n2]))
+        up, down = hat_ramps(int(steps[t]))
+        rising[t], falling[t] = np.vecdot(row, up), np.vecdot(row, down)
+    inside = np.flatnonzero(~wraps)
+    order = inside[np.argsort(steps[inside], kind="stable")]
+    lo, length = firsts[order], steps[order]
+    heads = np.flatnonzero(np.diff(length, prepend=0))  # where each step length starts
+    bounds = [*heads.tolist(), order.size]
+    sums = np.empty((2, order.size))
+    for a, b, s, start in zip(bounds, bounds[1:], length[heads].tolist(), lo[heads].tolist()):
+        up, down = hat_ramps(s)
+        gap = int(lo[a + 1]) - start if b - a > 1 else 0
+        if b - a <= 2 or (np.diff(lo[a:b]) == gap).all():  # evenly spaced: no copy
+            rows = np.ndarray((b - a, s), f.dtype, f, start * item, (gap * item, item))
+            np.vecdot(rows, up, out=sums[0, a:b])
+            np.vecdot(rows, down, out=sums[1, a:b])
+            continue
+        windows = np.ndarray((n2 - s + 1, s), f.dtype, f, 0, (item, item))  # row i: f[i : i + s]
+        per = max(1, _GATHER_VALUES // s)
+        for at in range(a, b, per):
+            block = lo[at : min(at + per, b)]
+            rows = windows[block] if block.size > 1 else windows[block[0], None]
+            np.vecdot(rows, up, out=sums[0, at : at + block.size])
+            np.vecdot(rows, down, out=sums[1, at : at + block.size])
+    rising[order], falling[order] = sums
     # hat t collects the rising ramp of element t and the falling ramp of t+1
     out = np.zeros(2 * mesh.K)
     out += rising

@@ -50,10 +50,10 @@ def slot_of_site(ell, N: int):
 
 
 def _frozen(values, length: int, what: str) -> np.ndarray:
-    """values as a read-only float64 array of shape (length,); an array that
-    already is read-only float64 is kept as it is, not copied."""
+    """values as a read-only contiguous float64 array of shape (length,); an
+    array that already is one is kept as it is, not copied."""
     kept = (isinstance(values, np.ndarray) and values.dtype == np.float64
-            and not values.flags.writeable)
+            and not values.flags.writeable and values.flags.c_contiguous)
     out = values if kept else np.array(values, dtype=float)
     if out.shape != (length,):
         raise ShapeMismatch(f"{what} must have length {length}, got shape {out.shape}")

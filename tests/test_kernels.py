@@ -36,7 +36,7 @@ from qclab import (
     verify_exactness,
 )
 from qclab.cluster import _pairwise_node, _solve_cyclic_tridiagonal
-from qclab.mesh import prolong_rows
+from qclab.mesh import hat_ramps, prolong_rows
 from qclab.cli import _CSV_CHUNK_ROWS, _FIGURES, _execute, _format_rows, _to_json, _write_csv
 from conftest import (
     random_custom_mesh,
@@ -88,21 +88,24 @@ def test_prolong_matches_reference(seed, K):
     assert np.array_equal(got.gradients, want.gradients)
 
 
-def family_mesh(rng, family):
-    """A small mesh of the family; custom meshes put the lattice's wrap point
-    anywhere, also inside an element."""
+def family_mesh(rng, family, steps=(5, 15)):
+    """A small mesh of the family; custom meshes, with random steps in the
+    closed range ``steps``, put the lattice's wrap point anywhere, also
+    inside an element."""
     K = int(rng.integers(2, 7))
     if family == "custom":
-        return random_custom_mesh(rng, K)[0]
+        return random_custom_mesh(rng, K, steps)[0]
     N = {"uniform": K * int(rng.integers(1, 6)), "graded": 2 ** (K - 1),
          "oscillatory": -(-3 * K // 2) + int(rng.integers(0, 20)),
          "smooth": 4 * K + int(rng.integers(0, 20))}[family]
     return build_mesh(MeshSpec(family=family, N=N, K=K))
 
 
+FAMILIES = ["uniform", "graded", "oscillatory", "smooth", "custom"]
+
+
 @KERNELS
-@given(seed=seeds, family=st.sampled_from(["uniform", "graded", "oscillatory", "smooth", "custom"]),
-       data=st.data())
+@given(seed=seeds, family=st.sampled_from(FAMILIES), data=st.data())
 def test_prolong_rows_are_slices_of_prolong(seed, family, data):
     rng = np.random.default_rng(seed)
     mesh = family_mesh(rng, family)
@@ -128,13 +131,74 @@ def test_prolong_rows_are_slices_of_prolong(seed, family, data):
         assert rows(start, stop).tobytes() == whole[start:stop].tobytes(), (start, stop)
 
 
+def assert_exact_load_matches_reference(mesh, rng):
+    model = random_model(rng, mesh.N)
+    assert exact_load(mesh, model).tobytes() == reference_exact_load(mesh, model).tobytes()
+
+
+# custom steps up to 80 reach the BLAS ddot's unrolled kernel (16 or 32
+# values per pass) and its scalar tail in one element
 @KERNELS
-@given(seed=seeds, K=mesh_K)
-def test_exact_load_matches_reference(seed, K):
+@given(seed=seeds, family=st.sampled_from(FAMILIES),
+       steps=st.sampled_from([(5, 15), (1, 80), (60, 300)]))
+def test_exact_load_matches_reference(seed, family, steps):
     rng = np.random.default_rng(seed)
-    mesh, N = random_custom_mesh(rng, K)
-    model = random_model(rng, N)
-    assert np.array_equal(exact_load(mesh, model), reference_exact_load(mesh, model))
+    assert_exact_load_matches_reference(family_mesh(rng, family, steps), rng)
+
+
+@pytest.mark.parametrize("spec", [
+    MeshSpec(family="uniform", N=40000, K=10000),  # one strided view of 20,000 rows
+    MeshSpec(family="graded", N=2**16, K=17),  # pairs of elements up to 2^15 sites
+    MeshSpec(family="smooth", N=2**16, K=2**14),  # gathered blocks, the last one partial
+    MeshSpec(family="oscillatory", N=2**14, K=2**10),
+    # four unevenly spaced elements of 17,000 sites, each longer than a gathered block
+    MeshSpec(family="custom", N=34012, K=4,
+             indices=(-34005, -17005, -17000, 0, 17000, 17007, 34007, 34016)),
+    # the element (130, 250] crosses the slot wrap: sites 131..200, then -199..-150
+    MeshSpec(family="custom", N=200, K=3, indices=(-150, -100, 0, 50, 100, 130)),
+], ids=lambda spec: spec.family)
+def test_exact_load_matches_reference_on_large_groups(spec):
+    assert_exact_load_matches_reference(build_mesh(spec), np.random.default_rng(spec.N))
+
+
+def test_exact_load_of_strided_read_only_samples():
+    # a read-only float64 view that is not contiguous is copied on the way
+    # in, so exact_load's strided views of the samples see contiguous values
+    rng = np.random.default_rng(11)
+    mesh = family_mesh(rng, "custom", (1, 80))
+    wide = rng.normal(size=(2 * mesh.N, 2))
+    wide.setflags(write=False)
+    force = ExternalForce(N=mesh.N, samples=wide[:, 0])
+    assert force.samples.flags.c_contiguous
+    model = ChainModel(N=mesh.N, potential=harmonic_potential(), force=force)
+    assert exact_load(mesh, model).tobytes() == reference_exact_load(mesh, model).tobytes()
+
+
+@pytest.mark.parametrize("s", [*range(1, 41), 64, 257])
+def test_vecdot_is_the_per_row_dot(s):
+    # the numpy/BLAS contract exact_load rests on: np.vecdot of rows that are
+    # a strided view of the samples (any start, any gap between rows) or a
+    # gathered copy of them, or of one 1-D row, against a ramp gives per row
+    # the bits of np.dot on that row's slice; a numpy or BLAS with another
+    # reduction fails here.  Both add the BLAS ddot to +0.0, except np.dot
+    # of one-value vectors, which is the plain product: the two then differ
+    # at most in the sign of a zero, which exact_load's sums into zeros drop.
+    rng = np.random.default_rng(s)
+    f = rng.normal(size=20 * s + 9) * 10.0 ** rng.integers(-8, 9, 20 * s + 9)
+    shifted = np.empty(s + 1)[1:]  # a ramp off the allocation's alignment
+    shifted[:] = rng.random(s)
+    for _ in range(12):
+        gap = int(rng.integers(s, 3 * s + 2))
+        rows = int(rng.integers(1, (f.size - s) // gap + 2))
+        start = int(rng.integers(0, f.size - s - (rows - 1) * gap + 1))
+        item = f.itemsize
+        view = np.ndarray((rows, s), f.dtype, f, start * item, (gap * item, item))
+        for ramp in (*hat_ramps(s), shifted):
+            want = np.array([0.0 + np.dot(f[a : a + s], ramp)
+                             for a in range(start, start + rows * gap, gap)])
+            assert np.vecdot(view, ramp).tobytes() == want.tobytes()
+            assert np.vecdot(view.copy(), ramp).tobytes() == want.tobytes()
+            assert np.vecdot(f[start : start + s], ramp).tobytes() == want[0].tobytes()
 
 
 # Small meshes keep both sums of verify_exactness at the root of numpy's
@@ -309,6 +373,10 @@ def test_to_json_matches_reference(floats, ints, scalar):
         "ints": ints,
         "empty_float": np.array([]),
         "empty_int": np.array([], dtype=int),
+        "empty_ints": [np.array([], dtype=dtype) for dtype in (np.int32, np.uint64, np.uint8)],
+        "negative": np.arange(-5, 3),
+        "int64_limits": np.array([-2**63, -2**63 + 1, -1, 0, 2**63 - 2, 2**63 - 1]),
+        "uint64_limits": np.array([0, 2**63, 2**64 - 1], dtype=np.uint64),
         "nested": {"values": floats[::-1], "mixed": [ints, scalar, None], "none": {}},
         "flags": floats > 0,
         "matrix": np.stack([floats, floats[::-1]]),

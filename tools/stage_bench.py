@@ -5,11 +5,12 @@
 PARENT and CHANGE are checkouts (directories holding src/qclab).  Every
 configuration runs in a fresh interpreter with BLAS and OpenMP capped at one
 thread; cli._execute, cli._write_csv and cli._write_json, and the
-solve_atomistic and verify_exactness that cli._execute calls, are wrapped
-with perf_counter timers from outside the program, and peak_rss_mb is the
-process's ru_maxrss; minor_faults and run_minor_faults are its ru_minflt,
-in total and over the cli.main call.  The two trees alternate, the first one
-per run alternating too, and each value is the median over the runs.
+solve_atomistic, solve_constrained, verify_exactness and exact_load that
+cli._execute calls, are wrapped with perf_counter timers from outside the
+program, and peak_rss_mb is the process's ru_maxrss; minor_faults and
+run_minor_faults are its ru_minflt, in total and over the cli.main call.
+The two trees alternate, the first one per run alternating too, and each
+value is the median over the runs.
 Another fresh interpreter per tree and run times cli._to_json on a 4-value
 float array.  Times are raw wall seconds on whatever host this runs on.
 """
@@ -25,13 +26,17 @@ import subprocess
 import sys
 import tempfile
 
-MESHES = ("uniform", "graded", "oscillatory", "smooth")
+MESHES = ("uniform", "graded", "oscillatory", "smooth", "uniform-fine")
 SIZES = (2**14, 2**17, 2**20)
 STAGES = {
     "cli.execute_s": "cli._execute: force sampling, mesh, the atomistic, constrained and "
                      "energy-cluster solves, diagnostics",
     "cli.solve_atomistic_s": "cli.solve_atomistic: the atomistic reference solve, part of "
                              "cli.execute_s",
+    "solve.solve_constrained_s": "solve_constrained: the constrained (Galerkin) solve, its "
+                                 "exact loads included, part of cli.execute_s",
+    "mesh.exact_load_s": "mesh.exact_load: the exact hat loads, over all calls (one per "
+                         "constrained or energy-cluster solve), part of cli.execute_s",
     "cli.verify_exactness_s": "cli.verify_exactness: the hat-summation defect of the weights, "
                               "part of cli.execute_s",
     "cli.write_csv_s": "cli._write_csv: profile.csv, 2N rows of 4 columns",
@@ -47,9 +52,12 @@ TO_JSON_CALLS = 2000
 
 
 def argv_for(mesh: str, N: int, out: str) -> list[str]:
-    K = N.bit_length() if mesh == "graded" else 64  # log2(N) + 1
-    return ["run", "--mesh", mesh, "--N", str(N), "--K", str(K), "--r", "0",
-            "--method", "energy-cluster", "--force", "sinpi", "--out", out]
+    # graded: K = log2(N) + 1; uniform-fine: elements of 8 sites and no cluster
+    # rule, whose exactness check would loop over all 2K hats
+    K = {"graded": N.bit_length(), "uniform-fine": N // 16}.get(mesh, 64)
+    method = "constrained" if mesh == "uniform-fine" else "energy-cluster"
+    return ["run", "--mesh", mesh.removesuffix("-fine"), "--N", str(N), "--K", str(K), "--r", "0",
+            "--method", method, "--force", "sinpi", "--out", out]
 
 
 def worker(mode: str, args: list[str]) -> dict:
@@ -58,7 +66,8 @@ def worker(mode: str, args: list[str]) -> dict:
     import time
 
     import numpy as np
-    from qclab import cli
+    from qclab import analysis, cli, solve
+    from qclab.mesh import exact_load
 
     if mode == "to_json":
         values = np.random.default_rng(4).random(4)
@@ -80,6 +89,8 @@ def worker(mode: str, args: list[str]) -> dict:
 
     cli._execute = timed("cli.execute_s", cli._execute)
     cli.solve_atomistic = timed("cli.solve_atomistic_s", cli.solve_atomistic)
+    cli.solve_constrained = timed("solve.solve_constrained_s", cli.solve_constrained)
+    solve.exact_load = analysis.exact_load = timed("mesh.exact_load_s", exact_load)
     cli.verify_exactness = timed("cli.verify_exactness_s", cli.verify_exactness)
     cli._write_csv = timed("cli.write_csv_s", cli._write_csv)
     cli._write_json = timed("cli.write_json_s", cli._write_json)
@@ -147,16 +158,18 @@ def main() -> None:
                         out = os.path.join(scratch, name)
                         samples[name].append(spawn(trees[name], "run", argv_for(mesh, N, out)))
                 rows.append({"mesh": mesh, "N": N, "K": int(argv_for(mesh, N, "")[6]), **{
-                    name: {stage: round(statistics.median(s[stage] for s in runs), 4)
+                    # a stage the configuration does not run took 0 s
+                    name: {stage: round(statistics.median(s.get(stage, 0.0) for s in runs), 4)
                            for stage in STAGES} for name, runs in samples.items()}})
                 print(json.dumps(rows[-1]), file=sys.stderr)
         for run in range(opts.runs):
             for name in sorted(trees, reverse=run % 2 == 1):
                 to_json[name].append(spawn(trees[name], "to_json", [])["to_json_4_us"])
     record = {
-        "command": "qclab run --mesh MESH --N N --K K --r 0 --method energy-cluster "
+        "command": "qclab run --mesh MESH --N N --K K --r 0 --method METHOD "
                    "--force sinpi --out DIR",
-        "meshes": "uniform, smooth and oscillatory at K = 64; graded at K = log2(N) + 1",
+        "meshes": "uniform, smooth and oscillatory at K = 64 and graded at K = log2(N) + 1, "
+                  "METHOD energy-cluster; uniform-fine: uniform at K = N/16, METHOD constrained",
         "method": " ".join(__doc__.split("\n\n")[2].split()),
         "stages": STAGES,
         "environment": environment(),
