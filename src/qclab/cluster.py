@@ -10,12 +10,13 @@ that coincides with the exact set on uniform meshes and at r = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .errors import ClusterOverlap, IllPosed, ShapeMismatch
-from .mesh import CoarseMesh, basis_value, hat_ramps
-from .model import slot_of_site
+from .mesh import CoarseMesh, hat_of_distance, hat_ramp
+from .model import BLOCK_VALUES, pairwise_sum, slot_of_site
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,36 +196,26 @@ def solve_weights(system: WeightSystem) -> WeightSet:
                      energy_exact=exact, energy_lumped=lumped, residual=residual)
 
 
-def _pairwise_node(n: int, lo: int, length: int) -> tuple[int, int]:
-    """Offset and length of the smallest node of numpy's pairwise summation
-    tree over n values that holds slots lo .. lo+length-1; the root when
-    they wrap past slot n-1.
+def _support_sum(n: int, lo: int, length: int, fill: Callable[[np.ndarray, int], None],
+                 scratch: np.ndarray) -> float:
+    """np.sum of n values that vanish outside slots lo .. lo+length-1,
+    continued at slot 0 past slot n-1, bit for bit (model.pairwise_sum);
+    fill(out, p) writes the values at positions p .. p+out.size-1 of that
+    support into out.  A node is built in scratch, of at least BLOCK_VALUES
+    values."""
+    spans = [(0, lo + length - n)] if lo + length > n else []
+    spans.append((lo, min(lo + length, n)))
 
-    np.sum of a contiguous float64 array sums leaves of at most 128 values
-    in 8 lanes and splits a longer node of m values at m//2 rounded down to
-    a multiple of 8.  Any node holding the slots sums them to the same bits
-    when the rest is zero; the smallest one is the cheapest.
-    """
-    if lo + length > n:
-        return 0, n
-    start = 0
-    while n > 128:
-        half = n // 2 - (n // 2) % 8
-        if lo + length <= start + half:
-            n = half
-        elif lo >= start + half:
-            start, n = start + half, n - half
-        else:
-            break
-    return start, n
+    def values(start: int, stop: int) -> np.ndarray:
+        out = scratch[: stop - start]
+        out.fill(0.0)
+        for a, b in spans:
+            a, b = max(a, start), min(b, stop)
+            if a < b:
+                fill(out[a - start : b - start], (a - lo) % n)
+        return out
 
-
-def _write_wrapped(buffer: np.ndarray, lo: int, values: np.ndarray) -> None:
-    """buffer[lo : lo + values.size] = values, continued at slot 0 past the
-    last slot."""
-    inside = min(values.size, buffer.size - lo)
-    buffer[lo : lo + inside] = values[:inside]
-    buffer[: values.size - inside] = values[inside:]
+    return pairwise_sum(n, values, spans)
 
 
 def verify_exactness(weights: WeightSet) -> float:
@@ -232,43 +223,44 @@ def verify_exactness(weights: WeightSet) -> float:
 
     For every node j the full-lattice sum eps*sum_ell hat_j(eps*ell) is
     compared against the weighted cluster sums; exact weights push this to
-    the rounding floor by construction.  Hat j lives on its two elements
-    and meets only the clusters of nodes j-1, j, j+1, so each sum runs over
-    the smallest node of numpy's pairwise summation tree (`_pairwise_node`)
-    that holds those slots, over the lattice and over the 2K clusters.  The
-    result is bit for bit the sum over the whole zero-padded buffer: every
-    tree node above that one adds the +0.0 sum of its other half, which is
-    exact for the nonnegative hat values and weighted cluster sums.  Hats
-    and clusters that wrap past the last slot are summed over the root.
+    the rounding floor by construction.  Each sum is np.sum over the whole
+    zero-padded lattice (2N values) or over the 2K clusters, bit for bit,
+    but built from where hat j is nonzero (`_support_sum`): its two
+    elements, whose ramps are computed a slice at a time, and the clusters
+    of nodes j-1, j and j+1.  Those three cluster sums of the hat come from
+    hat_of_distance, basis_value's formula, for many hats at once.
     """
-    mesh = weights.rule.mesh
-    members = weights.rule.member_matrix()
-    active = weights.energy
+    rule = weights.rule
+    mesh = rule.mesh
     n2k, n2 = 2 * mesh.K, 2 * mesh.N
+    # weighted[t, i]: the active weight of cluster t-1+i times hat t summed over it
+    weighted = np.empty((n2k, 3))
+    per = max(1, BLOCK_VALUES // (3 * rule.size))
+    for a in range(0, n2k, per):
+        t = np.arange(a, min(a + per, n2k))[:, None, None]
+        near = (t + np.arange(-1, 2)[:, None]) % n2k
+        d = (mesh.repatoms[near] + np.arange(-rule.r, rule.r + 1) - mesh.repatoms[t - 1]) % n2
+        sums = hat_of_distance(d, mesh.steps[t], mesh.steps[(t + 1) % n2k]).sum(axis=-1)
+        weighted[a : a + t.size] = weights.energy[near[..., 0]] * sums
     steps = mesh.steps.tolist()
     # slot of the first site of element t, site node(t-1) + 1
     firsts = slot_of_site(np.roll(mesh.repatoms, 1) + 1, mesh.N).tolist()
-    hats = np.zeros(n2)
-    per_cluster = np.zeros(n2k)
+    scratch = np.empty(BLOCK_VALUES)
     worst = 0.0
-    rising, _ = hat_ramps(steps[0])
     for t in range(n2k):
-        j = t - (mesh.K - 1)
-        # hat t rises over element t and falls over element t+1 up to node t+1
-        next_rising, falling = hat_ramps(steps[(t + 1) % n2k])
-        lo, length = firsts[t], steps[t] + falling.size - 1
-        _write_wrapped(hats, lo, rising)
-        _write_wrapped(hats, (lo + steps[t]) % n2, falling[:-1])
-        rising = next_rising
-        start, size = _pairwise_node(n2, lo, length)
-        full = mesh.epsilon * np.sum(hats[start : start + size])
-        inside = min(length, n2 - lo)
-        hats[lo : lo + inside] = 0.0
-        hats[: length - inside] = 0.0
-        near = np.arange(t - 1, t + 2) % n2k
-        per_cluster[near] = np.sum(basis_value(mesh, j, members[near]), axis=1)
-        start, size = _pairwise_node(n2k, int(near[0]), 3)
-        clustered = float(np.sum(active[start : start + size] * per_cluster[start : start + size]))
-        per_cluster[near] = 0.0
+        rise, fall = steps[t], steps[(t + 1) % n2k]
+
+        def hat(out: np.ndarray, p: int) -> None:
+            # hat t rises over element t and falls over element t+1 up to node t+1
+            up = max(0, min(out.size, rise - p))
+            out[:up] = hat_ramp(rise, p, p + up)
+            if up < out.size:
+                np.subtract(1.0, hat_ramp(fall, p + up - rise, p + out.size - rise), out=out[up:])
+
+        def clusters(out: np.ndarray, p: int) -> None:
+            out[:] = weighted[t, p : p + out.size]
+
+        full = mesh.epsilon * _support_sum(n2, firsts[t], rise + fall - 1, hat, scratch)
+        clustered = _support_sum(n2k, (t - 1) % n2k, 3, clusters, scratch)
         worst = max(worst, abs(full - clustered))
     return worst

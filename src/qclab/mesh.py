@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstraintViolation, MeshBuildError, ShapeMismatch, UnknownFamily
-from .model import ChainModel, Displacement, check_lattice_size, slot_of_site
+from .model import BLOCK_VALUES, ChainModel, Displacement, check_lattice_size, slot_of_site
 
 _FAMILIES = ("uniform", "graded", "oscillatory", "smooth", "custom")
 
@@ -282,22 +282,30 @@ def basis_value(mesh: CoarseMesh, j: int, ell):
     """
     tj = int(mesh.node_slot(j))
     left = mesh.repatoms[tj - 1] if tj else mesh.repatoms[-1] - 2 * mesh.N
-    s_in = mesh.steps[tj]
-    s_out = mesh.steps[(tj + 1) % (2 * mesh.K)]
     d = (np.asarray(ell) - left) % (2 * mesh.N)
-    rising = d / s_in
-    falling = 1.0 - (d - s_in) / s_out
-    out = np.where(d <= s_in, rising, np.where(d < s_in + s_out, falling, 0.0))
-    out = np.where(d == 0, 0.0, out)
+    out = hat_of_distance(d, mesh.steps[tj], mesh.steps[(tj + 1) % (2 * mesh.K)])
     return out if out.ndim else float(out)
 
 
-def hat_ramps(s: int) -> tuple[np.ndarray, np.ndarray]:
-    """The hat values on an element of s sites: the rising ramp (1..s)/s
-    and the falling ramp 1 - (1..s)/s, bit for bit basis_value's d/s_in and
-    1 - (d - s_in)/s_out at distances 1..s into the element."""
-    up = np.arange(1.0, s + 1.0) / s
-    return up, 1.0 - up
+def hat_of_distance(d, s_in, s_out) -> np.ndarray:
+    """The hat over two elements of s_in and s_out sites at lattice distance
+    d = 0 .. 2N-1 past the node before them: d/s_in on the first element,
+    1 - (d - s_in)/s_out on the second, 0 elsewhere.  Arrays broadcast."""
+    rising = d / s_in
+    falling = 1.0 - (d - s_in) / s_out
+    out = np.where(d <= s_in, rising, np.where(d < s_in + s_out, falling, 0.0))
+    return np.where(d == 0, 0.0, out)
+
+
+def hat_ramp(s: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """The rising hat values (start+1 .. stop)/s at distances start+1..stop
+    into an element of s sites (all s of them by default), bit for bit
+    hat_of_distance's d/s_in; 1.0 minus it is the falling ramp, its
+    1 - (d - s_in)/s_out.  Every numerator is an exact integer, so a slice
+    of the ramp is computed alone."""
+    up = np.arange(start + 1.0, (s if stop is None else stop) + 1.0)
+    up /= s
+    return up
 
 
 def prolong_rows(V: NodalField) -> Callable[[int, int], np.ndarray]:
@@ -382,24 +390,22 @@ def smoothness_profile(mesh: CoarseMesh) -> SmoothnessProfile:
     return SmoothnessProfile(coefficients=coeff)
 
 
-_GATHER_VALUES = 2**14  # force samples exact_load copies per block, 128 KiB
-
-
 def exact_load(mesh: CoarseMesh, model: ChainModel) -> np.ndarray:
     """Dead load paired with each hat: f[hat_j] = sum eps*f_ell*hat_j(eps*ell),
     accumulated over the full lattice, slot order.
 
     The elements of one step length s are reduced together: np.vecdot dots
-    their rows of s force samples with the two ramps of hat_ramps(s).  Per
-    row it calls the BLAS ddot that np.dot calls on one element's slice, so
-    every load is bit for bit the element-by-element dot (np.dot of a
-    one-site element is the plain product, which can differ only in the
-    sign of a zero, and the sum into zeros below drops that).  Evenly spaced
-    rows (always one or two, and all of a uniform mesh) are one strided view
-    of the samples; others are gathered, at most _GATHER_VALUES samples or
-    one row at a time, and a row longer than that is a view.  The one
-    element that can cross the last slot (when the lattice site N is no
-    node) is copied out whole.
+    their rows of s force samples with the rising ramp hat_ramp(s), then
+    with the falling one, which overwrites it, so one ramp is alive at a
+    time.  Per row it calls the BLAS ddot that np.dot calls on one
+    element's slice, so every load is bit for bit the element-by-element dot
+    (np.dot of a one-site element is the plain product, which can differ
+    only in the sign of a zero, and the sum into zeros below drops that).
+    Evenly spaced rows (always one or two, and all of a uniform mesh) are
+    one strided view of the samples; others are gathered, at most
+    BLOCK_VALUES samples or one row at a time, and a row longer than that
+    is a view.  The one element that can cross the last slot (when the
+    lattice site N is no node) is copied out whole.
     """
     check_lattice(model, mesh)
     f = model.force.samples
@@ -410,10 +416,6 @@ def exact_load(mesh: CoarseMesh, model: ChainModel) -> np.ndarray:
     rising = np.empty(2 * mesh.K)
     falling = np.empty(2 * mesh.K)
     wraps = firsts > n2 - steps
-    for t in np.flatnonzero(wraps).tolist():
-        row = np.concatenate((f[firsts[t]:], f[: firsts[t] + steps[t] - n2]))
-        up, down = hat_ramps(int(steps[t]))
-        rising[t], falling[t] = np.vecdot(row, up), np.vecdot(row, down)
     inside = np.flatnonzero(~wraps)
     order = inside[np.argsort(steps[inside], kind="stable")]
     lo, length = firsts[order], steps[order]
@@ -421,21 +423,29 @@ def exact_load(mesh: CoarseMesh, model: ChainModel) -> np.ndarray:
     bounds = [*heads.tolist(), order.size]
     sums = np.empty((2, order.size))
     for a, b, s, start in zip(bounds, bounds[1:], length[heads].tolist(), lo[heads].tolist()):
-        up, down = hat_ramps(s)
         gap = int(lo[a + 1]) - start if b - a > 1 else 0
-        if b - a <= 2 or (np.diff(lo[a:b]) == gap).all():  # evenly spaced: no copy
-            rows = np.ndarray((b - a, s), f.dtype, f, start * item, (gap * item, item))
-            np.vecdot(rows, up, out=sums[0, a:b])
-            np.vecdot(rows, down, out=sums[1, a:b])
-            continue
-        windows = np.ndarray((n2 - s + 1, s), f.dtype, f, 0, (item, item))  # row i: f[i : i + s]
-        per = max(1, _GATHER_VALUES // s)
-        for at in range(a, b, per):
-            block = lo[at : min(at + per, b)]
-            rows = windows[block] if block.size > 1 else windows[block[0], None]
-            np.vecdot(rows, up, out=sums[0, at : at + block.size])
-            np.vecdot(rows, down, out=sums[1, at : at + block.size])
+        evenly = b - a <= 2 or (np.diff(lo[a:b]) == gap).all()
+        ramp = hat_ramp(s)
+        for side in (0, 1):
+            if side:
+                np.subtract(1.0, ramp, out=ramp)  # the falling ramp
+            if evenly:  # no copy
+                rows = np.ndarray((b - a, s), f.dtype, f, start * item, (gap * item, item))
+                np.vecdot(rows, ramp, out=sums[side, a:b])
+                continue
+            windows = np.ndarray((n2 - s + 1, s), f.dtype, f, 0, (item, item))  # row i: f[i : i + s]
+            per = max(1, BLOCK_VALUES // s)
+            for at in range(a, b, per):
+                block = lo[at : min(at + per, b)]
+                rows = windows[block] if block.size > 1 else windows[block[0], None]
+                np.vecdot(rows, ramp, out=sums[side, at : at + block.size])
+        del ramp  # before the next length builds its own
     rising[order], falling[order] = sums
+    for t in np.flatnonzero(wraps).tolist():
+        row = np.concatenate((f[firsts[t]:], f[: firsts[t] + steps[t] - n2]))
+        ramp = hat_ramp(int(steps[t]))
+        rising[t] = np.vecdot(row, ramp)
+        falling[t] = np.vecdot(row, np.subtract(1.0, ramp, out=ramp))
     # hat t collects the rising ramp of element t and the falling ramp of t+1
     out = np.zeros(2 * mesh.K)
     out += rising

@@ -49,6 +49,44 @@ def slot_of_site(ell, N: int):
     return (np.asarray(ell) + N - 1) % (2 * N)
 
 
+BLOCK_VALUES = 2**14  # lattice values a blockwise pass holds at a time, 128 KiB
+
+
+def pairwise_sum(n: int, values: Callable[[int, int], np.ndarray],
+                 spans: list[tuple[int, int]] | None = None) -> float:
+    """np.sum of n float64 values, bit for bit, holding at most BLOCK_VALUES of
+    them at a time; values(start, stop) returns values start..stop-1.
+
+    np.sum of a contiguous array of n > 128 values is np.sum of its first
+    m = n//2 - (n//2) % 8 values plus np.sum of the rest (numpy's pairwise
+    tree), so a node is split until it holds at most BLOCK_VALUES values.  When
+    the values vanish outside ``spans``, ascending disjoint slot ranges, a
+    child holding none of them is skipped, also below BLOCK_VALUES: its sum
+    +0.0 changes no sum but -0.0.
+    """
+    return _node_sum(0, n, [(0, n)] if spans is None else spans, values)
+
+
+def _node_sum(start: int, size: int, spans: list[tuple[int, int]],
+              values: Callable[[int, int], np.ndarray]) -> float:
+    """pairwise_sum over the tree node of size slots from slot start."""
+    lo, hi = spans[0][0], spans[-1][1]
+    while size > 128:
+        mid = start + size // 2 - (size // 2) % 8
+        if hi <= mid:
+            size = mid - start
+        elif lo >= mid:
+            start, size = mid, start + size - mid
+        elif size <= BLOCK_VALUES:
+            break
+        else:
+            left = [(a, min(b, mid)) for a, b in spans if a < mid]
+            right = [(max(a, mid), b) for a, b in spans if b > mid]
+            return (_node_sum(start, mid - start, left, values)
+                    + _node_sum(mid, start + size - mid, right, values))
+    return float(np.sum(values(start, start + size)))
+
+
 def _frozen(values, length: int, what: str) -> np.ndarray:
     """values as a read-only contiguous float64 array of shape (length,); an
     array that already is one is kept as it is, not copied."""
@@ -222,7 +260,7 @@ def _checked_strains(model: ChainModel, v: Displacement) -> np.ndarray:
 def stored_energy(model: ChainModel, v: Displacement) -> float:
     """Internal energy: sum over all bonds of epsilon*phi(strain)."""
     g = _checked_strains(model, v)
-    return float(model.epsilon * np.sum(model.potential.value(g)))
+    return model.epsilon * pairwise_sum(g.size, lambda a, b: model.potential.value(g[a:b]))
 
 
 def external_work(model: ChainModel, v: Displacement) -> float:

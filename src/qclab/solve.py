@@ -29,6 +29,7 @@ from .errors import ConvexityLoss, IllPosed, NewtonFailure
 from .cluster import ClusterRule, WeightSet
 from .mesh import CoarseMesh, NodalField, check_field, check_lattice, exact_load, prolong
 from .model import (
+    BLOCK_VALUES,
     ChainModel,
     Displacement,
     PairPotential,
@@ -107,23 +108,28 @@ def _path_cumsum(x: np.ndarray, first: int) -> None:
     np.cumsum(x[:end], out=x[:end])
 
 
-def _solve_chain(pot: PairPotential, coeff, h, load, pinned: int, scale=1.0):
+def _solve_chain(pot: PairPotential, coeff, h, load, pinned: int, scale=1.0, factor=1.0):
     """Shared path-elimination core; see the module docstring.
 
-    Returns (gradients, values, residual, reaction, iterations) where the residual
-    and reaction re-evaluate scale_j (c_j phi'(g_j) - c_{j+1} phi'(g_{j+1})) - L_j,
-    whose rows are solved as the unscaled ones with load L_j / scale_j.  coeff,
-    h and scale may be scalars.  Besides the load, a quadratic solve holds at
-    most two arrays of its length at a time: the gradients, built in place
-    from the cumulated loads, and one of the closure weights, the equations
-    or the values.  The returned arrays are read-only.
+    Returns (gradients, values, residual, reaction, iterations) where the
+    residual and reaction re-evaluate scale_j (c_j phi'(g_j) - c_{j+1}
+    phi'(g_{j+1})) - L_j, whose rows are solved as the unscaled ones with
+    load L_j / scale_j.  The load L = load * factor (the atomistic solve's
+    epsilon times the force samples) is never formed whole: it is multiplied
+    into the first buffer, and subtracted from the equations BLOCK_VALUES
+    values at a time.  coeff, h and scale may be scalars.  Besides load, a
+    quadratic solve holds at most two arrays of its length at a time: the
+    gradients, built in place from the cumulated loads, and one of the
+    closure weights, the equations or the values.  The returned arrays are
+    read-only.
     """
     n = len(load)
     first = (pinned + 1) % n
     # tbar_j = -(sum of L/scale along the path from node first to j-1): the
     # load at slot j goes to buf[j + 1], so the wrap's sum lands in buf[n]
     buf = np.empty(n + 1)
-    np.divide(load, scale, out=buf[1:])
+    np.multiply(load, factor, out=buf[1:])
+    buf[1:] /= scale
     _path_cumsum(buf[1:], first)
     buf[0] = buf[n]
     tbar = np.negative(buf[:n], out=buf[:n])
@@ -142,7 +148,8 @@ def _solve_chain(pot: PairPotential, coeff, h, load, pinned: int, scale=1.0):
     np.subtract(equations[:-1], equations[1:], out=equations[:-1])
     equations[-1] = wrap
     equations *= scale
-    equations -= load
+    for at in range(0, n, BLOCK_VALUES):  # minus L, a block at a time
+        equations[at : at + BLOCK_VALUES] -= load[at : at + BLOCK_VALUES] * factor
     reaction = float(equations[pinned])
     equations[pinned] = 0.0
     residual = float(np.max(np.abs(equations, out=equations)))
@@ -156,9 +163,11 @@ def _solve_chain(pot: PairPotential, coeff, h, load, pinned: int, scale=1.0):
 
 
 def _report(method: str, solution, load, residual: float, reaction: float,
-            iterations: int) -> SolveReport:
-    """Package a solve, rejecting a residual above the tolerance its load sets."""
-    tol = 1e-10 * (1.0 + max(float(np.max(load)), -float(np.min(load))))  # max |L|
+            iterations: int, factor=1.0) -> SolveReport:
+    """Package a solve, rejecting a residual above the tolerance its load
+    L = load * factor sets.  Rounding is monotone, so with factor > 0 the
+    extremes of L are those of load times factor, bit for bit."""
+    tol = 1e-10 * (1.0 + max(float(np.max(load)) * factor, -(float(np.min(load)) * factor)))
     if not residual <= tol:
         raise NewtonFailure(f"{method} solve left residual {residual:.3e} above {tol:.3e}")
     return SolveReport(solution=solution, residual=residual, reaction=reaction,
@@ -168,12 +177,12 @@ def _report(method: str, solution, load, residual: float, reaction: float,
 def solve_atomistic(model: ChainModel) -> SolveReport:
     """Equilibrium of the full chain: every site force vanishes except at the
     pinned site 0, whose equation is reported as the reaction."""
-    load = model.epsilon * model.force.samples
+    load = model.force.samples  # times epsilon
     g, values, residual, reaction, iters = _solve_chain(
-        model.potential, 1.0, model.epsilon, load, model.N - 1
+        model.potential, 1.0, model.epsilon, load, model.N - 1, factor=model.epsilon
     )
     return _report("atomistic", Displacement(N=model.N, values=values, gradients=g),
-                   load, residual, reaction, iters)
+                   load, residual, reaction, iters, factor=model.epsilon)
 
 
 def solve_constrained(model: ChainModel, mesh: CoarseMesh) -> SolveReport:

@@ -170,15 +170,20 @@ def reference_exact_load(mesh, model):
 
 
 def reference_verify_exactness(mesh, rule, weights):
-    """Hat-summation defect with every hat evaluated on the whole lattice
-    and on every cluster."""
+    """Hat-summation defect with every hat written into a zeroed lattice
+    buffer (basis_value over its two elements) and summed over all 2N
+    slots, and evaluated on every cluster."""
     members = rule.member_matrix()
     active = weights.energy
-    sites = np.arange(-mesh.N + 1, mesh.N + 1)
+    hats = np.zeros(2 * mesh.N)
     worst = 0.0
     for t in range(2 * mesh.K):
         j = t - (mesh.K - 1)
-        full = mesh.epsilon * np.sum(basis_value(mesh, j, sites))
+        sites = np.arange(int(mesh.node(j - 1)) + 1, int(mesh.node(j + 1)))
+        slots = slot_of_site(sites, mesh.N)
+        hats[slots] = basis_value(mesh, j, sites)
+        full = mesh.epsilon * np.sum(hats)
+        hats[slots] = 0.0
         clustered = float(np.sum(active * np.sum(basis_value(mesh, j, members), axis=1)))
         worst = max(worst, abs(full - clustered))
     return worst

@@ -35,8 +35,9 @@ from qclab import (
     solve_weights,
     verify_exactness,
 )
-from qclab.cluster import _pairwise_node, _solve_cyclic_tridiagonal
-from qclab.mesh import hat_ramps, prolong_rows
+from qclab.cluster import _solve_cyclic_tridiagonal
+from qclab.mesh import hat_of_distance, hat_ramp, prolong_rows
+from qclab.model import BLOCK_VALUES, pairwise_sum
 from qclab.cli import _CSV_CHUNK_ROWS, _FIGURES, _execute, _format_rows, _to_json, _write_csv
 from conftest import (
     random_custom_mesh,
@@ -193,7 +194,7 @@ def test_vecdot_is_the_per_row_dot(s):
         start = int(rng.integers(0, f.size - s - (rows - 1) * gap + 1))
         item = f.itemsize
         view = np.ndarray((rows, s), f.dtype, f, start * item, (gap * item, item))
-        for ramp in (*hat_ramps(s), shifted):
+        for ramp in (hat_ramp(s), 1.0 - hat_ramp(s), shifted):
             want = np.array([0.0 + np.dot(f[a : a + s], ramp)
                              for a in range(start, start + rows * gap, gap)])
             assert np.vecdot(view, ramp).tobytes() == want.tobytes()
@@ -223,6 +224,43 @@ def test_verify_exactness_matches_reference(seed, shape, r, mode):
     )
 
 
+def scratch_sized_mesh(data):
+    """A custom mesh of a few long elements, no two more than a factor 2
+    apart, on a lattice of about one or two BLOCK_VALUES blocks (2N just below or
+    above one, or just below or above two), so hats fill nodes on either
+    side of the scratch size; the lattice site N is a node or not."""
+    K = data.draw(st.integers(2, 4), label="K")
+    n2 = data.draw(st.sampled_from([1, 2]), label="blocks") * BLOCK_VALUES
+    n2 += 2 * data.draw(st.integers(-40, 40), label="offset")
+    halves = [n2 // 2] * 2 if data.draw(st.booleans(), label="node at N") else [n2]
+    steps = []
+    for total in halves:
+        shares = np.cumsum(data.draw(st.lists(st.integers(2, 4), min_size=2 * K // len(halves),
+                                              max_size=2 * K // len(halves)), label="shares"))
+        steps += np.diff(np.rint(total * shares / shares[-1]), prepend=0).astype(int).tolist()
+    reps = np.cumsum(steps) - np.cumsum(steps)[K - 1]
+    return build_mesh(MeshSpec(family="custom", N=n2 // 2, K=K, indices=tuple(reps.tolist())))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), r=st.integers(0, 10**9), mode=st.sampled_from(["exact", "lumped"]))
+def test_verify_exactness_matches_reference_at_the_scratch_size(data, r, mode):
+    mesh = scratch_sized_mesh(data)
+    rule = ClusterRule(mesh=mesh, r=admissible(mesh, r))
+    weights = solve_weights(assemble_weight_system(rule)).with_mode(mode)
+    assert verify_exactness(weights) == reference_verify_exactness(mesh, rule, weights)
+
+
+@pytest.mark.parametrize("K", range(2, 22))
+def test_verify_exactness_matches_reference_on_graded_meshes(K):
+    # the half-lattice elements of graded K = 21 (N = 2^20) span 32 scratch blocks each
+    mesh = build_mesh(MeshSpec(family="graded", N=2 ** (K - 1), K=K))
+    weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=0)))
+    for mode in ("exact", "lumped"):
+        assert verify_exactness(weights.with_mode(mode)) == reference_verify_exactness(
+            mesh, weights.rule, weights.with_mode(mode))
+
+
 def pairwise_splits(n):
     """(start, split) of every node of numpy's pairwise tree over n values
     longer than its 128-value leaves."""
@@ -236,11 +274,52 @@ def pairwise_splits(n):
     return splits
 
 
+@pytest.mark.parametrize("n", [129, 136, 1000, BLOCK_VALUES - 8, BLOCK_VALUES + 8, 3 * BLOCK_VALUES + 5])
+def test_sum_is_the_sum_of_its_pairwise_halves(n):
+    # the numpy contract pairwise_sum rests on: np.sum of a contiguous array
+    # of n > 128 values is np.sum of its first n//2 - (n//2) % 8 values plus
+    # np.sum of the rest, bit for bit; a numpy with another reduction fails here
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        a = rng.random(n) * 10.0 ** rng.integers(-8, 9, n) * rng.choice([-1.0, 1.0], n)
+        m = n // 2 - (n // 2) % 8
+        assert np.sum(a) == np.sum(a[:m]) + np.sum(a[m:])
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 7, 8, 100, 12345, BLOCK_VALUES + 3, 2**19])
+def test_ramp_slices_are_slices_of_the_ramp(s):
+    # the ramps verify_exactness builds a slice at a time are the whole
+    # element's ramp (1..s)/s, sliced, bit for bit
+    rng = np.random.default_rng(s)
+    whole = np.arange(1, s + 1) / s
+    assert hat_ramp(s).tobytes() == whole.tobytes()
+    for _ in range(20):
+        a = int(rng.integers(0, s + 1))
+        b = int(rng.integers(a, s + 1))
+        assert hat_ramp(s, a, b).tobytes() == whole[a:b].tobytes(), (a, b)
+
+
+# every radius the tests and benchmarks use: up to 7 on small meshes, and up
+# to the admissible maximum (below 4,106) on the scratch-sized ones
+@pytest.mark.parametrize("r", [*range(0, 33), 64, 100, 1000, 2500, 4105])
+def test_batched_cluster_sums_are_the_per_row_sums(r):
+    # verify_exactness sums the hat over many clusters at once with
+    # .sum(axis=-1) on a (hats, 3, 2r+1) array; per row that is np.sum of
+    # the row, bit for bit
+    rng = np.random.default_rng(r)
+    hats = min(300, max(4, 2**18 // (2 * r + 1)))
+    s_in, s_out = rng.integers(2 * r + 1, 4 * r + 40, size=(2, hats, 1, 1))
+    d = rng.integers(0, 5 * r + 90, size=(hats, 3, 2 * r + 1))
+    values = hat_of_distance(d, s_in, s_out)
+    rows = np.array([[np.sum(row) for row in hat] for hat in values])
+    assert values.sum(axis=-1).tobytes() == rows.tobytes()
+
+
 @pytest.mark.parametrize("n", [7, 8, 127, 128, 129, 1000, 20000, 2**18 + 24])
 def test_sum_ignores_zeros_outside_the_pairwise_node(n):
-    # the numpy contract verify_exactness rests on: np.sum of a buffer that
-    # is zero outside some slots equals np.sum of the pairwise-tree node
-    # holding them, bit for bit; a numpy with another reduction fails here
+    # pairwise_sum of values that are zero outside some slots skips the
+    # pairwise-tree nodes outside them and builds at most BLOCK_VALUES values
+    # at a time, yet equals np.sum of all n values, bit for bit
     rng = np.random.default_rng(n)
     intervals = []
     for _ in range(40):
@@ -252,12 +331,19 @@ def test_sum_ignores_zeros_outside_the_pairwise_node(n):
         width = int(rng.integers(1, split - start + 1))
         # ending at the split, starting at it, and straddling it
         intervals += [(split - width, width), (split, width), (split - 1, 2)]
+    intervals.append((0, n))
     buffer = np.zeros(n)
     for lo, length in intervals:
         buffer[lo : lo + length] = rng.random(length) * 10.0 ** rng.integers(-6, 7, length)
-        start, size = _pairwise_node(n, lo, length)
-        assert start <= lo and lo + length <= start + size <= n
-        assert np.sum(buffer) == np.sum(buffer[start : start + size]), (lo, length)
+        built = []
+
+        def values(start, stop):
+            built.append(stop - start)
+            return buffer[start:stop].copy()
+
+        assert np.sum(buffer) == pairwise_sum(n, values, [(lo, lo + length)]), (lo, length)
+        assert np.sum(buffer) == pairwise_sum(n, values)
+        assert max(built) <= max(BLOCK_VALUES, 128)
         buffer[lo : lo + length] = 0.0
 
 

@@ -1,21 +1,23 @@
 """Memory budget of `qclab run`, counted in lattice arrays.
 
 One lattice array is the 2N float64 values of one field, 16·N bytes.  The
-run's lattice work needs a handful of them at once: the force samples, the
-atomistic solution (values and gradients) and the solver's working arrays.
-The profile's other columns are computed 4096 rows at a time.  These tests
-take tracemalloc's peak over one call, at N = 2^16, where one array is 1 MiB
-and the CSV kernel's fixed chunk temporaries are about two more.
+run's lattice work needs three of them at once: the force samples and the
+atomistic solution (values and gradients); each stage adds little beyond
+them.  The profile's other columns are computed 4096 rows at a time.  These
+tests take tracemalloc's peak over one call, at N = 2^16, where one array is
+1 MiB and the CSV kernel's fixed chunk temporaries are about two more.
 """
 
 import tracemalloc
 
 import pytest
 
+from qclab import cli, solve
 from qclab.cli import RunConfig, _execute, main
 
 N = 2**16
-BUDGET = 7  # lattice arrays
+BUDGET = 4.5  # lattice arrays
+STAGE_BUDGET = 0.5  # lattice arrays a stage may hold beyond its entry or its result
 
 CONFIGS = {
     "graded-energy-cluster": RunConfig(mesh="graded", N=N, K=17, r=0, weights="exact",
@@ -52,3 +54,34 @@ def test_run_peak_in_lattice_arrays(tmp_path, capsys, name):
           "--out", str(tmp_path / "warm")])  # builds the CSV kernel's lazy tables
     argv = run_argv(CONFIGS[name], tmp_path)
     assert peak_arrays(lambda: main(argv)) <= BUDGET
+
+
+# the lattice stages of _execute, each in the namespace its caller looks it up in
+STAGES = {"solve_atomistic": cli, "exact_load": solve, "verify_exactness": cli,
+          "error_report": cli}
+
+
+def test_graded_stages_stay_near_their_resident_set(monkeypatch):
+    # every call of a lattice stage peaks at most STAGE_BUDGET above the larger
+    # of what was allocated when it started and when it returned (its result)
+    rises = {}
+
+    def traced(name, function):
+        def wrapper(*args, **kwargs):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = function(*args, **kwargs)
+            current, peak = tracemalloc.get_traced_memory()
+            rises.setdefault(name, []).append((peak - max(entry, current)) / (16 * N))
+            return result
+        return wrapper
+
+    for name, module in STAGES.items():
+        monkeypatch.setattr(module, name, traced(name, getattr(module, name)))
+    tracemalloc.start()
+    try:
+        _execute(CONFIGS["graded-energy-cluster"])
+    finally:
+        tracemalloc.stop()
+    assert set(rises) == set(STAGES)
+    assert max(max(calls) for calls in rises.values()) <= STAGE_BUDGET, rises
