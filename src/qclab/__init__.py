@@ -26,19 +26,12 @@ from .model import (
     ExternalForce,
     PairPotential,
     energy_norm,
-    external_work,
     harmonic_potential,
     lattice_coordinates,
-    lattice_sites,
     quartic_potential,
     sample_force,
-    site_energies,
-    site_energy,
-    site_force,
-    site_forces,
     slot_of_site,
     stored_energy,
-    total_energy,
 )
 from .mesh import (
     CoarseMesh,
@@ -63,7 +56,6 @@ from .cluster import (
 )
 from .solve import (
     SolveReport,
-    assemble_cluster_forces,
     cluster_load,
     effective_stiffness,
     energy_cluster_functional,
@@ -81,7 +73,6 @@ from .analysis import (
     convergence_study,
     error_report,
     force_scaling_study,
-    galerkin_defect,
     gradient_alternation,
     load_defect,
     predicted_relative_band,
@@ -96,9 +87,7 @@ __all__ = [
     "NewtonFailure", "UnknownFamily", "ShapeMismatch", "ConstraintViolation",
     "ChainModel", "Displacement", "ExternalForce", "PairPotential",
     "harmonic_potential", "quartic_potential", "sample_force",
-    "lattice_sites", "lattice_coordinates", "slot_of_site",
-    "stored_energy", "external_work", "total_energy", "energy_norm",
-    "site_energy", "site_energies", "site_force", "site_forces",
+    "lattice_coordinates", "slot_of_site", "stored_energy", "energy_norm",
     "MeshSpec", "CoarseMesh", "NodalField", "SmoothnessProfile",
     "build_mesh", "parse_mesh_descriptor", "load_custom_indices",
     "basis_value", "prolong", "smoothness_profile", "exact_load",
@@ -106,10 +95,10 @@ __all__ = [
     "assemble_weight_system", "solve_weights", "verify_exactness",
     "SolveReport", "solve_atomistic", "solve_constrained",
     "solve_energy_cluster", "solve_force_cluster",
-    "cluster_load", "assemble_cluster_forces", "energy_cluster_functional",
+    "cluster_load", "energy_cluster_functional",
     "effective_stiffness",
     "ConsistencyEstimate", "ErrorReport", "ConvergenceTable", "ForceScalingStudy",
-    "consistency_estimate", "error_report", "galerkin_defect",
+    "consistency_estimate", "error_report",
     "predicted_relative_band", "convergence_study", "smooth_mesh_consistency",
     "load_defect", "gradient_alternation",
     "force_scaling_study",

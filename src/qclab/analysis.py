@@ -18,8 +18,8 @@ import numpy as np
 from .cluster import ClusterRule, WeightSet, assemble_weight_system, solve_weights
 from .errors import UnknownFamily
 from .mesh import MeshSpec, NodalField, build_mesh, check_field, check_lattice, exact_load
-from .mesh import parse_mesh_descriptor, prolong, smoothness_profile
-from .model import ChainModel, Displacement, _checked_strains, energy_norm, harmonic_potential
+from .mesh import parse_mesh_descriptor, smoothness_profile
+from .model import ChainModel, Displacement, energy_norm, harmonic_potential
 from .model import sample_force, stored_energy
 from .solve import cluster_load, solve_constrained, solve_energy_cluster, solve_force_cluster
 
@@ -118,25 +118,6 @@ def error_report(model: ChainModel, atomistic: Displacement, constrained: NodalF
         predicted_band=predicted_relative_band(family, mesh.kappa) if family else None,
         reference_norm=float(reference),
     )
-
-
-def galerkin_defect(model: ChainModel, atomistic: Displacement,
-                    constrained: NodalField) -> float:
-    """Largest normalized residual of the best-approximation property.
-
-    For each unpinned hat, <u' - u_h', hat'> collapses to a difference of the
-    two adjacent per-element means of the gradient gap; the pinned node's hat
-    is the constraint direction, not a test direction, so it is excluded.
-    Normalized by the energy norm of the atomistic solution.
-    """
-    mesh = constrained.mesh
-    check_lattice(model, mesh)
-    gap = model.epsilon * (_checked_strains(model, atomistic) - prolong(constrained).strains())
-    sums = np.bincount(mesh.element_of_slot(), weights=gap, minlength=2 * mesh.K)
-    means = sums / mesh.h
-    defect = means - np.roll(means, -1)
-    defect[mesh.K - 1] = 0.0
-    return float(np.max(np.abs(defect)) / energy_norm(atomistic))
 
 
 @dataclass(frozen=True, eq=False)

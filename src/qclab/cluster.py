@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ClusterOverlap, IllPosed, ShapeMismatch
 from .mesh import CoarseMesh, hat_of_distance, hat_ramp
-from .model import BLOCK_VALUES, pairwise_sum, slot_of_site
+from .model import BLOCK_VALUES, pairwise_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,10 +45,6 @@ class ClusterRule:
     @property
     def size(self) -> int:
         return 2 * self.r + 1
-
-    def members(self, k) -> np.ndarray:
-        """Lattice indices of the cluster around logical node k."""
-        return int(self.mesh.node(k)) + np.arange(-self.r, self.r + 1)
 
     def member_matrix(self) -> np.ndarray:
         """All clusters at once: shape (2K, 2r+1), row t = cluster of node slot t."""
@@ -242,9 +238,7 @@ def verify_exactness(weights: WeightSet) -> float:
         d = (mesh.repatoms[near] + np.arange(-rule.r, rule.r + 1) - mesh.repatoms[t - 1]) % n2
         sums = hat_of_distance(d, mesh.steps[t], mesh.steps[(t + 1) % n2k]).sum(axis=-1)
         weighted[a : a + t.size] = weights.energy[near[..., 0]] * sums
-    steps = mesh.steps.tolist()
-    # slot of the first site of element t, site node(t-1) + 1
-    firsts = slot_of_site(np.roll(mesh.repatoms, 1) + 1, mesh.N).tolist()
+    steps, firsts = mesh.steps.tolist(), mesh.first_slots.tolist()
     scratch = np.empty(BLOCK_VALUES)
     worst = 0.0
     for t in range(n2k):

@@ -47,9 +47,11 @@ class CoarseMesh:
     """Realized mesh: node indices, integer steps, element sizes, regularity.
 
     ``repatoms`` holds the node lattice indices for k = -K+1 .. K; node 0 is
-    always the lattice site 0.  ``steps`` and ``h`` are per-element (slot
-    order, wrap element first); ``kappa`` is the largest ratio of neighbouring
-    element sizes, wrap pair included.
+    always the lattice site 0.  ``steps``, ``h`` and ``first_slots`` are
+    per-element (slot order, wrap element first); ``first_slots`` holds the
+    lattice slot of each element's first site, the one after its left node.
+    ``kappa`` is the largest ratio of neighbouring element sizes, wrap pair
+    included.
     """
 
     N: int
@@ -57,6 +59,7 @@ class CoarseMesh:
     repatoms: np.ndarray
     steps: np.ndarray = field(init=False)
     h: np.ndarray = field(init=False)
+    first_slots: np.ndarray = field(init=False)
     kappa: float = field(init=False)
 
     def __post_init__(self):
@@ -77,11 +80,14 @@ class CoarseMesh:
         steps.setflags(write=False)
         h = steps / N
         h.setflags(write=False)
+        first_slots = slot_of_site(reps - steps + 1, N)
+        first_slots.setflags(write=False)
         ratio = steps / np.roll(steps, 1)
         kappa = float(np.max(np.maximum(ratio, 1.0 / ratio)))
         object.__setattr__(self, "repatoms", reps)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "first_slots", first_slots)
         object.__setattr__(self, "kappa", kappa)
 
     @property
@@ -90,20 +96,6 @@ class CoarseMesh:
 
     def node_slot(self, k) -> np.ndarray:
         return (np.asarray(k) + self.K - 1) % (2 * self.K)
-
-    def node(self, k):
-        """Lattice index of logical node(s) k, extended by node[k+2K] = node[k]+2N."""
-        k = np.asarray(k)
-        cycle, rem = np.divmod(k + self.K - 1, 2 * self.K)
-        return self.repatoms[rem] + cycle * 2 * self.N
-
-    def element_of_slot(self) -> np.ndarray:
-        """Element slot owning each lattice slot (sites sorted by coordinate)."""
-        owners = np.repeat(np.arange(2 * self.K), self.steps)
-        sites = np.arange(self.repatoms[-1] - 2 * self.N + 1, self.repatoms[-1] + 1)
-        out = np.empty(2 * self.N, dtype=int)
-        out[slot_of_site(sites, self.N)] = owners
-        return out
 
 
 def _build_uniform(spec: MeshSpec) -> np.ndarray:
@@ -159,6 +151,13 @@ def _build_smooth(spec: MeshSpec) -> np.ndarray:
 def _build_custom(spec: MeshSpec) -> np.ndarray:
     if spec.indices is None:
         raise MeshBuildError("custom family needs an explicit node index list")
+    # a valid list holds 0 and spans less than 2N; checked before numpy sees
+    # an index too large for int64
+    n2 = 2 * spec.N
+    outside = [i for i in spec.indices if not -n2 < i < n2]
+    if outside:
+        raise MeshBuildError(f"custom node index {outside[0]} lies outside (-2N, 2N) = "
+                             f"({-n2}, {n2})")
     raw = np.array(spec.indices, dtype=int)
     if raw.size < 4 or raw.size % 2:
         raise MeshBuildError(f"custom node list must have even length >= 4, got {raw.size}")
@@ -250,10 +249,6 @@ class NodalField:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def at(self, k):
-        """Value(s) at logical node index(es), reduced 2K-periodically."""
-        return self.values[self.mesh.node_slot(k)]
-
     def gradients(self) -> np.ndarray:
         """Per-element gradients V_k' = (V_k - V_{k-1})/h_k, slot order."""
         v = self.values
@@ -325,7 +320,7 @@ def prolong_rows(V: NodalField) -> Callable[[int, int], np.ndarray]:
     ends = np.cumsum(steps)
     starts = ends - steps
     n2 = 2 * mesh.N
-    shift = int(slot_of_site(mesh.repatoms[-1] - n2 + 1, mesh.N))
+    shift = int(mesh.first_slots[0])
 
     def rows(start: int, stop: int) -> np.ndarray:
         out = np.empty(stop - start)
@@ -359,8 +354,7 @@ def prolong(V: NodalField) -> Displacement:
     """
     mesh = V.mesh
     values = prolong_rows(V)(0, 2 * mesh.N)
-    shift = int(slot_of_site(mesh.repatoms[-1] - 2 * mesh.N + 1, mesh.N))
-    gradients = np.roll(np.repeat(V.gradients(), mesh.steps), shift)
+    gradients = np.roll(np.repeat(V.gradients(), mesh.steps), int(mesh.first_slots[0]))
     values.setflags(write=False)
     gradients.setflags(write=False)
     return Displacement(N=mesh.N, values=values, gradients=gradients)
@@ -410,9 +404,7 @@ def exact_load(mesh: CoarseMesh, model: ChainModel) -> np.ndarray:
     check_lattice(model, mesh)
     f = model.force.samples
     n2, item = f.size, f.itemsize
-    steps = mesh.steps
-    # slot of the first site of element t, site node(t-1) + 1
-    firsts = slot_of_site(mesh.repatoms - steps + 1, mesh.N)
+    steps, firsts = mesh.steps, mesh.first_slots
     rising = np.empty(2 * mesh.K)
     falling = np.empty(2 * mesh.K)
     wraps = firsts > n2 - steps

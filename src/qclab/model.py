@@ -1,5 +1,5 @@
-"""Atomistic chain: lattice indexing, pair potentials, external forces,
-energies, site forces, and the discrete energy norm.
+"""Atomistic chain: lattice indexing, pair potentials, external forces, the
+stored energy, and the discrete energy norm.
 
 One period holds 2N atoms with spacing epsilon = 1/N on the torus (-1, 1].
 Logical site indices ell = -N+1 .. N map to storage slots 0 .. 2N-1 via
@@ -23,11 +23,6 @@ from .errors import ConstraintViolation, LatticeTooLarge, QCLabError, ShapeMisma
 # floating point (np.arange) and every lattice or node index (a few
 # multiples of N) stay inside int64.
 MAX_N = 2**58
-
-
-def lattice_sites(N: int) -> np.ndarray:
-    """Logical site indices -N+1 .. N in slot order."""
-    return np.arange(-N + 1, N + 1)
 
 
 def lattice_coordinates(N: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -219,10 +214,6 @@ class Displacement:
         if self.gradients is not None:
             object.__setattr__(self, "gradients", _frozen(self.gradients, 2 * self.N, "gradients"))
 
-    def at(self, ell):
-        """Value(s) at logical site index(es), reduced 2N-periodically."""
-        return self.values[slot_of_site(ell, self.N)]
-
     def strains(self) -> np.ndarray:
         """Per-bond strains v'_ell = (v_ell - v_{ell-1})/epsilon, slot order."""
         if self.gradients is not None:
@@ -251,70 +242,12 @@ class ChainModel:
         return 1.0 / self.N
 
 
-def _checked_strains(model: ChainModel, v: Displacement) -> np.ndarray:
-    if v.N != model.N:
-        raise ShapeMismatch("displacement does not match the model's lattice size")
-    return v.strains()
-
-
 def stored_energy(model: ChainModel, v: Displacement) -> float:
     """Internal energy: sum over all bonds of epsilon*phi(strain)."""
-    g = _checked_strains(model, v)
+    if v.N != model.N:
+        raise ShapeMismatch("displacement does not match the model's lattice size")
+    g = v.strains()
     return model.epsilon * pairwise_sum(g.size, lambda a, b: model.potential.value(g[a:b]))
-
-
-def external_work(model: ChainModel, v: Displacement) -> float:
-    """Dead-load pairing f[v] = sum over sites of epsilon*f_ell*v_ell."""
-    if v.N != model.N:
-        raise ShapeMismatch("displacement does not match the model's lattice size")
-    return float(model.epsilon * np.dot(model.force.samples, v.values))
-
-
-def total_energy(model: ChainModel, v: Displacement) -> float:
-    """stored_energy minus the dead-load work."""
-    return stored_energy(model, v) - external_work(model, v)
-
-
-def _local_strains(model: ChainModel, v: Displacement, i: int, j: int) -> tuple[float, float]:
-    if v.N != model.N:
-        raise ShapeMismatch("displacement does not match the model's lattice size")
-    if v.gradients is not None:
-        return v.gradients[i], v.gradients[j]
-    vals = v.values
-    # vals[i-1] wraps correctly for i = 0 through numpy's -1 indexing
-    return (vals[i] - vals[i - 1]) * model.N, (vals[j] - vals[j - 1]) * model.N
-
-
-def site_energy(model: ChainModel, v: Displacement, ell: int) -> float:
-    """Energy attributed to one atom: half of its two adjacent bond energies."""
-    i = int(slot_of_site(ell, model.N))
-    j = (i + 1) % (2 * model.N)
-    gi, gj = _local_strains(model, v, i, j)
-    phi = model.potential.value
-    return float(0.5 * (phi(gi) + phi(gj)))
-
-
-def site_force(model: ChainModel, v: Displacement, ell: int) -> float:
-    """Equilibrium residual at one atom: d(total_energy)/d(v_ell)."""
-    i = int(slot_of_site(ell, model.N))
-    j = (i + 1) % (2 * model.N)
-    gi, gj = _local_strains(model, v, i, j)
-    dphi = model.potential.deriv
-    return float(dphi(gi) - dphi(gj) - model.epsilon * model.force.samples[i])
-
-
-def site_forces(model: ChainModel, v: Displacement) -> np.ndarray:
-    """All site forces at once, slot order."""
-    g = _checked_strains(model, v)
-    t = model.potential.deriv(g)
-    return t - np.roll(t, -1) - model.epsilon * model.force.samples
-
-
-def site_energies(model: ChainModel, v: Displacement) -> np.ndarray:
-    """All site energies at once, slot order."""
-    g = _checked_strains(model, v)
-    e = model.potential.value(g)
-    return 0.5 * (e + np.roll(e, -1))
 
 
 def energy_norm(w) -> float:

@@ -27,15 +27,8 @@ import numpy as np
 
 from .errors import ConvexityLoss, IllPosed, NewtonFailure
 from .cluster import ClusterRule, WeightSet
-from .mesh import CoarseMesh, NodalField, check_field, check_lattice, exact_load, prolong
-from .model import (
-    BLOCK_VALUES,
-    ChainModel,
-    Displacement,
-    PairPotential,
-    site_forces,
-    slot_of_site,
-)
+from .mesh import CoarseMesh, NodalField, check_field, check_lattice, exact_load
+from .model import BLOCK_VALUES, ChainModel, Displacement, PairPotential
 
 _NEWTON_STEPS = 50
 
@@ -232,23 +225,6 @@ def _scatter_cluster_values(rule: ClusterRule, weighted: np.ndarray) -> np.ndarr
         out += col * (1.0 - d / s_next)
         out += np.roll(col * (d / s_next), 1)
     return out
-
-
-def assemble_cluster_forces(model: ChainModel, weights: WeightSet,
-                            V: NodalField) -> np.ndarray:
-    """Cluster-sampled nodal forces of a piecewise-affine field.
-
-    Site forces are evaluated generically from the prolonged displacement;
-    for nearest-neighbour bonds and admissible clusters the result collapses
-    to nu_j*(phi'(V_j') - phi'(V_{j+1}')) minus the cluster load.
-    """
-    rule = weights.rule
-    check_lattice(model, rule.mesh)
-    check_field(rule.mesh, V)
-    forces = site_forces(model, prolong(V))
-    members = rule.member_matrix()
-    weighted = weights.force[:, None] * forces[slot_of_site(members, model.N)]
-    return _scatter_cluster_values(rule, weighted)
 
 
 def energy_cluster_functional(model: ChainModel, weights: WeightSet, V: NodalField) -> float:

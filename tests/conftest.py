@@ -2,7 +2,9 @@
 
 Everything here recomputes library quantities from first principles (dense
 linear algebra, per-site loops over the hat basis, finite differences) so the
-tests compare two independent code paths.  The ``reference_*`` functions are
+tests compare two independent code paths.  The per-site energies and forces,
+the total energy, the generic cluster force assembly and the Galerkin defect
+are oracles only: no program path needs them, so they live here.  The ``reference_*`` functions are
 the straightforward per-element / per-row / full-lattice versions of the
 library's single-pass kernels, and of the weight solve the scipy banded
 solve it replaced; ``tests/test_kernels.py`` requires the kernels to
@@ -17,21 +19,97 @@ import scipy.linalg
 from qclab import (
     ChainModel,
     MeshSpec,
+    ShapeMismatch,
     build_mesh,
     basis_value,
+    energy_norm,
     harmonic_potential,
+    prolong,
     sample_force,
     slot_of_site,
-    site_energies,
-    total_energy,
+    stored_energy,
     Displacement,
 )
 from qclab.cli import _format_float
+from qclab.mesh import check_field, check_lattice
+from qclab.solve import _scatter_cluster_values
 
 
 def make_model(N, force="sinpi", potential=None):
     return ChainModel(N=N, potential=potential or harmonic_potential(),
                       force=sample_force(force, N))
+
+
+def node(mesh, k):
+    """Lattice index of logical node(s) k, extended by node[k+2K] = node[k]+2N."""
+    cycle, rem = np.divmod(np.asarray(k) + mesh.K - 1, 2 * mesh.K)
+    return mesh.repatoms[rem] + cycle * 2 * mesh.N
+
+
+def element_of_slot(mesh):
+    """Element slot owning each lattice slot (sites sorted by coordinate)."""
+    owners = np.repeat(np.arange(2 * mesh.K), mesh.steps)
+    sites = np.arange(mesh.repatoms[-1] - 2 * mesh.N + 1, mesh.repatoms[-1] + 1)
+    out = np.empty(2 * mesh.N, dtype=int)
+    out[slot_of_site(sites, mesh.N)] = owners
+    return out
+
+
+def _strains(model, v):
+    if v.N != model.N:
+        raise ShapeMismatch("displacement does not match the model's lattice size")
+    return v.strains()
+
+
+def site_forces(model, v):
+    """Equilibrium residual d(total_energy)/d(v_ell) at every site, slot order."""
+    t = model.potential.deriv(_strains(model, v))
+    return t - np.roll(t, -1) - model.epsilon * model.force.samples
+
+
+def site_energies(model, v):
+    """Energy of every site, half of its two adjacent bond energies, slot order."""
+    e = model.potential.value(_strains(model, v))
+    return 0.5 * (e + np.roll(e, -1))
+
+
+def total_energy(model, v):
+    """Stored energy minus the dead-load work sum over sites of eps*f_ell*v_ell."""
+    return stored_energy(model, v) - float(model.epsilon * np.dot(model.force.samples, v.values))
+
+
+def assemble_cluster_forces(model, weights, V):
+    """Cluster-sampled nodal forces of a piecewise-affine field.
+
+    Site forces are evaluated generically from the prolonged displacement;
+    for nearest-neighbour bonds and admissible clusters the result collapses
+    to nu_j*(phi'(V_j') - phi'(V_{j+1}')) minus the cluster load, the form
+    solve_force_cluster solves.
+    """
+    rule = weights.rule
+    check_lattice(model, rule.mesh)
+    check_field(rule.mesh, V)
+    forces = site_forces(model, prolong(V))
+    weighted = weights.force[:, None] * forces[slot_of_site(rule.member_matrix(), model.N)]
+    return _scatter_cluster_values(rule, weighted)
+
+
+def galerkin_defect(model, atomistic, constrained):
+    """Largest normalized residual of the best-approximation property.
+
+    For each unpinned hat, <u' - u_h', hat'> collapses to a difference of the
+    two adjacent per-element means of the gradient gap; the pinned node's hat
+    is the constraint direction, not a test direction, so it is excluded.
+    Normalized by the energy norm of the atomistic solution.
+    """
+    mesh = constrained.mesh
+    check_lattice(model, mesh)
+    gap = model.epsilon * (_strains(model, atomistic) - prolong(constrained).strains())
+    sums = np.bincount(element_of_slot(mesh), weights=gap, minlength=2 * mesh.K)
+    means = sums / mesh.h
+    defect = means - np.roll(means, -1)
+    defect[mesh.K - 1] = 0.0
+    return float(np.max(np.abs(defect)) / energy_norm(atomistic))
 
 
 def dense_atomistic(model):
@@ -74,12 +152,12 @@ def brute_hat_scatter(mesh, rule, nu, site_values):
     """out[j] = sum_t nu_t sum_{ell in cluster t} site_values[ell]*hat_j(ell),
     straight from the definitions (independent of the library's scatter)."""
     out = np.zeros(2 * mesh.K)
+    members = rule.member_matrix()
     for tj in range(2 * mesh.K):
         j = tj - (mesh.K - 1)
         acc = 0.0
         for tt in range(2 * mesh.K):
-            k = tt - (mesh.K - 1)
-            for ell in rule.members(k):
+            for ell in members[tt]:
                 val = site_values[int(slot_of_site(ell, mesh.N))]
                 acc += nu[tt] * val * basis_value(mesh, j, int(ell))
         out[tj] = acc
@@ -90,11 +168,11 @@ def dense_weight_matrix(mesh, rule):
     """A[j, t] = hat_j summed over cluster t, via basis_value."""
     n = 2 * mesh.K
     A = np.zeros((n, n))
+    members = rule.member_matrix()
     for tj in range(n):
         j = tj - (mesh.K - 1)
         for tt in range(n):
-            k = tt - (mesh.K - 1)
-            for ell in rule.members(k):
+            for ell in members[tt]:
                 A[tj, tt] += basis_value(mesh, j, int(ell))
     return A
 
@@ -179,7 +257,7 @@ def reference_verify_exactness(mesh, rule, weights):
     worst = 0.0
     for t in range(2 * mesh.K):
         j = t - (mesh.K - 1)
-        sites = np.arange(int(mesh.node(j - 1)) + 1, int(mesh.node(j + 1)))
+        sites = np.arange(int(node(mesh, j - 1)) + 1, int(node(mesh, j + 1)))
         slots = slot_of_site(sites, mesh.N)
         hats[slots] = basis_value(mesh, j, sites)
         full = mesh.epsilon * np.sum(hats)

@@ -18,7 +18,6 @@ from qclab import (
     energy_norm,
     error_report,
     force_scaling_study,
-    galerkin_defect,
     gradient_alternation,
     harmonic_potential,
     load_defect,
@@ -33,7 +32,7 @@ from qclab import (
     stored_energy,
     energy_cluster_functional,
 )
-from conftest import make_model, random_custom_mesh
+from conftest import galerkin_defect, make_model, random_custom_mesh
 
 
 def qc_solve(mesh, force="sinpi", r=0):

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qclab.cli import main
 from qclab.model import MAX_N
@@ -181,6 +182,30 @@ def test_missing_custom_mesh_file(tmp_path, capsys):
     error = error_of(capsys)
     assert error["code"] == "MeshBuild"
     assert str(missing) in error["message"]
+
+
+node_lists = st.one_of(
+    st.lists(st.integers(), max_size=9),  # huge, negative, repeated, any length
+    st.lists(st.integers(-127, 127), unique=True, max_size=8).map(lambda xs: sorted({0, *xs})),
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(indices=node_lists, K=st.integers(2, 4), command=st.sampled_from(["run", "mesh-inspect"]))
+def test_custom_node_lists_end_in_a_report_or_one_error_line(tmp_path, capsys, indices, K,
+                                                             command):
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("".join(f"{i}\n" for i in indices))
+    argv = [command, "--mesh", f"custom:{nodes}", "--N", "64", "--K", str(K)]
+    if command == "run":
+        argv += ["--method", "constrained", "--force", "sinpi", "--out", str(tmp_path / "out")]
+    rc = main(argv)
+    assert rc in (0, 1)
+    if rc == 1:
+        assert error_of(capsys)["code"] in ("MeshBuild", "ShapeMismatch")
+    else:
+        capsys.readouterr()  # so the next example's error line stands alone
 
 
 def test_reproduce_fig1(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Import hygiene: no module imports a name it never references, and the
-package imports nothing at run time but the standard library and numpy.
+"""Import hygiene: no module imports a name it never references, no package
+module imports another's underscore names, and the package imports nothing
+at run time but the standard library and numpy.
 
 No linter is part of the toolchain, so the syntax trees are scanned here.
 The package's ``__init__.py`` is left out of the unused-name check: its
@@ -46,6 +47,32 @@ def test_every_import_is_used():
         if names:
             unused[path.relative_to(ROOT).as_posix()] = names
     assert unused == {}
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names imported from another qclab module."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "qclab"
+        ):
+            names += [alias.name for alias in node.names if alias.name.startswith("_")]
+    return names
+
+
+def test_private_imports_are_found():
+    source = "from .model import _frozen, stored_energy\nfrom qclab.mesh import _build_custom\n"
+    assert private_imports(source) == ["_frozen", "_build_custom"]
+    assert private_imports("from __future__ import annotations\n") == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = {}
+    for path in PACKAGE:
+        names = private_imports(path.read_text())
+        if names:
+            private[path.name] = names
+    assert private == {}
 
 
 def test_package_imports_only_the_standard_library_and_numpy():

@@ -22,7 +22,7 @@ from qclab import (
     smoothness_profile,
     stored_energy,
 )
-from conftest import make_model, random_custom_mesh
+from conftest import element_of_slot, make_model, node, random_custom_mesh
 
 _FAMILY_CASES = [
     ("uniform", 8, 4),
@@ -151,23 +151,27 @@ def test_parse_mesh_descriptor(tmp_path):
 
 def test_node_lookup_periodic_extension():
     mesh = build_mesh(MeshSpec(family="graded", N=8, K=4))
-    assert mesh.node(0) == 0
-    assert mesh.node(4) == 8
-    assert mesh.node(5) == mesh.node(-3) + 16
+    assert node(mesh, 0) == 0
+    assert node(mesh, 4) == 8
+    assert node(mesh, 5) == node(mesh, -3) + 16
     assert mesh.node_slot(0) == 3
-    np.testing.assert_array_equal(mesh.node(np.array([-3, 0, 4])), [-4, 0, 8])
+    np.testing.assert_array_equal(node(mesh, np.array([-3, 0, 4])), [-4, 0, 8])
 
 
 def test_element_of_slot_brute():
     rng = np.random.default_rng(8)
     for _ in range(3):
         mesh, N = random_custom_mesh(rng)
-        owners = mesh.element_of_slot()
+        owners = element_of_slot(mesh)
+        # each element's first site follows its left node
+        k = np.arange(-mesh.K + 1, mesh.K + 1)
+        np.testing.assert_array_equal(mesh.first_slots, slot_of_site(node(mesh, k - 1) + 1, N))
+        assert not mesh.first_slots.flags.writeable
         for ell in range(-N + 1, N + 1):
             # element t owns (node_{t-K}, node_{t-K+1}] shifted periodically
             t = int(owners[int(slot_of_site(ell, N))])
             k = t - (mesh.K - 1)
-            lo, hi = mesh.node(k - 1), mesh.node(k)
+            lo, hi = node(mesh, k - 1), node(mesh, k)
             shifted = lo + (ell - lo) % (2 * N)
             assert lo < shifted <= hi
 
@@ -189,7 +193,7 @@ def test_basis_values_pointwise():
     for j in range(-3, 5):
         for i in range(-3, 5):
             expected = 1.0 if i == j else 0.0
-            assert basis_value(mesh, j, int(mesh.node(i))) == expected
+            assert basis_value(mesh, j, int(node(mesh, i))) == expected
 
 
 def test_prolong_matches_affine_interpolation():
@@ -200,17 +204,18 @@ def test_prolong_matches_affine_interpolation():
     V = NodalField(mesh=mesh, values=g[slot_of_site(mesh.repatoms, N)])
     vh = prolong(V)
     # brute interpolation per site through the owning element
-    owners = mesh.element_of_slot()
+    owners = element_of_slot(mesh)
     for ell in range(-N + 1, N + 1):
         t = int(owners[int(slot_of_site(ell, N))])
         k = t - (mesh.K - 1)
-        lo, hi = int(mesh.node(k - 1)), int(mesh.node(k))
+        lo, hi = int(node(mesh, k - 1)), int(node(mesh, k))
         d = (ell - lo) % (2 * N)
         lam = d / (hi - lo)
-        expected = (1 - lam) * float(V.at(k - 1)) + lam * float(V.at(k))
-        assert vh.at(ell) == pytest.approx(expected, abs=1e-14)
+        left, right = V.values[mesh.node_slot([k - 1, k])]
+        expected = (1 - lam) * float(left) + lam * float(right)
+        assert vh.values[slot_of_site(ell, N)] == pytest.approx(expected, abs=1e-14)
     # node slots carry the nodal values bitwise
-    np.testing.assert_array_equal(vh.at(mesh.repatoms), V.values)
+    np.testing.assert_array_equal(vh.values[slot_of_site(mesh.repatoms, N)], V.values)
 
 
 def test_prolong_energy_identity():

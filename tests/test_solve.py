@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import event, given, settings, strategies as st
 
 from qclab import (
     ChainModel,
@@ -18,32 +19,35 @@ from qclab import (
     PairPotential,
     ShapeMismatch,
     WeightSet,
-    assemble_cluster_forces,
     assemble_weight_system,
     build_mesh,
     cluster_load,
+    consistency_estimate,
     effective_stiffness,
     energy_cluster_functional,
     energy_norm,
     exact_load,
+    harmonic_potential,
     prolong,
     quartic_potential,
     sample_force,
-    site_forces,
     solve_atomistic,
     solve_constrained,
     solve_energy_cluster,
     solve_force_cluster,
     solve_weights,
     stored_energy,
-    total_energy,
 )
 from conftest import (
+    assemble_cluster_forces,
     dense_atomistic,
     dense_chain,
     brute_hat_scatter,
+    galerkin_defect,
     make_model,
     random_custom_mesh,
+    site_forces,
+    total_energy,
 )
 from test_cluster import graded_like_mesh
 
@@ -388,3 +392,86 @@ def test_constrained_best_approximation_rate():
     errors = np.array(errors)
     rates = np.log2(errors[:-1] / errors[1:])
     assert np.all(rates >= 0.95)
+
+
+@st.composite
+def custom_meshes(draw):
+    """A custom mesh of K = 2..6 node pairs and steps of 3..30 sites, with
+    lattice site 0 at any of its nodes."""
+    K = draw(st.integers(2, 6), label="K")
+    steps = draw(st.lists(st.integers(3, 30), min_size=2 * K, max_size=2 * K), label="steps")
+    if sum(steps) % 2:  # 2N sites in all
+        steps[-1] += 1 if steps[-1] < 30 else -1
+    cums = np.cumsum(steps)
+    zero = draw(st.integers(0, 2 * K - 1), label="node at site 0")
+    indices = tuple(int(c) for c in cums - cums[zero])
+    return build_mesh(MeshSpec(family="custom", N=sum(steps) // 2, K=K, indices=indices))
+
+
+quarters = st.integers(-12, 12).map(lambda i: i / 4)
+force_descriptors = st.one_of(
+    st.just("sinpi"),
+    st.builds("gauss:{},{}".format, quarters, st.integers(0, 60)),
+    st.builds("const:{}".format, quarters),
+    st.builds("lin:{},{}".format, quarters, quarters),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mesh=custom_meshes(), force=force_descriptors, data=st.data(),
+       mode=st.sampled_from(["exact", "lumped"]), beta=st.none() | st.floats(0.0, 2.0))
+def test_solvers_agree_with_the_oracles_on_random_instances(mesh, force, data, mode, beta):
+    """Harmonic draws (beta None): all four solvers match the dense solves,
+    the constrained solve is Galerkin orthogonal to the atomistic one, and at
+    r = 0 the estimator sandwich brackets the energy-cluster error.  Quartic
+    draws: the atomistic solution's site forces vanish off the pinned site.
+
+    A tight cluster (2r+1 equal to the smallest step) can make an exact
+    weight vanish or turn negative.  solve_weights rejects a negative one;
+    a vanishing force weight makes the force-cluster equations singular, so
+    no oracle comparison is defined for them."""
+    r = data.draw(st.integers(0, (int(np.min(mesh.steps)) - 1) // 2), label="r")
+    potential = harmonic_potential() if beta is None else quartic_potential(beta)
+    model = make_model(mesh.N, force=force, potential=potential)
+    atomistic = solve_atomistic(model).solution
+    constrained = solve_constrained(model, mesh).solution
+    try:
+        weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=r)))
+    except IllPosed:
+        event("exact weights not all positive")
+        weights = None
+    else:
+        weights = weights.with_mode(mode)
+        energy = solve_energy_cluster(model, weights).solution
+        singular = np.min(weights.force) <= 1e-12 * np.max(weights.force)
+        if singular:
+            event("a force weight vanishes")
+        forced = None if singular else solve_force_cluster(model, weights).solution
+    if beta is not None:
+        # differenced values, not the solver's gradients, so a closure constant
+        # that misses periodicity shows up at the wrap bond.  The closure
+        # Newton stops at a gap of 1e-13 (1 + sum eps |g|); the wrap bond's
+        # strain carries it times N, its force that times phi''.
+        forces = site_forces(model, Displacement(N=model.N, values=atomistic.values))
+        forces[model.N - 1] = 0.0
+        assert float(np.max(np.abs(forces))) <= 1e-11 * model.N
+        return
+    n, load = 2 * mesh.K, exact_load(mesh, model)
+    ones = np.ones(n)
+    gaps = [atomistic.values - dense_atomistic(model),
+            constrained.values - dense_chain(ones, ones, mesh.h, load, mesh.K - 1)]
+    if energy_norm(atomistic) > 0.0:  # an unloaded chain has nothing to be orthogonal to
+        assert galerkin_defect(model, atomistic, constrained) <= 1e-12
+    if weights is not None:
+        a = effective_stiffness(weights)
+        gaps.append(energy.values - dense_chain(a, ones, mesh.h, load, mesh.K - 1))
+        if forced is not None:
+            ftilde = cluster_load(model, weights)
+            gaps.append(forced.values
+                        - dense_chain(ones, weights.force, mesh.h, ftilde, mesh.K - 1))
+        if r == 0:
+            est = consistency_estimate(constrained)
+            err = energy_norm(NodalField(mesh=mesh, values=energy.values - constrained.values))
+            slack = 1e-10 * max(est.value, err)
+            assert est.sandwich_lower <= err + slack and err <= est.sandwich_upper + slack
+    assert max(float(np.max(np.abs(gap))) for gap in gaps) <= 1e-10
