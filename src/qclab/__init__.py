@@ -37,7 +37,6 @@ from .mesh import (
     CoarseMesh,
     MeshSpec,
     NodalField,
-    SmoothnessProfile,
     basis_value,
     build_mesh,
     exact_load,
@@ -68,7 +67,6 @@ from .analysis import (
     ConsistencyEstimate,
     ConvergenceTable,
     ErrorReport,
-    ForceScalingStudy,
     consistency_estimate,
     convergence_study,
     error_report,
@@ -88,7 +86,7 @@ __all__ = [
     "ChainModel", "Displacement", "ExternalForce", "PairPotential",
     "harmonic_potential", "quartic_potential", "sample_force",
     "lattice_coordinates", "slot_of_site", "stored_energy", "energy_norm",
-    "MeshSpec", "CoarseMesh", "NodalField", "SmoothnessProfile",
+    "MeshSpec", "CoarseMesh", "NodalField",
     "build_mesh", "parse_mesh_descriptor", "load_custom_indices",
     "basis_value", "prolong", "smoothness_profile", "exact_load",
     "ClusterRule", "WeightSystem", "WeightSet",
@@ -97,7 +95,7 @@ __all__ = [
     "solve_energy_cluster", "solve_force_cluster",
     "cluster_load", "energy_cluster_functional",
     "effective_stiffness",
-    "ConsistencyEstimate", "ErrorReport", "ConvergenceTable", "ForceScalingStudy",
+    "ConsistencyEstimate", "ErrorReport", "ConvergenceTable",
     "consistency_estimate", "error_report",
     "predicted_relative_band", "convergence_study", "smooth_mesh_consistency",
     "load_defect", "gradient_alternation",

@@ -45,7 +45,7 @@ class ConsistencyEstimate:
 
 def consistency_estimate(field: NodalField) -> ConsistencyEstimate:
     mesh = field.mesh
-    weighted = smoothness_profile(mesh).coefficients * field.gradients()
+    weighted = smoothness_profile(mesh) * field.gradients()
     mean = 0.5 * np.dot(mesh.h, weighted)  # h sums to 2 over the period
     value = float(np.sqrt(np.dot(mesh.h, (weighted - mean) ** 2)))
     return ConsistencyEstimate(
@@ -216,72 +216,45 @@ def gradient_alternation(constrained: NodalField, qc: NodalField) -> tuple[bool,
     skipping the two wrap elements (they absorb the integer remainder of the
     mesh construction).  Returns (strictly_alternating, pairs_checked).
     """
-    gap = qc.gradients() - constrained.gradients()
     reference = constrained.gradients()
+    gap = qc.gradients() - reference
     eligible = np.abs(reference) >= 0.1 * np.max(np.abs(reference))
-    eligible[0] = False
-    eligible[-1] = False
-    alternating = True
-    pairs = 0
-    for t in range(len(gap) - 1):
-        if eligible[t] and eligible[t + 1]:
-            pairs += 1
-            if gap[t] * gap[t + 1] >= 0.0:
-                alternating = False
-    return alternating, pairs
+    eligible[0] = eligible[-1] = False
+    both = eligible[:-1] & eligible[1:]
+    return bool(np.all(gap[:-1][both] * gap[1:][both] < 0.0)), int(np.count_nonzero(both))
 
 
-@dataclass(frozen=True, eq=False)
-class ForceScalingStudy:
+def force_scaling_study(N: int, K_values, r: int) -> dict[str, np.ndarray]:
     """How force-cluster solutions on uniform meshes scale with the mesh.
 
     With uniform spacing h and radius r the cluster equations reproduce the
     constrained solution scaled by eps (2r+1) / h, so the solution collapses
-    toward zero under refinement at fixed r.  ``deviation_scaled`` measures
-    the energy-norm distance between the rescaled cluster solution and the
-    constrained one; it decays at second order, while ``deviation_absolute``
-    (no rescaling) loses one order to the 1/h growth of the mismatch.
+    toward zero under refinement at fixed r.  Returns one entry per K in six
+    columns: ``K`` (int), ``h``, ``ratio_measured`` (cluster over constrained
+    energy norm), ``ratio_predicted`` (the scale), ``deviation_scaled`` and
+    ``deviation_absolute``.  ``deviation_scaled`` measures the energy-norm
+    distance between the rescaled cluster solution and the constrained one;
+    it decays at second order, while ``deviation_absolute`` (no rescaling)
+    loses one order to the 1/h growth of the mismatch.
     """
-
-    K_values: np.ndarray
-    h_values: np.ndarray
-    ratio_measured: np.ndarray
-    ratio_predicted: np.ndarray
-    deviation_scaled: np.ndarray
-    deviation_absolute: np.ndarray
-
-    def scaled_table(self) -> ConvergenceTable:
-        return ConvergenceTable(parameter="h", metric="scaled deviation",
-                                parameters=self.h_values, values=self.deviation_scaled)
-
-    def absolute_table(self) -> ConvergenceTable:
-        return ConvergenceTable(parameter="h", metric="absolute deviation",
-                                parameters=self.h_values, values=self.deviation_absolute)
-
-
-def force_scaling_study(N: int, K_values, r: int) -> ForceScalingStudy:
     model = ChainModel(N=N, potential=harmonic_potential(), force=sample_force("sinpi", N))
-    rows = {key: [] for key in ("h", "measured", "predicted", "scaled", "absolute")}
-    for K in K_values:
-        mesh = build_mesh(MeshSpec(family="uniform", N=N, K=int(K)))
+    columns = {"K": np.asarray(K_values, dtype=int)}
+    rows = []
+    for K in columns["K"].tolist():
+        mesh = build_mesh(MeshSpec(family="uniform", N=N, K=K))
         rule = ClusterRule(mesh=mesh, r=r)
         weights = solve_weights(assemble_weight_system(rule))
         constrained = solve_constrained(model, mesh).solution
         clustered = solve_force_cluster(model, weights).solution
         h = float(mesh.h[0])
         scale = model.epsilon * rule.size / h
-        rows["h"].append(h)
-        rows["measured"].append(energy_norm(clustered) / energy_norm(constrained))
-        rows["predicted"].append(scale)
-        rows["scaled"].append(energy_norm(
-            NodalField(mesh=mesh, values=clustered.values / scale - constrained.values)))
-        rows["absolute"].append(energy_norm(
-            NodalField(mesh=mesh, values=clustered.values - scale * constrained.values)))
-    return ForceScalingStudy(
-        K_values=np.asarray(K_values, dtype=int),
-        h_values=np.array(rows["h"]),
-        ratio_measured=np.array(rows["measured"]),
-        ratio_predicted=np.array(rows["predicted"]),
-        deviation_scaled=np.array(rows["scaled"]),
-        deviation_absolute=np.array(rows["absolute"]),
-    )
+        rows.append((
+            h,
+            energy_norm(clustered) / energy_norm(constrained),
+            scale,
+            energy_norm(NodalField(mesh=mesh, values=clustered.values / scale - constrained.values)),
+            energy_norm(NodalField(mesh=mesh, values=clustered.values - scale * constrained.values)),
+        ))
+    names = ("h", "ratio_measured", "ratio_predicted", "deviation_scaled", "deviation_absolute")
+    columns.update(zip(names, np.array(rows).T))
+    return columns

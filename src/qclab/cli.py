@@ -46,6 +46,7 @@ from .solve import (
     solve_force_cluster,
 )
 from .analysis import (
+    ConvergenceTable,
     convergence_study,
     error_report,
     force_scaling_study,
@@ -392,16 +393,17 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
                "u_atomistic": reports["atomistic"].solution.values}
 
     if config.mesh is not None and config.K is not None:
-        mesh = build_mesh(parse_mesh_descriptor(config.mesh, config.N, config.K))
-        profile = smoothness_profile(mesh)
+        spec = parse_mesh_descriptor(config.mesh, config.N, config.K)
+        mesh = build_mesh(spec)
+        coefficients = smoothness_profile(mesh)
         payload["mesh"] = {
             "repatoms": mesh.repatoms,
             "steps": mesh.steps,
             "h": mesh.h,
             "kappa": mesh.kappa,
         }
-        payload["smoothness"] = {"coefficients": profile.coefficients,
-                                 "max_abs": profile.max_abs}
+        payload["smoothness"] = {"coefficients": coefficients,
+                                 "max_abs": float(np.max(np.abs(coefficients)))}
         reports["constrained"] = solve_constrained(model, mesh)
         columns["u_constrained"] = prolong_rows(reports["constrained"].solution)
 
@@ -426,7 +428,7 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
         errors = asdict(error_report(
             model, reports["atomistic"].solution, reports["constrained"].solution,
             qc.solution, energy_cluster_functional(model, weights, qc.solution),
-            family=config.mesh.split(":", 1)[0]))
+            family=spec.family))
 
     payload["solves"] = {
         method: {"residual": report.residual, "reaction": report.reaction,
@@ -506,31 +508,25 @@ def _example1(preset: str) -> tuple[dict, dict, tuple | None]:
 
 
 def _force_scaling(preset: str) -> tuple[dict, dict, tuple | None]:
-    study = force_scaling_study(N=2 ** 12, K_values=[8, 16, 32, 64], r=1)
-    at_k16 = int(np.where(study.K_values == 16)[0][0])
-    ratio_gap = abs(study.ratio_measured[at_k16] / study.ratio_predicted[at_k16] - 1.0)
-    scaled = study.scaled_table()
+    K_values = [8, 16, 32, 64]
+    study = force_scaling_study(N=2 ** 12, K_values=K_values, r=1)
+    at_k16 = K_values.index(16)
+    ratio_gap = abs(study["ratio_measured"][at_k16] / study["ratio_predicted"][at_k16] - 1.0)
+    scaled, absolute = (ConvergenceTable(parameter="h", metric=f"{side} deviation",
+                                         parameters=study["h"], values=study[f"deviation_{side}"])
+                        for side in ("scaled", "absolute"))
     scaled_rate = scaled.fit_rate()
     payload = {
         "preset": preset,
-        "config": {"mesh": "uniform", "N": 2 ** 12, "K_values": [8, 16, 32, 64],
+        "config": {"mesh": "uniform", "N": 2 ** 12, "K_values": K_values,
                    "r": 1, "force": "sinpi", "method": "force-cluster"},
-        "K": study.K_values,
-        "h": study.h_values,
-        "ratio_measured": study.ratio_measured,
-        "ratio_predicted": study.ratio_predicted,
-        "deviation_scaled": study.deviation_scaled,
-        "deviation_absolute": study.deviation_absolute,
+        **study,
         "scaled_deviation_rate": scaled_rate,
-        "absolute_deviation_rate": study.absolute_table().fit_rate(),
+        "absolute_deviation_rate": absolute.fit_rate(),
     }
     checks = {"ratio_gap_at_K16": _check(ratio_gap, 0.0, 0.02),
               "scaled_deviation_rate": _check(scaled_rate, 1.8, float("inf"))}
-    columns = {"K": study.K_values.astype(float), "h": study.h_values,
-               "ratio_measured": study.ratio_measured,
-               "ratio_predicted": study.ratio_predicted,
-               "deviation_scaled": study.deviation_scaled,
-               "deviation_absolute": study.deviation_absolute}
+    columns = {**study, "K": study["K"].astype(float)}
     return payload, checks, ("sweep.csv", columns, scaled.rates())
 
 
@@ -637,7 +633,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_mesh_inspect(args: argparse.Namespace) -> int:
     spec = parse_mesh_descriptor(args.mesh, args.N, args.K)
     mesh = build_mesh(spec)
-    profile = smoothness_profile(mesh)
+    coefficients = smoothness_profile(mesh)
     max_r = int((np.min(mesh.steps) - 1) // 2)
     payload = {
         "family": spec.family,
@@ -647,8 +643,8 @@ def _cmd_mesh_inspect(args: argparse.Namespace) -> int:
         "steps": mesh.steps,
         "h": mesh.h,
         "kappa": mesh.kappa,
-        "smoothness_coefficients": profile.coefficients,
-        "smoothness_max_abs": profile.max_abs,
+        "smoothness_coefficients": coefficients,
+        "smoothness_max_abs": float(np.max(np.abs(coefficients))),
         "max_admissible_r": max_r,
     }
     print(_to_json(payload))

@@ -360,28 +360,19 @@ def prolong(V: NodalField) -> Displacement:
     return Displacement(N=mesh.N, values=values, gradients=gradients)
 
 
-@dataclass(frozen=True, eq=False)
-class SmoothnessProfile:
-    """Per-element relative second difference of the element sizes.
+def smoothness_profile(mesh: CoarseMesh) -> np.ndarray:
+    """Per-element relative second difference of the element sizes, slot
+    order, read-only.
 
     coefficient_k = (h_{k-1} - 2 h_k + h_{k+1}) / (4 h_k), computed from the
     realized sizes; identically zero exactly on uniform meshes.  These are the
     multiplicative energy perturbations introduced by node-cluster summation.
     """
-
-    coefficients: np.ndarray
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coefficients)))
-
-
-def smoothness_profile(mesh: CoarseMesh) -> SmoothnessProfile:
     h = mesh.h
     second = (np.roll(h, 1) - 2.0 * h) + np.roll(h, -1)
     coeff = second / (4.0 * h)
     coeff.setflags(write=False)
-    return SmoothnessProfile(coefficients=coeff)
+    return coeff
 
 
 def exact_load(mesh: CoarseMesh, model: ChainModel) -> np.ndarray:
@@ -399,47 +390,51 @@ def exact_load(mesh: CoarseMesh, model: ChainModel) -> np.ndarray:
     one strided view of the samples; others are gathered, at most
     BLOCK_VALUES samples or one row at a time, and a row longer than that
     is a view.  The one element that can cross the last slot (when the
-    lattice site N is no node) is copied out whole.
+    lattice site N is no node) is copied out whole.  Both dots of every
+    element land in one 2 x 2K array, in step-length order, which is
+    scattered to slot order once.
     """
     check_lattice(model, mesh)
     f = model.force.samples
     n2, item = f.size, f.itemsize
     steps, firsts = mesh.steps, mesh.first_slots
-    rising = np.empty(2 * mesh.K)
-    falling = np.empty(2 * mesh.K)
+    # element slots by step length, the element that crosses the last slot last
     wraps = firsts > n2 - steps
-    inside = np.flatnonzero(~wraps)
-    order = inside[np.argsort(steps[inside], kind="stable")]
-    lo, length = firsts[order], steps[order]
-    heads = np.flatnonzero(np.diff(length, prepend=0))  # where each step length starts
-    bounds = [*heads.tolist(), order.size]
-    sums = np.empty((2, order.size))
-    for a, b, s, start in zip(bounds, bounds[1:], length[heads].tolist(), lo[heads].tolist()):
-        gap = int(lo[a + 1]) - start if b - a > 1 else 0
-        evenly = b - a <= 2 or (np.diff(lo[a:b]) == gap).all()
+    order = np.argsort(np.where(wraps, n2, steps), kind="stable")
+    inside = order.size - int(wraps[order[-1]])
+    del wraps
+    heads = np.flatnonzero(np.diff(steps[order[:inside]], prepend=0))  # where each length starts
+    bounds = [*heads.tolist(), inside]
+    sums = np.empty((2, order.size))  # rising and falling dots of the elements of order
+    for a, b in zip(bounds, bounds[1:]):
+        lo = firsts[order[a:b]]
+        s, start = int(steps[order[a]]), int(lo[0])
+        gap = int(lo[1]) - start if b - a > 1 else 0
+        evenly = b - a <= 2 or (np.diff(lo) == gap).all()
         ramp = hat_ramp(s)
-        for side in (0, 1):
+        for side, dots in enumerate(sums[:, a:b]):
             if side:
                 np.subtract(1.0, ramp, out=ramp)  # the falling ramp
             if evenly:  # no copy
                 rows = np.ndarray((b - a, s), f.dtype, f, start * item, (gap * item, item))
-                np.vecdot(rows, ramp, out=sums[side, a:b])
+                np.vecdot(rows, ramp, out=dots)
                 continue
             windows = np.ndarray((n2 - s + 1, s), f.dtype, f, 0, (item, item))  # row i: f[i : i + s]
             per = max(1, BLOCK_VALUES // s)
-            for at in range(a, b, per):
-                block = lo[at : min(at + per, b)]
+            for at in range(0, b - a, per):
+                block = lo[at : at + per]
                 rows = windows[block] if block.size > 1 else windows[block[0], None]
-                np.vecdot(rows, ramp, out=sums[side, at : at + block.size])
-        del ramp  # before the next length builds its own
-    rising[order], falling[order] = sums
-    for t in np.flatnonzero(wraps).tolist():
+                np.vecdot(rows, ramp, out=dots[at : at + block.size])
+        del ramp, lo  # before the next length builds its own
+    for t in order[inside:].tolist():
         row = np.concatenate((f[firsts[t]:], f[: firsts[t] + steps[t] - n2]))
         ramp = hat_ramp(int(steps[t]))
-        rising[t] = np.vecdot(row, ramp)
-        falling[t] = np.vecdot(row, np.subtract(1.0, ramp, out=ramp))
+        sums[0, -1] = np.vecdot(row, ramp)
+        sums[1, -1] = np.vecdot(row, np.subtract(1.0, ramp, out=ramp))
     # hat t collects the rising ramp of element t and the falling ramp of t+1
-    out = np.zeros(2 * mesh.K)
-    out += rising
-    out += np.roll(falling, -1)
-    return model.epsilon * out
+    out = np.zeros(order.size)
+    out[order] += sums[0]
+    order -= 1  # slot -1 is the last
+    out[order] += sums[1]
+    out *= model.epsilon
+    return out

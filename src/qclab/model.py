@@ -188,7 +188,8 @@ def sample_force(spec: str, N: int) -> ExternalForce:
         raise ShapeMismatch(f"need N >= 2 atoms per half-period, got {N}")
     check_lattice_size(N)
     fbar = _force_closed_form(spec)
-    samples = fbar(lattice_coordinates(N))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        samples = fbar(lattice_coordinates(N))
     if not np.all(np.isfinite(samples)):
         raise UnknownFamily(f"force descriptor {spec!r} produced non-finite samples")
     samples.setflags(write=False)  # a fresh array: ExternalForce keeps it

@@ -291,8 +291,10 @@ def solve_force_cluster(model: ChainModel, weights: WeightSet) -> SolveReport:
     """
     mesh = weights.rule.mesh
     nu = weights.force
-    if not np.all(nu > 0.0):
-        raise IllPosed("force weights must be positive")
+    slot = int(np.argmin(nu))
+    if not nu[slot] > 1e-12 * np.max(nu):  # a vanishing weight makes the equations singular
+        raise IllPosed(f"force weight of node slot {slot} is {nu[slot]:.3e}, "
+                       f"not above 1e-12 times the largest")
     ftilde = cluster_load(model, weights)
     g, values, residual, reaction, iters = _solve_chain(
         model.potential, 1.0, mesh.h, ftilde, mesh.K - 1, scale=nu

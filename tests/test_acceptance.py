@@ -164,10 +164,13 @@ def test_c03_estimator_sandwich(capsys):
 
 def test_c04_force_rule_scaling(capsys):
     study = force_scaling_study(2 ** 12, (8, 16, 32, 64), r=1)
-    ratio_gap = abs(study.ratio_measured[1] / study.ratio_predicted[1] - 1.0)
-    scaled = study.scaled_table()
+    ratio_gap = abs(study["ratio_measured"][1] / study["ratio_predicted"][1] - 1.0)
+    scaled = ConvergenceTable(parameter="h", metric="scaled deviation",
+                              parameters=study["h"], values=study["deviation_scaled"])
     scaled_rates = scaled.rates()
-    absolute_rate = study.absolute_table().fit_rate()
+    absolute_rate = ConvergenceTable(parameter="h", metric="absolute deviation",
+                                     parameters=study["h"],
+                                     values=study["deviation_absolute"]).fit_rate()
     ok = ratio_gap <= 0.02 and _rates_reach(scaled, 1.8)
     _verdict(
         capsys, 4, ok,
@@ -262,17 +265,17 @@ def test_c07_smoothness_tables(capsys):
     for K in (4, 15):
         mesh = build_mesh(MeshSpec(family="graded", N=2 ** (K - 1), K=K))
         graded_ok = graded_ok and np.array_equal(
-            smoothness_profile(mesh).coefficients, _graded_expected(K)
+            smoothness_profile(mesh), _graded_expected(K)
         )
     mesh = build_mesh(MeshSpec(family="oscillatory", N=96, K=4))
     k_values = np.arange(-3, 5)
     expected = np.where(k_values % 2 == 0, -0.25, 0.5)
     # element sizes carry a factor 1/3, so the coefficients sit 1 ulp off
     # their dyadic limits; bitwise equality is impossible on this family
-    osc = smoothness_profile(mesh).coefficients
+    osc = smoothness_profile(mesh)
     osc_ok = bool(np.max(np.abs(osc - expected)) <= 1e-15)
     uniform = smoothness_profile(build_mesh(MeshSpec(family="uniform", N=64, K=4)))
-    uniform_ok = bool(np.all(uniform.coefficients == 0.0))
+    uniform_ok = bool(np.all(uniform == 0.0))
     ok = graded_ok and osc_ok and uniform_ok
     _verdict(
         capsys, 7, ok,

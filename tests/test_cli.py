@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qclab.cli import main
+from qclab.errors import QCLabError
 from qclab.model import MAX_N
 
 
@@ -182,6 +184,29 @@ def test_missing_custom_mesh_file(tmp_path, capsys):
     error = error_of(capsys)
     assert error["code"] == "MeshBuild"
     assert str(missing) in error["message"]
+
+
+def test_vanishing_force_weight_is_ill_posed(tmp_path, capsys):
+    # tight clusters (2r+1 = 3 = the smallest step) on this mesh give two
+    # exact weights of a few 1e-18; the force-cluster equations divide by them
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("-19\n-3\n0\n3\n29\n32\n")
+    argv = ["run", "--mesh", f"custom:{nodes}", "--N", "27", "--K", "3", "--r", "1",
+            "--force", "sinpi", "--out", str(tmp_path / "out")]
+    assert main(argv + ["--method", "force-cluster"]) == 1
+    error = error_of(capsys)
+    assert error["code"] == "IllPosed"
+    assert "force weight of node slot" in error["message"]
+    assert main(argv + ["--method", "energy-cluster"]) == 0
+
+
+def test_overflowing_force_is_rejected_without_a_warning(tmp_path, capsys):
+    # exp(1000 x^2) overflows to inf (and 0 * inf is nan): the samples are
+    # rejected as non-finite, and the overflow itself warns nothing
+    rc = main(["run", "--N", "8", "--method", "atomistic", "--force=gauss:1,-1000",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert error_of(capsys)["code"] == "UnknownFamily"
 
 
 node_lists = st.one_of(
@@ -373,3 +398,113 @@ def test_reproduce_example1_is_the_consistency_sweep(tmp_path, capsys):
     preset = (tmp_path / "preset" / "example1" / "sweep.csv").read_bytes()
     assert preset == (tmp_path / "sweep" / "sweep.csv").read_bytes()
     assert preset.count(b"\nrate,") == 3
+
+
+# ---------------------------------------------------------------- fuzzed command lines
+#
+# Each draw starts from a valid instance and replaces some of its fields by
+# wild values.  Every size either keeps what it builds small (N <= 2^10 for
+# a lattice, K <= 2^12 for a mesh; mesh-inspect builds no lattice) or lies
+# past the bound that rejects it before anything is allocated.  Junk text
+# has no digits, so it never parses as a size.
+
+ERROR_CODES = {cls.code for cls in (QCLabError, *QCLabError.__subclasses__())}
+beyond = st.integers(MAX_N + 1, 2**70)
+junk = st.text(alphabet=" ,:+-.eabxyz_#=", max_size=8)
+numbers = st.one_of(st.floats().map(repr), st.integers(-3, 3).map(str), junk)
+WILD = {
+    "mesh": st.one_of(
+        st.sampled_from(["uniform", "graded", "oscillatory", "smooth", "custom", "custom:",
+                         "uniform:2", "custom:run.cfg", "custom:missing", "custom:."]),
+        st.builds("smooth:{}".format, numbers), junk),
+    "N": st.one_of(st.integers(-3, 2**10), beyond),
+    "K": st.one_of(st.integers(-3, 2**12), beyond),
+    "r": st.one_of(st.integers(-3, 8), beyond, st.integers(-(2**70), -MAX_N)),
+    "force": st.one_of(
+        st.sampled_from(["sinpi:1", "gauss", "const:", "lin:1"]),
+        st.builds("gauss:{},{}".format, numbers, numbers), st.builds("const:{}".format, numbers),
+        st.builds("lin:{},{}".format, numbers, numbers), junk),
+}
+wild_nodes = node_lists | st.lists(junk, min_size=1, max_size=2)
+
+
+@st.composite
+def instances(draw):
+    """Valid run fields (a mesh descriptor with an N and K it builds for, a
+    radius, force, method and weight mode) and the node list that
+    custom:nodes.txt holds."""
+    K = draw(st.integers(2, 5))
+    family = draw(st.sampled_from(["uniform", "graded", "oscillatory", "smooth", "custom"]))
+    steps = draw(st.lists(st.integers(1, 30), min_size=2 * K, max_size=2 * K))
+    steps[0] += sum(steps) % 2
+    cums = np.cumsum(steps)
+    N = {"uniform": K * draw(st.integers(1, 12)), "graded": 2 ** (K - 1),
+         "oscillatory": draw(st.integers(2 * K, 200)), "smooth": draw(st.integers(16 * K, 400)),
+         "custom": int(cums[-1]) // 2}[family]
+    nodes = (cums - cums[draw(st.integers(0, 2 * K - 1))]).tolist()
+    fields = {"mesh": "custom:nodes.txt" if family == "custom" else family, "N": N, "K": K,
+              "r": draw(st.integers(0, 2)),
+              "force": draw(st.sampled_from(["sinpi", "gauss:2,25", "const:1", "lin:0.5,-1"])),
+              "method": draw(st.sampled_from(["atomistic", "constrained", "energy-cluster",
+                                              "force-cluster"])),
+              "weights": draw(st.sampled_from(["exact", "lumped"]))}
+    return fields, nodes
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, config file lines, node list) of a run, sweep, mesh-inspect or
+    run --config call; flags as --flag=value, so a value may start with a
+    dash."""
+    command = draw(st.sampled_from(["run", "sweep", "mesh-inspect", "run --config"]))
+    valid, nodes = draw(instances())
+    fields = dict(valid)
+    for key in draw(st.lists(st.sampled_from([*WILD, "nodes"]), max_size=2), label="wild"):
+        if key == "nodes":
+            nodes = draw(wild_nodes, label="wild nodes")
+        else:
+            fields[key] = draw(WILD[key], label=f"wild {key}")
+    if command == "mesh-inspect":
+        N = fields["N"] if draw(st.booleans()) else draw(st.integers(2**10, MAX_N))
+        return ["mesh-inspect", f"--mesh={fields['mesh']}", f"--N={N}",
+                f"--K={fields['K']}"], [], nodes
+    argv, config = [command.split()[0], "--out=out"], []
+    if command == "sweep":
+        axis = draw(st.sampled_from(["K", "N", "r"]), label="axis")
+        points = st.one_of(st.just(valid[axis]), st.integers(0, 16), WILD[axis]).map(str)
+        values = st.lists(points, min_size=1, max_size=4).map(",".join)
+        values = values if draw(st.booleans(), label="integer values") else junk
+        metric = draw(st.sampled_from(["consistency", "weight-gap", "load-defect", "zero-force"]))
+        argv += [f"--axis={axis}", f"--values={draw(values, label='values')}",
+                 f"--metric={metric}"]
+    if command == "run --config":
+        argv.append("--config=run.cfg")
+        # a file may hold any text, where the argument parser passes only
+        # integers and choices
+        junk_key = draw(st.sampled_from([None, *fields]), label="junk value")
+        config = [f"{key} = {draw(junk) if key == junk_key else value}"
+                  for key, value in fields.items()]
+        config += draw(st.lists(junk | junk.map("bogus = {}".format), max_size=1))
+        # flags override the file with valid values
+        fields = {key: valid[key]
+                  for key in draw(st.lists(st.sampled_from(list(valid)), max_size=2))}
+    missing = draw(st.sampled_from([None, *fields]), label="missing flag")
+    argv += [f"--{key}={value}" for key, value in fields.items() if key != missing]
+    return argv, draw(st.permutations(config)), nodes
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(call=command_lines())
+def test_fuzzed_command_lines_end_in_exit_0_or_one_error_line(tmp_path, monkeypatch, capsys,
+                                                             call):
+    argv, config, nodes = call
+    monkeypatch.chdir(tmp_path)  # custom:nodes.txt, run.cfg and --out=out live here
+    (tmp_path / "run.cfg").write_text("".join(f"{line}\n" for line in config))
+    (tmp_path / "nodes.txt").write_text("".join(f"{entry}\n" for entry in nodes))
+    rc = main(argv)
+    assert rc in (0, 1)
+    if rc == 1:
+        assert error_of(capsys)["code"] in ERROR_CODES
+    else:
+        capsys.readouterr()

@@ -12,12 +12,14 @@ import tracemalloc
 
 import pytest
 
-from qclab import cli, solve
+from qclab import ChainModel, MeshSpec, build_mesh, cli, exact_load, harmonic_potential, solve
+from qclab import sample_force
 from qclab.cli import RunConfig, _execute, main
 
 N = 2**16
 BUDGET = 4.5  # lattice arrays
 STAGE_BUDGET = 0.5  # lattice arrays a stage may hold beyond its entry or its result
+FINEST_LOAD_BUDGET = 3.5  # lattice arrays of one exact_load call on the finest uniform mesh
 
 CONFIGS = {
     "graded-energy-cluster": RunConfig(mesh="graded", N=N, K=17, r=0, weights="exact",
@@ -85,3 +87,12 @@ def test_graded_stages_stay_near_their_resident_set(monkeypatch):
         tracemalloc.stop()
     assert set(rises) == set(STAGES)
     assert max(max(calls) for calls in rises.values()) <= STAGE_BUDGET, rises
+
+
+def test_exact_load_peak_on_the_finest_uniform_mesh():
+    # K = N/2: elements of two sites, so every mesh-length array is half a
+    # lattice array and exact_load's per-element arrays, not the lattice, set
+    # its peak
+    mesh = build_mesh(MeshSpec(family="uniform", N=N, K=N // 2))
+    model = ChainModel(N=N, potential=harmonic_potential(), force=sample_force("sinpi", N))
+    assert peak_arrays(lambda: exact_load(mesh, model)) <= FINEST_LOAD_BUDGET

@@ -263,13 +263,13 @@ def test_nodal_field_validation():
 
 def test_smoothness_uniform_is_zero():
     mesh = build_mesh(MeshSpec(family="uniform", N=64, K=8))
-    np.testing.assert_array_equal(smoothness_profile(mesh).coefficients, 0.0)
+    np.testing.assert_array_equal(smoothness_profile(mesh), 0.0)
 
 
 def test_smoothness_graded_table():
     mesh = build_mesh(MeshSpec(family="graded", N=8, K=4))
     expected = [-0.125, 0.125, 0.25, 0.0, 0.0, 0.25, 0.125, -0.125]
-    np.testing.assert_array_equal(smoothness_profile(mesh).coefficients, expected)
+    np.testing.assert_array_equal(smoothness_profile(mesh), expected)
 
 
 def test_smoothness_oscillatory_table():
@@ -278,5 +278,5 @@ def test_smoothness_oscillatory_table():
     mesh = build_mesh(MeshSpec(family="oscillatory", N=96, K=4))
     k = np.arange(-3, 5)
     expected = np.where(k % 2 == 0, -0.25, 0.5)
-    np.testing.assert_allclose(smoothness_profile(mesh).coefficients, expected,
+    np.testing.assert_allclose(smoothness_profile(mesh), expected,
                                rtol=0, atol=1e-15)

@@ -240,7 +240,7 @@ def test_cluster_energy_identity_at_radius_zero():
     exact = stored_energy(model, prolong(V))
     correction = float(
         np.dot(
-            mesh.h * smoothness_profile(mesh).coefficients,
+            mesh.h * smoothness_profile(mesh),
             model.potential.value(V.gradients()),
         )
     )
@@ -428,8 +428,8 @@ def test_solvers_agree_with_the_oracles_on_random_instances(mesh, force, data, m
 
     A tight cluster (2r+1 equal to the smallest step) can make an exact
     weight vanish or turn negative.  solve_weights rejects a negative one;
-    a vanishing force weight makes the force-cluster equations singular, so
-    no oracle comparison is defined for them."""
+    a vanishing force weight makes the force-cluster equations singular,
+    and solve_force_cluster rejects it."""
     r = data.draw(st.integers(0, (int(np.min(mesh.steps)) - 1) // 2), label="r")
     potential = harmonic_potential() if beta is None else quartic_potential(beta)
     model = make_model(mesh.N, force=force, potential=potential)
@@ -443,10 +443,13 @@ def test_solvers_agree_with_the_oracles_on_random_instances(mesh, force, data, m
     else:
         weights = weights.with_mode(mode)
         energy = solve_energy_cluster(model, weights).solution
-        singular = np.min(weights.force) <= 1e-12 * np.max(weights.force)
-        if singular:
+        if np.min(weights.force) <= 1e-12 * np.max(weights.force):
             event("a force weight vanishes")
-        forced = None if singular else solve_force_cluster(model, weights).solution
+            with pytest.raises(IllPosed):
+                solve_force_cluster(model, weights)
+            forced = None
+        else:
+            forced = solve_force_cluster(model, weights).solution
     if beta is not None:
         # differenced values, not the solver's gradients, so a closure constant
         # that misses periodicity shows up at the wrap bond.  The closure
