@@ -64,9 +64,7 @@ from .solve import (
     solve_force_cluster,
 )
 from .analysis import (
-    ConsistencyEstimate,
     ConvergenceTable,
-    ErrorReport,
     consistency_estimate,
     convergence_study,
     error_report,
@@ -95,8 +93,7 @@ __all__ = [
     "solve_energy_cluster", "solve_force_cluster",
     "cluster_load", "energy_cluster_functional",
     "effective_stiffness",
-    "ConsistencyEstimate", "ErrorReport", "ConvergenceTable",
-    "consistency_estimate", "error_report",
+    "ConvergenceTable", "consistency_estimate", "error_report",
     "predicted_relative_band", "convergence_study", "smooth_mesh_consistency",
     "load_defect", "gradient_alternation",
     "force_scaling_study",

@@ -24,36 +24,27 @@ from .model import sample_force, stored_energy
 from .solve import cluster_load, solve_constrained, solve_energy_cluster, solve_force_cluster
 
 
-@dataclass(frozen=True, eq=False)
-class ConsistencyEstimate:
+def consistency_estimate(field: NodalField) -> dict[str, float]:
     """Smoothness-weighted fluctuation of a nodal gradient field.
 
-    ``value`` is sqrt(sum_k h_k (w_k - mean)^2) with w_k the element gradient
-    times the element's smoothness coefficient and ``mean`` the periodicity-
-    forced average (half of sum_k h_k w_k).  ``sandwich_lower``/``sandwich_upper``
-    divide the value by the two-sided equivalence factors (1 + kappa^{+-1})/2:
-    for a quadratic potential they bracket the energy-norm distance between
-    the r = 0 cluster solution and the constrained solution (both absolute,
-    same units as the energy norm).
+    Returns ``mean``, the periodicity-forced average (half of sum_k h_k w_k,
+    with w_k the element gradient times the element's smoothness coefficient);
+    ``consistency``, sqrt(sum_k h_k (w_k - mean)^2); and ``sandwich_lower`` and
+    ``sandwich_upper``, the consistency divided by the two-sided equivalence
+    factors (1 + kappa^{+-1})/2: for a quadratic potential they bracket the
+    energy-norm distance between the r = 0 cluster solution and the
+    constrained solution (all four absolute, in the units of the energy norm).
     """
-
-    value: float
-    mean: float
-    sandwich_lower: float
-    sandwich_upper: float
-
-
-def consistency_estimate(field: NodalField) -> ConsistencyEstimate:
     mesh = field.mesh
     weighted = smoothness_profile(mesh) * field.gradients()
     mean = 0.5 * np.dot(mesh.h, weighted)  # h sums to 2 over the period
     value = float(np.sqrt(np.dot(mesh.h, (weighted - mean) ** 2)))
-    return ConsistencyEstimate(
-        value=value,
-        mean=float(mean),
-        sandwich_lower=value / (0.5 * (1.0 + mesh.kappa)),
-        sandwich_upper=value / (0.5 * (1.0 + 1.0 / mesh.kappa)),
-    )
+    return {
+        "mean": float(mean),
+        "consistency": value,
+        "sandwich_lower": value / (0.5 * (1.0 + mesh.kappa)),
+        "sandwich_upper": value / (0.5 * (1.0 + 1.0 / mesh.kappa)),
+    }
 
 
 def predicted_relative_band(family: str, kappa: float) -> tuple[float, float] | None:
@@ -66,30 +57,17 @@ def predicted_relative_band(family: str, kappa: float) -> tuple[float, float] | 
     return (closed_form / (0.5 * (1.0 + kappa)), closed_form / (0.5 * (1.0 + 1.0 / kappa)))
 
 
-@dataclass(frozen=True, eq=False)
-class ErrorReport:
-    """Errors of a cluster solution against the constrained solution, plus
-    the consistency certificate that predicts them.
-
-    ``energy_norm_rel``, ``energy_rel`` and ``predicted_band`` are relative
-    quantities; ``mean``, ``consistency`` and the sandwich bounds are absolute
-    (``reference_norm``, the energy norm of the constrained solution, converts
-    between the two scales).
-    """
-
-    energy_norm_rel: float
-    energy_rel: float | None
-    mean: float
-    consistency: float
-    sandwich_lower: float
-    sandwich_upper: float
-    kappa: float
-    predicted_band: tuple[float, float] | None
-    reference_norm: float
-
-
 def error_report(model: ChainModel, atomistic: Displacement, constrained: NodalField,
-                 qc: NodalField, qc_energy: float, family: str | None = None) -> ErrorReport:
+                 qc: NodalField, qc_energy: float, family: str | None = None) -> dict:
+    """Errors of a cluster solution against the constrained solution, plus
+    the consistency certificate that predicts them: the ``errors`` block of a
+    report, in its order.  ``energy_norm_rel``, ``energy_rel`` (None where the
+    exact stored energy vanishes) and ``predicted_band`` (None outside the
+    graded and oscillatory families) are relative; the four entries of
+    ``consistency_estimate(constrained)`` are absolute, and ``reference_norm``,
+    the energy norm of the constrained solution, converts between the two
+    scales.  ``kappa`` is the mesh's size-ratio bound.
+    """
     mesh = constrained.mesh
     check_lattice(model, mesh)
     check_field(mesh, qc)
@@ -106,18 +84,14 @@ def error_report(model: ChainModel, atomistic: Displacement, constrained: NodalF
         # the relative gap of the total energies (stored minus load potential),
         # which is the quantity the reproduced experiments report.
         energy_rel = float((qc_energy - exact_energy) / abs(exact_energy))
-    est = consistency_estimate(constrained)
-    return ErrorReport(
-        energy_norm_rel=energy_norm_rel,
-        energy_rel=energy_rel,
-        mean=est.mean,
-        consistency=est.value,
-        sandwich_lower=est.sandwich_lower,
-        sandwich_upper=est.sandwich_upper,
-        kappa=mesh.kappa,
-        predicted_band=predicted_relative_band(family, mesh.kappa) if family else None,
-        reference_norm=float(reference),
-    )
+    return {
+        "energy_norm_rel": energy_norm_rel,
+        "energy_rel": energy_rel,
+        **consistency_estimate(constrained),
+        "kappa": mesh.kappa,
+        "predicted_band": predicted_relative_band(family, mesh.kappa) if family else None,
+        "reference_norm": float(reference),
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,12 +143,14 @@ def convergence_study(metric: str, mesh: str, force: str, points,
     params = []
     values = []
     for N, K, r in points:
-        if model is None or model.N != N:  # one force sampling per run of equal N
+        # one force sampling per run of equal N; weight-gap samples none
+        if metric != "weight-gap" and (model is None or model.N != N):
             model = ChainModel(N=N, potential=harmonic_potential(), force=sample_force(force, N))
         grid = build_mesh(parse_mesh_descriptor(mesh, N, K))
-        params.append(float(np.max(grid.h)) if parameter == "h_max" else model.epsilon)
+        params.append(float(np.max(grid.h)) if parameter == "h_max" else 1.0 / N)
         if metric == "consistency":
-            values.append(consistency_estimate(solve_constrained(model, grid).solution).value)
+            constrained = solve_constrained(model, grid).solution
+            values.append(consistency_estimate(constrained)["consistency"])
             continue
         rule = ClusterRule(mesh=grid, r=r)
         weight_set = solve_weights(assemble_weight_system(rule)).with_mode(weights)

@@ -59,14 +59,14 @@ _METHODS = ("atomistic", "constrained", "energy-cluster", "force-cluster")
 
 @dataclass(frozen=True)
 class RunConfig:
-    mesh: str | None
-    N: int
-    K: int | None
-    r: int
-    weights: str
-    method: str
-    force: str
-    out: str
+    mesh: str | None = None
+    N: int | None = None
+    K: int | None = None
+    r: int = 0
+    weights: str = "exact"
+    method: str = "constrained"
+    force: str | None = None
+    out: str = "."
 
 
 # ---------------------------------------------------------------- serialization
@@ -326,42 +326,30 @@ def _load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-_CONFIG_KEYS = {
-    "mesh": str, "N": int, "K": int, "r": int,
-    "weights": str, "method": str, "force": str, "out": str,
-}
+_INT_KEYS = ("N", "K", "r")
 
 
-def _merge_config(args: argparse.Namespace, need_method: bool = True,
-                  need_N: bool = True) -> RunConfig:
-    values: dict = {"mesh": None, "N": None, "K": None, "r": 0,
-                    "weights": "exact", "method": "constrained", "force": None, "out": "."}
+def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """RunConfig's defaults, overridden by the config file, then by flags."""
+    values = asdict(RunConfig())
     if args.config:
         for key, raw in _load_config_file(args.config).items():
-            if key not in _CONFIG_KEYS:
+            if key not in values:
                 raise QCLabError(f"unknown config key {key!r}")
             try:
-                values[key] = _CONFIG_KEYS[key](raw)
+                values[key] = int(raw) if key in _INT_KEYS else raw
             except ValueError:
                 raise QCLabError(f"config key {key!r} has a bad value {raw!r}") from None
-    for key in _CONFIG_KEYS:
+    for key in values:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if values["N"] is None:
-        if need_N:
-            raise QCLabError("N is required (flag --N or config file)")
-        values["N"] = 0  # never consumed: the swept axis supplies N per point
     if values["force"] is None:
         raise QCLabError("force descriptor is required (flag --force or config file)")
     if values["method"] not in _METHODS:
         raise UnknownFamily(f"unknown method {values['method']!r}; choose from {_METHODS}")
     if values["weights"] not in ("exact", "lumped"):
         raise UnknownFamily(f"unknown weight mode {values['weights']!r}")
-    if need_method and values["method"] != "atomistic" and (
-        values["mesh"] is None or values["K"] is None
-    ):
-        raise QCLabError(f"method {values['method']!r} needs --mesh and --K")
     return RunConfig(**values)
 
 
@@ -384,10 +372,8 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
     started = time.perf_counter()
     model = ChainModel(N=config.N, potential=harmonic_potential(),
                        force=sample_force(config.force, config.N))
-    payload: dict = {"config": {
-        "mesh": config.mesh, "N": config.N, "K": config.K, "r": config.r,
-        "weights": config.weights, "method": config.method, "force": config.force,
-    }}
+    payload: dict = {"config": {key: value for key, value in asdict(config).items()
+                                if key != "out"}}
     reports = {"atomistic": solve_atomistic(model)}
     columns = {"x": functools.partial(lattice_coordinates, config.N),
                "u_atomistic": reports["atomistic"].solution.values}
@@ -425,10 +411,10 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
         solver = solve_energy_cluster if config.method == "energy-cluster" else solve_force_cluster
         qc = reports[config.method] = solver(model, weights)
         columns["u_qc"] = prolong_rows(qc.solution)
-        errors = asdict(error_report(
+        errors = error_report(
             model, reports["atomistic"].solution, reports["constrained"].solution,
             qc.solution, energy_cluster_functional(model, weights, qc.solution),
-            family=spec.family))
+            family=spec.family)
 
     payload["solves"] = {
         method: {"residual": report.residual, "reaction": report.reaction,
@@ -443,8 +429,12 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _merge_config(args)
-    out = _output_dir(Path(config.out))
+    if config.N is None:
+        raise QCLabError("N is required (flag --N or config file)")
+    if config.method != "atomistic" and (config.mesh is None or config.K is None):
+        raise QCLabError(f"method {config.method!r} needs --mesh and --K")
     payload, columns, _ = _execute(config)
+    out = _output_dir(Path(config.out))
     _write_csv(out / "profile.csv", list(columns), list(columns.values()))
     _write_json(out / "report.json", payload)
     print(f"wrote {out / 'profile.csv'} and {out / 'report.json'}")
@@ -464,11 +454,11 @@ def _check(value, lo: float, hi: float) -> dict:
 
 
 _FIGURES = {
-    "fig1": (RunConfig(mesh="graded", N=2 ** 14, K=15, r=0, weights="exact",
-                       method="energy-cluster", force="gauss:1e4,1e4", out="."),
+    "fig1": (RunConfig(mesh="graded", N=2 ** 14, K=15, method="energy-cluster",
+                       force="gauss:1e4,1e4"),
              {"energy_norm_rel": (0.10, 0.13), "energy_rel": (-0.16, -0.10)}),
-    "fig2": (RunConfig(mesh="oscillatory", N=10 ** 4, K=20, r=0, weights="exact",
-                       method="energy-cluster", force="sinpi", out="."),
+    "fig2": (RunConfig(mesh="oscillatory", N=10 ** 4, K=20, method="energy-cluster",
+                       force="sinpi"),
              {"energy_norm_rel": (0.30, 0.36), "energy_rel": (0.08, 0.12)}),
 }
 
@@ -583,7 +573,6 @@ _PRESETS = {"fig1": _figure, "fig2": _figure, "example1": _example1,
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    out = _output_dir(Path(args.out) / args.preset)
     payload, checks, csv = _PRESETS[args.preset](args.preset)
     # weights-audit rows carry pass flags of their own, outside the checks
     passed = all(check["pass"] for check in checks.values()) and all(
@@ -592,6 +581,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     payload["verdict"] = "PASS" if passed else "FAIL"
     if "wall_time_s" in payload:
         payload["wall_time_s"] = payload.pop("wall_time_s")  # stays the last entry
+    out = _output_dir(Path(args.out) / args.preset)
     if csv is not None:
         name, columns, rates = csv
         _write_csv(out / name, list(columns), list(columns.values()),
@@ -605,22 +595,24 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sweeps
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _merge_config(args, need_method=False, need_N=(args.axis != "N"))
+    config = _merge_config(args)
+    if config.N is None and args.axis != "N":
+        raise QCLabError("N is required (flag --N or config file)")
     if config.mesh is None:
         raise QCLabError("sweep needs --mesh")
     if config.K is None and args.axis != "K":
         raise QCLabError("sweep needs --K unless K is the swept axis")
-    out = _output_dir(Path(config.out))
     try:
         values = [int(v) for v in args.values.split(",")]
     except ValueError:
-        raise UnknownFamily(
+        raise QCLabError(
             f"sweep --values must be comma-separated integers, got {args.values!r}"
         ) from None
     points = [(value if args.axis == "N" else config.N,
                value if args.axis == "K" else config.K,
                value if args.axis == "r" else config.r) for value in values]
     table = convergence_study(args.metric, config.mesh, config.force, points, config.weights)
+    out = _output_dir(Path(config.out))
     _write_csv(out / "sweep.csv", [args.axis, table.parameter, table.metric],
                [np.array(values, dtype=float), table.parameters, table.values],
                footer=["rate,%.17g" % r for r in table.rates()])

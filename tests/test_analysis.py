@@ -49,8 +49,8 @@ def test_consistency_vanishes_on_uniform_meshes():
     values = rng.normal(size=2 * mesh.K)
     values[mesh.K - 1] = 0.0
     est = consistency_estimate(NodalField(mesh=mesh, values=values))
-    assert est.value == 0.0
-    assert est.mean == 0.0
+    assert est["consistency"] == 0.0
+    assert est["mean"] == 0.0
 
 
 def test_consistency_centred_and_raw_forms_agree():
@@ -65,7 +65,7 @@ def test_consistency_centred_and_raw_forms_agree():
         weighted = smoothness_profile(mesh) * field.gradients()
         raw = float(np.dot(mesh.h, weighted ** 2))
         np.testing.assert_allclose(
-            est.value ** 2 + 2.0 * est.mean ** 2, raw, rtol=1e-10
+            est["consistency"] ** 2 + 2.0 * est["mean"] ** 2, raw, rtol=1e-10
         )
 
 
@@ -80,11 +80,11 @@ def test_consistency_sandwich_brackets_the_cluster_error():
         _, _, constrained, qc = qc_solve(mesh, force="sinpi", r=0)
         est = consistency_estimate(constrained)
         err = energy_norm(NodalField(mesh=mesh, values=qc.values - constrained.values))
-        slack = 1e-10 * max(est.value, err)
-        assert 0.5 * (1.0 + 1.0 / mesh.kappa) * err <= est.value + slack
-        assert est.value <= 0.5 * (1.0 + mesh.kappa) * err + slack
-        assert est.sandwich_lower <= err + slack
-        assert err <= est.sandwich_upper + slack
+        slack = 1e-10 * max(est["consistency"], err)
+        assert 0.5 * (1.0 + 1.0 / mesh.kappa) * err <= est["consistency"] + slack
+        assert est["consistency"] <= 0.5 * (1.0 + mesh.kappa) * err + slack
+        assert est["sandwich_lower"] <= err + slack
+        assert err <= est["sandwich_upper"] + slack
 
 
 def test_predicted_band_closed_forms():
@@ -134,13 +134,16 @@ def test_error_report_of_the_constrained_solution_itself():
     atom = solve_atomistic(model).solution
     qc_energy = energy_cluster_functional(model, weights, qc)
     report = error_report(model, atom, constrained, constrained, qc_energy, family="graded")
-    assert report.energy_norm_rel == 0.0
+    assert report["energy_norm_rel"] == 0.0
     exact = stored_energy(model, atom)
     np.testing.assert_allclose(
-        report.energy_rel, (qc_energy - exact) / abs(exact), rtol=1e-15
+        report["energy_rel"], (qc_energy - exact) / abs(exact), rtol=1e-15
     )
-    assert report.predicted_band is not None
-    assert report.reference_norm == energy_norm(constrained)
+    assert report["predicted_band"] is not None
+    assert report["reference_norm"] == energy_norm(constrained)
+    est = consistency_estimate(constrained)
+    assert list(est) == ["mean", "consistency", "sandwich_lower", "sandwich_upper"]
+    assert {key: report[key] for key in est} == est
 
 
 def test_error_report_skips_energy_ratio_without_stored_energy():
@@ -148,8 +151,8 @@ def test_error_report_skips_energy_ratio_without_stored_energy():
     model, _, constrained, qc = qc_solve(mesh, force="const:0")
     atom = solve_atomistic(model).solution
     report = error_report(model, atom, constrained, qc, 0.0)
-    assert report.energy_rel is None
-    assert report.predicted_band is None
+    assert report["energy_rel"] is None
+    assert report["predicted_band"] is None
 
 
 def test_error_report_rejects_a_solution_on_another_mesh():
@@ -197,6 +200,19 @@ def test_convergence_study_samples_each_force_once(monkeypatch):
     assert sampled == [("sinpi", 256), ("sinpi", 512)]
     assert table.parameter == "h_max" and table.metric == "consistency"
     assert table.values.shape == (4,)
+
+
+def test_weight_gap_study_samples_no_lattice(monkeypatch):
+    import qclab.analysis
+
+    def refuse(spec, N):
+        raise AssertionError(f"sampled {spec!r} on N = {N}")
+
+    monkeypatch.setattr(qclab.analysis, "sample_force", refuse)
+    table = convergence_study("weight-gap", "uniform", "sinpi", [(2 ** 40, 64, 1)])
+    assert table.parameter == "epsilon"
+    assert table.parameters.tolist() == [2.0 ** -40]
+    assert table.values.shape == (1,)
 
 
 def test_convergence_study_rejects_an_unknown_metric():

@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, determinism, exit codes, presets."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -46,8 +47,13 @@ def test_run_cluster_report_shape(tmp_path):
     assert list(report) == [
         "config", "mesh", "smoothness", "weights", "solves", "errors", "wall_time_s",
     ]
+    assert list(report["config"]) == ["mesh", "N", "K", "r", "weights", "method", "force"]
     assert set(report["solves"]) == {"atomistic", "constrained", "energy-cluster"}
     errors = report["errors"]
+    assert list(errors) == [
+        "energy_norm_rel", "energy_rel", "mean", "consistency", "sandwich_lower",
+        "sandwich_upper", "kappa", "predicted_band", "reference_norm",
+    ]
     assert 0.0 < errors["energy_norm_rel"] < 1.0
     assert errors["predicted_band"][0] < errors["predicted_band"][1]
     header = read_lines(tmp_path / "profile.csv")[0]
@@ -172,7 +178,7 @@ def test_sweep_rejects_non_integer_values(tmp_path, capsys):
                "--mesh", "uniform", "--N", "64", "--force", "sinpi", "--out", str(tmp_path)])
     assert rc == 1
     error = error_of(capsys)
-    assert error["code"] == "UnknownFamily"
+    assert error["code"] == "Error"
     assert "8,x" in error["message"]
 
 
@@ -372,6 +378,23 @@ def test_out_naming_a_file(tmp_path, capsys, argv):
     assert str(taken) in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "N", "--values", "8,16", "--metric", "consistency",
+     "--mesh", "graded", "--K", "4", "--force", "sinpi"],
+    ["sweep", "--axis", "K", "--values", "8,x", "--metric", "consistency",
+     "--mesh", "uniform", "--N", "64", "--force", "sinpi"],
+    ["run", "--mesh", "uniform", "--N", "64", "--K", "4", "--method", "constrained",
+     "--force", "gauss:1,nan"],
+    ["run", "--mesh", "smooth:1e400", "--N", "64", "--K", "4", "--method", "constrained",
+     "--force", "sinpi"],
+], ids=["sweep-mesh", "sweep-values", "run-force", "run-mesh"])
+def test_failing_call_leaves_no_output_directory(tmp_path, capsys, argv):
+    out = tmp_path / "D"
+    assert main(argv + ["--out", str(out)]) == 1
+    error_of(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, target", [
     (["run", "--mesh", "uniform", "--N", "8", "--K", "4", "--method", "constrained",
       "--force", "sinpi"], "profile.csv"),
@@ -500,6 +523,7 @@ def test_fuzzed_command_lines_end_in_exit_0_or_one_error_line(tmp_path, monkeypa
                                                              call):
     argv, config, nodes = call
     monkeypatch.chdir(tmp_path)  # custom:nodes.txt, run.cfg and --out=out live here
+    shutil.rmtree(tmp_path / "out", ignore_errors=True)
     (tmp_path / "run.cfg").write_text("".join(f"{line}\n" for line in config))
     (tmp_path / "nodes.txt").write_text("".join(f"{entry}\n" for entry in nodes))
     rc = main(argv)
@@ -508,3 +532,5 @@ def test_fuzzed_command_lines_end_in_exit_0_or_one_error_line(tmp_path, monkeypa
         assert error_of(capsys)["code"] in ERROR_CODES
     else:
         capsys.readouterr()
+    # a call writes its output directory when, and only when, it succeeds
+    assert (tmp_path / "out").exists() == (rc == 0 and argv[0] != "mesh-inspect")

@@ -13,5 +13,5 @@ def test_library_example_runs():
     exec(compile(code, str(README), "exec"), namespace)
     report = namespace["report"]
     # the example is the fig1 instance; these are its preset bands
-    assert 0.10 <= report.energy_norm_rel <= 0.13
-    assert -0.16 <= report.energy_rel <= -0.10
+    assert 0.10 <= report["energy_norm_rel"] <= 0.13
+    assert -0.16 <= report["energy_rel"] <= -0.10

@@ -475,6 +475,6 @@ def test_solvers_agree_with_the_oracles_on_random_instances(mesh, force, data, m
         if r == 0:
             est = consistency_estimate(constrained)
             err = energy_norm(NodalField(mesh=mesh, values=energy.values - constrained.values))
-            slack = 1e-10 * max(est.value, err)
-            assert est.sandwich_lower <= err + slack and err <= est.sandwich_upper + slack
+            slack = 1e-10 * max(est["consistency"], err)
+            assert est["sandwich_lower"] <= err + slack and err <= est["sandwich_upper"] + slack
     assert max(float(np.max(np.abs(gap))) for gap in gaps) <= 1e-10
