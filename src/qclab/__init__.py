@@ -64,14 +64,15 @@ from .solve import (
     solve_force_cluster,
 )
 from .analysis import (
-    ConvergenceTable,
     consistency_estimate,
     convergence_study,
     error_report,
+    fit_rate,
     force_scaling_study,
     gradient_alternation,
     load_defect,
     predicted_relative_band,
+    rates,
     smooth_mesh_consistency,
 )
 
@@ -93,8 +94,8 @@ __all__ = [
     "solve_energy_cluster", "solve_force_cluster",
     "cluster_load", "energy_cluster_functional",
     "effective_stiffness",
-    "ConvergenceTable", "consistency_estimate", "error_report",
-    "predicted_relative_band", "convergence_study", "smooth_mesh_consistency",
+    "consistency_estimate", "error_report", "predicted_relative_band",
+    "convergence_study", "smooth_mesh_consistency", "rates", "fit_rate",
     "load_defect", "gradient_alternation",
     "force_scaling_study",
 ]

@@ -11,12 +11,12 @@ ever touching the full chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .cluster import ClusterRule, WeightSet, assemble_weight_system, solve_weights
-from .errors import UnknownFamily
+from .errors import QCLabError, UnknownFamily
 from .mesh import MeshSpec, NodalField, build_mesh, check_field, check_lattice, exact_load
 from .mesh import parse_mesh_descriptor, smoothness_profile
 from .model import ChainModel, Displacement, energy_norm, harmonic_potential
@@ -94,51 +94,49 @@ def error_report(model: ChainModel, atomistic: Displacement, constrained: NodalF
     }
 
 
-@dataclass(frozen=True, eq=False)
-class ConvergenceTable:
-    """Metric values against a resolution parameter, with observed rates."""
+def _has_rates(parameters: np.ndarray, values: np.ndarray) -> bool:
+    """A rate is defined: two points or more, every value is positive and
+    every parameter step moves."""
+    return len(values) > 1 and bool(np.all(values > 0.0) and np.all(np.diff(parameters) != 0.0))
 
-    parameter: str
-    metric: str
-    parameters: np.ndarray
-    values: np.ndarray
 
-    def _has_rates(self) -> bool:
-        """A rate is defined: two points or more, every value is positive and
-        every parameter step moves."""
-        p, v = self.parameters, self.values
-        return len(v) > 1 and bool(np.all(v > 0.0) and np.all(np.diff(p) != 0.0))
+def rates(parameters: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Observed orders of values against a resolution parameter: the
+    log-ratio of consecutive values over that of consecutive parameters;
+    empty where no rate is defined."""
+    if not _has_rates(parameters, values):
+        return np.empty(0)
+    p, v = parameters, values
+    return np.log(v[:-1] / v[1:]) / np.log(p[:-1] / p[1:])
 
-    def rates(self) -> np.ndarray:
-        """Pairwise orders: log-ratio of consecutive values over parameters;
-        empty where no rate is defined."""
-        if not self._has_rates():
-            return np.empty(0)
-        p, v = self.parameters, self.values
-        return np.log(v[:-1] / v[1:]) / np.log(p[:-1] / p[1:])
 
-    def fit_rate(self) -> float:
-        """Least-squares slope of log(value) against log(parameter); nan where
-        no rate is defined."""
-        if not self._has_rates():
-            return float("nan")
-        slope, _ = np.polyfit(np.log(self.parameters), np.log(self.values), 1)
-        return float(slope)
+def fit_rate(parameters: np.ndarray, values: np.ndarray) -> float:
+    """Least-squares slope of log(value) against log(parameter); nan where
+    no rate is defined."""
+    if not _has_rates(parameters, values):
+        return float("nan")
+    slope, _ = np.polyfit(np.log(parameters), np.log(values), 1)
+    return float(slope)
 
 
 _STUDY_PARAMETERS = {"consistency": "h_max", "weight-gap": "epsilon",
                      "load-defect": "h_max", "zero-force": "epsilon"}
 
 
-def convergence_study(metric: str, mesh: str, force: str, points,
-                      weights: str = "exact") -> ConvergenceTable:
+def convergence_study(metric: str, mesh: str, force: str | None, points,
+                      weights: str = "exact") -> dict[str, np.ndarray]:
     """One metric, against h_max or epsilon, on the chain and mesh (both given
     by descriptors) of each (N, K, r) point.  Metrics: "consistency" of the
     constrained solution, "weight-gap", "load-defect", and "zero-force": the
-    largest nodal value of the unloaded cluster solution, which must vanish."""
+    largest nodal value of the unloaded cluster solution, which must vanish.
+    Returns two columns, one entry per point: the parameter ("h_max" or
+    "epsilon"), then the metric under its own name.  "weight-gap" samples no
+    force, so its ``force`` may be None."""
     if metric not in _STUDY_PARAMETERS:
         raise UnknownFamily(f"unknown metric {metric!r}; choose from {tuple(_STUDY_PARAMETERS)}")
     parameter = _STUDY_PARAMETERS[metric]
+    if force is None and metric != "weight-gap":
+        raise QCLabError(f"metric {metric!r} needs a force descriptor")
     model = None
     params = []
     values = []
@@ -162,15 +160,14 @@ def convergence_study(metric: str, mesh: str, force: str, points,
             unloaded = replace(model, force=sample_force("const:0", N))
             qc = solve_energy_cluster(unloaded, weight_set).solution
             values.append(float(np.max(np.abs(qc.values))))
-    return ConvergenceTable(parameter=parameter, metric=metric,
-                            parameters=np.array(params), values=np.array(values))
+    return {parameter: np.array(params), metric: np.array(values)}
 
 
-def smooth_mesh_consistency(N: int, K_values, amplitude: float = 0.2) -> ConvergenceTable:
+def smooth_mesh_consistency(N: int, K_values, amplitude: float = 0.2) -> dict[str, np.ndarray]:
     """Consistency estimator of the constrained solution under the sinpi
     load on smoothly graded meshes of increasing resolution; decays
     quadratically in the mesh size until integer rounding of the node
-    positions takes over."""
+    positions takes over.  Returns the columns "h_max" and "consistency"."""
     # float(): the repr of a numpy scalar is not a float literal under numpy 2
     return convergence_study("consistency", f"smooth:{float(amplitude)!r}", "sinpi",
                              [(N, int(K), 0) for K in K_values])

@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -46,11 +46,12 @@ from .solve import (
     solve_force_cluster,
 )
 from .analysis import (
-    ConvergenceTable,
     convergence_study,
     error_report,
+    fit_rate,
     force_scaling_study,
     gradient_alternation,
+    rates,
     smooth_mesh_consistency,
 )
 
@@ -286,23 +287,23 @@ _CSV_CHUNK_ROWS = 4096
 Column = np.ndarray | Callable[[int, int], np.ndarray]
 
 
-def _write_csv(path: Path, header: list[str], columns: list[Column],
-               footer: list[str] | None = None) -> None:
-    """Write header, one row per index of the columns, then footer lines;
-    rows are formatted by _format_rows and written in bounded chunks.  The
-    row count is the length of the array columns; at least one column must
-    be an array unless there are no rows."""
-    rows = next((len(col) for col in columns if not callable(col)), 0)
+def _write_csv(path: Path, columns: dict[str, Column], rates: Iterable[float] = ()) -> None:
+    """Write a header of the column names, one row per index of the columns,
+    then one "rate,VALUE" footer line per observed rate; rows are formatted
+    by _format_rows and written in bounded chunks.  The row count is the
+    length of the array columns; at least one column must be an array unless
+    there are no rows."""
+    rows = next((len(col) for col in columns.values() if not callable(col)), 0)
     try:
         with path.open("wb") as handle:
-            handle.write((",".join(header) + "\n").encode())
+            handle.write((",".join(columns) + "\n").encode())
             for at in range(0, rows, _CSV_CHUNK_ROWS):
                 stop = min(at + _CSV_CHUNK_ROWS, rows)
                 block = np.column_stack([col(at, stop) if callable(col) else col[at:stop]
-                                         for col in columns])
+                                         for col in columns.values()])
                 handle.write(_format_rows(block)[0])
-            for extra in footer or ():
-                handle.write((extra + "\n").encode())
+            for rate in rates:
+                handle.write(b"rate,%.17g\n" % rate)
     except OSError as exc:
         raise QCLabError(f"cannot write {str(path)!r}: {exc}") from None
 
@@ -344,8 +345,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if values["force"] is None:
-        raise QCLabError("force descriptor is required (flag --force or config file)")
     if values["method"] not in _METHODS:
         raise UnknownFamily(f"unknown method {values['method']!r}; choose from {_METHODS}")
     if values["weights"] not in ("exact", "lumped"):
@@ -429,13 +428,15 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _merge_config(args)
+    if config.force is None:
+        raise QCLabError("force descriptor is required (flag --force or config file)")
     if config.N is None:
         raise QCLabError("N is required (flag --N or config file)")
     if config.method != "atomistic" and (config.mesh is None or config.K is None):
         raise QCLabError(f"method {config.method!r} needs --mesh and --K")
     payload, columns, _ = _execute(config)
     out = _output_dir(Path(config.out))
-    _write_csv(out / "profile.csv", list(columns), list(columns.values()))
+    _write_csv(out / "profile.csv", columns)
     _write_json(out / "report.json", payload)
     print(f"wrote {out / 'profile.csv'} and {out / 'report.json'}")
     return 0
@@ -480,21 +481,17 @@ def _figure(preset: str) -> tuple[dict, dict, tuple | None]:
 def _example1(preset: str) -> tuple[dict, dict, tuple | None]:
     K_values = [8, 16, 32, 64]
     table = smooth_mesh_consistency(N=2 ** 14, K_values=K_values, amplitude=0.2)
-    rates = table.rates()
-    fit_rate = table.fit_rate()
+    pairwise, fit = rates(*table.values()), fit_rate(*table.values())
     payload = {
         "preset": preset,
         "config": {"mesh": "smooth:0.2", "N": 2 ** 14, "K_values": K_values,
                    "force": "sinpi", "method": "constrained"},
-        "h_max": table.parameters,
-        "consistency": table.values,
-        "pairwise_rates": rates,
-        "fit_rate": fit_rate,
+        **table,
+        "pairwise_rates": pairwise,
+        "fit_rate": fit,
     }
-    checks = {"consistency_rate": _check(fit_rate, 1.9, float("inf"))}
-    columns = {"K": np.array(K_values, dtype=float), "h_max": table.parameters,
-               "consistency": table.values}
-    return payload, checks, ("sweep.csv", columns, rates)
+    checks = {"consistency_rate": _check(fit, 1.9, float("inf"))}
+    return payload, checks, ("sweep.csv", {"K": np.array(K_values), **table}, pairwise)
 
 
 def _force_scaling(preset: str) -> tuple[dict, dict, tuple | None]:
@@ -502,22 +499,19 @@ def _force_scaling(preset: str) -> tuple[dict, dict, tuple | None]:
     study = force_scaling_study(N=2 ** 12, K_values=K_values, r=1)
     at_k16 = K_values.index(16)
     ratio_gap = abs(study["ratio_measured"][at_k16] / study["ratio_predicted"][at_k16] - 1.0)
-    scaled, absolute = (ConvergenceTable(parameter="h", metric=f"{side} deviation",
-                                         parameters=study["h"], values=study[f"deviation_{side}"])
-                        for side in ("scaled", "absolute"))
-    scaled_rate = scaled.fit_rate()
+    h, scaled = study["h"], study["deviation_scaled"]
+    scaled_rate = fit_rate(h, scaled)
     payload = {
         "preset": preset,
         "config": {"mesh": "uniform", "N": 2 ** 12, "K_values": K_values,
                    "r": 1, "force": "sinpi", "method": "force-cluster"},
         **study,
         "scaled_deviation_rate": scaled_rate,
-        "absolute_deviation_rate": absolute.fit_rate(),
+        "absolute_deviation_rate": fit_rate(h, study["deviation_absolute"]),
     }
     checks = {"ratio_gap_at_K16": _check(ratio_gap, 0.0, 0.02),
               "scaled_deviation_rate": _check(scaled_rate, 1.8, float("inf"))}
-    columns = {**study, "K": study["K"].astype(float)}
-    return payload, checks, ("sweep.csv", columns, scaled.rates())
+    return payload, checks, ("sweep.csv", study, rates(h, scaled))
 
 
 def _audit_meshes() -> list[tuple[str, CoarseMesh, list[int]]]:
@@ -561,8 +555,8 @@ def _weights_audit(preset: str) -> tuple[dict, dict, tuple | None]:
             })
             if label.startswith("gradedlike"):
                 gap_by_size.append((mesh.N, weights.gap_max))
-    gaps = np.array([g for _, g in sorted(gap_by_size)])
-    gap_rates = np.log(gaps[:-1] / gaps[1:]) / np.log(2.0)
+    sizes, gaps = np.array(sorted(gap_by_size)).T
+    gap_rates = rates(1.0 / sizes, gaps)
     payload = {"preset": preset, "rows": rows, "lumped_gap_rates": gap_rates}
     checks = {"gap_rate": _check(float(np.min(gap_rates)), 0.9, float("inf"))}
     return payload, checks, None
@@ -583,9 +577,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         payload["wall_time_s"] = payload.pop("wall_time_s")  # stays the last entry
     out = _output_dir(Path(args.out) / args.preset)
     if csv is not None:
-        name, columns, rates = csv
-        _write_csv(out / name, list(columns), list(columns.values()),
-                   footer=["rate,%.17g" % r for r in rates])
+        name, columns, observed = csv
+        _write_csv(out / name, columns, observed)
     _write_json(out / "report.json", payload)
     detail = ", ".join(f"{name}={check['value']:.6g}" for name, check in checks.items())
     print(f"{args.preset}: {payload['verdict']} ({detail})")
@@ -611,11 +604,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     points = [(value if args.axis == "N" else config.N,
                value if args.axis == "K" else config.K,
                value if args.axis == "r" else config.r) for value in values]
-    table = convergence_study(args.metric, config.mesh, config.force, points, config.weights)
+    study = convergence_study(args.metric, config.mesh, config.force, points, config.weights)
     out = _output_dir(Path(config.out))
-    _write_csv(out / "sweep.csv", [args.axis, table.parameter, table.metric],
-               [np.array(values, dtype=float), table.parameters, table.values],
-               footer=["rate,%.17g" % r for r in table.rates()])
+    _write_csv(out / "sweep.csv", {args.axis: np.array(values), **study}, rates(*study.values()))
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 
@@ -658,14 +649,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--N", type=int, help="atoms per half period")
         p.add_argument("--K", type=int, help="mesh nodes per half period")
         p.add_argument("--r", type=int, help="cluster radius (default 0)")
-        p.add_argument("--weights", choices=["exact", "lumped"], help="weight mode")
-        p.add_argument("--method", choices=list(_METHODS), help="solver")
+        p.add_argument("--weights", help="weight mode: exact | lumped (default exact)")
         p.add_argument("--force", help="force descriptor: sinpi | gauss:A,B | const:C | lin:a,b")
         p.add_argument("--out", help="output directory (default .)")
         p.add_argument("--config", help="key = value config file; flags override")
 
     run_p = sub.add_parser("run", help="solve one configured instance")
     add_common(run_p)
+    run_p.add_argument("--method", help="solver: " + " | ".join(_METHODS)
+                                        + " (default constrained)")
     run_p.set_defaults(handler=_cmd_run)
 
     rep_p = sub.add_parser("reproduce", help="run a named preset with PASS/FAIL bands")
@@ -678,7 +670,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--axis", choices=["K", "N", "r"], required=True)
     sweep_p.add_argument("--values", required=True, help="comma-separated axis values")
     sweep_p.add_argument("--metric", required=True,
-                         choices=["consistency", "weight-gap", "load-defect", "zero-force"])
+                         help="consistency | weight-gap | load-defect | zero-force")
     sweep_p.set_defaults(handler=_cmd_sweep)
 
     inspect_p = sub.add_parser("mesh-inspect", help="mesh diagnostics as JSON")

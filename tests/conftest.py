@@ -295,13 +295,12 @@ def reference_energy_cluster_functional(model, mesh, rule, weights, V):
     return float(np.dot(weights.energy, per_cluster))
 
 
-def reference_write_csv(path, header, columns, footer=None):
+def reference_write_csv(path, columns, rates=()):
     """The CSV file built as one list of lines, one row at a time."""
-    lines = [",".join(header)]
-    for row in zip(*columns):
+    lines = [",".join(columns)]
+    for row in zip(*columns.values()):
         lines.append(",".join("%.17g" % v for v in row))
-    if footer:
-        lines.extend(footer)
+    lines.extend("rate,%.17g" % r for r in rates)
     path.write_text("\n".join(lines) + "\n")
 
 

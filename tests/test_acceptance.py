@@ -15,7 +15,6 @@ import numpy as np
 from qclab import (
     ChainModel,
     ClusterRule,
-    ConvergenceTable,
     Displacement,
     MeshSpec,
     NodalField,
@@ -26,12 +25,14 @@ from qclab import (
     energy_cluster_functional,
     energy_norm,
     error_report,
+    fit_rate,
     force_scaling_study,
     gradient_alternation,
     harmonic_potential,
     lattice_coordinates,
     load_defect,
     quartic_potential,
+    rates,
     sample_force,
     slot_of_site,
     smooth_mesh_consistency,
@@ -63,23 +64,19 @@ def _verdict(capsys, number, ok, detail):
     assert ok, f"criterion {number}: {detail}"
 
 
-def _rates_reach(table, bound):
-    """Every pairwise rate of the table is defined and at least bound."""
-    rates = table.rates()
-    return rates.size == table.values.size - 1 and bool(np.all(rates >= bound))
+def _rates_reach(parameters, values, bound):
+    """Every pairwise rate of values against parameters is defined and at
+    least bound."""
+    observed = rates(parameters, values)
+    return observed.size == values.size - 1 and bool(np.all(observed >= bound))
 
 
 def test_rate_criterion_fails_without_rates():
     h = np.array([1.0, 0.5, 0.25, 0.125])
-    decaying = ConvergenceTable(parameter="h", metric="synthetic", parameters=h, values=h ** 2)
-    assert _rates_reach(decaying, 1.8)
-    # rates() is empty for these tables; the criterion must not pass vacuously
-    zeros = ConvergenceTable(parameter="h", metric="synthetic", parameters=h,
-                             values=np.array([1e-3, 0.0, 0.0, 0.0]))
-    assert not _rates_reach(zeros, 1.8)
-    fixed = ConvergenceTable(parameter="h", metric="synthetic", parameters=np.full(4, 0.5),
-                             values=h ** 2)
-    assert not _rates_reach(fixed, 1.8)
+    assert _rates_reach(h, h ** 2, 1.8)
+    # rates() is empty for these two; the criterion must not pass vacuously
+    assert not _rates_reach(h, np.array([1e-3, 0.0, 0.0, 0.0]), 1.8)
+    assert not _rates_reach(np.full(4, 0.5), h ** 2, 1.8)
 
 
 def _figure_pipeline(family, N, K, force_spec):
@@ -165,13 +162,10 @@ def test_c03_estimator_sandwich(capsys):
 def test_c04_force_rule_scaling(capsys):
     study = force_scaling_study(2 ** 12, (8, 16, 32, 64), r=1)
     ratio_gap = abs(study["ratio_measured"][1] / study["ratio_predicted"][1] - 1.0)
-    scaled = ConvergenceTable(parameter="h", metric="scaled deviation",
-                              parameters=study["h"], values=study["deviation_scaled"])
-    scaled_rates = scaled.rates()
-    absolute_rate = ConvergenceTable(parameter="h", metric="absolute deviation",
-                                     parameters=study["h"],
-                                     values=study["deviation_absolute"]).fit_rate()
-    ok = ratio_gap <= 0.02 and _rates_reach(scaled, 1.8)
+    h, scaled = study["h"], study["deviation_scaled"]
+    scaled_rates = rates(h, scaled)
+    absolute_rate = fit_rate(h, study["deviation_absolute"])
+    ok = ratio_gap <= 0.02 and _rates_reach(h, scaled, 1.8)
     _verdict(
         capsys, 4, ok,
         f"gradient-norm ratio off prediction by {ratio_gap:.2e} <= 2% at K=16; "
@@ -287,13 +281,13 @@ def test_c07_smoothness_tables(capsys):
 
 def test_c08_smooth_mesh_consistency_rate(capsys):
     table = smooth_mesh_consistency(2 ** 14, (8, 16, 32, 64))
-    fit = table.fit_rate()
-    rates = table.rates()
+    fit = fit_rate(*table.values())
+    pairwise = rates(*table.values())
     ok = fit >= 1.9
     _verdict(
         capsys, 8, ok,
         f"consistency decay fit {fit:.3f} (pairwise "
-        f"{'/'.join(f'{r:.2f}' for r in rates)}), requirement >= 1.9: the "
+        f"{'/'.join(f'{r:.2f}' for r in pairwise)}), requirement >= 1.9: the "
         f"K=64 mesh sits at the integer-rounding noise floor of the node "
         f"positions; the identical study at N=2**18 is cleanly second order",
     )
@@ -302,7 +296,7 @@ def test_c08_smooth_mesh_consistency_rate(capsys):
 def test_c09_load_approximation(capsys):
     table = convergence_study("load-defect", "uniform", "sinpi",
                               [(1024, K, 1) for K in (8, 16, 32, 64)])
-    rate_ok = _rates_reach(table, 1.8)
+    rate_ok = _rates_reach(*table.values(), 1.8)
 
     steps = np.array([4, 8, 16, 32, 32, 16, 8, 4])
     cums = np.cumsum(steps)
@@ -333,7 +327,7 @@ def test_c09_load_approximation(capsys):
     _verdict(
         capsys, 9, ok,
         f"load defect decays at rates "
-        f"{'/'.join(f'{r:.2f}' for r in table.rates())} >= 1.8; constant force "
+        f"{'/'.join(f'{r:.2f}' for r in rates(*table.values()))} >= 1.8; constant force "
         f"defect {const_defect:.2e} <= 1e-12; triangle-wave cluster quadrature "
         f"off by {worst_affine:.2e} <= 1e-12",
     )

@@ -1,4 +1,4 @@
-"""Error estimators, convergence tables, and the reproduced experiments."""
+"""Error estimators, convergence studies and rates, and the reproduced experiments."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from qclab import (
     ChainModel,
     ClusterRule,
-    ConvergenceTable,
     MeshSpec,
     NodalField,
     ShapeMismatch,
@@ -17,11 +16,13 @@ from qclab import (
     convergence_study,
     energy_norm,
     error_report,
+    fit_rate,
     force_scaling_study,
     gradient_alternation,
     harmonic_potential,
     load_defect,
     predicted_relative_band,
+    rates,
     sample_force,
     smooth_mesh_consistency,
     smoothness_profile,
@@ -167,22 +168,13 @@ def test_error_report_rejects_a_solution_on_another_mesh():
 
 def test_convergence_table_recovers_power_law():
     h = np.array([1.0, 0.5, 0.25, 0.125])
-    table = ConvergenceTable(
-        parameter="h", metric="synthetic", parameters=h, values=3.0 * h ** 1.7
-    )
-    np.testing.assert_allclose(table.rates(), 1.7, rtol=1e-12)
-    np.testing.assert_allclose(table.fit_rate(), 1.7, rtol=1e-12)
-    short = ConvergenceTable(
-        parameter="h", metric="synthetic", parameters=h[:1], values=h[:1]
-    )
-    assert short.rates().size == 0 and np.isnan(short.fit_rate())
+    np.testing.assert_allclose(rates(h, 3.0 * h ** 1.7), 1.7, rtol=1e-12)
+    np.testing.assert_allclose(fit_rate(h, 3.0 * h ** 1.7), 1.7, rtol=1e-12)
+    assert rates(h[:1], h[:1]).size == 0 and np.isnan(fit_rate(h[:1], h[:1]))
     # no rate is defined for a zero value or for a parameter that does not move
-    zeros = ConvergenceTable(parameter="h", metric="synthetic", parameters=h,
-                             values=np.zeros(4))
-    assert zeros.rates().size == 0 and np.isnan(zeros.fit_rate())
-    fixed = ConvergenceTable(parameter="h", metric="synthetic", parameters=np.full(4, 0.5),
-                             values=3.0 * h ** 1.7)
-    assert fixed.rates().size == 0 and np.isnan(fixed.fit_rate())
+    assert rates(h, np.zeros(4)).size == 0 and np.isnan(fit_rate(h, np.zeros(4)))
+    fixed = np.full(4, 0.5)
+    assert rates(fixed, 3.0 * h ** 1.7).size == 0 and np.isnan(fit_rate(fixed, 3.0 * h ** 1.7))
 
 
 def test_convergence_study_samples_each_force_once(monkeypatch):
@@ -198,8 +190,8 @@ def test_convergence_study_samples_each_force_once(monkeypatch):
     table = convergence_study("consistency", "smooth", "sinpi",
                               [(256, 8, 0), (256, 16, 0), (512, 8, 0), (512, 4, 0)])
     assert sampled == [("sinpi", 256), ("sinpi", 512)]
-    assert table.parameter == "h_max" and table.metric == "consistency"
-    assert table.values.shape == (4,)
+    assert list(table) == ["h_max", "consistency"]
+    assert table["consistency"].shape == (4,)
 
 
 def test_weight_gap_study_samples_no_lattice(monkeypatch):
@@ -210,9 +202,9 @@ def test_weight_gap_study_samples_no_lattice(monkeypatch):
 
     monkeypatch.setattr(qclab.analysis, "sample_force", refuse)
     table = convergence_study("weight-gap", "uniform", "sinpi", [(2 ** 40, 64, 1)])
-    assert table.parameter == "epsilon"
-    assert table.parameters.tolist() == [2.0 ** -40]
-    assert table.values.shape == (1,)
+    assert list(table) == ["epsilon", "weight-gap"]
+    assert table["epsilon"].tolist() == [2.0 ** -40]
+    assert table["weight-gap"].shape == (1,)
 
 
 def test_convergence_study_rejects_an_unknown_metric():
@@ -223,7 +215,7 @@ def test_convergence_study_rejects_an_unknown_metric():
 def test_smooth_mesh_consistency_reference_values():
     table = smooth_mesh_consistency(2 ** 14, (8, 16, 32))
     np.testing.assert_allclose(
-        table.values, (6.6579e-3, 1.7049e-3, 5.0022e-4), rtol=1e-3
+        table["consistency"], (6.6579e-3, 1.7049e-3, 5.0022e-4), rtol=1e-3
     )
 
 
@@ -231,15 +223,15 @@ def test_smooth_mesh_consistency_is_second_order_above_noise_floor():
     # integer node rounding floors the estimator near eps*K; at this lattice
     # size all four meshes stay above it and the quadratic decay is clean
     table = smooth_mesh_consistency(2 ** 18, (8, 16, 32, 64))
-    assert table.fit_rate() >= 1.9
-    assert np.all(table.rates() >= 1.9)
+    assert fit_rate(*table.values()) >= 1.9
+    assert np.all(rates(*table.values()) >= 1.9)
 
 
 def test_smooth_mesh_amplitude_zero_is_uniform():
     table = smooth_mesh_consistency(256, (4, 8), amplitude=0.0)
-    np.testing.assert_array_equal(table.values, 0.0)
+    np.testing.assert_array_equal(table["consistency"], 0.0)
     # no rate is defined for a vanishing error: nan, without a RuntimeWarning
-    assert table.rates().size == 0 and np.isnan(table.fit_rate())
+    assert rates(*table.values()).size == 0 and np.isnan(fit_rate(*table.values()))
 
 
 def test_smooth_profile_quadratic_bound():
@@ -258,10 +250,11 @@ def test_smooth_profile_quadratic_bound():
 def test_load_defect_refinement_rate():
     table = convergence_study("load-defect", "uniform", "sinpi",
                               [(1024, K, 1) for K in (8, 16, 32, 64)])
-    np.testing.assert_allclose(table.values[0], 1.5489e-3, rtol=1e-3)
-    assert np.all(np.diff(table.values) < 0)
-    assert table.fit_rate() >= 2.5
-    assert np.all(table.rates() >= 1.8)
+    assert list(table) == ["h_max", "load-defect"]
+    np.testing.assert_allclose(table["load-defect"][0], 1.5489e-3, rtol=1e-3)
+    assert np.all(np.diff(table["load-defect"]) < 0)
+    assert fit_rate(*table.values()) >= 2.5
+    assert np.all(rates(*table.values()) >= 1.8)
 
 
 def test_load_defect_of_affine_force_under_product_sampling():
@@ -303,11 +296,8 @@ def test_force_scaling_study_reference_values():
     study = force_scaling_study(2 ** 12, (8, 16, 32, 64), r=1)
     np.testing.assert_allclose(study["ratio_predicted"], 3.0 * study["K"] / 2 ** 12)
     assert abs(study["ratio_measured"][1] / study["ratio_predicted"][1] - 1.0) <= 0.02
-    scaled = ConvergenceTable(parameter="h", metric="scaled deviation",
-                              parameters=study["h"], values=study["deviation_scaled"])
-    np.testing.assert_allclose(scaled.rates(), (2.013, 2.023, 2.047), atol=0.02)
-    assert scaled.fit_rate() >= 1.8
+    h, scaled = study["h"], study["deviation_scaled"]
+    np.testing.assert_allclose(rates(h, scaled), (2.013, 2.023, 2.047), atol=0.02)
+    assert fit_rate(h, scaled) >= 1.8
     # without rescaling the 1/h growth eats one order
-    absolute = ConvergenceTable(parameter="h", metric="absolute deviation",
-                                parameters=study["h"], values=study["deviation_absolute"])
-    np.testing.assert_allclose(absolute.fit_rate(), 1.027, atol=0.05)
+    np.testing.assert_allclose(fit_rate(h, study["deviation_absolute"]), 1.027, atol=0.05)

@@ -166,6 +166,45 @@ def test_sweep_writes_no_rate_when_the_parameter_does_not_move(tmp_path):
     assert not any(line.startswith("rate,") for line in lines)
 
 
+def test_only_a_sampled_force_needs_a_force_descriptor(tmp_path, capsys):
+    # weight-gap builds weights alone, so it takes the same bytes without a force
+    argv = ["sweep", "--axis", "K", "--values", "4,8", "--metric", "weight-gap",
+            "--mesh", "smooth", "--N", "256"]
+    assert main(argv + ["--out", str(tmp_path / "bare")]) == 0
+    assert main(argv + ["--force", "sinpi", "--out", str(tmp_path / "forced")]) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "bare" / "sweep.csv").read_bytes()
+            == (tmp_path / "forced" / "sweep.csv").read_bytes())
+    for metric in ("consistency", "load-defect", "zero-force"):
+        argv[6] = metric
+        assert main(argv + ["--out", str(tmp_path / metric)]) == 1
+        assert "force" in error_of(capsys)["message"]
+        assert not (tmp_path / metric).exists()
+    assert main(["run", "--mesh", "uniform", "--N", "8", "--K", "4",
+                 "--out", str(tmp_path / "run")]) == 1
+    assert "force" in error_of(capsys)["message"]
+
+
+@pytest.mark.parametrize("flag, value", [("method", "bogus"), ("weights", "bogus")])
+def test_a_bad_setting_fails_alike_from_a_flag_or_the_config_file(tmp_path, capsys, flag,
+                                                                  value):
+    argv = ["run", "--mesh", "uniform", "--N", "8", "--K", "4", "--force", "sinpi",
+            "--out", str(tmp_path / "out")]
+    assert main(argv + [f"--{flag}", value]) == 1
+    from_flag = error_of(capsys)
+    (tmp_path / "run.cfg").write_text(f"{flag} = {value}\n")
+    assert main(argv + ["--config", str(tmp_path / "run.cfg")]) == 1
+    assert error_of(capsys) == from_flag
+    assert from_flag["code"] == "UnknownFamily" and value in from_flag["message"]
+
+
+def test_sweep_rejects_an_unknown_metric(tmp_path, capsys):
+    rc = main(["sweep", "--axis", "K", "--values", "4,8", "--metric", "energy",
+               "--mesh", "uniform", "--N", "64", "--force", "sinpi", "--out", str(tmp_path)])
+    assert rc == 1
+    assert error_of(capsys)["code"] == "UnknownFamily"
+
+
 def test_sweep_requires_mesh(capsys):
     rc = main(["sweep", "--axis", "K", "--values", "4,8", "--metric",
                "consistency", "--N", "64", "--force", "sinpi"])
@@ -447,6 +486,10 @@ WILD = {
         st.sampled_from(["sinpi:1", "gauss", "const:", "lin:1"]),
         st.builds("gauss:{},{}".format, numbers, numbers), st.builds("const:{}".format, numbers),
         st.builds("lin:{},{}".format, numbers, numbers), junk),
+    # junk never spells a method, weight mode or metric
+    "method": junk,
+    "weights": junk,
+    "metric": junk,
 }
 wild_nodes = node_lists | st.lists(junk, min_size=1, max_size=2)
 
@@ -487,6 +530,7 @@ def command_lines(draw):
             nodes = draw(wild_nodes, label="wild nodes")
         else:
             fields[key] = draw(WILD[key], label=f"wild {key}")
+    metric = fields.pop("metric", None)  # a sweep setting
     if command == "mesh-inspect":
         N = fields["N"] if draw(st.booleans()) else draw(st.integers(2**10, MAX_N))
         return ["mesh-inspect", f"--mesh={fields['mesh']}", f"--N={N}",
@@ -497,13 +541,16 @@ def command_lines(draw):
         points = st.one_of(st.just(valid[axis]), st.integers(0, 16), WILD[axis]).map(str)
         values = st.lists(points, min_size=1, max_size=4).map(",".join)
         values = values if draw(st.booleans(), label="integer values") else junk
-        metric = draw(st.sampled_from(["consistency", "weight-gap", "load-defect", "zero-force"]))
+        if metric is None:
+            metric = draw(st.sampled_from(["consistency", "weight-gap", "load-defect",
+                                           "zero-force"]))
+        del fields["method"]  # a sweep has no solver to choose
         argv += [f"--axis={axis}", f"--values={draw(values, label='values')}",
                  f"--metric={metric}"]
     if command == "run --config":
         argv.append("--config=run.cfg")
         # a file may hold any text, where the argument parser passes only
-        # integers and choices
+        # integers
         junk_key = draw(st.sampled_from([None, *fields]), label="junk value")
         config = [f"{key} = {draw(junk) if key == junk_key else value}"
                   for key, value in fields.items()]

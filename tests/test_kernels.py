@@ -409,22 +409,23 @@ SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 3
 
 
 @pytest.mark.parametrize("rows", [0, 1, _CSV_CHUNK_ROWS, 2 * _CSV_CHUNK_ROWS + 3])
-@pytest.mark.parametrize("footer", [None, ["rate,2.0000000000000004", "rate,nan"]])
+# footer: the rates written below the rows
+@pytest.mark.parametrize("footer", [None, [2.0000000000000004, np.nan]])
 def test_write_csv_matches_reference(tmp_path, rows, footer):
     rng = np.random.default_rng(rows)
-    columns = [rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
-               for _ in range(3)]
-    columns.append(np.arange(rows, dtype=float))
+    columns = {name: rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+               for name in ("x", "u_a", "u_b")}
+    columns["i"] = np.arange(rows)  # int64, cast with the rest of its row block
     if rows:
         specials = np.resize(SPECIAL, rows)
-        columns[1][: len(specials)] = specials
-    header = ["x", "u_a", "u_b", "i"]
+        columns["u_a"][: len(specials)] = specials
     # a column may also be a function of a row range
-    streamed = [(lambda a, b, col=col: col[a:b]) if i % 2 else col
-                for i, col in enumerate(columns)]
-    _write_csv(tmp_path / "got.csv", header, columns, footer=footer)
-    _write_csv(tmp_path / "streamed.csv", header, streamed, footer=footer)
-    reference_write_csv(tmp_path / "want.csv", header, columns, footer=footer)
+    streamed = {name: (lambda a, b, col=col: col[a:b]) if i % 2 else col
+                for i, (name, col) in enumerate(columns.items())}
+    rates = footer or ()
+    _write_csv(tmp_path / "got.csv", columns, rates)
+    _write_csv(tmp_path / "streamed.csv", streamed, rates)
+    reference_write_csv(tmp_path / "want.csv", columns, rates)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -440,8 +441,8 @@ def test_streamed_profile_is_the_materialized_one(tmp_path):
              "u_qc": prolong(reports[config.method].solution).values}
     assert list(columns) == list(whole)
     assert all(callable(columns[name]) for name in ("x", "u_constrained", "u_qc"))
-    _write_csv(tmp_path / "got.csv", list(columns), list(columns.values()))
-    _write_csv(tmp_path / "want.csv", list(whole), list(whole.values()))
+    _write_csv(tmp_path / "got.csv", columns)
+    _write_csv(tmp_path / "want.csv", whole)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
