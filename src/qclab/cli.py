@@ -8,8 +8,10 @@ Subcommands:
 
 Reports are deterministic: floats are serialized with 17 significant digits
 (the bytes of '%.17g') in a fixed key order, so identical configs produce
-byte-identical files except for their wall times: the trailing wall_time_s
-entry and, in the fig1 and fig2 reports, checks.runtime_s.value.  That holds
+byte-identical files except for their wall-clock entries: the trailing
+wall_time_s (the seconds of the solves), the timings object after it (the
+seconds of each stage that ran, the profile's CSV write included) and, in the
+fig1 and fig2 reports, checks.runtime_s.value.  That holds
 at a fixed BLAS thread count only: at N >= 2^14 some profiles and reports
 differ in their last digits between one and two OpenBLAS threads.
 """
@@ -26,7 +28,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import QCLabError, UnknownFamily
+from .errors import QCLabError, ShapeMismatch, UnknownFamily
 from .model import ChainModel, harmonic_potential, lattice_coordinates, sample_force
 from .mesh import (
     CoarseMesh,
@@ -349,10 +351,26 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise UnknownFamily(f"unknown method {values['method']!r}; choose from {_METHODS}")
     if values["weights"] not in ("exact", "lumped"):
         raise UnknownFamily(f"unknown weight mode {values['weights']!r}")
+    if values["r"] < 0:
+        raise ShapeMismatch(f"cluster radius must be nonnegative, got {values['r']}")
     return RunConfig(**values)
 
 
 # ---------------------------------------------------------------- run pipeline
+
+class _Clock:
+    """Wall seconds per stage: lap(stage) records the time since the last lap,
+    or since the clock started, as timings[stage] and returns it."""
+
+    def __init__(self, timings: dict[str, float] | None = None):
+        self.timings = {} if timings is None else timings
+        self.start = self.last = time.perf_counter()
+
+    def lap(self, stage: str) -> float:
+        now = time.perf_counter()
+        self.timings[stage], self.last = now - self.last, now
+        return self.timings[stage]
+
 
 def _output_dir(path: Path) -> Path:
     """Create the output directory; a path that cannot be one is a user error."""
@@ -367,13 +385,15 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
     """Solve per config; returns (report payload, profile columns in file
     order, solve reports by method).  Of the columns only u_atomistic is a
     lattice array; x and the prolonged coarse solutions are row-range
-    functions (see _write_csv)."""
-    started = time.perf_counter()
+    functions (see _write_csv).  The payload ends with wall_time_s and timings."""
+    clock = _Clock()
     model = ChainModel(N=config.N, potential=harmonic_potential(),
                        force=sample_force(config.force, config.N))
+    clock.lap("model.sample_force")
     payload: dict = {"config": {key: value for key, value in asdict(config).items()
                                 if key != "out"}}
     reports = {"atomistic": solve_atomistic(model)}
+    clock.lap("solve.solve_atomistic")
     columns = {"x": functools.partial(lattice_coordinates, config.N),
                "u_atomistic": reports["atomistic"].solution.values}
 
@@ -381,15 +401,13 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
         spec = parse_mesh_descriptor(config.mesh, config.N, config.K)
         mesh = build_mesh(spec)
         coefficients = smoothness_profile(mesh)
-        payload["mesh"] = {
-            "repatoms": mesh.repatoms,
-            "steps": mesh.steps,
-            "h": mesh.h,
-            "kappa": mesh.kappa,
-        }
+        payload["mesh"] = {"repatoms": mesh.repatoms, "steps": mesh.steps, "h": mesh.h,
+                           "kappa": mesh.kappa}
         payload["smoothness"] = {"coefficients": coefficients,
                                  "max_abs": float(np.max(np.abs(coefficients)))}
+        clock.lap("mesh")
         reports["constrained"] = solve_constrained(model, mesh)
+        clock.lap("solve.solve_constrained")
         columns["u_constrained"] = prolong_rows(reports["constrained"].solution)
 
     errors = None
@@ -398,22 +416,22 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
         system = assemble_weight_system(rule)
         weights = solve_weights(system).with_mode(config.weights)
         payload["weights"] = {
-            "mode": weights.mode,
-            "r": rule.r,
-            "energy_exact": weights.energy_exact,
-            "energy_lumped": weights.energy_lumped,
-            "gap_max": weights.gap_max,
+            "mode": weights.mode, "r": rule.r, "energy_exact": weights.energy_exact,
+            "energy_lumped": weights.energy_lumped, "gap_max": weights.gap_max,
             "residual_max": float(np.max(np.abs(weights.residual))),
-            "dominance_margin_min": float(np.min(system.dominance_margin())),
-            "exactness_defect": verify_exactness(weights),
-        }
+            "dominance_margin_min": float(np.min(system.dominance_margin()))}
+        clock.lap("weights")
+        payload["weights"]["exactness_defect"] = verify_exactness(weights)
+        clock.lap("cluster.verify_exactness")
         solver = solve_energy_cluster if config.method == "energy-cluster" else solve_force_cluster
         qc = reports[config.method] = solver(model, weights)
+        clock.lap(f"solve.{solver.__name__}")
         columns["u_qc"] = prolong_rows(qc.solution)
         errors = error_report(
             model, reports["atomistic"].solution, reports["constrained"].solution,
             qc.solution, energy_cluster_functional(model, weights, qc.solution),
             family=spec.family)
+        clock.lap("error_report")
 
     payload["solves"] = {
         method: {"residual": report.residual, "reaction": report.reaction,
@@ -422,7 +440,8 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
     }
     if errors is not None:
         payload["errors"] = errors
-    payload["wall_time_s"] = time.perf_counter() - started
+    payload["wall_time_s"] = time.perf_counter() - clock.start
+    payload["timings"] = clock.timings
     return payload, columns, reports
 
 
@@ -434,9 +453,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise QCLabError("N is required (flag --N or config file)")
     if config.method != "atomistic" and (config.mesh is None or config.K is None):
         raise QCLabError(f"method {config.method!r} needs --mesh and --K")
+    # the solve reports stay bound until the writes end: freeing the atomistic gradients
+    # first raises glibc's mmap threshold, and the report's temporaries stay resident
     payload, columns, _ = _execute(config)
     out = _output_dir(Path(config.out))
+    clock = _Clock(payload["timings"])
     _write_csv(out / "profile.csv", columns)
+    clock.lap("cli.write_csv")
     _write_json(out / "report.json", payload)
     print(f"wrote {out / 'profile.csv'} and {out / 'report.json'}")
     return 0
@@ -516,27 +539,23 @@ def _force_scaling(preset: str) -> tuple[dict, dict, tuple | None]:
 
 def _audit_meshes() -> list[tuple[str, CoarseMesh, list[int]]]:
     """(label, mesh, cluster radii to audit) triples."""
-    instances: list[tuple[str, CoarseMesh, list[int]]] = []
-    instances.append(("uniform-64-4", build_mesh(MeshSpec(family="uniform", N=64, K=4)),
-                      [0, 1, 3, 7]))
-    instances.append(("graded-4", build_mesh(MeshSpec(family="graded", N=8, K=4)), [0]))
-    instances.append(("graded-6", build_mesh(MeshSpec(family="graded", N=32, K=6)), [0]))
-    instances.append(("oscillatory-96-4",
-                      build_mesh(MeshSpec(family="oscillatory", N=96, K=4)), [0, 1, 3]))
-    base = np.array([4, 8, 16, 32, 32, 16, 8, 4])
+    instances = [
+        ("uniform-64-4", build_mesh(MeshSpec(family="uniform", N=64, K=4)), [0, 1, 3, 7]),
+        ("graded-4", build_mesh(MeshSpec(family="graded", N=8, K=4)), [0]),
+        ("graded-6", build_mesh(MeshSpec(family="graded", N=32, K=6)), [0]),
+        ("oscillatory-96-4", build_mesh(MeshSpec(family="oscillatory", N=96, K=4)), [0, 1, 3]),
+    ]
     for m in range(4):
-        steps = base * 2 ** m
-        cums = np.cumsum(steps)
+        cums = np.cumsum(np.array([4, 8, 16, 32, 32, 16, 8, 4]) * 2 ** m)
+        N = int(cums[-1] // 2)
         reps = tuple(int(v) for v in (cums - cums[3]))
-        N = int(steps.sum() // 2)
-        mesh = build_mesh(MeshSpec(family="custom", N=N, K=4, indices=reps))
-        instances.append((f"gradedlike-{N}", mesh, [1]))
+        instances.append((f"gradedlike-{N}",
+                          build_mesh(MeshSpec(family="custom", N=N, K=4, indices=reps)), [1]))
     return instances
 
 
 def _weights_audit(preset: str) -> tuple[dict, dict, tuple | None]:
-    rows = []
-    gap_by_size = []
+    rows, gap_by_size = [], []
     for label, mesh, radii in _audit_meshes():
         for r in radii:
             system = assemble_weight_system(ClusterRule(mesh=mesh, r=r))
@@ -567,18 +586,23 @@ _PRESETS = {"fig1": _figure, "fig2": _figure, "example1": _example1,
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    clock = _Clock()
     payload, checks, csv = _PRESETS[args.preset](args.preset)
+    if "timings" not in payload:  # a preset that bypasses _execute: its body is one stage
+        payload.update(wall_time_s=clock.lap(args.preset), timings=clock.timings)
     # weights-audit rows carry pass flags of their own, outside the checks
     passed = all(check["pass"] for check in checks.values()) and all(
         row["pass"] for row in payload.get("rows", ()))
     payload["checks"] = checks
     payload["verdict"] = "PASS" if passed else "FAIL"
-    if "wall_time_s" in payload:
-        payload["wall_time_s"] = payload.pop("wall_time_s")  # stays the last entry
+    for key in ("wall_time_s", "timings"):  # the last entries
+        payload[key] = payload.pop(key)
     out = _output_dir(Path(args.out) / args.preset)
     if csv is not None:
         name, columns, observed = csv
+        clock = _Clock(payload["timings"])
         _write_csv(out / name, columns, observed)
+        clock.lap("cli.write_csv")
     _write_json(out / "report.json", payload)
     detail = ", ".join(f"{name}={check['value']:.6g}" for name, check in checks.items())
     print(f"{args.preset}: {payload['verdict']} ({detail})")
@@ -601,6 +625,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise QCLabError(
             f"sweep --values must be comma-separated integers, got {args.values!r}"
         ) from None
+    if args.axis == "r" and args.metric == "consistency":
+        raise QCLabError("metric 'consistency' never reads r; sweep it along K or N")
+    if args.axis == "r" and min(values) < 0:
+        raise ShapeMismatch(f"cluster radius must be nonnegative, got {min(values)}")
     points = [(value if args.axis == "N" else config.N,
                value if args.axis == "K" else config.K,
                value if args.axis == "r" else config.r) for value in values]
@@ -617,19 +645,11 @@ def _cmd_mesh_inspect(args: argparse.Namespace) -> int:
     spec = parse_mesh_descriptor(args.mesh, args.N, args.K)
     mesh = build_mesh(spec)
     coefficients = smoothness_profile(mesh)
-    max_r = int((np.min(mesh.steps) - 1) // 2)
-    payload = {
-        "family": spec.family,
-        "N": mesh.N,
-        "K": mesh.K,
-        "repatoms": mesh.repatoms,
-        "steps": mesh.steps,
-        "h": mesh.h,
-        "kappa": mesh.kappa,
-        "smoothness_coefficients": coefficients,
-        "smoothness_max_abs": float(np.max(np.abs(coefficients))),
-        "max_admissible_r": max_r,
-    }
+    payload = {"family": spec.family, "N": mesh.N, "K": mesh.K, "repatoms": mesh.repatoms,
+               "steps": mesh.steps, "h": mesh.h, "kappa": mesh.kappa,
+               "smoothness_coefficients": coefficients,
+               "smoothness_max_abs": float(np.max(np.abs(coefficients))),
+               "max_admissible_r": int((np.min(mesh.steps) - 1) // 2)}
     print(_to_json(payload))
     return 0
 

@@ -31,7 +31,7 @@ def test_run_constrained_artifacts(tmp_path, capsys):
     assert lines[0] == "x,u_atomistic,u_constrained"
     assert len(lines) == 1 + 16  # header plus one row per lattice site
     report = report_of(tmp_path)
-    assert list(report) == ["config", "mesh", "smoothness", "solves", "wall_time_s"]
+    assert list(report) == ["config", "mesh", "smoothness", "solves", "wall_time_s", "timings"]
     assert "errors" not in report and "weights" not in report
     assert report["config"]["method"] == "constrained"
     assert set(report["solves"]) == {"atomistic", "constrained"}
@@ -45,7 +45,7 @@ def test_run_cluster_report_shape(tmp_path):
     assert rc == 0
     report = report_of(tmp_path)
     assert list(report) == [
-        "config", "mesh", "smoothness", "weights", "solves", "errors", "wall_time_s",
+        "config", "mesh", "smoothness", "weights", "solves", "errors", "wall_time_s", "timings",
     ]
     assert list(report["config"]) == ["mesh", "N", "K", "r", "weights", "method", "force"]
     assert set(report["solves"]) == {"atomistic", "constrained", "energy-cluster"}
@@ -88,10 +88,29 @@ def test_reports_are_deterministic(tmp_path):
     assert (tmp_path / "a/profile.csv").read_bytes() == (
         tmp_path / "b/profile.csv"
     ).read_bytes()
-    strip = lambda path: [
-        line for line in read_lines(path) if "wall_time_s" not in line
-    ]
-    assert strip(tmp_path / "a/report.json") == strip(tmp_path / "b/report.json")
+    reports = [report_of(tmp_path / sub) for sub in ("a", "b")]
+    for report in reports:
+        del report["wall_time_s"], report["timings"]
+    assert reports[0] == reports[1]
+
+
+EXECUTE_STAGES = ["model.sample_force", "solve.solve_atomistic", "mesh", "solve.solve_constrained",
+                  "weights", "cluster.verify_exactness", "solve.solve_energy_cluster",
+                  "error_report"]
+
+
+def test_run_times_the_stages_that_ran(tmp_path):
+    argv = ["run", "--mesh", "graded", "--N", "1024", "--K", "11", "--force", "sinpi"]
+    assert main(argv + ["--method", "energy-cluster", "--out", str(tmp_path / "qc")]) == 0
+    report = report_of(tmp_path / "qc")
+    timings = report["timings"]
+    assert list(timings) == EXECUTE_STAGES + ["cli.write_csv"]
+    assert all(np.isfinite(seconds) and seconds >= 0.0 for seconds in timings.values())
+    # the stages cover the solves, whose total is wall_time_s
+    assert sum(timings[stage] for stage in EXECUTE_STAGES) >= 0.95 * report["wall_time_s"]
+    assert main(argv + ["--method", "constrained", "--out", str(tmp_path / "constrained")]) == 0
+    assert list(report_of(tmp_path / "constrained")["timings"]) == [
+        *EXECUTE_STAGES[:4], "cli.write_csv"]
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -198,6 +217,36 @@ def test_a_bad_setting_fails_alike_from_a_flag_or_the_config_file(tmp_path, caps
     assert from_flag["code"] == "UnknownFamily" and value in from_flag["message"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--mesh", "uniform", "--N", "64", "--K", "4", "--r", "-1", "--force", "sinpi"],
+     "nonnegative"),
+    (["sweep", "--axis", "r", "--values", "99999999999999999999,-5,3", "--metric",
+      "consistency", "--mesh", "uniform", "--N", "64", "--K", "4", "--force", "sinpi"],
+     "never reads r"),
+    (["sweep", "--axis", "r", "--values", "1,-5", "--metric", "load-defect",
+      "--mesh", "uniform", "--N", "64", "--K", "4", "--force", "sinpi"], "nonnegative"),
+    (["sweep", "--axis", "K", "--values", "4,8", "--metric", "consistency", "--r", "-2",
+      "--mesh", "uniform", "--N", "64", "--force", "sinpi"], "nonnegative"),
+], ids=["run", "sweep-consistency", "sweep-r", "sweep-K"])
+def test_a_negative_or_unread_radius_is_rejected(tmp_path, capsys, argv, message):
+    out = tmp_path / "D"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert message in error_of(capsys)["message"]
+    assert not out.exists()
+
+
+def test_a_negative_radius_fails_alike_from_a_flag_or_the_config_file(tmp_path, capsys):
+    argv = ["run", "--mesh", "uniform", "--N", "64", "--K", "4", "--force", "sinpi",
+            "--out", str(tmp_path / "out")]
+    assert main(argv + ["--r", "-1"]) == 1
+    from_flag = error_of(capsys)
+    (tmp_path / "run.cfg").write_text("r = -1\n")
+    assert main(argv + ["--config", str(tmp_path / "run.cfg")]) == 1
+    assert error_of(capsys) == from_flag
+    assert from_flag["code"] == "ShapeMismatch"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rejects_an_unknown_metric(tmp_path, capsys):
     rc = main(["sweep", "--axis", "K", "--values", "4,8", "--metric", "energy",
                "--mesh", "uniform", "--N", "64", "--force", "sinpi", "--out", str(tmp_path)])
@@ -284,6 +333,9 @@ def test_reproduce_fig1(tmp_path, capsys):
     assert "fig1: PASS" in capsys.readouterr().out
     report = report_of(tmp_path / "fig1")
     assert report["verdict"] == "PASS"
+    assert list(report)[-2:] == ["wall_time_s", "timings"]
+    assert list(report["timings"]) == EXECUTE_STAGES + ["cli.write_csv"]
+    assert report["checks"]["runtime_s"]["value"] == report["wall_time_s"]
     checks = report["checks"]
     assert checks["energy_norm_rel"]["pass"] and checks["energy_rel"]["pass"]
     lo, hi = checks["energy_norm_rel"]["band"]
@@ -319,6 +371,9 @@ def test_reproduce_weights_audit(tmp_path, capsys):
     assert rc == 0
     assert "weights-audit: PASS" in capsys.readouterr().out
     report = report_of(tmp_path / "weights-audit")
+    # a preset that writes no profile times its body as one stage
+    assert list(report)[-2:] == ["wall_time_s", "timings"]
+    assert report["timings"] == {"weights-audit": report["wall_time_s"]}
     assert len(report["rows"]) == 13
     assert all(row["pass"] for row in report["rows"])
 

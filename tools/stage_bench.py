@@ -4,15 +4,13 @@
 
 PARENT and CHANGE are checkouts (directories holding src/qclab).  Every
 configuration runs in a fresh interpreter with BLAS and OpenMP capped at one
-thread; cli._execute, cli._write_csv and cli._write_json, and the
-solve_atomistic, solve_constrained, verify_exactness and exact_load that
-cli._execute calls, are wrapped with perf_counter timers from outside the
-program, and peak_rss_mb is the process's ru_maxrss; minor_faults and
-run_minor_faults are its ru_minflt, in total and over the cli.main call.
-The two trees alternate, the first one per run alternating too, and each
-value is the median over the runs.
-Another fresh interpreter per tree and run times cli._to_json on a 4-value
-float array.  Times are raw wall seconds on whatever host this runs on.
+thread.  The stage seconds are the run's own: every entry of the timings
+object of its report.json, with the report's wall_time_s (the solves); main_s
+is the whole cli.main call around them, report.json included.  peak_rss_mb
+is the process's ru_maxrss; minor_faults and run_minor_faults are its
+ru_minflt, in total and over the cli.main call.  The two trees alternate, the
+first one per run alternating too, and each value is the median over the
+runs.  Times are raw wall seconds on whatever host this runs on.
 """
 
 from __future__ import annotations
@@ -28,19 +26,13 @@ import tempfile
 
 MESHES = ("uniform", "graded", "oscillatory", "smooth", "uniform-fine")
 SIZES = (2**14, 2**17, 2**20)
-STAGES = {
-    "cli.execute_s": "cli._execute: force sampling, mesh, the atomistic, constrained and "
-                     "energy-cluster solves, diagnostics",
-    "cli.solve_atomistic_s": "cli.solve_atomistic: the atomistic reference solve, part of "
-                             "cli.execute_s",
-    "solve.solve_constrained_s": "solve_constrained: the constrained (Galerkin) solve, its "
-                                 "exact loads included, part of cli.execute_s",
-    "mesh.exact_load_s": "mesh.exact_load: the exact hat loads, over all calls (one per "
-                         "constrained or energy-cluster solve), part of cli.execute_s",
-    "cli.verify_exactness_s": "cli.verify_exactness: the hat-summation defect of the weights, "
-                              "part of cli.execute_s",
-    "cli.write_csv_s": "cli._write_csv: profile.csv, 2N rows of 4 columns",
-    "cli.write_json_s": "cli._write_json: report.json",
+MEASURES = {
+    "timings": "every entry of report.json's timings: the seconds of each stage the run "
+               "went through (see the qclab.cli docstring); a stage the configuration does "
+               "not run reads 0",
+    "wall_time_s": "report.json's wall_time_s: the solves, which the stages before "
+                   "cli.write_csv cover",
+    "main_s": "the whole cli.main call: the solves, profile.csv and report.json",
     "peak_rss_mb": "peak resident set size of the whole `qclab run` process",
     "minor_faults": "minor page faults of the whole `qclab run` process (ru_minflt), imports "
                     "included",
@@ -48,7 +40,6 @@ STAGES = {
 }
 THREAD_CAPS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                       "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
-TO_JSON_CALLS = 2000
 
 
 def argv_for(mesh: str, N: int, out: str) -> list[str]:
@@ -60,59 +51,37 @@ def argv_for(mesh: str, N: int, out: str) -> list[str]:
             "--method", method, "--force", "sinpi", "--out", out]
 
 
-def worker(mode: str, args: list[str]) -> dict:
-    """Runs in the fresh interpreter, with the tree's src on sys.path."""
+def worker(args: list[str]) -> dict:
+    """Runs `qclab` with args (a run with --out); returns its report's
+    timings and wall_time_s with the process's seconds, RSS and faults."""
     import resource
     import time
 
-    import numpy as np
-    from qclab import analysis, cli, solve
-    from qclab.mesh import exact_load
+    from qclab import cli
 
-    if mode == "to_json":
-        values = np.random.default_rng(4).random(4)
-        cli._to_json(values)  # builds the kernel's tables
-        start = time.perf_counter()
-        for _ in range(TO_JSON_CALLS):
-            cli._to_json(values)
-        return {"to_json_4_us": (time.perf_counter() - start) / TO_JSON_CALLS * 1e6}
-    seconds = {}
-
-    def timed(name, function):
-        def wrapper(*a, **k):
-            start = time.perf_counter()
-            try:
-                return function(*a, **k)
-            finally:
-                seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
-        return wrapper
-
-    cli._execute = timed("cli.execute_s", cli._execute)
-    cli.solve_atomistic = timed("cli.solve_atomistic_s", cli.solve_atomistic)
-    cli.solve_constrained = timed("solve.solve_constrained_s", cli.solve_constrained)
-    solve.exact_load = analysis.exact_load = timed("mesh.exact_load_s", exact_load)
-    cli.verify_exactness = timed("cli.verify_exactness_s", cli.verify_exactness)
-    cli._write_csv = timed("cli.write_csv_s", cli._write_csv)
-    cli._write_json = timed("cli.write_json_s", cli._write_json)
     with open(os.devnull, "w") as sink:
         stdout, sys.stdout = sys.stdout, sink
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
         try:
             code = cli.main(args)
+            main_s = time.perf_counter() - start
         finally:
             sys.stdout = stdout
     if code != 0:
         raise SystemExit(f"qclab {' '.join(args)} exited with {code}")
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    seconds["peak_rss_mb"] = usage.ru_maxrss / 1024
-    seconds["minor_faults"] = usage.ru_minflt
-    seconds["run_minor_faults"] = usage.ru_minflt - faults
-    return seconds
+    with open(os.path.join(args[args.index("--out") + 1], "report.json")) as handle:
+        report = json.load(handle)
+    # a tree older than the report's timings object gives wall_time_s alone
+    return {**report.get("timings", {}), "wall_time_s": report["wall_time_s"], "main_s": main_s,
+            "peak_rss_mb": usage.ru_maxrss / 1024, "minor_faults": usage.ru_minflt,
+            "run_minor_faults": usage.ru_minflt - faults}
 
 
-def spawn(tree: str, mode: str, args: list[str]) -> dict:
+def spawn(tree: str, args: list[str]) -> dict:
     env = dict(os.environ, **THREAD_CAPS, PYTHONPATH=os.path.join(tree, "src"))
-    result = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", mode, *args],
+    result = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", *args],
                             env=env, check=True, capture_output=True, text=True)
     return json.loads(result.stdout.splitlines()[-1])
 
@@ -148,7 +117,7 @@ def main() -> None:
     parser.add_argument("--out", default=None, help="write the record here (default: stdout)")
     opts = parser.parse_args()
     trees = {"parent": opts.parent, "change": opts.change}
-    rows, to_json = [], {name: [] for name in trees}
+    rows = []
     with tempfile.TemporaryDirectory() as scratch:
         for N in SIZES:
             for mesh in MESHES:
@@ -156,25 +125,23 @@ def main() -> None:
                 for run in range(opts.runs):
                     for name in sorted(trees, reverse=run % 2 == 1):
                         out = os.path.join(scratch, name)
-                        samples[name].append(spawn(trees[name], "run", argv_for(mesh, N, out)))
+                        samples[name].append(spawn(trees[name], argv_for(mesh, N, out)))
+                # every stage either tree reported, in the order the change's runs list them
+                stages = dict.fromkeys(key for runs in reversed(samples.values()) for s in runs
+                                       for key in s)
                 rows.append({"mesh": mesh, "N": N, "K": int(argv_for(mesh, N, "")[6]), **{
-                    # a stage the configuration does not run took 0 s
                     name: {stage: round(statistics.median(s.get(stage, 0.0) for s in runs), 4)
-                           for stage in STAGES} for name, runs in samples.items()}})
+                           for stage in stages} for name, runs in samples.items()}})
                 print(json.dumps(rows[-1]), file=sys.stderr)
-        for run in range(opts.runs):
-            for name in sorted(trees, reverse=run % 2 == 1):
-                to_json[name].append(spawn(trees[name], "to_json", [])["to_json_4_us"])
     record = {
         "command": "qclab run --mesh MESH --N N --K K --r 0 --method METHOD "
                    "--force sinpi --out DIR",
         "meshes": "uniform, smooth and oscillatory at K = 64 and graded at K = log2(N) + 1, "
                   "METHOD energy-cluster; uniform-fine: uniform at K = N/16, METHOD constrained",
         "method": " ".join(__doc__.split("\n\n")[2].split()),
-        "stages": STAGES,
+        "stages": MEASURES,
         "environment": environment(),
         "runs_per_tree": opts.runs,
-        "to_json_4_values_us": {name: round(statistics.median(v), 1) for name, v in to_json.items()},
         "rows": rows,
     }
     text = json.dumps(record, indent=1) + "\n"
@@ -187,6 +154,6 @@ def main() -> None:
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--worker"]:
-        print(json.dumps(worker(sys.argv[2], sys.argv[3:])))
+        print(json.dumps(worker(sys.argv[2:])))
     else:
         main()
