@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -74,12 +75,12 @@ class RunConfig:
 
 # ---------------------------------------------------------------- serialization
 #
-# Every float of profile.csv and of a report's float arrays is written with
-# exactly the bytes of '%.17g' % value by one vectorized kernel: |x| scaled to
-# [1e16, 1e17) in double-double arithmetic and rounded half to even, its text
-# laid out in a 32-byte cell of four NUL-padded words whose NULs one
-# bytes.translate drops.  Values it cannot certify are formatted one at a
-# time.  About 100 ns per value on lattice profiles (one Xeon thread).
+# Every float of profile.csv and of a report's float arrays is written with exactly the
+# bytes of '%.17g' % value, mostly by one vectorized kernel: |x| scaled to [1e16, 1e17)
+# in double-double arithmetic and rounded half to even, its text laid out in a 32-byte
+# cell of four NUL-padded words whose NULs one bytes.translate drops: about 100 ns per
+# value on lattice profiles (one Xeon thread).  Values it cannot certify, and blocks too
+# small to repay its fixed cost (_KERNEL_MIN_VALUES), are formatted one value at a time.
 
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
 _SPAN = 280  # the kernel formats |e10| <= _SPAN; its tables hold slot e10 + _SPAN + 1
@@ -94,10 +95,14 @@ def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _double_double(num: int, den: int) -> tuple[float, float]:
-    """num / den as hi + lo, each correctly rounded (int division is)."""
+    """num / den as hi + lo, each correctly rounded (as int / int and float(int) are)."""
+    if den == 1:
+        hi = float(num)
+        return hi, float(num - int(hi))
     hi = num / den
     n, d = hi.as_integer_ratio()
-    return hi, (num * d - n * den) / (den * d)
+    k = d.bit_length() - 1  # d = 2**k
+    return hi, ((num << k) - n * den) / (den << k)
 
 
 @functools.cache
@@ -107,10 +112,12 @@ def _exponent_tables() -> tuple[np.ndarray, ...]:
     0 (subnormals, nan, inf, |e10| > _SPAN) is formatted one at a time.  By
     slot: 10**(16 - e10) as hi + lo, the Veltkamp halves of hi (all 0 in slot
     0), and the largest |lo - rint(lo)| whose rounding is certified."""
-    # %.17g writes e10 >= n from 10**n - 5 * 10**(n - 18) on (a tie rounds up)
-    bounds = np.array([hi if lo <= 0 else np.nextafter(hi, np.inf) for hi, lo in (
-        _double_double((10**18 - 5) * 10 ** max(n - 18, 0), 10 ** max(18 - n, 0))
-        for n in range(-_SPAN - 1, _SPAN + 2))])
+    tens = list(itertools.accumulate([1] + [10] * (_SPAN + 19), int.__mul__))  # 10**0..10**299
+    # %.17g writes e10 >= n from (10**18 - 5) * 10**(n - 18) on (a tie rounds up): over
+    # 10**(18 - n) for n = -_SPAN - 1..17, then times 10**(n - 18) for n = 18.._SPAN + 1
+    hi, lo = map(np.array, zip(*map(_double_double, [10**18 - 5] * (_SPAN + 19) + [
+        (10**18 - 5) * t for t in tens[:_SPAN - 16]], tens[:0:-1] + [1] * (_SPAN - 16))))
+    bounds = np.where(lo > 0, np.nextafter(hi, np.inf), hi)
     lowest = np.nextafter(2.0 ** np.arange(-1022, 1024), np.inf)  # of binades 2..2047
     k = np.searchsorted(bounds, lowest, "right") - (_SPAN + 2)  # its e10
     good = (k >= -_SPAN) & (k < _SPAN)
@@ -119,8 +126,9 @@ def _exponent_tables() -> tuple[np.ndarray, ...]:
     start[2:2048][good] = k[good] + _SPAN + 1
     threshold[2:2048][good] = bounds[k[good] + _SPAN + 2]
     e10 = np.arange(-_SPAN - 1, _SPAN + 1)
-    hi, lo = np.array([_double_double(10 ** max(16 - e, 0), 10 ** max(e - 16, 0))
-                       for e in e10.tolist()]).T
+    # 10**(16 - e10): 10**(_SPAN + 17)..10**0, then 1 over 10**1..10**(_SPAN - 16)
+    hi, lo = map(np.array, zip(*map(_double_double, tens[_SPAN + 17::-1] + [1] * (_SPAN - 16),
+                                    [1] * (_SPAN + 18) + tens[1:_SPAN - 15])))
     hi[0] = lo[0] = 0.0
     limit = np.where((e10 >= -6) & (e10 <= 16), 0.5, 0.5 - _TIE_MARGIN)  # 10**p a double
     limit[0] = -1.0
@@ -136,15 +144,15 @@ def _text_tables() -> tuple[np.ndarray, ...]:
     its digits as bytes 0-3 and 4-7, blanked from the first trailing zero at
     q + 10000.  By leading digit (+10 if negative): sign and digit.  By the
     digit p the point follows: "0" in digits 1..p."""
-    slots = b"".join((b"\0" + (b"0." + b"0" * (-1 - e) if -4 <= e < 0 else b"")).ljust(7, b"\0")
-                     + (b"." if e == 0 or not -4 <= e < 17 else b"\0")
-                     + (b"\0e%+03d" % e if not -4 <= e < 17 else b"").ljust(7, b"\0") + b","
-                     for e in range(-_SPAN - 1, _SPAN + 1))
+    slots = b"".join([(b"\0" * 7 + b".\0e%+03d" % e).ljust(15, b"\0") + b"," if not -4 <= e < 17
+                      else (b"\0" + (b"0." + b"0" * (-1 - e) if e < 0 else b"")).ljust(7, b"\0")
+                      + (b"." if e == 0 else b"\0") + b"\0" * 7 + b","
+                      for e in range(-_SPAN - 1, _SPAN + 1)])
     prefixes, suffixes = np.frombuffer(slots, "<u8").reshape(-1, 2).T.copy()
-    quads = np.arange(10000)[:, None]
     chars = np.zeros((2, 10000, 8), np.uint8)
-    chars[:, :, :4] = quads // [1000, 100, 10, 1] % 10 + ord("0")
-    chars[1, :, :4][quads % [10000, 1000, 100, 10] == 0] = 0  # this and later digits are 0
+    for i in range(4):  # digit i of each quad; blanked where it and all later digits are 0
+        chars.reshape(2, 10**i, 10, -1, 8)[..., i] = np.arange(ord("0"), ord("9") + 1)[:, None]
+        chars[1, :: 10 ** (4 - i), i] = 0
     quad_lo = chars.reshape(20000, 8).view("<u8")[:, 0]
     leads = (np.arange(20) % 10 + ord("0") << 48 | np.arange(20) // 10 * ord("-")).astype(np.uint64)
     zeros = (np.arange(16) < np.arange(17)[:, None]).astype(np.uint8) * np.uint8(ord("0"))
@@ -224,8 +232,12 @@ def _text_cells(x: np.ndarray, digits: np.ndarray, slot: np.ndarray,
 def _format_rows(block: np.ndarray) -> tuple[bytes, int]:
     """The rows of a 2-D array as CSV lines: each value as the bytes of
     '%.17g' % value, "," between values and a newline after each row.  Also
-    returns how many values were formatted one at a time (not certified)."""
+    returns how many values were formatted one at a time: all of a block of
+    fewer than _KERNEL_MIN_VALUES, else those the kernel does not certify."""
     x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    if x.size < _KERNEL_MIN_VALUES:
+        return "".join(",".join(map("%.17g".__mod__, row)) + "\n"
+                       for row in x.reshape(block.shape).tolist()).encode(), x.size
     digits, slot, certified = _decimal_digits(x)
     text = _text_cells(x, digits, slot, block.shape).view(np.uint8)
     fallback = (~certified).nonzero()[0]
@@ -257,8 +269,6 @@ def _to_json(value, indent: int = 0) -> str:
         if value.ndim == 1 and value.dtype.kind in "iu":
             return repr(value.tolist())
         if value.ndim == 1 and value.dtype.kind == "f" and np.isfinite(value).all():
-            if not value.size:
-                return "[]"
             text, _ = _format_rows(value[None, :])
             return "[" + text[:-1].replace(b",", b", ").decode() + "]"
         value = value.tolist()
@@ -283,6 +293,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 _CSV_CHUNK_ROWS = 4096
+# Smaller blocks skip the kernel: its fixed cost (60-100 us for 4-64 values, one Xeon thread)
+# exceeds '%.17g' one value at a time (3-45 us); from about 192 values on the kernel wins.
+_KERNEL_MIN_VALUES = 128
 
 # A CSV column: an array, or a function of a row range (start, stop) that
 # returns those rows, so a lattice column need not exist whole.
@@ -656,6 +669,7 @@ def _cmd_mesh_inspect(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- entry point
 
+@functools.cache  # built on the first main() call, then shared: parse_args does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qclab",

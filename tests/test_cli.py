@@ -1,13 +1,17 @@
 """Command-line surface: artifacts, determinism, exit codes, presets."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qclab.cli import main
+from qclab.cli import _build_parser, main
 from qclab.errors import QCLabError
 from qclab.model import MAX_N
 
@@ -92,6 +96,66 @@ def test_reports_are_deterministic(tmp_path):
     for report in reports:
         del report["wall_time_s"], report["timings"]
     assert reports[0] == reports[1]
+
+
+def test_a_call_inherits_no_setting_of_the_previous_one(tmp_path):
+    argv = ["run", "--mesh", "uniform", "--N", "64", "--K", "4", "--force", "sinpi"]
+    assert main(argv + ["--method", "energy-cluster", "--r", "2", "--out", str(tmp_path / "a")]) == 0
+    assert report_of(tmp_path / "a")["config"]["r"] == 2
+    assert main(argv + ["--method", "energy-cluster", "--out", str(tmp_path / "b")]) == 0
+    report = report_of(tmp_path / "b")
+    assert report["config"]["r"] == 0 and report["weights"]["r"] == 0
+    # every call parses with the one parser the first call built
+    assert _build_parser.cache_info().currsize == 1
+
+
+def test_a_usage_error_leaves_the_next_call_unharmed(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "--method", "force-cluster", "--r", "3", "--N", "many"])
+    assert exited.value.code == 2
+    capsys.readouterr()
+    assert main(["run", "--mesh", "uniform", "--N", "64", "--K", "4", "--force", "sinpi",
+                 "--out", str(tmp_path)]) == 0
+    config = report_of(tmp_path)["config"]
+    assert config["method"] == "constrained" and config["r"] == 0
+
+
+def this_process(argv, capsys):
+    """Standard output of main(ARGV) in the test's own interpreter."""
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def fresh_process(argv):
+    """Standard output of `python -m qclab.cli ARGV` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-m", "qclab.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def until_wall_clock(report):
+    """A report's bytes up to its wall-clock entries, which end it."""
+    text = report.read_bytes()
+    return text[:text.index(b'"wall_time_s"')]
+
+
+def test_calls_in_one_process_write_what_fresh_processes_write(tmp_path, capsys):
+    mine, fresh = tmp_path / "mine", tmp_path / "fresh"
+    reproduce = ["reproduce", "force-scaling", "--out"]
+    sweep = ["sweep", "--axis", "K", "--values", "4,8,16", "--metric", "load-defect",
+             "--mesh", "smooth:0.2", "--N", "256", "--force", "sinpi", "--out"]
+    inspect = ["mesh-inspect", "--mesh", "oscillatory", "--N", "96", "--K", "4"]
+    for out, run in ((mine, lambda argv: this_process(argv, capsys)), (fresh, fresh_process)):
+        run(reproduce + [str(out)])
+        run(sweep + [str(out / "sweep")])
+        (out / "inspect.json").write_text(run(inspect))
+    for name in ("force-scaling/sweep.csv", "sweep/sweep.csv", "inspect.json"):
+        assert (mine / name).read_bytes() == (fresh / name).read_bytes()
+    assert until_wall_clock(mine / "force-scaling/report.json") == until_wall_clock(
+        fresh / "force-scaling/report.json")
 
 
 EXECUTE_STAGES = ["model.sample_force", "solve.solve_atomistic", "mesh", "solve.solve_constrained",

@@ -99,3 +99,13 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_cli_import_builds_no_table_and_no_parser():
+    # the formatter's tables and the argument parser are built on first use
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    probe = ("from qclab import cli; print([f.cache_info().currsize for f in "
+             "(cli._exponent_tables, cli._text_tables, cli._build_parser)])")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0]\n"

@@ -10,6 +10,7 @@ calls.  So every comparison here is exact, never a tolerance.
 
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,7 +39,17 @@ from qclab import (
 from qclab.cluster import _solve_cyclic_tridiagonal
 from qclab.mesh import hat_of_distance, hat_ramp, prolong_rows
 from qclab.model import BLOCK_VALUES, pairwise_sum
-from qclab.cli import _CSV_CHUNK_ROWS, _FIGURES, _execute, _format_rows, _to_json, _write_csv
+from qclab.cli import (
+    _CSV_CHUNK_ROWS,
+    _FIGURES,
+    _KERNEL_MIN_VALUES,
+    _SPAN,
+    _execute,
+    _exponent_tables,
+    _format_rows,
+    _to_json,
+    _write_csv,
+)
 from conftest import (
     random_custom_mesh,
     reference_energy_cluster_functional,
@@ -450,13 +461,17 @@ float_arrays = hnp.arrays(np.float64, st.integers(0, 12),
                           elements=st.floats(allow_nan=True, allow_infinity=True))
 int_arrays = hnp.arrays(st.sampled_from([np.int64, np.int32, np.uint64, np.uint8]),
                         st.integers(0, 12))
+# finite and at least _KERNEL_MIN_VALUES long: formatted by the kernel
+kernel_arrays = hnp.arrays(np.float64, st.integers(_KERNEL_MIN_VALUES, 2 * _KERNEL_MIN_VALUES),
+                           elements=st.floats(allow_nan=False, allow_infinity=False))
 
 
 @settings(max_examples=100, deadline=None)
-@given(floats=float_arrays, ints=int_arrays, scalar=st.floats())
-def test_to_json_matches_reference(floats, ints, scalar):
+@given(floats=float_arrays, ints=int_arrays, scalar=st.floats(), long=kernel_arrays)
+def test_to_json_matches_reference(floats, ints, scalar, long):
     payload = {
         "floats": floats,
+        "long": long,
         "ints": ints,
         "empty_float": np.array([]),
         "empty_int": np.array([], dtype=int),
@@ -487,8 +502,43 @@ dyadic_floats = st.builds(lambda i, k: i / 2**k, st.integers(1, 2**20), st.integ
 @given(values=st.lists(st.floats() | raw_floats | dyadic_floats, min_size=1, max_size=48),
        columns=st.integers(1, 4))
 def test_format_rows_is_percent_17g(values, columns):
-    block = np.resize(np.array(values), (-(-len(values) // columns), columns))
+    # the draw tiled past the cutoff, so that the kernel formats it
+    block = np.resize(np.array(values), (-(-_KERNEL_MIN_VALUES // columns), columns))
     assert _format_rows(block)[0] == percent_17g(block)
+
+
+def test_format_rows_on_both_sides_of_the_kernel_cutoff():
+    # a block of fewer than _KERNEL_MIN_VALUES values is formatted one value
+    # at a time, a larger one by the kernel: the same bytes in every shape
+    rng = np.random.default_rng(11)
+    draws = rng.normal(size=4 * _KERNEL_MIN_VALUES) * 10.0 ** rng.integers(-30, 30, 4 * _KERNEL_MIN_VALUES)
+    values = np.concatenate([SPECIAL, draws])
+    for n in range(1, 2 * _KERNEL_MIN_VALUES + 1):
+        x = values[n - 1 : 2 * n - 1]  # the special values among the first blocks
+        for shape in [(1, n), (n, 1), (n // 4, 4)] if n % 4 == 0 else [(1, n), (n, 1)]:
+            text, one_at_a_time = _format_rows(x.reshape(shape))
+            assert text == percent_17g(x.reshape(shape))
+            assert (one_at_a_time == n) if n < _KERNEL_MIN_VALUES else (one_at_a_time < n)
+
+
+def percent_17g_exponent(x):
+    return int(("%.16e" % x).partition("e")[2])
+
+
+def test_exponent_tables_are_exact():
+    start, threshold, powers, _ = _exponent_tables()
+    # each finite threshold is the smallest double %.17g writes with a larger
+    # exponent than the double below it
+    for bound in threshold[np.isfinite(threshold)].tolist():
+        assert percent_17g_exponent(bound) == percent_17g_exponent(np.nextafter(bound, 0.0)) + 1
+    # binade c >= 2 holds (2**(c - 1024), 2**(c - 1023)]: the slot of its lowest exponent
+    for c in np.flatnonzero(start[2:2048]) + 2:
+        assert start[c] == percent_17g_exponent(np.nextafter(2.0 ** (c - 1024), np.inf)) + _SPAN + 1
+    # slot s holds 10**p, p = 16 - e10 = _SPAN + 17 - s, as hi + lo, each correctly rounded
+    for slot in range(1, 2 * _SPAN + 2):
+        exact = Fraction(10) ** (_SPAN + 17 - slot)
+        hi, lo = powers[:2, slot].tolist()
+        assert hi == float(exact) and lo == float(exact - Fraction(hi))
 
 
 def edge_values():

@@ -6,6 +6,8 @@ import json
 import sys
 from pathlib import Path
 
+from qclab import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 PROCESS = {"wall_time_s", "main_s", "peak_rss_mb", "minor_faults", "run_minor_faults"}
 
@@ -47,3 +49,14 @@ def test_stage_bench_worker_runs_in_a_fresh_interpreter(tmp_path):
                              "solve.solve_constrained", "cli.write_csv"]
     assert set(sample) == set(timings) | PROCESS
     assert (tmp_path / "profile.csv").exists()
+
+
+def test_stage_bench_worker_times_a_preset(tmp_path):
+    # example1 is the documented FAIL verdict: exit code 2, and still a sample
+    tool = load_tool("stage_bench")
+    sample = tool.worker(tool.preset_argv("example1", str(tmp_path)))
+    timings = json.loads((tmp_path / "example1" / "report.json").read_text())["timings"]
+    assert list(timings) == ["example1", "cli.write_csv"]
+    assert {stage: sample[stage] for stage in timings} == timings
+    assert set(sample) == set(timings) | PROCESS
+    assert tool.PRESETS == tuple(cli._PRESETS)

@@ -1,16 +1,18 @@
-"""Per-stage seconds and peak RSS of `qclab run`, two source trees side by side.
+"""Per-stage seconds and peak RSS of `qclab run` and of each `qclab reproduce`
+preset, two source trees side by side.
 
     python3 tools/stage_bench.py PARENT CHANGE [--runs 3] [--out BENCH.json]
 
 PARENT and CHANGE are checkouts (directories holding src/qclab).  Every
-configuration runs in a fresh interpreter with BLAS and OpenMP capped at one
-thread.  The stage seconds are the run's own: every entry of the timings
-object of its report.json, with the report's wall_time_s (the solves); main_s
-is the whole cli.main call around them, report.json included.  peak_rss_mb
-is the process's ru_maxrss; minor_faults and run_minor_faults are its
-ru_minflt, in total and over the cli.main call.  The two trees alternate, the
-first one per run alternating too, and each value is the median over the
-runs.  Times are raw wall seconds on whatever host this runs on.
+configuration and every preset runs in a fresh interpreter with BLAS and
+OpenMP capped at one thread, so a preset's row is what one `qclab reproduce`
+costs on its own.  The stage seconds are the call's own: every entry of the
+timings object of its report.json, with the report's wall_time_s; main_s is
+the whole cli.main call around them, report.json included.  peak_rss_mb is
+the process's ru_maxrss; minor_faults and run_minor_faults are its ru_minflt,
+in total and over the cli.main call.  The two trees alternate, the first one
+per run alternating too, and each value is the median over the runs.  Times
+are raw wall seconds on whatever host this runs on.
 """
 
 from __future__ import annotations
@@ -26,17 +28,17 @@ import tempfile
 
 MESHES = ("uniform", "graded", "oscillatory", "smooth", "uniform-fine")
 SIZES = (2**14, 2**17, 2**20)
+PRESETS = ("fig1", "fig2", "example1", "force-scaling", "weights-audit")
 MEASURES = {
     "timings": "every entry of report.json's timings: the seconds of each stage the run "
                "went through (see the qclab.cli docstring); a stage the configuration does "
                "not run reads 0",
-    "wall_time_s": "report.json's wall_time_s: the solves, which the stages before "
-                   "cli.write_csv cover",
-    "main_s": "the whole cli.main call: the solves, profile.csv and report.json",
-    "peak_rss_mb": "peak resident set size of the whole `qclab run` process",
-    "minor_faults": "minor page faults of the whole `qclab run` process (ru_minflt), imports "
-                    "included",
-    "run_minor_faults": "minor page faults of cli.main alone, the `qclab run` call itself",
+    "wall_time_s": "report.json's wall_time_s: the solves of a run or the body of a preset, "
+                   "which the stages before cli.write_csv cover",
+    "main_s": "the whole cli.main call: argument parsing, the stages and report.json",
+    "peak_rss_mb": "peak resident set size of the whole process",
+    "minor_faults": "minor page faults of the whole process (ru_minflt), imports included",
+    "run_minor_faults": "minor page faults of cli.main alone, the qclab call itself",
 }
 THREAD_CAPS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                       "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
@@ -51,9 +53,14 @@ def argv_for(mesh: str, N: int, out: str) -> list[str]:
             "--method", method, "--force", "sinpi", "--out", out]
 
 
+def preset_argv(preset: str, out: str) -> list[str]:
+    return ["reproduce", preset, "--out", out]
+
+
 def worker(args: list[str]) -> dict:
-    """Runs `qclab` with args (a run with --out); returns its report's
-    timings and wall_time_s with the process's seconds, RSS and faults."""
+    """Runs `qclab` with args (a run or a preset, with --out); returns its
+    report's timings and wall_time_s with the process's seconds, RSS and
+    faults."""
     import resource
     import time
 
@@ -68,10 +75,12 @@ def worker(args: list[str]) -> dict:
             main_s = time.perf_counter() - start
         finally:
             sys.stdout = stdout
-    if code != 0:
+    # a preset whose verdict is FAIL (example1's documented one) exits with 2
+    if code != 0 and not (args[0] == "reproduce" and code == 2):
         raise SystemExit(f"qclab {' '.join(args)} exited with {code}")
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    with open(os.path.join(args[args.index("--out") + 1], "report.json")) as handle:
+    out = args[args.index("--out") + 1]
+    with open(os.path.join(out, args[1] if args[0] == "reproduce" else "", "report.json")) as handle:
         report = json.load(handle)
     # a tree older than the report's timings object gives wall_time_s alone
     return {**report.get("timings", {}), "wall_time_s": report["wall_time_s"], "main_s": main_s,
@@ -117,32 +126,41 @@ def main() -> None:
     parser.add_argument("--out", default=None, help="write the record here (default: stdout)")
     opts = parser.parse_args()
     trees = {"parent": opts.parent, "change": opts.change}
-    rows = []
+    rows, presets = [], []
     with tempfile.TemporaryDirectory() as scratch:
+
+        def medians(argv) -> dict:
+            """Each tree's medians over opts.runs fresh processes of argv(out)."""
+            samples = {name: [] for name in trees}
+            for run in range(opts.runs):
+                for name in sorted(trees, reverse=run % 2 == 1):
+                    samples[name].append(spawn(trees[name], argv(os.path.join(scratch, name))))
+            # every stage either tree reported, in the order the change's runs list them
+            stages = dict.fromkeys(key for runs in reversed(samples.values()) for s in runs
+                                   for key in s)
+            return {name: {stage: round(statistics.median(s.get(stage, 0.0) for s in runs), 4)
+                           for stage in stages} for name, runs in samples.items()}
+
         for N in SIZES:
             for mesh in MESHES:
-                samples = {name: [] for name in trees}
-                for run in range(opts.runs):
-                    for name in sorted(trees, reverse=run % 2 == 1):
-                        out = os.path.join(scratch, name)
-                        samples[name].append(spawn(trees[name], argv_for(mesh, N, out)))
-                # every stage either tree reported, in the order the change's runs list them
-                stages = dict.fromkeys(key for runs in reversed(samples.values()) for s in runs
-                                       for key in s)
-                rows.append({"mesh": mesh, "N": N, "K": int(argv_for(mesh, N, "")[6]), **{
-                    name: {stage: round(statistics.median(s.get(stage, 0.0) for s in runs), 4)
-                           for stage in stages} for name, runs in samples.items()}})
+                rows.append({"mesh": mesh, "N": N, "K": int(argv_for(mesh, N, "")[6]),
+                             **medians(lambda out: argv_for(mesh, N, out))})
                 print(json.dumps(rows[-1]), file=sys.stderr)
+        for preset in PRESETS:
+            presets.append({"preset": preset, **medians(lambda out: preset_argv(preset, out))})
+            print(json.dumps(presets[-1]), file=sys.stderr)
     record = {
         "command": "qclab run --mesh MESH --N N --K K --r 0 --method METHOD "
                    "--force sinpi --out DIR",
         "meshes": "uniform, smooth and oscillatory at K = 64 and graded at K = log2(N) + 1, "
                   "METHOD energy-cluster; uniform-fine: uniform at K = N/16, METHOD constrained",
+        "preset_command": "qclab reproduce PRESET --out DIR, one fresh process per call",
         "method": " ".join(__doc__.split("\n\n")[2].split()),
         "stages": MEASURES,
         "environment": environment(),
         "runs_per_tree": opts.runs,
         "rows": rows,
+        "presets": presets,
     }
     text = json.dumps(record, indent=1) + "\n"
     if opts.out:
