@@ -305,17 +305,20 @@ Column = np.ndarray | Callable[[int, int], np.ndarray]
 def _write_csv(path: Path, columns: dict[str, Column], rates: Iterable[float] = ()) -> None:
     """Write a header of the column names, one row per index of the columns,
     then one "rate,VALUE" footer line per observed rate; rows are formatted
-    by _format_rows and written in bounded chunks.  The row count is the
-    length of the array columns; at least one column must be an array unless
-    there are no rows."""
+    by _format_rows and written in bounded chunks, each filled column by
+    column into one buffer.  The row count is the length of the array
+    columns; at least one column must be an array unless there are no
+    rows."""
     rows = next((len(col) for col in columns.values() if not callable(col)), 0)
+    chunk = np.empty((min(rows, _CSV_CHUNK_ROWS), len(columns)))
     try:
         with path.open("wb") as handle:
             handle.write((",".join(columns) + "\n").encode())
             for at in range(0, rows, _CSV_CHUNK_ROWS):
                 stop = min(at + _CSV_CHUNK_ROWS, rows)
-                block = np.column_stack([col(at, stop) if callable(col) else col[at:stop]
-                                         for col in columns.values()])
+                block = chunk[: stop - at]
+                for j, col in enumerate(columns.values()):
+                    block[:, j] = col(at, stop) if callable(col) else col[at:stop]
                 handle.write(_format_rows(block)[0])
             for rate in rates:
                 handle.write(b"rate,%.17g\n" % rate)

@@ -386,13 +386,12 @@ def exact_load(mesh: CoarseMesh, model: ChainModel) -> np.ndarray:
     element's slice, so every load is bit for bit the element-by-element dot
     (np.dot of a one-site element is the plain product, which can differ
     only in the sign of a zero, and the sum into zeros below drops that).
-    Evenly spaced rows (always one or two, and all of a uniform mesh) are
-    one strided view of the samples; others are gathered, at most
-    BLOCK_VALUES samples or one row at a time, and a row longer than that
-    is a view.  The one element that can cross the last slot (when the
-    lattice site N is no node) is copied out whole.  Both dots of every
-    element land in one 2 x 2K array, in step-length order, which is
-    scattered to slot order once.
+    Every length gathers its rows from one sliding-window view of the
+    samples, at most BLOCK_VALUES samples or one row at a time, and a row
+    longer than that stays a view.  The one element that can cross the last
+    slot (when the lattice site N is no node) is copied out whole.  Both
+    dots of every element land in one 2 x 2K array, in step-length order,
+    which is scattered to slot order once.
     """
     check_lattice(model, mesh)
     f = model.force.samples
@@ -407,20 +406,13 @@ def exact_load(mesh: CoarseMesh, model: ChainModel) -> np.ndarray:
     bounds = [*heads.tolist(), inside]
     sums = np.empty((2, order.size))  # rising and falling dots of the elements of order
     for a, b in zip(bounds, bounds[1:]):
-        lo = firsts[order[a:b]]
-        s, start = int(steps[order[a]]), int(lo[0])
-        gap = int(lo[1]) - start if b - a > 1 else 0
-        evenly = b - a <= 2 or (np.diff(lo) == gap).all()
+        lo, s = firsts[order[a:b]], int(steps[order[a]])
+        windows = np.ndarray((n2 - s + 1, s), f.dtype, f, 0, (item, item))  # row i: f[i : i + s]
+        per = max(1, BLOCK_VALUES // s)
         ramp = hat_ramp(s)
         for side, dots in enumerate(sums[:, a:b]):
             if side:
                 np.subtract(1.0, ramp, out=ramp)  # the falling ramp
-            if evenly:  # no copy
-                rows = np.ndarray((b - a, s), f.dtype, f, start * item, (gap * item, item))
-                np.vecdot(rows, ramp, out=dots)
-                continue
-            windows = np.ndarray((n2 - s + 1, s), f.dtype, f, 0, (item, item))  # row i: f[i : i + s]
-            per = max(1, BLOCK_VALUES // s)
             for at in range(0, b - a, per):
                 block = lo[at : at + per]
                 rows = windows[block] if block.size > 1 else windows[block[0], None]

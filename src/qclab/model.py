@@ -179,7 +179,8 @@ def _force_closed_form(spec: str) -> Callable:
 
 
 def sample_force(spec: str, N: int) -> ExternalForce:
-    """Sample the closed form named by ``spec`` at x = epsilon*ell.
+    """Sample the closed form named by ``spec`` at x = epsilon*ell, written
+    into the samples BLOCK_VALUES sites at a time.
 
     Families: "sinpi" -> sin(pi x); "gauss:A,B" -> A exp(-B x^2);
     "const:C"; "lin:a,b" -> a + b x on (-1, 1], extended 2-periodically.
@@ -188,10 +189,13 @@ def sample_force(spec: str, N: int) -> ExternalForce:
         raise ShapeMismatch(f"need N >= 2 atoms per half-period, got {N}")
     check_lattice_size(N)
     fbar = _force_closed_form(spec)
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-        samples = fbar(lattice_coordinates(N))
-    if not np.all(np.isfinite(samples)):
-        raise UnknownFamily(f"force descriptor {spec!r} produced non-finite samples")
+    samples = np.empty(2 * N)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected block by block
+        for at in range(0, samples.size, BLOCK_VALUES):
+            block = samples[at : at + BLOCK_VALUES]
+            block[:] = fbar(lattice_coordinates(N, at, at + block.size))
+            if not np.isfinite(block).all():
+                raise UnknownFamily(f"force descriptor {spec!r} produced non-finite samples")
     samples.setflags(write=False)  # a fresh array: ExternalForce keeps it
     return ExternalForce(N=N, samples=samples)
 

@@ -159,7 +159,7 @@ def test_exact_load_matches_reference(seed, family, steps):
 
 
 @pytest.mark.parametrize("spec", [
-    MeshSpec(family="uniform", N=40000, K=10000),  # one strided view of 20,000 rows
+    MeshSpec(family="uniform", N=40000, K=10000),  # 20,000 rows in gathered blocks of 4,096
     MeshSpec(family="graded", N=2**16, K=17),  # pairs of elements up to 2^15 sites
     MeshSpec(family="smooth", N=2**16, K=2**14),  # gathered blocks, the last one partial
     MeshSpec(family="oscillatory", N=2**14, K=2**10),
@@ -175,7 +175,7 @@ def test_exact_load_matches_reference_on_large_groups(spec):
 
 def test_exact_load_of_strided_read_only_samples():
     # a read-only float64 view that is not contiguous is copied on the way
-    # in, so exact_load's strided views of the samples see contiguous values
+    # in, so exact_load's window views of the samples see contiguous values
     rng = np.random.default_rng(11)
     mesh = family_mesh(rng, "custom", (1, 80))
     wide = rng.normal(size=(2 * mesh.N, 2))
@@ -189,8 +189,8 @@ def test_exact_load_of_strided_read_only_samples():
 @pytest.mark.parametrize("s", [*range(1, 41), 64, 257])
 def test_vecdot_is_the_per_row_dot(s):
     # the numpy/BLAS contract exact_load rests on: np.vecdot of rows that are
-    # a strided view of the samples (any start, any gap between rows) or a
-    # gathered copy of them, or of one 1-D row, against a ramp gives per row
+    # a view of the samples (any start, any gap between rows) or a gathered
+    # copy of them, or of one 1-D row, against a ramp gives per row
     # the bits of np.dot on that row's slice; a numpy or BLAS with another
     # reduction fails here.  Both add the BLAS ddot to +0.0, except np.dot
     # of one-value vectors, which is the plain product: the two then differ

@@ -20,6 +20,7 @@ from qclab import (
     slot_of_site,
     stored_energy,
 )
+from qclab.model import BLOCK_VALUES
 from conftest import fd_site_force, make_model, random_displacement, site_energies, site_forces
 
 
@@ -59,6 +60,31 @@ def test_sample_force_families():
         sample_force("gauss:1", 8)
     with pytest.raises(UnknownFamily):
         sample_force("sinpi:3", 8)
+
+
+# the closed forms, written over the whole lattice at once
+WHOLE_FORMS = {
+    "sinpi": lambda x: np.sin(np.pi * x),
+    "gauss:1e4,1e4": lambda x: 1e4 * np.exp(-1e4 * np.square(x)),
+    "const:2.5": lambda x: np.full_like(x, 2.5),
+    "lin:1,0.5": lambda x: 1.0 + 0.5 * x,
+}
+
+
+# 2N = 2 * BLOCK_VALUES, and 2N = 3 * BLOCK_VALUES + 6, a multiple of neither
+# BLOCK_VALUES nor 8, so the last block is partial and ends in a SIMD tail
+@pytest.mark.parametrize("N", [2**14, 3 * BLOCK_VALUES // 2 + 3])
+@pytest.mark.parametrize("spec", list(WHOLE_FORMS))
+def test_blockwise_samples_are_the_whole_array_closed_form(spec, N):
+    want = WHOLE_FORMS[spec](lattice_coordinates(N))
+    assert sample_force(spec, N).samples.tobytes() == want.tobytes()
+
+
+def test_non_finite_samples_in_a_later_block_are_rejected():
+    # 1e308 * (1 + x) is finite on the first block (x near -1) and
+    # overflows near x = 1, in the last
+    with pytest.raises(UnknownFamily, match="non-finite"):
+        sample_force("lin:1e308,1e308", 3 * BLOCK_VALUES // 2 + 3)
 
 
 def test_stored_energy_sawtooth_by_hand():

@@ -1,10 +1,14 @@
 """The per-stage benchmark tool reads the stages a run reports and changes
-nothing in the program it measures."""
+nothing in the program it measures; the token-diff tool finds every moved
+number, and every added key, between two output trees."""
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 from qclab import cli
 
@@ -15,6 +19,7 @@ PROCESS = {"wall_time_s", "main_s", "peak_rss_mb", "minor_faults", "run_minor_fa
 def load_tool(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -60,3 +65,80 @@ def test_stage_bench_worker_times_a_preset(tmp_path):
     assert {stage: sample[stage] for stage in timings} == timings
     assert set(sample) == set(timings) | PROCESS
     assert tool.PRESETS == tuple(cli._PRESETS)
+
+
+RUN = ["run", "--mesh", "smooth", "--N", "64", "--K", "4", "--r", "1",
+       "--method", "energy-cluster", "--force", "sinpi"]
+
+
+@pytest.fixture
+def trees(tmp_path, capsys):
+    # two runs of one configuration: the same tokens, other timings
+    for side in "ab":
+        assert cli.main(RUN + ["--out", str(tmp_path / side / "run")]) == 0
+    capsys.readouterr()
+    return tmp_path / "a", tmp_path / "b"
+
+
+def test_token_diff_of_identical_trees_reports_nothing(trees, capsys):
+    tool = load_tool("token_diff")
+    paired, only_a, only_b = tool.compare_trees(*trees)
+    assert set(paired) == {"run/report.json", "run/profile.csv"} and not only_a + only_b
+    for diff in paired.values():
+        assert not diff.added + diff.removed + diff.changed
+        assert all(t.tokens and not t.moved for t in diff.tallies.values())
+    assert tool.main([str(tree) for tree in trees]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("tokens compared, 0 moved")
+
+
+def test_token_diff_names_the_moved_path_and_its_size(trees):
+    tool = load_tool("token_diff")
+    a, b = trees
+    report = b / "run" / "report.json"
+    text = report.read_text()
+    old = re.search(r'"energy_norm_rel": (\S+),', text).group(1)
+    new = "%.17g" % (float(old) + 1e-9)
+    report.write_text(text.replace(f'"energy_norm_rel": {old},', f'"energy_norm_rel": {new},'))
+    profile = b / "run" / "profile.csv"
+    lines = profile.read_text().splitlines()
+    column = lines[0].split(",").index("u_qc")
+    cells = lines[5].split(",")
+    cells[column] = "%.17g" % (float(cells[column]) - 0.25)
+    lines[5] = ",".join(cells)
+    profile.write_text("\n".join(lines) + "\n")
+    paired, _, _ = tool.compare_trees(a, b)
+    moved = {(name, path): t for name, diff in paired.items()
+             for path, t in diff.tallies.items() if t.moved}
+    assert set(moved) == {("run/report.json", "errors.energy_norm_rel"),
+                          ("run/profile.csv", "u_qc")}
+    in_report = moved["run/report.json", "errors.energy_norm_rel"]
+    in_profile = moved["run/profile.csv", "u_qc"]
+    assert (in_report.moved, in_report.tokens) == (1, 1)
+    assert in_report.max_abs == pytest.approx(1e-9, rel=1e-6)
+    assert (in_profile.moved, in_profile.tokens) == (1, len(lines) - 1)
+    assert in_profile.max_abs == pytest.approx(0.25)
+    assert tool.report(a, b)[1] is False  # moved numbers are no structural difference
+
+
+def test_token_diff_reports_an_added_key_as_added(trees, capsys):
+    tool = load_tool("token_diff")
+    a, b = trees
+    report = b / "run" / "report.json"
+    text = report.read_text()  # the key goes in as text: every other token stays verbatim
+    report.write_text(text.replace('"errors": {\n', '"errors": {\n    "margin": 0.5,\n'))
+    diff = tool.compare_trees(a, b)[0]["run/report.json"]
+    assert diff.added == ["errors.margin"]
+    assert not diff.removed + diff.changed
+    assert not any(t.moved for t in diff.tallies.values())
+    assert tool.main([str(a), str(b)]) == 1
+    assert "  added: errors.margin" in capsys.readouterr().out.splitlines()
+    assert tool.main([str(a), str(b), "--added", "errors.margin"]) == 0
+    profile = b / "run" / "profile.csv"  # a column put first moves no other column
+    lines = profile.read_text().splitlines()
+    profile.write_text("".join(f"{cell},{line}\n" for cell, line in
+                               zip(["extra"] + ["0"] * (len(lines) - 1), lines)))
+    diff = tool.compare_trees(a, b)[0]["run/profile.csv"]
+    assert diff.added == ["extra"] and not diff.removed + diff.changed
+    assert not any(t.moved for t in diff.tallies.values())
+    assert tool.main([str(a), str(b), "--added", "errors.margin"]) == 1
+    assert tool.main([str(a), str(b), "--added", "errors.margin", "--added", "extra"]) == 0
