@@ -30,7 +30,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import QCLabError, ShapeMismatch, UnknownFamily
-from .model import ChainModel, harmonic_potential, lattice_coordinates, sample_force
+from .model import BLOCK_VALUES, ChainModel, harmonic_potential, lattice_coordinates, sample_force
 from .mesh import (
     CoarseMesh,
     MeshSpec,
@@ -269,8 +269,9 @@ def _to_json(value, indent: int = 0) -> str:
         if value.ndim == 1 and value.dtype.kind in "iu":
             return repr(value.tolist())
         if value.ndim == 1 and value.dtype.kind == "f" and np.isfinite(value).all():
-            text, _ = _format_rows(value[None, :])
-            return "[" + text[:-1].replace(b",", b", ").decode() + "]"
+            text = b",".join(_format_rows(value[None, at : at + BLOCK_VALUES])[0][:-1]
+                             for at in range(0, value.size, BLOCK_VALUES))
+            return "[" + text.replace(b",", b", ").decode() + "]"
         value = value.tolist()
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_to_json(entry, indent + 1) for entry in value) + "]"
@@ -302,14 +303,11 @@ _KERNEL_MIN_VALUES = 128
 Column = np.ndarray | Callable[[int, int], np.ndarray]
 
 
-def _write_csv(path: Path, columns: dict[str, Column], rates: Iterable[float] = ()) -> None:
-    """Write a header of the column names, one row per index of the columns,
+def _write_csv(path: Path, rows: int, columns: dict[str, Column], rates: Iterable[float] = ()):
+    """Write a header of the column names, then ``rows`` rows of the columns,
     then one "rate,VALUE" footer line per observed rate; rows are formatted
     by _format_rows and written in bounded chunks, each filled column by
-    column into one buffer.  The row count is the length of the array
-    columns; at least one column must be an array unless there are no
-    rows."""
-    rows = next((len(col) for col in columns.values() if not callable(col)), 0)
+    column into one buffer."""
     chunk = np.empty((min(rows, _CSV_CHUNK_ROWS), len(columns)))
     try:
         with path.open("wb") as handle:
@@ -399,9 +397,9 @@ def _output_dir(path: Path) -> Path:
 
 def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, SolveReport]]:
     """Solve per config; returns (report payload, profile columns in file
-    order, solve reports by method).  Of the columns only u_atomistic is a
-    lattice array; x and the prolonged coarse solutions are row-range
-    functions (see _write_csv).  The payload ends with wall_time_s and timings."""
+    order, solve reports by method).  Every column is a row-range function
+    (see _write_csv); u_atomistic streams from the atomistic gradients.  The
+    payload ends with wall_time_s and timings."""
     clock = _Clock()
     model = ChainModel(N=config.N, potential=harmonic_potential(),
                        force=sample_force(config.force, config.N))
@@ -411,7 +409,7 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
     reports = {"atomistic": solve_atomistic(model)}
     clock.lap("solve.solve_atomistic")
     columns = {"x": functools.partial(lattice_coordinates, config.N),
-               "u_atomistic": reports["atomistic"].solution.values}
+               "u_atomistic": reports["atomistic"].solution.rows}
 
     if config.mesh is not None and config.K is not None:
         spec = parse_mesh_descriptor(config.mesh, config.N, config.K)
@@ -469,12 +467,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise QCLabError("N is required (flag --N or config file)")
     if config.method != "atomistic" and (config.mesh is None or config.K is None):
         raise QCLabError(f"method {config.method!r} needs --mesh and --K")
-    # the solve reports stay bound until the writes end: freeing the atomistic gradients
-    # first raises glibc's mmap threshold, and the report's temporaries stay resident
+    # the reports stay bound through the writes: u_atomistic streams from their gradients
     payload, columns, _ = _execute(config)
     out = _output_dir(Path(config.out))
     clock = _Clock(payload["timings"])
-    _write_csv(out / "profile.csv", columns)
+    _write_csv(out / "profile.csv", 2 * config.N, columns)
     clock.lap("cli.write_csv")
     _write_json(out / "report.json", payload)
     print(f"wrote {out / 'profile.csv'} and {out / 'report.json'}")
@@ -485,9 +482,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 #
 # A preset body returns (payload, checks, csv): its report entries, with
 # "preset" where its report format puts it; its checks; and None or one CSV
-# file as (file name, columns in file order, rates for the footer).  The
-# runner adds checks and verdict to the report, writes the files, prints the
-# summary line and returns the exit code.
+# file as (file name, row count, columns in file order, rates for the
+# footer).  The runner adds checks and verdict to the report, writes the
+# files, prints the summary line and returns the exit code.
 
 def _check(value, lo: float, hi: float) -> dict:
     return {"value": value, "band": [lo, hi], "pass": bool(lo <= value <= hi)}
@@ -514,7 +511,7 @@ def _figure(preset: str) -> tuple[dict, dict, tuple | None]:
                                                   reports[config.method].solution)
         checks["gradient_alternation"] = {"value": pairs, "pass": bool(alternating and pairs > 0)}
     payload["preset"] = preset
-    return payload, checks, ("profile.csv", columns, ())
+    return payload, checks, ("profile.csv", 2 * config.N, columns, ())
 
 
 def _example1(preset: str) -> tuple[dict, dict, tuple | None]:
@@ -530,7 +527,8 @@ def _example1(preset: str) -> tuple[dict, dict, tuple | None]:
         "fit_rate": fit,
     }
     checks = {"consistency_rate": _check(fit, 1.9, float("inf"))}
-    return payload, checks, ("sweep.csv", {"K": np.array(K_values), **table}, pairwise)
+    return payload, checks, ("sweep.csv", len(K_values), {"K": np.array(K_values), **table},
+                             pairwise)
 
 
 def _force_scaling(preset: str) -> tuple[dict, dict, tuple | None]:
@@ -550,7 +548,7 @@ def _force_scaling(preset: str) -> tuple[dict, dict, tuple | None]:
     }
     checks = {"ratio_gap_at_K16": _check(ratio_gap, 0.0, 0.02),
               "scaled_deviation_rate": _check(scaled_rate, 1.8, float("inf"))}
-    return payload, checks, ("sweep.csv", study, rates(h, scaled))
+    return payload, checks, ("sweep.csv", len(K_values), study, rates(h, scaled))
 
 
 def _audit_meshes() -> list[tuple[str, CoarseMesh, list[int]]]:
@@ -615,9 +613,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         payload[key] = payload.pop(key)
     out = _output_dir(Path(args.out) / args.preset)
     if csv is not None:
-        name, columns, observed = csv
+        name, *table = csv
         clock = _Clock(payload["timings"])
-        _write_csv(out / name, columns, observed)
+        _write_csv(out / name, *table)
         clock.lap("cli.write_csv")
     _write_json(out / "report.json", payload)
     detail = ", ".join(f"{name}={check['value']:.6g}" for name, check in checks.items())
@@ -650,7 +648,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                value if args.axis == "r" else config.r) for value in values]
     study = convergence_study(args.metric, config.mesh, config.force, points, config.weights)
     out = _output_dir(Path(config.out))
-    _write_csv(out / "sweep.csv", {args.axis: np.array(values), **study}, rates(*study.values()))
+    _write_csv(out / "sweep.csv", len(values), {args.axis: np.array(values), **study},
+               rates(*study.values()))
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 

@@ -11,6 +11,7 @@ and slot 0 holds the wrap bond.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -134,15 +135,33 @@ def quartic_potential(beta: float = 0.25) -> PairPotential:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class ExternalForce:
-    """2N-periodic dead load sampled at the lattice sites, slot order."""
+    """2N-periodic dead load, slot order: the closed form fbar(x) at
+    x = epsilon*ell, named by ``spec``, or explicit samples.  ``rows(start,
+    stop)`` evaluates fbar on those slots (UnknownFamily if not finite) until
+    ``samples`` is read: built BLOCK_VALUES sites at a time by rows, kept."""
 
-    N: int
-    samples: np.ndarray
+    def __init__(self, N: int, samples=None, fbar: Callable | None = None, spec: str = ""):
+        self.N, self.fbar, self.spec = N, fbar, spec
+        if samples is not None:
+            self.__dict__["samples"] = _frozen(samples, 2 * N, "force samples")
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _frozen(self.samples, 2 * self.N, "force samples"))
+    @functools.cached_property
+    def samples(self) -> np.ndarray:
+        out = np.empty(2 * self.N)
+        for at in range(0, out.size, BLOCK_VALUES):
+            out[at : at + BLOCK_VALUES] = self.rows(at, min(at + BLOCK_VALUES, out.size))
+        out.setflags(write=False)
+        return out
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        if "samples" in self.__dict__:
+            return self.samples[start:stop]
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            out = self.fbar(lattice_coordinates(self.N, start, stop))
+        if not np.isfinite(out).all():
+            raise UnknownFamily(f"force descriptor {self.spec!r} produced non-finite samples")
+        return out
 
     def at(self, ell):
         """Sample(s) at logical site index(es), reduced 2N-periodically."""
@@ -179,8 +198,8 @@ def _force_closed_form(spec: str) -> Callable:
 
 
 def sample_force(spec: str, N: int) -> ExternalForce:
-    """Sample the closed form named by ``spec`` at x = epsilon*ell, written
-    into the samples BLOCK_VALUES sites at a time.
+    """The force named by ``spec``, kept as its closed form: checked now,
+    evaluated at x = epsilon*ell when read (ExternalForce.rows, .samples).
 
     Families: "sinpi" -> sin(pi x); "gauss:A,B" -> A exp(-B x^2);
     "const:C"; "lin:a,b" -> a + b x on (-1, 1], extended 2-periodically.
@@ -188,36 +207,70 @@ def sample_force(spec: str, N: int) -> ExternalForce:
     if N < 2:
         raise ShapeMismatch(f"need N >= 2 atoms per half-period, got {N}")
     check_lattice_size(N)
-    fbar = _force_closed_form(spec)
-    samples = np.empty(2 * N)
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected block by block
-        for at in range(0, samples.size, BLOCK_VALUES):
-            block = samples[at : at + BLOCK_VALUES]
-            block[:] = fbar(lattice_coordinates(N, at, at + block.size))
-            if not np.isfinite(block).all():
-                raise UnknownFamily(f"force descriptor {spec!r} produced non-finite samples")
-    samples.setflags(write=False)  # a fresh array: ExternalForce keeps it
-    return ExternalForce(N=N, samples=samples)
+    return ExternalForce(N=N, fbar=_force_closed_form(spec), spec=spec)
 
 
-@dataclass(frozen=True, eq=False)
+def path_rows(h, g: np.ndarray, pinned: int) -> Callable[[int, int], np.ndarray]:
+    """Values pinned to 0 at slot ``pinned`` from steps h (scalar or array)
+    and gradients g, as rows(start, stop): slots start..stop-1 of the
+    cumulative sum of h*g along the path from slot pinned+1 across the wrap
+    to slot pinned-1.  np.cumsum runs over pieces of at most BLOCK_VALUES,
+    each continuing from the sum before it, bit for bit one sequential sum;
+    a first pass finds the sum carried into slot 0, and each call continues
+    where the last one stopped."""
+    n, h = len(g), np.broadcast_to(h, g.shape)
+
+    def cumulate(start: int, stop: int, running, out: np.ndarray | None = None):
+        # h*g cumulated from running (None: the path's start) into out; the last sum
+        for at in range(start, stop, BLOCK_VALUES):
+            end = min(at + BLOCK_VALUES, stop)
+            piece = np.multiply(h[at:end], g[at:end],
+                                out=None if out is None else out[at - start : end - start])
+            if running is not None:
+                piece[0] += running
+            running = np.cumsum(piece, out=piece)[-1]
+        return running
+
+    carry = cumulate(pinned + 1, n, None)  # into slot 0
+    last = [0, carry]  # the slot the last call stopped at, and the sum before it
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        if start != last[0]:  # the sum before start, from its segment's first slot
+            last[1] = (cumulate(0, start, carry) if start <= pinned
+                       else cumulate(pinned + 1, start, None))
+        out, at, running = np.empty(stop - start), start, last[1]
+        if start <= pinned < stop:  # the pinned slot; the path starts after it
+            cumulate(start, pinned, running, out)
+            out[pinned - start], at, running = 0.0, pinned + 1, None
+        last[:] = stop, cumulate(at, stop, running, out[at - start :])
+        return out
+
+    return rows
+
+
 class Displacement:
     """Periodic displacement pinned at site 0 (slot N-1).
 
     ``gradients`` optionally records the per-bond strains the producer worked
     with (solvers do); ``strains`` falls back to differencing the values.
+    Given gradients alone, ``rows`` streams the values by path_rows.
     """
 
-    N: int
-    values: np.ndarray
-    gradients: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values, 2 * self.N, "displacement values"))
-        if self.values[self.N - 1] != 0.0:
+    def __init__(self, N: int, values=None, gradients=None):
+        self.N = N
+        self.gradients = None if gradients is None else _frozen(gradients, 2 * N, "gradients")
+        self._values = None if values is None else _frozen(values, 2 * N, "displacement values")
+        if values is None:
+            self.rows = path_rows(1.0 / N, self.gradients, N - 1)
+        elif self._values[N - 1] != 0.0:
             raise ConstraintViolation("displacement must vanish at site 0")
-        if self.gradients is not None:
-            object.__setattr__(self, "gradients", _frozen(self.gradients, 2 * self.N, "gradients"))
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.rows(0, 2 * self.N) if self._values is None else self._values
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        return self._values[start:stop]
 
     def strains(self) -> np.ndarray:
         """Per-bond strains v'_ell = (v_ell - v_{ell-1})/epsilon, slot order."""

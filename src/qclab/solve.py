@@ -10,9 +10,9 @@ cuts the periodic cycle into a path, the scaled stresses follow from one
 cumulative pass over the loads, up to a single additive constant that is
 fixed by the closure condition sum_j h_j g_j = 0 (periodicity of the
 values).  Values are then recovered by a cumulative sum from the pinned
-node.  For quadratic potentials every step is a closed form; otherwise the
-stress inversion and the closure constant each run a guarded Newton
-iteration.
+node (model.path_rows).  For quadratic potentials every step is a closed
+form; otherwise the stress inversion and the closure constant each run a
+guarded Newton iteration.
 
 The solvers hand their gradients to the returned fields, so residuals are
 reported from the quantities actually solved for instead of re-differenced
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConvexityLoss, IllPosed, NewtonFailure
 from .cluster import ClusterRule, WeightSet
 from .mesh import CoarseMesh, NodalField, check_field, check_lattice, exact_load
-from .model import BLOCK_VALUES, ChainModel, Displacement, PairPotential
+from .model import BLOCK_VALUES, ChainModel, Displacement, ExternalForce, PairPotential, path_rows
 
 _NEWTON_STEPS = 50
 
@@ -101,27 +101,26 @@ def _path_cumsum(x: np.ndarray, first: int) -> None:
     np.cumsum(x[:end], out=x[:end])
 
 
-def _solve_chain(pot: PairPotential, coeff, h, load, pinned: int, scale=1.0, factor=1.0):
-    """Shared path-elimination core; see the module docstring.
-
-    Returns (gradients, values, residual, reaction, iterations) where the
-    residual and reaction re-evaluate scale_j (c_j phi'(g_j) - c_{j+1}
-    phi'(g_{j+1})) - L_j, whose rows are solved as the unscaled ones with
-    load L_j / scale_j.  The load L = load * factor (the atomistic solve's
-    epsilon times the force samples) is never formed whole: it is multiplied
-    into the first buffer, and subtracted from the equations BLOCK_VALUES
-    values at a time.  coeff, h and scale may be scalars.  Besides load, a
-    quadratic solve holds at most two arrays of its length at a time: the
-    gradients, built in place from the cumulated loads, and one of the
-    closure weights, the equations or the values.  The returned arrays are
-    read-only.
-    """
-    n = len(load)
+def _solve_chain(pot: PairPotential, coeff, h, load: ExternalForce, pinned: int,
+                 scale=1.0, factor=1.0):
+    """Shared path-elimination core; see the module docstring.  Returns
+    (read-only gradients, residual, reaction, iterations) for 2 load.N
+    elements; residual and reaction re-evaluate scale_j (c_j phi'(g_j) -
+    c_{j+1} phi'(g_{j+1})) - L_j, whose rows are solved as the unscaled ones
+    with load L_j / scale_j.  L = load * factor is never formed whole:
+    load.rows streams it into the first buffer, and load.samples, read once
+    the closure weights are freed, enters the equations BLOCK_VALUES rows at
+    a time.  coeff, h and scale may be scalars.  A quadratic solve holds two
+    arrays of its length: the buffer (then the gradients) and the closure
+    weights or the samples."""
+    n = 2 * load.N
     first = (pinned + 1) % n
     # tbar_j = -(sum of L/scale along the path from node first to j-1): the
     # load at slot j goes to buf[j + 1], so the wrap's sum lands in buf[n]
     buf = np.empty(n + 1)
-    np.multiply(load, factor, out=buf[1:])
+    for at in range(0, n, BLOCK_VALUES):
+        stop = min(at + BLOCK_VALUES, n)
+        np.multiply(load.rows(at, stop), factor, out=buf[at + 1 : stop + 1])
     buf[1:] /= scale
     _path_cumsum(buf[1:], first)
     buf[0] = buf[n]
@@ -131,28 +130,31 @@ def _solve_chain(pot: PairPotential, coeff, h, load, pinned: int, scale=1.0, fac
     tbar += c0
     tbar /= coeff
     g, invert_iters = _invert_stress(pot, tbar)
-    # the stresses t_j = c_j phi'(g_j), overwritten in place by the equations
-    # (numpy computes overlapping operands as if they did not overlap)
-    equations = pot.deriv(g)
-    if np.may_share_memory(equations, g):  # a potential may return its argument
-        equations = equations.copy()
-    equations *= coeff
-    wrap = equations[-1] - equations[0]
-    np.subtract(equations[:-1], equations[1:], out=equations[:-1])
-    equations[-1] = wrap
-    equations *= scale
-    for at in range(0, n, BLOCK_VALUES):  # minus L, a block at a time
-        equations[at : at + BLOCK_VALUES] -= load[at : at + BLOCK_VALUES] * factor
-    reaction = float(equations[pinned])
-    equations[pinned] = 0.0
-    residual = float(np.max(np.abs(equations, out=equations)))
-    del equations
-    values = np.multiply(h, g)
-    _path_cumsum(values, first)
-    values[pinned] = 0.0
     g.setflags(write=False)
-    values.setflags(write=False)
-    return g, values, residual, reaction, max(closure_iters, invert_iters)
+    coeff, scale = np.broadcast_to(coeff, (n,)), np.broadcast_to(scale, (n,))
+    samples, maxima, stresses = load.samples, [], np.empty(BLOCK_VALUES + 1)
+    for at in range(0, n, BLOCK_VALUES):
+        stop = min(at + BLOCK_VALUES, n)
+        # the stresses t_j = c_j phi'(g_j) of slots at..stop, the last wrapping to slot 0
+        ring = (lambda v: v[at : stop + 1]) if stop < n else (lambda v: np.append(v[at:], v[0]))
+        equations = np.multiply(pot.deriv(ring(g)), ring(coeff), out=stresses[: stop - at + 1])
+        equations = np.subtract(equations[:-1], equations[1:], out=equations[:-1])
+        equations *= scale[at:stop]
+        equations -= samples[at:stop] * factor
+        if at <= pinned < stop:
+            reaction = float(equations[pinned - at])
+            equations[pinned - at] = 0.0
+        maxima.append(np.max(np.abs(equations, out=equations)))
+    return g, float(np.max(maxima)), reaction, max(closure_iters, invert_iters)
+
+
+def _solve_nodal(method: str, pot: PairPotential, coeff, mesh: CoarseMesh, load: np.ndarray,
+                 scale=1.0) -> SolveReport:
+    """A solve on the mesh's 2K elements, pinned at node 0; values by path_rows."""
+    g, residual, reaction, iterations = _solve_chain(
+        pot, coeff, mesh.h, ExternalForce(N=mesh.K, samples=load), mesh.K - 1, scale)
+    field = NodalField(mesh=mesh, values=path_rows(mesh.h, g, mesh.K - 1)(0, load.size))
+    return _report(method, field, load, residual, reaction, iterations)
 
 
 def _report(method: str, solution, load, residual: float, reaction: float,
@@ -169,13 +171,13 @@ def _report(method: str, solution, load, residual: float, reaction: float,
 
 def solve_atomistic(model: ChainModel) -> SolveReport:
     """Equilibrium of the full chain: every site force vanishes except at the
-    pinned site 0, whose equation is reported as the reaction."""
-    load = model.force.samples  # times epsilon
-    g, values, residual, reaction, iters = _solve_chain(
-        model.potential, 1.0, model.epsilon, load, model.N - 1, factor=model.epsilon
-    )
-    return _report("atomistic", Displacement(N=model.N, values=values, gradients=g),
-                   load, residual, reaction, iters, factor=model.epsilon)
+    pinned site 0, whose equation is reported as the reaction.  A closed-form
+    force is evaluated twice: streamed into the solve, then as the samples
+    that the residual and later readers use.  The solution keeps gradients."""
+    g, residual, reaction, iterations = _solve_chain(
+        model.potential, 1.0, model.epsilon, model.force, model.N - 1, factor=model.epsilon)
+    return _report("atomistic", Displacement(N=model.N, gradients=g), model.force.samples,
+                   residual, reaction, iterations, factor=model.epsilon)
 
 
 def solve_constrained(model: ChainModel, mesh: CoarseMesh) -> SolveReport:
@@ -185,12 +187,7 @@ def solve_constrained(model: ChainModel, mesh: CoarseMesh) -> SolveReport:
     quadratic potentials the solution is the energy-norm best approximation
     of the atomistic equilibrium (Galerkin orthogonality).
     """
-    load = exact_load(mesh, model)
-    g, values, residual, reaction, iters = _solve_chain(
-        model.potential, 1.0, mesh.h, load, mesh.K - 1
-    )
-    return _report("constrained", NodalField(mesh=mesh, values=values),
-                   load, residual, reaction, iters)
+    return _solve_nodal("constrained", model.potential, 1.0, mesh, exact_load(mesh, model))
 
 
 def cluster_load(model: ChainModel, weights: WeightSet) -> np.ndarray:
@@ -274,12 +271,7 @@ def solve_energy_cluster(model: ChainModel, weights: WeightSet) -> SolveReport:
     a = effective_stiffness(weights)
     if not np.all(a > 0.0):
         raise IllPosed("cluster energy has a nonpositive effective element stiffness")
-    load = exact_load(mesh, model)
-    g, values, residual, reaction, iters = _solve_chain(
-        model.potential, a, mesh.h, load, mesh.K - 1
-    )
-    return _report("energy-cluster", NodalField(mesh=mesh, values=values),
-                   load, residual, reaction, iters)
+    return _solve_nodal("energy-cluster", model.potential, a, mesh, exact_load(mesh, model))
 
 
 def solve_force_cluster(model: ChainModel, weights: WeightSet) -> SolveReport:
@@ -295,9 +287,5 @@ def solve_force_cluster(model: ChainModel, weights: WeightSet) -> SolveReport:
     if not nu[slot] > 1e-12 * np.max(nu):  # a vanishing weight makes the equations singular
         raise IllPosed(f"force weight of node slot {slot} is {nu[slot]:.3e}, "
                        f"not above 1e-12 times the largest")
-    ftilde = cluster_load(model, weights)
-    g, values, residual, reaction, iters = _solve_chain(
-        model.potential, 1.0, mesh.h, ftilde, mesh.K - 1, scale=nu
-    )
-    return _report("force-cluster", NodalField(mesh=mesh, values=values),
-                   ftilde, residual, reaction, iters)
+    return _solve_nodal("force-cluster", model.potential, 1.0, mesh, cluster_load(model, weights),
+                        scale=nu)

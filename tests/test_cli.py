@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qclab.model
 from qclab.cli import _build_parser, main
 from qclab.errors import QCLabError
-from qclab.model import MAX_N
+from qclab.model import BLOCK_VALUES, MAX_N
 
 
 def read_lines(path):
@@ -356,6 +357,23 @@ def test_vanishing_force_weight_is_ill_posed(tmp_path, capsys):
     assert error["code"] == "IllPosed"
     assert "force weight of node slot" in error["message"]
     assert main(argv + ["--method", "energy-cluster"]) == 0
+
+
+@pytest.mark.parametrize("method", ["energy-cluster", "force-cluster"])
+def test_run_evaluates_the_closed_form_twice(tmp_path, monkeypatch, method):
+    # once streamed into the atomistic solve and once as the samples that
+    # the residual, the exact loads and the cluster loads read
+    closed_form, sites = qclab.model._force_closed_form, []
+
+    def counted(spec):
+        fbar = closed_form(spec)
+        return lambda x: (sites.append(x.size), fbar(x))[1]
+
+    monkeypatch.setattr(qclab.model, "_force_closed_form", counted)
+    N = 3 * BLOCK_VALUES // 2 + 3
+    assert main(["run", "--mesh", "smooth", "--N", str(N), "--K", "64", "--r", "1",
+                 "--method", method, "--force", "gauss:1,20", "--out", str(tmp_path)]) == 0
+    assert sum(sites) == 2 * (2 * N)
 
 
 def test_overflowing_force_is_rejected_without_a_warning(tmp_path, capsys):

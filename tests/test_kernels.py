@@ -434,8 +434,8 @@ def test_write_csv_matches_reference(tmp_path, rows, footer):
     streamed = {name: (lambda a, b, col=col: col[a:b]) if i % 2 else col
                 for i, (name, col) in enumerate(columns.items())}
     rates = footer or ()
-    _write_csv(tmp_path / "got.csv", columns, rates)
-    _write_csv(tmp_path / "streamed.csv", streamed, rates)
+    _write_csv(tmp_path / "got.csv", rows, columns, rates)
+    _write_csv(tmp_path / "streamed.csv", rows, streamed, rates)
     reference_write_csv(tmp_path / "want.csv", columns, rates)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -451,9 +451,9 @@ def test_streamed_profile_is_the_materialized_one(tmp_path):
              "u_constrained": prolong(reports["constrained"].solution).values,
              "u_qc": prolong(reports[config.method].solution).values}
     assert list(columns) == list(whole)
-    assert all(callable(columns[name]) for name in ("x", "u_constrained", "u_qc"))
-    _write_csv(tmp_path / "got.csv", columns)
-    _write_csv(tmp_path / "want.csv", whole)
+    assert all(callable(column) for column in columns.values())
+    _write_csv(tmp_path / "got.csv", 2 * config.N, columns)
+    _write_csv(tmp_path / "want.csv", 2 * config.N, whole)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -485,6 +485,16 @@ def test_to_json_matches_reference(floats, ints, scalar, long):
         "single": np.array(scalar),
         "text": 'say "q" \\ done',
     }
+    assert _to_json(payload) == reference_to_json(payload)
+
+
+def test_to_json_matches_reference_across_blocks():
+    # a report array is formatted BLOCK_VALUES values at a time: two whole
+    # blocks and a tail, at magnitudes 1e-8 to 1e8 (outside the drawn
+    # examples above, as the oracle takes 0.2 s for these values)
+    size = 2 * BLOCK_VALUES + 5
+    values = np.random.default_rng(7).normal(size=size) * 10.0 ** (np.arange(size) % 17 - 8)
+    payload = {"blocks": values, "nested": {"tail": values[-7:]}}
     assert _to_json(payload) == reference_to_json(payload)
 
 

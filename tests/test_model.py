@@ -82,9 +82,39 @@ def test_blockwise_samples_are_the_whole_array_closed_form(spec, N):
 
 def test_non_finite_samples_in_a_later_block_are_rejected():
     # 1e308 * (1 + x) is finite on the first block (x near -1) and
-    # overflows near x = 1, in the last
+    # overflows near x = 1, in the last; the closed form is evaluated when
+    # the samples are read
+    force = sample_force("lin:1e308,1e308", 3 * BLOCK_VALUES // 2 + 3)
     with pytest.raises(UnknownFamily, match="non-finite"):
-        sample_force("lin:1e308,1e308", 3 * BLOCK_VALUES // 2 + 3)
+        force.samples
+
+
+def path_values(N, g):
+    """np.cumsum of epsilon*g gathered along the path from site 1 across the
+    wrap to site -1, scattered back to slot order; site 0 holds 0."""
+    path = np.r_[N : 2 * N, 0 : N - 1]
+    values = np.zeros(2 * N)
+    values[path] = np.cumsum((1.0 / N) * g[path])
+    return values
+
+
+# 2N = 3 * BLOCK_VALUES + 6: the path's two segments span several blocks
+@pytest.mark.parametrize("N, size, cut", [
+    *[(3 * BLOCK_VALUES // 2 + 3, None, d) for d in (-2, -1, 0, 1)],  # two chunks, split at N+d
+    (3 * BLOCK_VALUES // 2 + 3, 4096, None),
+    (2**11, 1, None),
+])
+def test_displacement_rows_stream_the_path_cumulative_sum(N, size, cut):
+    g = np.random.default_rng(N).normal(size=2 * N)
+    v = Displacement(N=N, gradients=g)
+    want = path_values(N, g)
+    assert v.values.tobytes() == want.tobytes()
+    bounds = [0, N + cut, 2 * N] if size is None else [*range(0, 2 * N, size), 2 * N]
+    chunks = list(zip(bounds, bounds[1:]))
+    for order in (chunks, chunks[::-1]):  # in slot order, then each chunk from scratch
+        got = {a: v.rows(a, b) for a, b in order}
+        assert np.concatenate([got[a] for a, _ in chunks]).tobytes() == want.tobytes()
+    assert v.values.tobytes() == want.tobytes()
 
 
 def test_stored_energy_sawtooth_by_hand():

@@ -13,6 +13,7 @@ from qclab import (
     ClusterRule,
     ConvexityLoss,
     Displacement,
+    ExternalForce,
     IllPosed,
     MeshSpec,
     NodalField,
@@ -38,6 +39,7 @@ from qclab import (
     solve_weights,
     stored_energy,
 )
+from qclab.model import BLOCK_VALUES
 from conftest import (
     assemble_cluster_forces,
     dense_atomistic,
@@ -478,3 +480,17 @@ def test_solvers_agree_with_the_oracles_on_random_instances(mesh, force, data, m
             slack = 1e-10 * max(est["consistency"], err)
             assert est["sandwich_lower"] <= err + slack and err <= est["sandwich_upper"] + slack
     assert max(float(np.max(np.abs(gap))) for gap in gaps) <= 1e-10
+
+
+# 2N = 2 * BLOCK_VALUES, and 2N = 3 * BLOCK_VALUES + 6: a partial last block
+@pytest.mark.parametrize("N", [2**14, 3 * BLOCK_VALUES // 2 + 3])
+@pytest.mark.parametrize("spec", ["sinpi", "gauss:1e4,1e4", "const:2.5", "lin:1,0.5"])
+def test_closed_form_force_solves_as_its_samples(spec, N):
+    # the closed form streamed into the solve, then materialized, gives the
+    # bits of a force given by those samples from the start
+    samples = sample_force(spec, N).samples
+    closed, given = (solve_atomistic(ChainModel(N=N, potential=harmonic_potential(), force=f))
+                     for f in (sample_force(spec, N), ExternalForce(N=N, samples=samples)))
+    assert closed.solution.values.tobytes() == given.solution.values.tobytes()
+    assert closed.solution.gradients.tobytes() == given.solution.gradients.tobytes()
+    assert (closed.residual, closed.reaction) == (given.residual, given.reaction)
