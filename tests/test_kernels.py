@@ -490,8 +490,8 @@ def test_to_json_matches_reference(floats, ints, scalar, long):
 
 def test_to_json_matches_reference_across_blocks():
     # a report array is formatted BLOCK_VALUES values at a time: two whole
-    # blocks and a tail, at magnitudes 1e-8 to 1e8 (outside the drawn
-    # examples above, as the oracle takes 0.2 s for these values)
+    # blocks and a tail, at magnitudes 1e-8 to 1e8; not one of the drawn
+    # examples above, since the per-element oracle takes 0.2 s on it
     size = 2 * BLOCK_VALUES + 5
     values = np.random.default_rng(7).normal(size=size) * 10.0 ** (np.arange(size) % 17 - 8)
     payload = {"blocks": values, "nested": {"tail": values[-7:]}}
