@@ -269,9 +269,6 @@ class Displacement:
     def values(self) -> np.ndarray:
         return self.rows(0, 2 * self.N) if self._values is None else self._values
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        return self._values[start:stop]
-
     def strains(self) -> np.ndarray:
         """Per-bond strains v'_ell = (v_ell - v_{ell-1})/epsilon, slot order."""
         if self.gradients is not None:
