@@ -36,7 +36,7 @@ from .mesh import (
     MeshSpec,
     build_mesh,
     parse_mesh_descriptor,
-    prolong_rows,
+    prolong,
     smoothness_profile,
 )
 from .cluster import ClusterRule, assemble_weight_system, solve_weights, verify_exactness
@@ -422,7 +422,7 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
         clock.lap("mesh")
         reports["constrained"] = solve_constrained(model, mesh)
         clock.lap("solve.solve_constrained")
-        columns["u_constrained"] = prolong_rows(reports["constrained"].solution)
+        columns["u_constrained"] = prolong(reports["constrained"].solution)
 
     errors = None
     if config.method in ("energy-cluster", "force-cluster"):
@@ -440,7 +440,7 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
         solver = solve_energy_cluster if config.method == "energy-cluster" else solve_force_cluster
         qc = reports[config.method] = solver(model, weights)
         clock.lap(f"solve.{solver.__name__}")
-        columns["u_qc"] = prolong_rows(qc.solution)
+        columns["u_qc"] = prolong(qc.solution)
         errors = error_report(
             model, reports["atomistic"].solution, reports["constrained"].solution,
             qc.solution, energy_cluster_functional(model, weights, qc.solution),

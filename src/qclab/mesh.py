@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstraintViolation, MeshBuildError, ShapeMismatch, UnknownFamily
-from .model import BLOCK_VALUES, ChainModel, Displacement, check_lattice_size, slot_of_site
+from .model import BLOCK_VALUES, ChainModel, check_lattice_size, slot_of_site
 
 _FAMILIES = ("uniform", "graded", "oscillatory", "smooth", "custom")
 
@@ -93,9 +93,6 @@ class CoarseMesh:
     @property
     def epsilon(self) -> float:
         return 1.0 / self.N
-
-    def node_slot(self, k) -> np.ndarray:
-        return (np.asarray(k) + self.K - 1) % (2 * self.K)
 
 
 def _build_uniform(spec: MeshSpec) -> np.ndarray:
@@ -275,7 +272,7 @@ def basis_value(mesh: CoarseMesh, j: int, ell):
     1 at node j, affine down to 0 at nodes j-1 and j+1, zero outside; indices
     reduce periodically.  Scalar ell gives a float, an array gives an array.
     """
-    tj = int(mesh.node_slot(j))
+    tj = int(slot_of_site(j, mesh.K))
     left = mesh.repatoms[tj - 1] if tj else mesh.repatoms[-1] - 2 * mesh.N
     d = (np.asarray(ell) - left) % (2 * mesh.N)
     out = hat_of_distance(d, mesh.steps[tj], mesh.steps[(tj + 1) % (2 * mesh.K)])
@@ -303,14 +300,14 @@ def hat_ramp(s: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     return up
 
 
-def prolong_rows(V: NodalField) -> Callable[[int, int], np.ndarray]:
-    """The piecewise-affine extension of V as a function of a row range:
-    rows(start, stop) returns slots start..stop-1 of prolong(V).values, bit
-    for bit, for 0 <= start <= stop <= 2N, in O(stop - start) memory.
+def prolong(V: NodalField) -> Callable[[int, int], np.ndarray]:
+    """The piecewise-affine extension of nodal values to every lattice site,
+    as a function of a row range: rows(start, stop) returns its slots
+    start..stop-1, for 0 <= start <= stop <= 2N, in O(stop - start) memory.
 
     Per site, in element order (from the site after the wrap element's left
     node): left + (i/s)*(right - left) at distance i = 1..s into an element
-    of s sites, and the node value itself at i = s.
+    of s sites, and the node value itself, bitwise, at i = s.
     """
     mesh = V.mesh
     vals = V.values
@@ -344,20 +341,6 @@ def prolong_rows(V: NodalField) -> Callable[[int, int], np.ndarray]:
         return out
 
     return rows
-
-
-def prolong(V: NodalField) -> Displacement:
-    """Piecewise-affine extension of nodal values to every lattice site.
-
-    The recorded gradients are exactly the element gradients, and node slots
-    carry the nodal values bitwise.
-    """
-    mesh = V.mesh
-    values = prolong_rows(V)(0, 2 * mesh.N)
-    gradients = np.roll(np.repeat(V.gradients(), mesh.steps), int(mesh.first_slots[0]))
-    values.setflags(write=False)
-    gradients.setflags(write=False)
-    return Displacement(N=mesh.N, values=values, gradients=gradients)
 
 
 def smoothness_profile(mesh: CoarseMesh) -> np.ndarray:

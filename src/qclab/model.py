@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstraintViolation, LatticeTooLarge, QCLabError, ShapeMismatch, UnknownFamily
+from .errors import LatticeTooLarge, QCLabError, ShapeMismatch, UnknownFamily
 
 # The largest lattice: its 2N float64 values take 2**62 bytes, half of
 # numpy's largest array (2**63 - 1 bytes), so the sizes numpy derives in
@@ -214,10 +214,11 @@ def path_rows(h, g: np.ndarray, pinned: int) -> Callable[[int, int], np.ndarray]
     """Values pinned to 0 at slot ``pinned`` from steps h (scalar or array)
     and gradients g, as rows(start, stop): slots start..stop-1 of the
     cumulative sum of h*g along the path from slot pinned+1 across the wrap
-    to slot pinned-1.  np.cumsum runs over pieces of at most BLOCK_VALUES,
-    each continuing from the sum before it, bit for bit one sequential sum;
-    a first pass finds the sum carried into slot 0, and each call continues
-    where the last one stopped."""
+    to slot pinned-1: a Displacement's values for h = epsilon, a nodal
+    solve's for h = the element sizes.  np.cumsum runs over pieces of at
+    most BLOCK_VALUES, each continuing from the sum before it, bit for bit
+    one sequential sum; a first pass finds the sum carried into slot 0, and
+    each call continues where the last one stopped."""
     n, h = len(g), np.broadcast_to(h, g.shape)
 
     def cumulate(start: int, stop: int, running, out: np.ndarray | None = None):
@@ -249,32 +250,18 @@ def path_rows(h, g: np.ndarray, pinned: int) -> Callable[[int, int], np.ndarray]
 
 
 class Displacement:
-    """Periodic displacement pinned at site 0 (slot N-1).
+    """Periodic displacement pinned at site 0 (slot N-1), given by its per-bond
+    gradients v'_ell = (v_ell - v_{ell-1})/epsilon, slot order.  ``rows``
+    streams its values by path_rows; ``values`` forms them whole."""
 
-    ``gradients`` optionally records the per-bond strains the producer worked
-    with (solvers do); ``strains`` falls back to differencing the values.
-    Given gradients alone, ``rows`` streams the values by path_rows.
-    """
-
-    def __init__(self, N: int, values=None, gradients=None):
+    def __init__(self, N: int, gradients):
         self.N = N
-        self.gradients = None if gradients is None else _frozen(gradients, 2 * N, "gradients")
-        self._values = None if values is None else _frozen(values, 2 * N, "displacement values")
-        if values is None:
-            self.rows = path_rows(1.0 / N, self.gradients, N - 1)
-        elif self._values[N - 1] != 0.0:
-            raise ConstraintViolation("displacement must vanish at site 0")
+        self.gradients = _frozen(gradients, 2 * N, "gradients")
+        self.rows = path_rows(1.0 / N, self.gradients, N - 1)
 
     @property
     def values(self) -> np.ndarray:
-        return self.rows(0, 2 * self.N) if self._values is None else self._values
-
-    def strains(self) -> np.ndarray:
-        """Per-bond strains v'_ell = (v_ell - v_{ell-1})/epsilon, slot order."""
-        if self.gradients is not None:
-            return self.gradients
-        v = self.values
-        return (v - np.roll(v, 1)) * self.N
+        return self.rows(0, 2 * self.N)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,7 +288,7 @@ def stored_energy(model: ChainModel, v: Displacement) -> float:
     """Internal energy: sum over all bonds of epsilon*phi(strain)."""
     if v.N != model.N:
         raise ShapeMismatch("displacement does not match the model's lattice size")
-    g = v.strains()
+    g = v.gradients
     return model.epsilon * pairwise_sum(g.size, lambda a, b: model.potential.value(g[a:b]))
 
 
@@ -315,5 +302,5 @@ def energy_norm(w) -> float:
     if hasattr(w, "mesh"):
         g = w.gradients()
         return float(np.sqrt(np.sum(w.mesh.h * np.square(g))))
-    g = w.strains()
+    g = w.gradients
     return float(np.sqrt(np.sum(np.square(g)) / w.N))

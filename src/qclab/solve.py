@@ -121,14 +121,16 @@ def _solve_chain(pot: PairPotential, coeff, h, load: ExternalForce, pinned: int,
     for at in range(0, n, BLOCK_VALUES):
         stop = min(at + BLOCK_VALUES, n)
         np.multiply(load.rows(at, stop), factor, out=buf[at + 1 : stop + 1])
-    buf[1:] /= scale
+    if np.ndim(scale) or scale != 1.0:  # a scalar 1.0 leaves every value as it is
+        buf[1:] /= scale
     _path_cumsum(buf[1:], first)
     buf[0] = buf[n]
     tbar = np.negative(buf[:n], out=buf[:n])
     tbar[first] = 0.0
     c0, closure_iters = _closure_constant(pot, coeff, h, tbar)
     tbar += c0
-    tbar /= coeff
+    if np.ndim(coeff) or coeff != 1.0:
+        tbar /= coeff
     g, invert_iters = _invert_stress(pot, tbar)
     g.setflags(write=False)
     coeff, scale = np.broadcast_to(coeff, (n,)), np.broadcast_to(scale, (n,))

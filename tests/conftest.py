@@ -24,7 +24,6 @@ from qclab import (
     basis_value,
     energy_norm,
     harmonic_potential,
-    prolong,
     sample_force,
     slot_of_site,
     stored_energy,
@@ -55,21 +54,29 @@ def element_of_slot(mesh):
     return out
 
 
-def _strains(model, v):
+def displacement(values):
+    """The Displacement whose gradients difference the lattice values v:
+    (v_ell - v_{ell-1})/epsilon, slot order."""
+    v = np.asarray(values, dtype=float)
+    N = v.size // 2
+    return Displacement(N=N, gradients=(v - np.roll(v, 1)) * N)
+
+
+def _gradients(model, v):
     if v.N != model.N:
         raise ShapeMismatch("displacement does not match the model's lattice size")
-    return v.strains()
+    return v.gradients
 
 
 def site_forces(model, v):
     """Equilibrium residual d(total_energy)/d(v_ell) at every site, slot order."""
-    t = model.potential.deriv(_strains(model, v))
+    t = model.potential.deriv(_gradients(model, v))
     return t - np.roll(t, -1) - model.epsilon * model.force.samples
 
 
 def site_energies(model, v):
     """Energy of every site, half of its two adjacent bond energies, slot order."""
-    e = model.potential.value(_strains(model, v))
+    e = model.potential.value(_gradients(model, v))
     return 0.5 * (e + np.roll(e, -1))
 
 
@@ -89,7 +96,7 @@ def assemble_cluster_forces(model, weights, V):
     rule = weights.rule
     check_lattice(model, rule.mesh)
     check_field(rule.mesh, V)
-    forces = site_forces(model, prolong(V))
+    forces = site_forces(model, prolonged(rule.mesh, V))
     weighted = weights.force[:, None] * forces[slot_of_site(rule.member_matrix(), model.N)]
     return _scatter_cluster_values(rule, weighted)
 
@@ -104,7 +111,7 @@ def galerkin_defect(model, atomistic, constrained):
     """
     mesh = constrained.mesh
     check_lattice(model, mesh)
-    gap = model.epsilon * (_strains(model, atomistic) - prolong(constrained).strains())
+    gap = model.epsilon * (_gradients(model, atomistic) - reference_prolong(mesh, constrained)[1])
     sums = np.bincount(element_of_slot(mesh), weights=gap, minlength=2 * mesh.K)
     means = sums / mesh.h
     defect = means - np.roll(means, -1)
@@ -197,21 +204,22 @@ def fd_site_force(model, v, ell, step=1e-6):
     plus[slot] += step
     minus = v.values.copy()
     minus[slot] -= step
-    e_plus = total_energy(model, Displacement(N=model.N, values=plus))
-    e_minus = total_energy(model, Displacement(N=model.N, values=minus))
+    e_plus = total_energy(model, displacement(plus))
+    e_minus = total_energy(model, displacement(minus))
     return (e_plus - e_minus) / (2.0 * step)
 
 
 def random_displacement(rng, N, scale=1.0):
     vals = scale * rng.normal(size=2 * N)
     vals[N - 1] = 0.0
-    return Displacement(N=N, values=vals)
+    return displacement(vals)
 
 
 # ---------------------------------------------------------------- reference kernels
 
 def reference_prolong(mesh, V):
-    """Piecewise-affine extension, blended element by element."""
+    """Piecewise-affine extension, blended element by element: its lattice
+    values and per-bond gradients, the element gradients."""
     vals = V.values
     lefts = np.roll(vals, 1)
     grads = V.gradients()
@@ -228,7 +236,12 @@ def reference_prolong(mesh, V):
     values[slots] = np.concatenate(pieces)
     gradients = np.empty(2 * mesh.N)
     gradients[slots] = np.repeat(grads, mesh.steps)
-    return Displacement(N=mesh.N, values=values, gradients=gradients)
+    return values, gradients
+
+
+def prolonged(mesh, V):
+    """The prolongation of V as a Displacement of its element gradients."""
+    return Displacement(N=mesh.N, gradients=reference_prolong(mesh, V)[1])
 
 
 def reference_exact_load(mesh, model):
@@ -289,7 +302,7 @@ def reference_solve_cyclic_tridiagonal(sub, diag, sup, rhs):
 
 def reference_energy_cluster_functional(model, mesh, rule, weights, V):
     """Cluster energy read off the site energies of the prolonged field."""
-    energies = site_energies(model, reference_prolong(mesh, V))
+    energies = site_energies(model, prolonged(mesh, V))
     members = rule.member_matrix()
     per_cluster = np.sum(energies[slot_of_site(members, mesh.N)], axis=1)
     return float(np.dot(weights.energy, per_cluster))

@@ -15,7 +15,6 @@ import numpy as np
 from qclab import (
     ChainModel,
     ClusterRule,
-    Displacement,
     MeshSpec,
     NodalField,
     assemble_weight_system,
@@ -48,6 +47,7 @@ from conftest import (
     assemble_cluster_forces,
     dense_atomistic,
     dense_chain,
+    displacement,
     fd_site_force,
     make_model,
     random_custom_mesh,
@@ -369,7 +369,7 @@ def test_c10_small_lattice_oracles(capsys):
                               force=sample_force("gauss:2,25", 16))
         values = 0.3 * rng.normal(size=32)
         values[15] = 0.0
-        v = Displacement(N=16, values=values)
+        v = displacement(values)
         forces = site_forces(fd_model, v)
         for ell in (-7, 3, 11):
             gap = abs(forces[slot_of_site(ell, 16)] - fd_site_force(fd_model, v, ell))

@@ -554,21 +554,41 @@ def test_out_naming_a_file(tmp_path, capsys, argv):
     assert str(taken) in error["message"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--axis", "N", "--values", "8,16", "--metric", "consistency",
-     "--mesh", "graded", "--K", "4", "--force", "sinpi"],
-    ["sweep", "--axis", "K", "--values", "8,x", "--metric", "consistency",
-     "--mesh", "uniform", "--N", "64", "--force", "sinpi"],
-    ["run", "--mesh", "uniform", "--N", "64", "--K", "4", "--method", "constrained",
-     "--force", "gauss:1,nan"],
-    ["run", "--mesh", "smooth:1e400", "--N", "64", "--K", "4", "--method", "constrained",
-     "--force", "sinpi"],
-], ids=["sweep-mesh", "sweep-values", "run-force", "run-mesh"])
-def test_failing_call_leaves_no_output_directory(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, code", [
+    (["sweep", "--axis", "N", "--values", "8,16", "--metric", "consistency",
+      "--mesh", "graded", "--K", "4", "--force", "sinpi"], "MeshBuild"),
+    (["sweep", "--axis", "K", "--values", "8,x", "--metric", "consistency",
+      "--mesh", "uniform", "--N", "64", "--force", "sinpi"], "Error"),
+    (["run", "--mesh", "uniform", "--N", "64", "--K", "4", "--method", "constrained",
+      "--force", "gauss:1,nan"], "UnknownFamily"),
+    (["run", "--mesh", "smooth:1e400", "--N", "64", "--K", "4", "--method", "constrained",
+      "--force", "sinpi"], "MeshBuild"),
+    (["run", "--force", "sinpi", "--method", "atomistic"], "Error"),
+    (["run", "--N", "64", "--force", "sinpi", "--method", "constrained"], "Error"),
+    (["run", "--N", "64", "--method", "atomistic", "--force", "gauss:a,b"], "UnknownFamily"),
+], ids=["sweep-mesh", "sweep-values", "run-force", "run-mesh", "run-without-N",
+        "run-without-mesh", "run-force-parameters"])
+def test_failing_call_leaves_no_output_directory(tmp_path, capsys, argv, code):
     out = tmp_path / "D"
     assert main(argv + ["--out", str(out)]) == 1
-    error_of(capsys)
+    assert error_of(capsys)["code"] == code
     assert not out.exists()
+
+
+@pytest.mark.parametrize("nodes, N, K, message", [
+    ("-4\n0\n3\n2\n", "8", "2", "strictly increasing"),
+    ("-4\n-1\n3\n5\n", "8", "2", "must contain lattice site 0"),
+    (None, "8", "1", "K = 2"),
+    (None, "1", "2", "N >= 2"),
+], ids=["custom-not-increasing", "custom-without-site-0", "one-node-pair", "one-atom"])
+def test_a_mesh_that_cannot_be_built(tmp_path, capsys, nodes, N, K, message):
+    mesh = "uniform"
+    if nodes is not None:
+        mesh = f"custom:{tmp_path / 'nodes.txt'}"
+        (tmp_path / "nodes.txt").write_text(nodes)
+    assert main(["mesh-inspect", "--mesh", mesh, "--N", N, "--K", K]) == 1
+    error = error_of(capsys)
+    assert error["code"] == "MeshBuild" and message in error["message"]
 
 
 @pytest.mark.parametrize("argv, target", [

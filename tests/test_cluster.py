@@ -10,6 +10,7 @@ from qclab import (
     ShapeMismatch,
     assemble_weight_system,
     build_mesh,
+    slot_of_site,
     solve_weights,
     verify_exactness,
 )
@@ -29,8 +30,8 @@ def test_cluster_membership():
     rule = ClusterRule(mesh=mesh, r=7)
     members = rule.member_matrix()
     assert members.shape == (8, 15)
-    np.testing.assert_array_equal(members[mesh.node_slot(0)], np.arange(-7, 8))
-    np.testing.assert_array_equal(members[mesh.node_slot(4)], 64 + np.arange(-7, 8))
+    np.testing.assert_array_equal(members[slot_of_site(0, mesh.K)], np.arange(-7, 8))
+    np.testing.assert_array_equal(members[slot_of_site(4, mesh.K)], 64 + np.arange(-7, 8))
     assert rule.size == 15
     with pytest.raises(ClusterOverlap):
         ClusterRule(mesh=mesh, r=8)  # 2r+1 = 17 > 16

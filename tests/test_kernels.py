@@ -37,7 +37,7 @@ from qclab import (
     verify_exactness,
 )
 from qclab.cluster import _solve_cyclic_tridiagonal
-from qclab.mesh import hat_of_distance, hat_ramp, prolong_rows
+from qclab.mesh import hat_of_distance, hat_ramp
 from qclab.model import BLOCK_VALUES, pairwise_sum
 from qclab.cli import (
     _CSV_CHUNK_ROWS,
@@ -95,9 +95,8 @@ def test_prolong_matches_reference(seed, K):
     rng = np.random.default_rng(seed)
     mesh, _ = random_custom_mesh(rng, K)
     V = nodal_field(rng, mesh)
-    got, want = prolong(V), reference_prolong(mesh, V)
-    assert np.array_equal(got.values, want.values)
-    assert np.array_equal(got.gradients, want.gradients)
+    got = prolong(V)(0, 2 * mesh.N)
+    assert got.tobytes() == reference_prolong(mesh, V)[0].tobytes()
 
 
 def family_mesh(rng, family, steps=(5, 15)):
@@ -118,11 +117,11 @@ FAMILIES = ["uniform", "graded", "oscillatory", "smooth", "custom"]
 
 @KERNELS
 @given(seed=seeds, family=st.sampled_from(FAMILIES), data=st.data())
-def test_prolong_rows_are_slices_of_prolong(seed, family, data):
+def test_prolong_streams_slices_of_the_reference(seed, family, data):
     rng = np.random.default_rng(seed)
     mesh = family_mesh(rng, family)
     V = nodal_field(rng, mesh)
-    whole, rows, n2 = prolong(V).values, prolong_rows(V), 2 * mesh.N
+    whole, rows, n2 = reference_prolong(mesh, V)[0], prolong(V), 2 * mesh.N
     # element order starts at slot `shift`; element t holds its positions
     # ends[t] - steps[t] .. ends[t] - 1, its node last
     shift = int(slot_of_site(mesh.repatoms[-1] - n2 + 1, mesh.N))
@@ -448,8 +447,8 @@ def test_streamed_profile_is_the_materialized_one(tmp_path):
     _, columns, reports = _execute(config)
     whole = {"x": lattice_coordinates(config.N),
              "u_atomistic": reports["atomistic"].solution.values,
-             "u_constrained": prolong(reports["constrained"].solution).values,
-             "u_qc": prolong(reports[config.method].solution).values}
+             "u_constrained": prolong(reports["constrained"].solution)(0, 2 * config.N),
+             "u_qc": prolong(reports[config.method].solution)(0, 2 * config.N)}
     assert list(columns) == list(whole)
     assert all(callable(column) for column in columns.values())
     _write_csv(tmp_path / "got.csv", 2 * config.N, columns)

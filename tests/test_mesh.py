@@ -22,7 +22,7 @@ from qclab import (
     smoothness_profile,
     stored_energy,
 )
-from conftest import element_of_slot, make_model, node, random_custom_mesh
+from conftest import displacement, element_of_slot, make_model, node, random_custom_mesh
 
 _FAMILY_CASES = [
     ("uniform", 8, 4),
@@ -154,7 +154,7 @@ def test_node_lookup_periodic_extension():
     assert node(mesh, 0) == 0
     assert node(mesh, 4) == 8
     assert node(mesh, 5) == node(mesh, -3) + 16
-    assert mesh.node_slot(0) == 3
+    assert slot_of_site(0, mesh.K) == 3
     np.testing.assert_array_equal(node(mesh, np.array([-3, 0, 4])), [-4, 0, 8])
 
 
@@ -202,7 +202,7 @@ def test_prolong_matches_affine_interpolation():
     x = lattice_coordinates(N)
     g = x * x - np.abs(x)  # vanishes at x = 0 and x = 1, 2-periodic
     V = NodalField(mesh=mesh, values=g[slot_of_site(mesh.repatoms, N)])
-    vh = prolong(V)
+    vh = prolong(V)(0, 2 * N)
     # brute interpolation per site through the owning element
     owners = element_of_slot(mesh)
     for ell in range(-N + 1, N + 1):
@@ -211,11 +211,11 @@ def test_prolong_matches_affine_interpolation():
         lo, hi = int(node(mesh, k - 1)), int(node(mesh, k))
         d = (ell - lo) % (2 * N)
         lam = d / (hi - lo)
-        left, right = V.values[mesh.node_slot([k - 1, k])]
+        left, right = V.values[slot_of_site([k - 1, k], mesh.K)]
         expected = (1 - lam) * float(left) + lam * float(right)
-        assert vh.values[slot_of_site(ell, N)] == pytest.approx(expected, abs=1e-14)
+        assert vh[slot_of_site(ell, N)] == pytest.approx(expected, abs=1e-14)
     # node slots carry the nodal values bitwise
-    np.testing.assert_array_equal(vh.values[slot_of_site(mesh.repatoms, N)], V.values)
+    np.testing.assert_array_equal(vh[slot_of_site(mesh.repatoms, N)], V.values)
 
 
 def test_prolong_energy_identity():
@@ -225,7 +225,7 @@ def test_prolong_energy_identity():
     vals = rng.normal(size=2 * mesh.K)
     vals[mesh.K - 1] = 0.0
     V = NodalField(mesh=mesh, values=vals)
-    lattice_side = stored_energy(model, prolong(V))
+    lattice_side = stored_energy(model, displacement(prolong(V)(0, 2 * N)))
     nodal_side = float(np.sum(mesh.h * model.potential.value(V.gradients())))
     assert lattice_side == pytest.approx(nodal_side, rel=1e-12)
 

@@ -7,11 +7,13 @@ import pytest
 
 from qclab import (
     ChainModel,
-    ConstraintViolation,
+    ClusterRule,
     Displacement,
+    MeshSpec,
     QCLabError,
     ShapeMismatch,
     UnknownFamily,
+    build_mesh,
     energy_norm,
     harmonic_potential,
     lattice_coordinates,
@@ -21,7 +23,8 @@ from qclab import (
     stored_energy,
 )
 from qclab.model import BLOCK_VALUES
-from conftest import fd_site_force, make_model, random_displacement, site_energies, site_forces
+from conftest import (displacement, fd_site_force, make_model, random_displacement, site_energies,
+                      site_forces)
 
 
 def test_lattice_indexing():
@@ -80,6 +83,20 @@ def test_blockwise_samples_are_the_whole_array_closed_form(spec, N):
     assert sample_force(spec, N).samples.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("family, K, r", [
+    ("smooth", 64, 2), ("oscillatory", 20, 3), ("graded", 15, 0), ("uniform", 256, 5)])
+@pytest.mark.parametrize("spec", ["sinpi", "gauss:1e4,1e4", "gauss:2,25", "const:1", "lin:0.5,-1"])
+def test_closed_form_at_the_cluster_members_is_the_gathered_samples(spec, family, K, r):
+    # fbar evaluated at the members alone, reduced into (-1, 1], is what at()
+    # gathers from the samples, bit for bit: a force read lazily at the
+    # clusters would change no cluster load
+    N = 2**14
+    members = ClusterRule(mesh=build_mesh(MeshSpec(family=family, N=N, K=K)), r=r).member_matrix()
+    force = sample_force(spec, N)
+    x = (slot_of_site(members, N) - N + 1) / N
+    assert force.fbar(x).tobytes() == force.at(members).tobytes()
+
+
 def test_non_finite_samples_in_a_later_block_are_rejected():
     # 1e308 * (1 + x) is finite on the first block (x near -1) and
     # overflows near x = 1, in the last; the closed form is evaluated when
@@ -121,8 +138,8 @@ def test_stored_energy_sawtooth_by_hand():
     # v = x on (-1, 1]: unit strain on three bonds, the wrap bond carries -3
     N = 2
     model = make_model(N, force="const:0")
-    v = Displacement(N=N, values=lattice_coordinates(N))
-    np.testing.assert_allclose(v.strains(), [-3.0, 1.0, 1.0, 1.0])
+    v = displacement(lattice_coordinates(N))
+    np.testing.assert_allclose(v.gradients, [-3.0, 1.0, 1.0, 1.0])
     assert stored_energy(model, v) == pytest.approx(3.0, abs=1e-15)
 
 
@@ -131,8 +148,8 @@ def test_energy_norm_alternating_strain():
     for N in (2, 5, 16):
         sites = np.arange(-N + 1, N + 1)
         values = np.where(sites % 2 == 0, 0.0, 1.0 / N)
-        w = Displacement(N=N, values=values)
-        np.testing.assert_allclose(np.abs(w.strains()), 1.0, rtol=0, atol=1e-12)
+        w = displacement(values)
+        np.testing.assert_allclose(np.abs(w.gradients), 1.0, rtol=0, atol=1e-12)
         assert energy_norm(w) == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
 
@@ -140,7 +157,7 @@ def test_energy_norm_brute():
     rng = np.random.default_rng(3)
     model = make_model(8)
     v = random_displacement(rng, 8)
-    g = v.strains()
+    g = v.gradients
     expected = math.sqrt(sum(gi * gi for gi in g) / 8.0)
     assert energy_norm(v) == pytest.approx(expected, rel=1e-14)
     # harmonic case: the squared norm is twice the stored energy
@@ -177,25 +194,14 @@ def test_strains_telescope_to_zero():
     rng = np.random.default_rng(6)
     for _ in range(5):
         v = random_displacement(rng, 16)
-        assert abs(np.sum(v.strains())) < 1e-10 * np.max(np.abs(v.strains())) * 32
+        assert abs(np.sum(v.gradients)) < 1e-10 * np.max(np.abs(v.gradients)) * 32
 
 
 def test_displacement_validation():
     with pytest.raises(ShapeMismatch):
-        Displacement(N=4, values=np.zeros(7))
-    bad = np.zeros(8)
-    bad[3] = 0.5  # slot 3 is site 0 for N = 4
-    with pytest.raises(ConstraintViolation):
-        Displacement(N=4, values=bad)
+        Displacement(N=4, gradients=np.zeros(7))
     with pytest.raises(ShapeMismatch):
-        stored_energy(make_model(4), Displacement(N=5, values=np.zeros(10)))
-
-
-def test_gradient_cache_consistency():
-    rng = np.random.default_rng(7)
-    v = random_displacement(rng, 8)
-    cached = Displacement(N=8, values=v.values, gradients=v.strains())
-    np.testing.assert_array_equal(cached.strains(), v.strains())
+        stored_energy(make_model(4), Displacement(N=5, gradients=np.zeros(10)))
 
 
 def test_quartic_potential():

@@ -12,7 +12,6 @@ from qclab import (
     ChainModel,
     ClusterRule,
     ConvexityLoss,
-    Displacement,
     ExternalForce,
     IllPosed,
     MeshSpec,
@@ -45,8 +44,10 @@ from conftest import (
     dense_atomistic,
     dense_chain,
     brute_hat_scatter,
+    displacement,
     galerkin_defect,
     make_model,
+    prolonged,
     random_custom_mesh,
     site_forces,
     total_energy,
@@ -96,7 +97,7 @@ def test_reaction_balances_stress_kink():
     # the pinned site carries the jump of the stress across it
     model = make_model(40, force="gauss:3,40")
     report = solve_atomistic(model)
-    t = report.solution.strains()  # harmonic stress equals strain
+    t = report.solution.gradients  # harmonic stress equals strain
     kink = t[model.N - 1] - t[model.N]
     np.testing.assert_allclose(
         kink, report.reaction + model.epsilon * float(model.force.at(0)), atol=1e-12
@@ -141,7 +142,7 @@ def test_constrained_on_full_lattice_is_atomistic():
     fine = solve_atomistic(model)
     coarse = solve_constrained(model, mesh)
     np.testing.assert_allclose(
-        prolong(coarse.solution).values, fine.solution.values, atol=1e-12
+        prolong(coarse.solution)(0, 2 * N), fine.solution.values, atol=1e-12
     )
 
 
@@ -198,7 +199,7 @@ def test_assembled_forces_match_brute_scatter():
     V = NodalField(mesh=mesh, values=values)
     assembled = assemble_cluster_forces(model, weights, V)
     brute = brute_hat_scatter(
-        mesh, weights.rule, weights.force, site_forces(model, prolong(V))
+        mesh, weights.rule, weights.force, site_forces(model, prolonged(mesh, V))
     )
     np.testing.assert_allclose(assembled, brute, atol=1e-13)
 
@@ -239,7 +240,7 @@ def test_cluster_energy_identity_at_radius_zero():
     values[mesh.K - 1] = 0.0
     V = NodalField(mesh=mesh, values=values)
     summed = energy_cluster_functional(model, weights, V)
-    exact = stored_energy(model, prolong(V))
+    exact = stored_energy(model, prolonged(mesh, V))
     correction = float(
         np.dot(
             mesh.h * smoothness_profile(mesh),
@@ -257,7 +258,7 @@ def test_cluster_energy_exact_on_uniform_mesh():
     values[mesh.K - 1] = 0.0
     V = NodalField(mesh=mesh, values=values)
     summed = energy_cluster_functional(model, weights, V)
-    exact = stored_energy(model, prolong(V))
+    exact = stored_energy(model, prolonged(mesh, V))
     np.testing.assert_allclose(summed, exact, rtol=1e-14)
 
 
@@ -300,7 +301,7 @@ def test_atomistic_quartic_matches_direct_minimization():
     def pack(x):
         vals = np.zeros(2 * N)
         vals[free] = x
-        return Displacement(N=N, values=vals)
+        return displacement(vals)
 
     res = scipy.optimize.minimize(
         lambda x: total_energy(model, pack(x)),
@@ -389,7 +390,7 @@ def test_constrained_best_approximation_rate():
     for K in (8, 16, 32, 64):
         mesh = build_mesh(MeshSpec(family="uniform", N=N, K=K))
         coarse = prolong(solve_constrained(model, mesh).solution)
-        gap = Displacement(N=N, values=coarse.values - fine.values)
+        gap = displacement(coarse(0, 2 * N) - fine.values)
         errors.append(energy_norm(gap))
     errors = np.array(errors)
     rates = np.log2(errors[:-1] / errors[1:])
@@ -457,7 +458,7 @@ def test_solvers_agree_with_the_oracles_on_random_instances(mesh, force, data, m
         # that misses periodicity shows up at the wrap bond.  The closure
         # Newton stops at a gap of 1e-13 (1 + sum eps |g|); the wrap bond's
         # strain carries it times N, its force that times phi''.
-        forces = site_forces(model, Displacement(N=model.N, values=atomistic.values))
+        forces = site_forces(model, displacement(atomistic.values))
         forces[model.N - 1] = 0.0
         assert float(np.max(np.abs(forces))) <= 1e-11 * model.N
         return
