@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -37,6 +38,7 @@ from .mesh import (
     build_mesh,
     parse_mesh_descriptor,
     prolong,
+    read_entries,
     smoothness_profile,
 )
 from .cluster import ClusterRule, assemble_weight_system, solve_weights, verify_exactness
@@ -327,15 +329,8 @@ def _write_csv(path: Path, rows: int, columns: dict[str, Column], rates: Iterabl
 # ---------------------------------------------------------------- configuration
 
 def _load_config_file(path: str) -> dict[str, str]:
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise QCLabError(f"cannot read config file {path!r}: {exc}") from None
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, line in read_entries(path, QCLabError, "config file"):
         if "=" not in line:
             raise QCLabError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
@@ -393,6 +388,15 @@ def _output_dir(path: Path) -> Path:
     except OSError as exc:
         raise QCLabError(f"cannot use {str(path)!r} as output directory: {exc}") from None
     return path
+
+
+def _write_files(out: Path, payload: dict, csv: tuple | None) -> None:
+    """Write csv (name, *_write_csv arguments), lapped as cli.write_csv, then report.json."""
+    if csv is not None:
+        clock = _Clock(payload["timings"])
+        _write_csv(out / csv[0], *csv[1:])
+        clock.lap("cli.write_csv")
+    _write_json(out / "report.json", payload)
 
 
 def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, SolveReport]]:
@@ -470,10 +474,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # the reports stay bound through the writes: u_atomistic streams from their gradients
     payload, columns, _ = _execute(config)
     out = _output_dir(Path(config.out))
-    clock = _Clock(payload["timings"])
-    _write_csv(out / "profile.csv", 2 * config.N, columns)
-    clock.lap("cli.write_csv")
-    _write_json(out / "report.json", payload)
+    _write_files(out, payload, ("profile.csv", 2 * config.N, columns))
     print(f"wrote {out / 'profile.csv'} and {out / 'report.json'}")
     return 0
 
@@ -611,13 +612,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     payload["verdict"] = "PASS" if passed else "FAIL"
     for key in ("wall_time_s", "timings"):  # the last entries
         payload[key] = payload.pop(key)
-    out = _output_dir(Path(args.out) / args.preset)
-    if csv is not None:
-        name, *table = csv
-        clock = _Clock(payload["timings"])
-        _write_csv(out / name, *table)
-        clock.lap("cli.write_csv")
-    _write_json(out / "report.json", payload)
+    _write_files(_output_dir(Path(args.out) / args.preset), payload, csv)
     detail = ", ".join(f"{name}={check['value']:.6g}" for name, check in checks.items())
     print(f"{args.preset}: {payload['verdict']} ({detail})")
     return 0 if passed else 2
@@ -720,12 +715,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (QCLabError, MemoryError) as exc:  # MemoryError: a lattice too large to allocate
-        import json  # needed on this path only
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow gives 0
+                status = args.handler(args)
+        except (QCLabError, MemoryError, FloatingPointError) as exc:  # lattice or number too large
+            import json  # needed on this path only
 
-        code = getattr(exc, "code", QCLabError.code)
-        print(json.dumps({"error": {"code": code, "message": str(exc)}}))
+            code = getattr(exc, "code", QCLabError.code)
+            print(json.dumps({"error": {"code": code, "message": str(exc)}}))
+            status = 1
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:  # the reader closed stdout: what is left goes to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ConstraintViolation, MeshBuildError, ShapeMismatch, UnknownFamily
+from .errors import ConstraintViolation, MeshBuildError, QCLabError, ShapeMismatch, UnknownFamily
 from .model import BLOCK_VALUES, ChainModel, check_lattice_size, slot_of_site
-
-_FAMILIES = ("uniform", "graded", "oscillatory", "smooth", "custom")
 
 
 @dataclass(frozen=True)
@@ -38,8 +36,8 @@ class MeshSpec:
     indices: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise UnknownFamily(f"unknown mesh family {self.family!r}; know {_FAMILIES}")
+        if self.family not in _BUILDERS:
+            raise UnknownFamily(f"unknown mesh family {self.family!r}; know {tuple(_BUILDERS)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +170,10 @@ def _build_custom(spec: MeshSpec) -> np.ndarray:
     return ext[at - (K - 1) : at + K + 1]
 
 
+_BUILDERS = {"uniform": _build_uniform, "graded": _build_graded,
+             "oscillatory": _build_oscillatory, "smooth": _build_smooth, "custom": _build_custom}
+
+
 def build_mesh(spec: MeshSpec) -> CoarseMesh:
     """Construct the node mesh of the requested family."""
     if spec.K < 2:
@@ -183,31 +185,29 @@ def build_mesh(spec: MeshSpec) -> CoarseMesh:
         raise MeshBuildError(
             f"2K distinct nodes on 2N lattice sites need K <= N, got N={spec.N}, K={spec.K}"
         )
-    builder = {
-        "uniform": _build_uniform,
-        "graded": _build_graded,
-        "oscillatory": _build_oscillatory,
-        "smooth": _build_smooth,
-        "custom": _build_custom,
-    }[spec.family]
-    return CoarseMesh(N=spec.N, K=spec.K, repatoms=builder(spec))
+    return CoarseMesh(N=spec.N, K=spec.K, repatoms=_BUILDERS[spec.family](spec))
 
 
-def load_custom_indices(path) -> tuple[int, ...]:
-    """Read a custom node list: one integer lattice index per line."""
+def read_entries(path, error: type[QCLabError], what: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, line, entry) of each line whose text before any "#", stripped, is not blank."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise MeshBuildError(f"cannot read custom node list {path!r}: {exc}") from None
-    indices = []
+        raise error(f"cannot read {what} {path!r}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+        entry = line.split("#", 1)[0].strip()
+        if entry:
+            yield lineno, line, entry
+
+
+def load_custom_indices(path) -> tuple[int, ...]:
+    """Read a custom node list: one integer lattice index per read_entries entry."""
+    indices = []
+    for lineno, _, entry in read_entries(path, MeshBuildError, "custom node list"):
         try:
-            indices.append(int(stripped))
+            indices.append(int(entry))
         except ValueError:
-            raise MeshBuildError(f"{path}:{lineno}: not an integer: {stripped!r}") from None
+            raise MeshBuildError(f"{path}:{lineno}: not an integer: {entry!r}") from None
     return tuple(indices)
 
 

@@ -34,7 +34,9 @@ def lattice_coordinates(N: int, start: int = 0, stop: int | None = None) -> np.n
 
 
 def check_lattice_size(N: int) -> None:
-    """Reject a lattice beyond MAX_N before any index arithmetic overflows."""
+    """Reject N < 2 and, before index arithmetic overflows, N > MAX_N."""
+    if N < 2:
+        raise ShapeMismatch(f"need N >= 2 atoms per half-period, got {N}")
     if N > MAX_N:
         raise LatticeTooLarge(f"N = {N} exceeds the largest lattice numpy can index, "
                               f"N = {MAX_N}")
@@ -204,8 +206,6 @@ def sample_force(spec: str, N: int) -> ExternalForce:
     Families: "sinpi" -> sin(pi x); "gauss:A,B" -> A exp(-B x^2);
     "const:C"; "lin:a,b" -> a + b x on (-1, 1], extended 2-periodically.
     """
-    if N < 2:
-        raise ShapeMismatch(f"need N >= 2 atoms per half-period, got {N}")
     check_lattice_size(N)
     return ExternalForce(N=N, fbar=_force_closed_form(spec), spec=spec)
 
@@ -273,8 +273,6 @@ class ChainModel:
     force: ExternalForce
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ShapeMismatch(f"need N >= 2 atoms per half-period, got {self.N}")
         check_lattice_size(self.N)
         if self.force.N != self.N:
             raise ShapeMismatch("force was sampled for a different lattice size")

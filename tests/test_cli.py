@@ -566,13 +566,55 @@ def test_out_naming_a_file(tmp_path, capsys, argv):
     (["run", "--force", "sinpi", "--method", "atomistic"], "Error"),
     (["run", "--N", "64", "--force", "sinpi", "--method", "constrained"], "Error"),
     (["run", "--N", "64", "--method", "atomistic", "--force", "gauss:a,b"], "UnknownFamily"),
+    (["sweep", "--mesh", "smooth", "--N", "64", "--axis", "N", "--values", "64,128",
+      "--metric", "consistency", "--force", "sinpi"], "Error"),
 ], ids=["sweep-mesh", "sweep-values", "run-force", "run-mesh", "run-without-N",
-        "run-without-mesh", "run-force-parameters"])
+        "run-without-mesh", "run-force-parameters", "sweep-without-K"])
 def test_failing_call_leaves_no_output_directory(tmp_path, capsys, argv, code):
     out = tmp_path / "D"
     assert main(argv + ["--out", str(out)]) == 1
     assert error_of(capsys)["code"] == code
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--N", "8", "--method", "atomistic", "--force", "const:1e308"],
+    ["run", "--mesh", "uniform", "--N", "8", "--K", "4", "--method", "energy-cluster",
+     "--force", "lin:1e200,1e200"],
+    ["sweep", "--mesh", "smooth", "--N", "64", "--K", "8", "--axis", "N", "--values", "64,128",
+     "--metric", "consistency", "--force", "lin:1e300,1e300"],
+], ids=["atomistic-solve", "energy-norm", "sweep"])
+def test_numbers_beyond_float64_end_in_one_error_line(tmp_path, capsys, argv):
+    # an overflow or a nan on the way fails the call: no warning, no inf or
+    # nan in a report, no output directory
+    out = tmp_path / "D"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1 and captured.err == ""
+    assert json.loads(captured.out)["error"]["code"] == "Error"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("K, read", [("8192", 10), ("1", 0)], ids=["report", "error-line"])
+def test_a_closed_stdout_ends_without_a_traceback(K, read):
+    # the reader stops after 10 bytes of a large mesh-inspect output, or
+    # before the error line of a call that fails
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    argv = ["mesh-inspect", "--mesh", "uniform", "--N", "65536", "--K", K]
+    with subprocess.Popen([sys.executable, "-m", "qclab.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as done:
+        assert len(done.stdout.read(read)) == read
+        done.stdout.close()
+        err = done.stderr.read()
+    assert done.returncode == 1
+    assert err == b""
+
+
+def test_the_module_entry_point_prints_mesh_diagnostics():
+    payload = json.loads(fresh_process(["mesh-inspect", "--mesh", "uniform", "--N", "8",
+                                        "--K", "2"]))
+    assert payload["family"] == "uniform" and payload["repatoms"] == [-4, 0, 4, 8]
 
 
 @pytest.mark.parametrize("nodes, N, K, message", [

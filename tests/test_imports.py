@@ -1,6 +1,7 @@
-"""Import hygiene: no module imports a name it never references, no package
-module imports another's underscore names, and the package imports nothing
-at run time but the standard library and numpy.
+"""Import hygiene: no module of the package, the tests or the tools imports
+a name it never references, no package module imports another's underscore
+names, and the package imports nothing at run time but the standard library
+and numpy.
 
 No linter is part of the toolchain, so the syntax trees are scanned here.
 The package's ``__init__.py`` is left out of the unused-name check: its
@@ -17,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "qclab").glob("*.py"))
 MODULES = sorted(
     [path for path in PACKAGE if path.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py"))
+    + list((ROOT / "tests").glob("*.py")) + list((ROOT / "tools").glob("*.py"))
 )
 
 

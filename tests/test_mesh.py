@@ -126,6 +126,8 @@ def test_mesh_validation():
     with pytest.raises(MeshBuildError):
         # increasing list whose values cover more than one full period
         CoarseMesh(N=8, K=4, repatoms=np.array([-6, -4, -2, 0, 2, 4, 6, 10]))
+    with pytest.raises(MeshBuildError, match="K = 2"):
+        CoarseMesh(N=8, K=1, repatoms=(0, 4))
     # the degenerate full-lattice mesh K = N is legal
     assert build_mesh(MeshSpec(family="uniform", N=2, K=2)).steps.sum() == 4
 

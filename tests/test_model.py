@@ -9,6 +9,7 @@ from qclab import (
     ChainModel,
     ClusterRule,
     Displacement,
+    ExternalForce,
     MeshSpec,
     QCLabError,
     ShapeMismatch,
@@ -222,3 +223,6 @@ def test_model_validation():
         ChainModel(N=8, potential=harmonic_potential(), force=sample_force("sinpi", 4))
     with pytest.raises(ShapeMismatch):
         make_model(1)
+    with pytest.raises(ShapeMismatch, match="N >= 2"):  # a force given by its samples
+        ChainModel(N=1, potential=harmonic_potential(),
+                   force=ExternalForce(N=1, samples=[0.0, 0.0]))
