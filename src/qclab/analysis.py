@@ -11,8 +11,6 @@ ever touching the full chain.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .cluster import ClusterRule, WeightSet, assemble_weight_system, solve_weights
@@ -119,30 +117,29 @@ def fit_rate(parameters: np.ndarray, values: np.ndarray) -> float:
     return float(slope)
 
 
-_STUDY_PARAMETERS = {"consistency": "h_max", "weight-gap": "epsilon",
-                     "load-defect": "h_max", "zero-force": "epsilon"}
+# metric -> (parameter column, reads r, reads the force)
+STUDY_METRICS = {"consistency": ("h_max", False, True), "weight-gap": ("epsilon", True, False),
+                 "load-defect": ("h_max", True, True), "zero-force": ("epsilon", True, False)}
 
 
 def convergence_study(metric: str, mesh: str, force: str | None, points,
                       weights: str = "exact") -> dict[str, np.ndarray]:
     """One metric, against h_max or epsilon, on the chain and mesh (both given
-    by descriptors) of each (N, K, r) point.  Metrics: "consistency" of the
-    constrained solution, "weight-gap", "load-defect", and "zero-force": the
-    largest nodal value of the unloaded cluster solution, which must vanish.
-    Returns two columns, one entry per point: the parameter ("h_max" or
-    "epsilon"), then the metric under its own name.  "weight-gap" samples no
-    force, so its ``force`` may be None."""
-    if metric not in _STUDY_PARAMETERS:
-        raise UnknownFamily(f"unknown metric {metric!r}; choose from {tuple(_STUDY_PARAMETERS)}")
-    parameter = _STUDY_PARAMETERS[metric]
-    if force is None and metric != "weight-gap":
+    by descriptors) of each (N, K, r) point.  Metrics (STUDY_METRICS):
+    "consistency" of the constrained solution, "weight-gap", "load-defect",
+    and "zero-force": the largest nodal value of the unloaded (const:0)
+    cluster solution, which must vanish.  Returns two columns, one entry per
+    point: the parameter, then the metric under its own name.  A given force
+    is parsed, and sampled only by a metric that reads it; the others take None."""
+    if metric not in STUDY_METRICS:
+        raise UnknownFamily(f"unknown metric {metric!r}; choose from {tuple(STUDY_METRICS)}")
+    parameter, _, reads_force = STUDY_METRICS[metric]
+    if force is None and reads_force:
         raise QCLabError(f"metric {metric!r} needs a force descriptor")
-    model = None
-    params = []
-    values = []
+    model, params, values = None, [], []
     for N, K, r in points:
-        # one force sampling per run of equal N; weight-gap samples none
-        if metric != "weight-gap" and (model is None or model.N != N):
+        # a given force is parsed once per run of equal N
+        if force is not None and (model is None or model.N != N):
             model = ChainModel(N=N, potential=harmonic_potential(), force=sample_force(force, N))
         grid = build_mesh(parse_mesh_descriptor(mesh, N, K))
         params.append(float(np.max(grid.h)) if parameter == "h_max" else 1.0 / N)
@@ -157,7 +154,7 @@ def convergence_study(metric: str, mesh: str, force: str | None, points,
         elif metric == "load-defect":
             values.append(load_defect(model, weight_set))
         else:
-            unloaded = replace(model, force=sample_force("const:0", N))
+            unloaded = ChainModel(N, harmonic_potential(), sample_force("const:0", N))
             qc = solve_energy_cluster(unloaded, weight_set).solution
             values.append(float(np.max(np.abs(qc.values))))
     return {parameter: np.array(params), metric: np.array(values)}

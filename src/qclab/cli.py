@@ -19,6 +19,7 @@ differ in their last digits between one and two OpenBLAS threads.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import os
@@ -41,7 +42,8 @@ from .mesh import (
     read_entries,
     smoothness_profile,
 )
-from .cluster import ClusterRule, assemble_weight_system, solve_weights, verify_exactness
+from .cluster import WEIGHT_MODES, ClusterRule, assemble_weight_system, solve_weights
+from .cluster import verify_exactness
 from .solve import (
     SolveReport,
     energy_cluster_functional,
@@ -51,6 +53,7 @@ from .solve import (
     solve_force_cluster,
 )
 from .analysis import (
+    STUDY_METRICS,
     convergence_study,
     error_report,
     fit_rate,
@@ -356,10 +359,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if values["method"] not in _METHODS:
-        raise UnknownFamily(f"unknown method {values['method']!r}; choose from {_METHODS}")
-    if values["weights"] not in ("exact", "lumped"):
-        raise UnknownFamily(f"unknown weight mode {values['weights']!r}")
+    for key, names in {"method": _METHODS, "weights": WEIGHT_MODES}.items():
+        if values[key] not in names:
+            raise UnknownFamily(f"unknown {key} value {values[key]!r}; choose from {names}")
     if values["r"] < 0:
         raise ShapeMismatch(f"cluster radius must be nonnegative, got {values['r']}")
     return RunConfig(**values)
@@ -368,17 +370,22 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------- run pipeline
 
 class _Clock:
-    """Wall seconds per stage: lap(stage) records the time since the last lap,
-    or since the clock started, as timings[stage] and returns it."""
+    """Wall seconds per stage: ``with clock.stage(name)`` records the time since
+    the last stage or the start as timings[name]; a float64 error in the block
+    fails as a QCLabError that names the stage and the force descriptor."""
 
-    def __init__(self, timings: dict[str, float] | None = None):
-        self.timings = {} if timings is None else timings
+    def __init__(self, timings: dict[str, float] | None = None, force: str | None = None):
+        self.timings, self.force = {} if timings is None else timings, force
         self.start = self.last = time.perf_counter()
 
-    def lap(self, stage: str) -> float:
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise QCLabError(f"{name}, force {self.force!r}: {exc}") from None
         now = time.perf_counter()
-        self.timings[stage], self.last = now - self.last, now
-        return self.timings[stage]
+        self.timings[name], self.last = now - self.last, now
 
 
 def _output_dir(path: Path) -> Path:
@@ -391,11 +398,10 @@ def _output_dir(path: Path) -> Path:
 
 
 def _write_files(out: Path, payload: dict, csv: tuple | None) -> None:
-    """Write csv (name, *_write_csv arguments), lapped as cli.write_csv, then report.json."""
+    """Write csv (name, *_write_csv arguments), timed as cli.write_csv, then report.json."""
     if csv is not None:
-        clock = _Clock(payload["timings"])
-        _write_csv(out / csv[0], *csv[1:])
-        clock.lap("cli.write_csv")
+        with _Clock(payload["timings"], payload["config"]["force"]).stage("cli.write_csv"):
+            _write_csv(out / csv[0], *csv[1:])
     _write_json(out / "report.json", payload)
 
 
@@ -404,52 +410,52 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
     order, solve reports by method).  Every column is a row-range function
     (see _write_csv); u_atomistic streams from the atomistic gradients.  The
     payload ends with wall_time_s and timings."""
-    clock = _Clock()
-    model = ChainModel(N=config.N, potential=harmonic_potential(),
-                       force=sample_force(config.force, config.N))
-    clock.lap("model.sample_force")
+    clock = _Clock(force=config.force)
+    with clock.stage("model.sample_force"):
+        model = ChainModel(N=config.N, potential=harmonic_potential(),
+                           force=sample_force(config.force, config.N))
     payload: dict = {"config": {key: value for key, value in asdict(config).items()
                                 if key != "out"}}
-    reports = {"atomistic": solve_atomistic(model)}
-    clock.lap("solve.solve_atomistic")
+    with clock.stage("solve.solve_atomistic"):
+        reports = {"atomistic": solve_atomistic(model)}
     columns = {"x": functools.partial(lattice_coordinates, config.N),
                "u_atomistic": reports["atomistic"].solution.rows}
 
     if config.mesh is not None and config.K is not None:
-        spec = parse_mesh_descriptor(config.mesh, config.N, config.K)
-        mesh = build_mesh(spec)
-        coefficients = smoothness_profile(mesh)
-        payload["mesh"] = {"repatoms": mesh.repatoms, "steps": mesh.steps, "h": mesh.h,
-                           "kappa": mesh.kappa}
-        payload["smoothness"] = {"coefficients": coefficients,
-                                 "max_abs": float(np.max(np.abs(coefficients)))}
-        clock.lap("mesh")
-        reports["constrained"] = solve_constrained(model, mesh)
-        clock.lap("solve.solve_constrained")
+        with clock.stage("mesh"):
+            spec = parse_mesh_descriptor(config.mesh, config.N, config.K)
+            mesh = build_mesh(spec)
+            coefficients = smoothness_profile(mesh)
+            payload["mesh"] = {"repatoms": mesh.repatoms, "steps": mesh.steps, "h": mesh.h,
+                               "kappa": mesh.kappa}
+            payload["smoothness"] = {"coefficients": coefficients,
+                                     "max_abs": float(np.max(np.abs(coefficients)))}
+        with clock.stage("solve.solve_constrained"):
+            reports["constrained"] = solve_constrained(model, mesh)
         columns["u_constrained"] = prolong(reports["constrained"].solution)
 
     errors = None
     if config.method in ("energy-cluster", "force-cluster"):
-        rule = ClusterRule(mesh=mesh, r=config.r)
-        system = assemble_weight_system(rule)
-        weights = solve_weights(system).with_mode(config.weights)
-        payload["weights"] = {
-            "mode": weights.mode, "r": rule.r, "energy_exact": weights.energy_exact,
-            "energy_lumped": weights.energy_lumped, "gap_max": weights.gap_max,
-            "residual_max": float(np.max(np.abs(weights.residual))),
-            "dominance_margin_min": float(np.min(system.dominance_margin()))}
-        clock.lap("weights")
-        payload["weights"]["exactness_defect"] = verify_exactness(weights)
-        clock.lap("cluster.verify_exactness")
+        with clock.stage("weights"):
+            rule = ClusterRule(mesh=mesh, r=config.r)
+            system = assemble_weight_system(rule)
+            weights = solve_weights(system).with_mode(config.weights)
+            payload["weights"] = {
+                "mode": weights.mode, "r": rule.r, "energy_exact": weights.energy_exact,
+                "energy_lumped": weights.energy_lumped, "gap_max": weights.gap_max,
+                "residual_max": float(np.max(np.abs(weights.residual))),
+                "dominance_margin_min": float(np.min(system.dominance_margin()))}
+        with clock.stage("cluster.verify_exactness"):
+            payload["weights"]["exactness_defect"] = verify_exactness(weights)
         solver = solve_energy_cluster if config.method == "energy-cluster" else solve_force_cluster
-        qc = reports[config.method] = solver(model, weights)
-        clock.lap(f"solve.{solver.__name__}")
+        with clock.stage(f"solve.{solver.__name__}"):
+            qc = reports[config.method] = solver(model, weights)
         columns["u_qc"] = prolong(qc.solution)
-        errors = error_report(
-            model, reports["atomistic"].solution, reports["constrained"].solution,
-            qc.solution, energy_cluster_functional(model, weights, qc.solution),
-            family=spec.family)
-        clock.lap("error_report")
+        with clock.stage("error_report"):
+            errors = error_report(
+                model, reports["atomistic"].solution, reports["constrained"].solution,
+                qc.solution, energy_cluster_functional(model, weights, qc.solution),
+                family=spec.family)
 
     payload["solves"] = {
         method: {"residual": report.residual, "reaction": report.reaction,
@@ -602,9 +608,10 @@ _PRESETS = {"fig1": _figure, "fig2": _figure, "example1": _example1,
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     clock = _Clock()
-    payload, checks, csv = _PRESETS[args.preset](args.preset)
+    with clock.stage(args.preset):
+        payload, checks, csv = _PRESETS[args.preset](args.preset)
     if "timings" not in payload:  # a preset that bypasses _execute: its body is one stage
-        payload.update(wall_time_s=clock.lap(args.preset), timings=clock.timings)
+        payload.update(wall_time_s=clock.timings[args.preset], timings=clock.timings)
     # weights-audit rows carry pass flags of their own, outside the checks
     passed = all(check["pass"] for check in checks.values()) and all(
         row["pass"] for row in payload.get("rows", ()))
@@ -634,17 +641,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise QCLabError(
             f"sweep --values must be comma-separated integers, got {args.values!r}"
         ) from None
-    if args.axis == "r" and args.metric == "consistency":
-        raise QCLabError("metric 'consistency' never reads r; sweep it along K or N")
+    if args.axis == "r" and args.metric in STUDY_METRICS and not STUDY_METRICS[args.metric][1]:
+        raise QCLabError(f"metric {args.metric!r} never reads r; sweep it along K or N")
     if args.axis == "r" and min(values) < 0:
         raise ShapeMismatch(f"cluster radius must be nonnegative, got {min(values)}")
     points = [(value if args.axis == "N" else config.N,
                value if args.axis == "K" else config.K,
                value if args.axis == "r" else config.r) for value in values]
-    study = convergence_study(args.metric, config.mesh, config.force, points, config.weights)
+    with _Clock(force=config.force).stage(f"metric {args.metric}"):
+        study = convergence_study(args.metric, config.mesh, config.force, points, config.weights)
+        footer = rates(*study.values())
     out = _output_dir(Path(config.out))
-    _write_csv(out / "sweep.csv", len(values), {args.axis: np.array(values), **study},
-               rates(*study.values()))
+    _write_csv(out / "sweep.csv", len(values), {args.axis: np.array(values), **study}, footer)
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 
@@ -680,7 +688,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--N", type=int, help="atoms per half period")
         p.add_argument("--K", type=int, help="mesh nodes per half period")
         p.add_argument("--r", type=int, help="cluster radius (default 0)")
-        p.add_argument("--weights", help="weight mode: exact | lumped (default exact)")
+        p.add_argument("--weights", help=f"weight mode: {' | '.join(WEIGHT_MODES)} (default exact)")
         p.add_argument("--force", help="force descriptor: sinpi | gauss:A,B | const:C | lin:a,b")
         p.add_argument("--out", help="output directory (default .)")
         p.add_argument("--config", help="key = value config file; flags override")
@@ -700,8 +708,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sweep_p)
     sweep_p.add_argument("--axis", choices=["K", "N", "r"], required=True)
     sweep_p.add_argument("--values", required=True, help="comma-separated axis values")
-    sweep_p.add_argument("--metric", required=True,
-                         help="consistency | weight-gap | load-defect | zero-force")
+    sweep_p.add_argument("--metric", required=True, help=" | ".join(STUDY_METRICS))
     sweep_p.set_defaults(handler=_cmd_sweep)
 
     inspect_p = sub.add_parser("mesh-inspect", help="mesh diagnostics as JSON")

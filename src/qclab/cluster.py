@@ -14,9 +14,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ClusterOverlap, IllPosed, ShapeMismatch
+from .errors import ClusterOverlap, IllPosed, ShapeMismatch, UnknownFamily
 from .mesh import CoarseMesh, hat_of_distance, hat_ramp
 from .model import BLOCK_VALUES, pairwise_sum
+
+WEIGHT_MODES = ("exact", "lumped")
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +158,9 @@ class WeightSet:
         return float(np.max(np.abs(self.energy_exact - self.energy_lumped)))
 
     def with_mode(self, mode: str) -> "WeightSet":
-        if mode not in ("exact", "lumped"):
-            raise ShapeMismatch(f"weight mode must be 'exact' or 'lumped', got {mode!r}")
+        """This set with ``mode``, one of WEIGHT_MODES, active."""
+        if mode not in WEIGHT_MODES:
+            raise UnknownFamily(f"unknown weight mode {mode!r}; choose from {WEIGHT_MODES}")
         return replace(self, mode=mode)
 
 

@@ -211,23 +211,24 @@ def load_custom_indices(path) -> tuple[int, ...]:
     return tuple(indices)
 
 
+# family -> (the MeshSpec field that "family:BODY" sets, the reader of BODY,
+# whether BODY is required); a family not listed takes no BODY
+_PARAMETERS = {"smooth": ("amplitude", float, False),
+               "custom": ("indices", load_custom_indices, True)}
+
+
 def parse_mesh_descriptor(text: str, N: int, K: int) -> MeshSpec:
-    """Parse the mesh mini-language: a family name, "smooth:AMPLITUDE",
-    or "custom:PATH"."""
+    """Parse the mesh mini-language: a family, then ":BODY" where its row of
+    _PARAMETERS takes one; errors are UnknownFamily, or MeshBuild from a node list."""
     name, _, body = text.partition(":")
-    name = name.strip()
-    if name == "smooth" and body:
-        try:
-            return MeshSpec(family="smooth", N=N, K=K, amplitude=float(body))
-        except ValueError:
-            raise UnknownFamily(f"bad smooth amplitude in {text!r}") from None
-    if name == "custom":
-        if not body:
-            raise UnknownFamily("custom mesh descriptor needs a file path: custom:PATH")
-        return MeshSpec(family="custom", N=N, K=K, indices=load_custom_indices(body))
-    if body:
-        raise UnknownFamily(f"mesh family {name!r} takes no parameters, got {text!r}")
-    return MeshSpec(family=name, N=N, K=K)
+    field, read, required = _PARAMETERS.get(name := name.strip(), (None, None, False))
+    if (body and field is None) or (required and not body):
+        raise UnknownFamily(f"mesh family {name!r} takes {'a' if field else 'no'} parameter, "
+                            f"got {text!r}")
+    try:
+        return MeshSpec(family=name, N=N, K=K, **({field: read(body)} if body else {}))
+    except ValueError:
+        raise UnknownFamily(f"bad {field} in mesh descriptor {text!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -170,41 +170,35 @@ class ExternalForce:
         return self.samples[slot_of_site(ell, self.N)]
 
 
-def _parse_floats(body: str, count: int, spec: str) -> list[float]:
-    parts = body.split(",") if body else []
-    if len(parts) != count:
-        raise UnknownFamily(f"force descriptor {spec!r} needs {count} parameter(s)")
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise UnknownFamily(f"bad parameter in force descriptor {spec!r}: {exc}") from None
+# family -> (parameter count, closed form of the parameters): "gauss:A,B" is gauss(A, B)
+_FORCES: dict[str, tuple[int, Callable[..., Callable]]] = {
+    "sinpi": (0, lambda: lambda x: np.sin(np.pi * x)),
+    "gauss": (2, lambda amp, width: lambda x: amp * np.exp(-width * np.square(x))),
+    "const": (1, lambda level: lambda x: np.full_like(x, level)),
+    "lin": (2, lambda offset, slope: lambda x: offset + slope * x),
+}
 
 
 def _force_closed_form(spec: str) -> Callable:
     name, _, body = spec.partition(":")
-    name = name.strip()
-    if name == "sinpi":
-        if body:
-            raise UnknownFamily(f"family 'sinpi' takes no parameters, got {spec!r}")
-        return lambda x: np.sin(np.pi * x)
-    if name == "gauss":
-        amp, width = _parse_floats(body, 2, spec)
-        return lambda x: amp * np.exp(-width * np.square(x))
-    if name == "const":
-        (level,) = _parse_floats(body, 1, spec)
-        return lambda x: np.full_like(x, level)
-    if name == "lin":
-        offset, slope = _parse_floats(body, 2, spec)
-        return lambda x: offset + slope * x
-    raise UnknownFamily(f"unknown force family in descriptor {spec!r}")
+    if (name := name.strip()) not in _FORCES:
+        raise UnknownFamily(f"unknown force family in descriptor {spec!r}")
+    count, closed_form = _FORCES[name]
+    parts = body.split(",") if body else []
+    if len(parts) != count:
+        raise UnknownFamily(f"force descriptor {spec!r} needs {count} parameter(s)")
+    try:
+        return closed_form(*map(float, parts))
+    except ValueError as exc:
+        raise UnknownFamily(f"bad parameter in force descriptor {spec!r}: {exc}") from None
 
 
 def sample_force(spec: str, N: int) -> ExternalForce:
-    """The force named by ``spec``, kept as its closed form: checked now,
-    evaluated at x = epsilon*ell when read (ExternalForce.rows, .samples).
+    """The force named by ``spec``, kept as its closed form: parsed now,
+    evaluated at x = epsilon*ell only when read (ExternalForce.rows, .samples).
 
-    Families: "sinpi" -> sin(pi x); "gauss:A,B" -> A exp(-B x^2);
-    "const:C"; "lin:a,b" -> a + b x on (-1, 1], extended 2-periodically.
+    Families, one row each of _FORCES: "sinpi" -> sin(pi x); "gauss:A,B" ->
+    A exp(-B x^2); "const:C"; "lin:a,b" -> a + b x on (-1, 1], 2-periodic.
     """
     check_lattice_size(N)
     return ExternalForce(N=N, fbar=_force_closed_form(spec), spec=spec)

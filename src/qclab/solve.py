@@ -14,9 +14,9 @@ node (model.path_rows).  For quadratic potentials every step is a closed
 form; otherwise the stress inversion and the closure constant each run a
 guarded Newton iteration.
 
-The solvers hand their gradients to the returned fields, so residuals are
-reported from the quantities actually solved for instead of re-differenced
-values, which keeps them at the rounding floor even at large N.
+Residuals come from the gradients solved for, which keeps them at the
+rounding floor even at large N.  The atomistic Displacement keeps those
+gradients; a nodal solve's NodalField keeps values and re-differences them.
 """
 
 from __future__ import annotations

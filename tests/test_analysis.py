@@ -6,6 +6,7 @@ import pytest
 from qclab import (
     ChainModel,
     ClusterRule,
+    ExternalForce,
     MeshSpec,
     NodalField,
     ShapeMismatch,
@@ -195,12 +196,14 @@ def test_convergence_study_samples_each_force_once(monkeypatch):
 
 
 def test_weight_gap_study_samples_no_lattice(monkeypatch):
-    import qclab.analysis
+    # the given force is parsed (a malformed one fails the study) but never sampled
+    def refuse(force, *rows):
+        raise AssertionError(f"sampled {force.spec!r} on N = {force.N}")
 
-    def refuse(spec, N):
-        raise AssertionError(f"sampled {spec!r} on N = {N}")
-
-    monkeypatch.setattr(qclab.analysis, "sample_force", refuse)
+    monkeypatch.setattr(ExternalForce, "samples", property(refuse))
+    monkeypatch.setattr(ExternalForce, "rows", refuse)
+    with pytest.raises(UnknownFamily):
+        convergence_study("weight-gap", "uniform", "bogus:1", [(2 ** 40, 64, 1)])
     table = convergence_study("weight-gap", "uniform", "sinpi", [(2 ** 40, 64, 1)])
     assert list(table) == ["epsilon", "weight-gap"]
     assert table["epsilon"].tolist() == [2.0 ** -40]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,8 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qclab.mesh
 import qclab.model
+from qclab.analysis import STUDY_METRICS
 from qclab.cli import _build_parser, main
+from qclab.cluster import WEIGHT_MODES
 from qclab.errors import QCLabError
 from qclab.model import BLOCK_VALUES, MAX_N
 
@@ -212,9 +216,10 @@ def test_mesh_inspect_output(capsys):
 
 
 def test_sweep_zero_force_column(tmp_path):
+    # zero-force loads its chain with const:0 itself: no --force
     rc = main([
         "sweep", "--axis", "r", "--values", "0,1,3", "--metric", "zero-force",
-        "--force", "sinpi", "--mesh", "uniform", "--N", "240", "--K", "4", "--out", str(tmp_path),
+        "--mesh", "uniform", "--N", "240", "--K", "4", "--out", str(tmp_path),
     ])
     assert rc == 0
     lines = read_lines(tmp_path / "sweep.csv")
@@ -251,15 +256,18 @@ def test_sweep_writes_no_rate_when_the_parameter_does_not_move(tmp_path):
 
 
 def test_only_a_sampled_force_needs_a_force_descriptor(tmp_path, capsys):
-    # weight-gap builds weights alone, so it takes the same bytes without a force
+    # weight-gap builds weights alone and zero-force loads its chain with
+    # const:0, so each takes the same bytes without a force
     argv = ["sweep", "--axis", "K", "--values", "4,8", "--metric", "weight-gap",
             "--mesh", "smooth", "--N", "256"]
-    assert main(argv + ["--out", str(tmp_path / "bare")]) == 0
-    assert main(argv + ["--force", "sinpi", "--out", str(tmp_path / "forced")]) == 0
-    capsys.readouterr()
-    assert ((tmp_path / "bare" / "sweep.csv").read_bytes()
-            == (tmp_path / "forced" / "sweep.csv").read_bytes())
-    for metric in ("consistency", "load-defect", "zero-force"):
+    for metric in ("weight-gap", "zero-force"):
+        argv[6] = metric
+        assert main(argv + ["--out", str(tmp_path / metric / "bare")]) == 0
+        assert main(argv + ["--force", "sinpi", "--out", str(tmp_path / metric / "forced")]) == 0
+        capsys.readouterr()
+        assert ((tmp_path / metric / "bare" / "sweep.csv").read_bytes()
+                == (tmp_path / metric / "forced" / "sweep.csv").read_bytes())
+    for metric in ("consistency", "load-defect"):
         argv[6] = metric
         assert main(argv + ["--out", str(tmp_path / metric)]) == 1
         assert "force" in error_of(capsys)["message"]
@@ -267,6 +275,30 @@ def test_only_a_sampled_force_needs_a_force_descriptor(tmp_path, capsys):
     assert main(["run", "--mesh", "uniform", "--N", "8", "--K", "4",
                  "--out", str(tmp_path / "run")]) == 1
     assert "force" in error_of(capsys)["message"]
+
+
+@pytest.mark.parametrize("metric", list(STUDY_METRICS))
+def test_a_malformed_force_fails_every_metric(tmp_path, capsys, metric):
+    # also a metric that never reads the force, as a bad --weights fails a constrained run
+    argv = ["sweep", "--mesh", "smooth", "--N", "64", "--K", "8", "--axis", "K",
+            "--values", "4,8", "--metric", metric, "--force", "bogus:1"]
+    assert main(argv + ["--out", str(tmp_path / "D")]) == 1
+    assert error_of(capsys)["code"] == "UnknownFamily"
+    assert not (tmp_path / "D").exists()
+
+
+def test_help_names_every_row_of_the_setting_tables(capsys, monkeypatch):
+    # a family, weight mode or metric added to its table must reach the help
+    # of every subcommand that takes its flag
+    monkeypatch.setenv("COLUMNS", "200")  # no name is wrapped at a hyphen
+    common = [*qclab.model._FORCES, *qclab.mesh._BUILDERS, *WEIGHT_MODES]
+    for command, names in (("run", common), ("sweep", common + list(STUDY_METRICS))):
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        text = capsys.readouterr().out
+        assert [name for name in names
+                if not re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", text)] == []
 
 
 @pytest.mark.parametrize("flag, value", [("method", "bogus"), ("weights", "bogus")])
@@ -568,8 +600,10 @@ def test_out_naming_a_file(tmp_path, capsys, argv):
     (["run", "--N", "64", "--method", "atomistic", "--force", "gauss:a,b"], "UnknownFamily"),
     (["sweep", "--mesh", "smooth", "--N", "64", "--axis", "N", "--values", "64,128",
       "--metric", "consistency", "--force", "sinpi"], "Error"),
+    (["sweep", "--mesh", "smooth", "--K", "8", "--axis", "K", "--values", "4,8",
+      "--metric", "consistency", "--force", "sinpi"], "Error"),
 ], ids=["sweep-mesh", "sweep-values", "run-force", "run-mesh", "run-without-N",
-        "run-without-mesh", "run-force-parameters", "sweep-without-K"])
+        "run-without-mesh", "run-force-parameters", "sweep-without-K", "sweep-without-N"])
 def test_failing_call_leaves_no_output_directory(tmp_path, capsys, argv, code):
     out = tmp_path / "D"
     assert main(argv + ["--out", str(out)]) == 1
@@ -577,21 +611,25 @@ def test_failing_call_leaves_no_output_directory(tmp_path, capsys, argv, code):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--N", "8", "--method", "atomistic", "--force", "const:1e308"],
-    ["run", "--mesh", "uniform", "--N", "8", "--K", "4", "--method", "energy-cluster",
-     "--force", "lin:1e200,1e200"],
-    ["sweep", "--mesh", "smooth", "--N", "64", "--K", "8", "--axis", "N", "--values", "64,128",
-     "--metric", "consistency", "--force", "lin:1e300,1e300"],
+@pytest.mark.parametrize("argv, where", [
+    (["run", "--N", "8", "--method", "atomistic", "--force", "const:1e308"],
+     "solve.solve_atomistic"),
+    (["run", "--mesh", "uniform", "--N", "8", "--K", "4", "--method", "energy-cluster",
+      "--force", "lin:1e200,1e200"], "error_report"),
+    (["sweep", "--mesh", "smooth", "--N", "64", "--K", "8", "--axis", "N", "--values", "64,128",
+      "--metric", "consistency", "--force", "lin:1e300,1e300"], "metric consistency"),
 ], ids=["atomistic-solve", "energy-norm", "sweep"])
-def test_numbers_beyond_float64_end_in_one_error_line(tmp_path, capsys, argv):
+def test_numbers_beyond_float64_end_in_one_error_line(tmp_path, capsys, argv, where):
     # an overflow or a nan on the way fails the call: no warning, no inf or
-    # nan in a report, no output directory
+    # nan in a report, no output directory; the message names the stage (the
+    # sweep's metric) and the force descriptor
     out = tmp_path / "D"
     assert main(argv + ["--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out.count("\n") == 1 and captured.err == ""
-    assert json.loads(captured.out)["error"]["code"] == "Error"
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "Error"
+    assert error["message"].startswith(f"{where}, force {argv[-1]!r}: overflow encountered")
     assert not out.exists()
 
 

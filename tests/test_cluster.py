@@ -8,6 +8,7 @@ from qclab import (
     ClusterRule,
     MeshSpec,
     ShapeMismatch,
+    UnknownFamily,
     assemble_weight_system,
     build_mesh,
     slot_of_site,
@@ -159,7 +160,7 @@ def test_force_weights_are_scaled_energy_weights():
     np.testing.assert_array_equal(weights.force, weights.energy_exact * mesh.N)
     np.testing.assert_array_equal(weights.with_mode("lumped").force,
                                   weights.energy_lumped * mesh.N)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(UnknownFamily):  # the code of every unknown name
         weights.with_mode("averaged")
 
 

@@ -487,6 +487,15 @@ def test_to_json_matches_reference(floats, ints, scalar, long):
     assert _to_json(payload) == reference_to_json(payload)
 
 
+def test_to_json_spells_non_finite_floats_as_strings():
+    # the drawn examples above reach a nan scalar only by chance
+    payload = {"scalars": [float("nan"), np.inf, np.float64(-np.inf)],
+               "array": np.array([np.nan, np.inf, -np.inf, 0.5])}
+    assert _to_json(payload) == ('{\n  "scalars": ["nan", "inf", "-inf"],\n'
+                                 '  "array": ["nan", "inf", "-inf", 0.5]\n}')
+    assert _to_json(payload) == reference_to_json(payload)
+
+
 def test_to_json_matches_reference_across_blocks():
     # a report array is formatted BLOCK_VALUES values at a time: two whole
     # blocks and a tail, at magnitudes 1e-8 to 1e8; not one of the drawn

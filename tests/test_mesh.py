@@ -145,6 +145,8 @@ def test_parse_mesh_descriptor(tmp_path):
         parse_mesh_descriptor("custom", 8, 4)
     with pytest.raises(UnknownFamily):
         parse_mesh_descriptor("smooth:wide", 8, 4)
+    with pytest.raises(UnknownFamily):  # a config file can hold a path no file can have
+        parse_mesh_descriptor("custom:a\0b", 8, 4)
     bad = tmp_path / "bad.txt"
     bad.write_text("12\nthree\n")
     with pytest.raises(MeshBuildError):
