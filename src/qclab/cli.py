@@ -271,6 +271,11 @@ def _to_json(value, indent: int = 0) -> str:
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(value, np.ndarray):
+        if value.ndim == 1 and value.size > 1 and value.dtype.kind in "iuf" and value.itemsize <= 8:
+            bits = value.view(f"u{value.itemsize}")  # 0.0 and -0.0 differ, as do nan payloads
+            if (bits == bits[0]).all():  # one repeated value: its text, repeated
+                one = _to_json(value[:1])[1:-1]
+                return "[" + (one + ", ") * (value.size - 1) + one + "]"
         if value.ndim == 1 and value.dtype.kind in "iu":
             return repr(value.tolist())
         if value.ndim == 1 and value.dtype.kind == "f" and np.isfinite(value).all():

@@ -118,10 +118,11 @@ def _solve_chain(pot: PairPotential, coeff, h, load: ExternalForce, pinned: int,
     # tbar_j = -(sum of L/scale along the path from node first to j-1): the
     # load at slot j goes to buf[j + 1], so the wrap's sum lands in buf[n]
     buf = np.empty(n + 1)
+    weighted, scaled = np.ndim(coeff) or coeff != 1.0, np.ndim(scale) or scale != 1.0
     for at in range(0, n, BLOCK_VALUES):
         stop = min(at + BLOCK_VALUES, n)
         np.multiply(load.rows(at, stop), factor, out=buf[at + 1 : stop + 1])
-    if np.ndim(scale) or scale != 1.0:  # a scalar 1.0 leaves every value as it is
+    if scaled:  # a scalar 1.0 leaves every value as it is, here and below
         buf[1:] /= scale
     _path_cumsum(buf[1:], first)
     buf[0] = buf[n]
@@ -129,7 +130,7 @@ def _solve_chain(pot: PairPotential, coeff, h, load: ExternalForce, pinned: int,
     tbar[first] = 0.0
     c0, closure_iters = _closure_constant(pot, coeff, h, tbar)
     tbar += c0
-    if np.ndim(coeff) or coeff != 1.0:
+    if weighted:
         tbar /= coeff
     g, invert_iters = _invert_stress(pot, tbar)
     g.setflags(write=False)
@@ -139,9 +140,11 @@ def _solve_chain(pot: PairPotential, coeff, h, load: ExternalForce, pinned: int,
         stop = min(at + BLOCK_VALUES, n)
         # the stresses t_j = c_j phi'(g_j) of slots at..stop, the last wrapping to slot 0
         ring = (lambda v: v[at : stop + 1]) if stop < n else (lambda v: np.append(v[at:], v[0]))
-        equations = np.multiply(pot.deriv(ring(g)), ring(coeff), out=stresses[: stop - at + 1])
-        equations = np.subtract(equations[:-1], equations[1:], out=equations[:-1])
-        equations *= scale[at:stop]
+        t = pot.deriv(ring(g))
+        t = np.multiply(t, ring(coeff), out=stresses[: stop - at + 1]) if weighted else t
+        equations = np.subtract(t[:-1], t[1:], out=stresses[: stop - at])
+        if scaled:
+            equations *= scale[at:stop]
         equations -= samples[at:stop] * factor
         if at <= pinned < stop:
             reaction = float(equations[pinned - at])

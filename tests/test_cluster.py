@@ -1,11 +1,14 @@
 """Cluster rules and summation weights: assembly, exact solve, lumping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qclab import (
     ClusterOverlap,
     ClusterRule,
+    IllPosed,
     MeshSpec,
     ShapeMismatch,
     UnknownFamily,
@@ -108,6 +111,22 @@ def test_dominance_margin_exceeds_radius():
         for r in radii:
             system = assemble_weight_system(ClusterRule(mesh=mesh, r=r))
             assert float(np.min(system.dominance_margin())) > r
+
+
+def test_a_near_singular_weight_system_is_rejected():
+    # rows that nearly sum to zero: the refined solve cannot reach the rounding floor
+    system = assemble_weight_system(ClusterRule(mesh=graded_like_mesh(0), r=1))
+    near = replace(system, diag=-(system.sub + system.sup) * (1.0 + 1e-9))
+    with pytest.raises(IllPosed, match="^weight system solve stalled at relative residual"):
+        solve_weights(near)
+
+
+def test_weights_that_change_sign_are_rejected():
+    # a right side whose exact solution alternates in sign, on a well-posed system
+    system = assemble_weight_system(ClusterRule(mesh=graded_like_mesh(0), r=1))
+    signed = system.apply(np.where(np.arange(8) % 2 == 0, 1.0, -0.5))
+    with pytest.raises(IllPosed, match="^computed cluster weights are not all positive"):
+        solve_weights(replace(system, g=signed))
 
 
 def test_exactness_defect_of_exact_weights():

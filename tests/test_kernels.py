@@ -506,6 +506,34 @@ def test_to_json_matches_reference_across_blocks():
     assert _to_json(payload) == reference_to_json(payload)
 
 
+def elementwise_json(array):
+    """A 1-D array as _to_json writes it, one '%.17g' % value at a time."""
+    def text(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, int):
+            return str(v)
+        return '"%s"' % v if v != v or abs(v) == float("inf") else "%.17g" % v
+    return "[" + ", ".join(map(text, array.tolist())) + "]"
+
+
+@pytest.mark.parametrize("size", [2, 127, 128, 65536])
+def test_to_json_writes_a_repeated_value_as_its_text_repeated(size):
+    # 0.0 and -0.0 (texts 0 and -0) are equal as floats but not as bits
+    floats = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 2.0**62]
+    arrays = [np.full(size, v) for v in floats] + [
+        np.full(size, v, dtype=np.int64) for v in (0, -1, 2**62)] + [
+        np.full(size, True), np.full(size, False), np.full(size, 0.1, dtype=np.float32)]
+    for a in arrays:
+        assert _to_json(a) == elementwise_json(a)
+        if size < 65536:  # a non-constant array keeps the path the tests above check
+            almost = a.copy()
+            almost[-1] = 1  # a constant array but for its last element
+            assert _to_json(almost) == elementwise_json(almost)
+    assert _to_json(np.array([0.0, -0.0])) == "[0, -0]"
+    assert _to_json(np.full(3, -0.0)) == "[-0, -0, -0]"
+
+
 def percent_17g(block):
     """The bytes of _format_rows, one '%.17g' % value at a time."""
     return "".join(",".join(map("%.17g".__mod__, row)) + "\n"

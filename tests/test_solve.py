@@ -15,6 +15,7 @@ from qclab import (
     ExternalForce,
     IllPosed,
     MeshSpec,
+    NewtonFailure,
     NodalField,
     PairPotential,
     ShapeMismatch,
@@ -38,6 +39,7 @@ from qclab import (
     solve_weights,
     stored_energy,
 )
+from qclab import solve
 from qclab.model import BLOCK_VALUES
 from conftest import (
     assemble_cluster_forces,
@@ -352,6 +354,28 @@ def test_convexity_loss_is_reported():
     model = ChainModel(N=8, potential=destabilized, force=sample_force("const:5", 8))
     with pytest.raises(ConvexityLoss):
         solve_atomistic(model)
+
+
+def test_a_stalled_stress_inversion_is_reported(monkeypatch):
+    monkeypatch.setattr(solve, "_NEWTON_STEPS", 1)  # a quartic inversion needs more
+    model = make_model(8, potential=quartic_potential(0.25))
+    with pytest.raises(NewtonFailure, match="^stress inversion stalled after 1 steps"):
+        solve_atomistic(model)
+
+
+def test_a_stalled_closure_constant_is_reported(monkeypatch):
+    # gradients all 1 whatever the constant: sum_j h_j g_j = 0 has no root
+    monkeypatch.setattr(solve, "_invert_stress", lambda pot, s: (np.ones_like(s), 1))
+    model = make_model(8, potential=quartic_potential(0.25))
+    with pytest.raises(NewtonFailure, match="^closure constant stalled after 50 steps"):
+        solve_atomistic(model)
+
+
+def test_a_residual_above_its_tolerance_is_reported():
+    load = np.array([1.0, -2.0])  # tolerance 1e-10 * (1 + 2)
+    assert solve._report("atomistic", None, load, 3e-10, 0.0, 1).residual == 3e-10
+    with pytest.raises(NewtonFailure, match="^atomistic solve left residual 3.100e-10 above"):
+        solve._report("atomistic", None, load, 3.1e-10, 0.0, 1)
 
 
 def test_nonpositive_stiffness_is_rejected():
