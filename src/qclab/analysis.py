@@ -17,7 +17,7 @@ from .cluster import ClusterRule, WeightSet, assemble_weight_system, solve_weigh
 from .errors import QCLabError, UnknownFamily
 from .mesh import MeshSpec, NodalField, build_mesh, check_field, check_lattice, exact_load
 from .mesh import parse_mesh_descriptor, smoothness_profile
-from .model import ChainModel, Displacement, energy_norm, harmonic_potential
+from .model import ChainModel, Displacement, check_lattice_size, energy_norm, harmonic_potential
 from .model import sample_force, stored_energy
 from .solve import cluster_load, solve_constrained, solve_energy_cluster, solve_force_cluster
 
@@ -134,13 +134,15 @@ def convergence_study(metric: str, mesh: str, force: str | None, points,
     if metric not in STUDY_METRICS:
         raise UnknownFamily(f"unknown metric {metric!r}; choose from {tuple(STUDY_METRICS)}")
     parameter, _, reads_force = STUDY_METRICS[metric]
+    for N, _, _ in points:  # a lattice that cannot be is named before a missing force
+        check_lattice_size(N)
     if force is None and reads_force:
         raise QCLabError(f"metric {metric!r} needs a force descriptor")
     model, params, values = None, [], []
     for N, K, r in points:
         # a given force is parsed once per run of equal N
         if force is not None and (model is None or model.N != N):
-            model = ChainModel(N=N, potential=harmonic_potential(), force=sample_force(force, N))
+            model = ChainModel(potential=harmonic_potential(), force=sample_force(force, N))
         grid = build_mesh(parse_mesh_descriptor(mesh, N, K))
         params.append(float(np.max(grid.h)) if parameter == "h_max" else 1.0 / N)
         if metric == "consistency":
@@ -154,7 +156,7 @@ def convergence_study(metric: str, mesh: str, force: str | None, points,
         elif metric == "load-defect":
             values.append(load_defect(model, weight_set))
         else:
-            unloaded = ChainModel(N, harmonic_potential(), sample_force("const:0", N))
+            unloaded = ChainModel(harmonic_potential(), sample_force("const:0", N))
             qc = solve_energy_cluster(unloaded, weight_set).solution
             values.append(float(np.max(np.abs(qc.values))))
     return {parameter: np.array(params), metric: np.array(values)}
@@ -207,7 +209,7 @@ def force_scaling_study(N: int, K_values, r: int) -> dict[str, np.ndarray]:
     it decays at second order, while ``deviation_absolute`` (no rescaling)
     loses one order to the 1/h growth of the mismatch.
     """
-    model = ChainModel(N=N, potential=harmonic_potential(), force=sample_force("sinpi", N))
+    model = ChainModel(potential=harmonic_potential(), force=sample_force("sinpi", N))
     columns = {"K": np.asarray(K_values, dtype=int)}
     rows = []
     for K in columns["K"].tolist():

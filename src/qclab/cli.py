@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import functools
 import itertools
+import math
 import os
 import sys
 import time
@@ -254,11 +255,11 @@ def _format_rows(block: np.ndarray) -> tuple[bytes, int]:
 
 
 def _format_float(x: float) -> str:
-    if np.isnan(x):
+    if math.isfinite(x):
+        return "%.17g" % x
+    if math.isnan(x):
         return '"nan"'
-    if np.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return "%.17g" % x
+    return '"inf"' if x > 0 else '"-inf"'
 
 
 def _to_json(value, indent: int = 0) -> str:
@@ -278,7 +279,9 @@ def _to_json(value, indent: int = 0) -> str:
                 return "[" + (one + ", ") * (value.size - 1) + one + "]"
         if value.ndim == 1 and value.dtype.kind in "iu":
             return repr(value.tolist())
-        if value.ndim == 1 and value.dtype.kind == "f" and np.isfinite(value).all():
+        if value.ndim == 1 and value.dtype.kind == "f":
+            if not np.isfinite(value).all():  # "nan" and "inf" are strings, one value at a time
+                return "[" + ", ".join(map(_format_float, value.tolist())) + "]"
             text = b",".join(_format_rows(value[None, at : at + BLOCK_VALUES])[0][:-1]
                              for at in range(0, value.size, BLOCK_VALUES))
             return "[" + text.replace(b",", b", ").decode() + "]"
@@ -417,7 +420,7 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
     payload ends with wall_time_s and timings."""
     clock = _Clock(force=config.force)
     with clock.stage("model.sample_force"):
-        model = ChainModel(N=config.N, potential=harmonic_potential(),
+        model = ChainModel(potential=harmonic_potential(),
                            force=sample_force(config.force, config.N))
     payload: dict = {"config": {key: value for key, value in asdict(config).items()
                                 if key != "out"}}

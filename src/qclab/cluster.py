@@ -257,7 +257,7 @@ def verify_exactness(weights: WeightSet) -> float:
         def clusters(out: np.ndarray, p: int) -> None:
             out[:] = weighted[t, p : p + out.size]
 
-        full = mesh.epsilon * _support_sum(n2, firsts[t], rise + fall - 1, hat, scratch)
+        full = 1.0 / mesh.N * _support_sum(n2, firsts[t], rise + fall - 1, hat, scratch)
         clustered = _support_sum(n2k, (t - 1) % n2k, 3, clusters, scratch)
         worst = max(worst, abs(full - clustered))
     return worst

@@ -88,10 +88,6 @@ class CoarseMesh:
         object.__setattr__(self, "first_slots", first_slots)
         object.__setattr__(self, "kappa", kappa)
 
-    @property
-    def epsilon(self) -> float:
-        return 1.0 / self.N
-
 
 def _build_uniform(spec: MeshSpec) -> np.ndarray:
     if spec.N % spec.K:
@@ -178,8 +174,6 @@ def build_mesh(spec: MeshSpec) -> CoarseMesh:
     """Construct the node mesh of the requested family."""
     if spec.K < 2:
         raise MeshBuildError(f"need at least K = 2 node pairs, got K = {spec.K}")
-    if spec.N < 2:
-        raise MeshBuildError(f"need N >= 2 atoms per half-period, got N = {spec.N}")
     check_lattice_size(spec.N)
     if spec.K > spec.N:
         raise MeshBuildError(

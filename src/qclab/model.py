@@ -140,8 +140,9 @@ def quartic_potential(beta: float = 0.25) -> PairPotential:
 class ExternalForce:
     """2N-periodic dead load, slot order: the closed form fbar(x) at
     x = epsilon*ell, named by ``spec``, or explicit samples.  ``rows(start,
-    stop)`` evaluates fbar on those slots (UnknownFamily if not finite) until
-    ``samples`` is read: built BLOCK_VALUES sites at a time by rows, kept."""
+    stop)`` and ``at(ell)`` evaluate fbar on those slots or sites alone
+    (UnknownFamily if not finite) until ``samples`` is read: built
+    BLOCK_VALUES sites at a time by rows, kept."""
 
     def __init__(self, N: int, samples=None, fbar: Callable | None = None, spec: str = ""):
         self.N, self.fbar, self.spec = N, fbar, spec
@@ -159,15 +160,22 @@ class ExternalForce:
     def rows(self, start: int, stop: int) -> np.ndarray:
         if "samples" in self.__dict__:
             return self.samples[start:stop]
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-            out = self.fbar(lattice_coordinates(self.N, start, stop))
-        if not np.isfinite(out).all():
-            raise UnknownFamily(f"force descriptor {self.spec!r} produced non-finite samples")
-        return out
+        return self._closed_form(lattice_coordinates(self.N, start, stop))
 
     def at(self, ell):
         """Sample(s) at logical site index(es), reduced 2N-periodically."""
-        return self.samples[slot_of_site(ell, self.N)]
+        slots = slot_of_site(ell, self.N)
+        if "samples" in self.__dict__:
+            return self.samples[slots]
+        return self._closed_form((slots - (self.N - 1)) / self.N)
+
+    def _closed_form(self, x) -> np.ndarray:
+        """fbar(x), rejected (UnknownFamily) where it is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            out = self.fbar(x)
+        if not np.isfinite(out).all():
+            raise UnknownFamily(f"force descriptor {self.spec!r} produced non-finite samples")
+        return out
 
 
 # family -> (parameter count, closed form of the parameters): "gauss:A,B" is gauss(A, B)
@@ -204,16 +212,18 @@ def sample_force(spec: str, N: int) -> ExternalForce:
     return ExternalForce(N=N, fbar=_force_closed_form(spec), spec=spec)
 
 
-def path_rows(h, g: np.ndarray, pinned: int) -> Callable[[int, int], np.ndarray]:
-    """Values pinned to 0 at slot ``pinned`` from steps h (scalar or array)
-    and gradients g, as rows(start, stop): slots start..stop-1 of the
-    cumulative sum of h*g along the path from slot pinned+1 across the wrap
-    to slot pinned-1: a Displacement's values for h = epsilon, a nodal
-    solve's for h = the element sizes.  np.cumsum runs over pieces of at
-    most BLOCK_VALUES, each continuing from the sum before it, bit for bit
-    one sequential sum; a first pass finds the sum carried into slot 0, and
-    each call continues where the last one stopped."""
+def path_rows(h, g: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """Values pinned to 0 at site or node 0, slot pinned = len(g)//2 - 1,
+    from steps h (scalar or array) and gradients g, as rows(start, stop):
+    slots start..stop-1 of the cumulative sum of h*g along the path from
+    slot pinned+1 across the wrap to slot pinned-1: a Displacement's values
+    for h = epsilon, a nodal solve's for h = the element sizes.  np.cumsum
+    runs over pieces of at most BLOCK_VALUES, each continuing from the sum
+    before it, bit for bit one sequential sum; a first pass finds the sum
+    carried into slot 0, and each call continues where the last one
+    stopped."""
     n, h = len(g), np.broadcast_to(h, g.shape)
+    pinned = n // 2 - 1
 
     def cumulate(start: int, stop: int, running, out: np.ndarray | None = None):
         # h*g cumulated from running (None: the path's start) into out; the last sum
@@ -244,14 +254,14 @@ def path_rows(h, g: np.ndarray, pinned: int) -> Callable[[int, int], np.ndarray]
 
 
 class Displacement:
-    """Periodic displacement pinned at site 0 (slot N-1), given by its per-bond
-    gradients v'_ell = (v_ell - v_{ell-1})/epsilon, slot order.  ``rows``
-    streams its values by path_rows; ``values`` forms them whole."""
+    """Periodic displacement pinned at site 0 (slot N-1), given by its 2N
+    per-bond gradients v'_ell = (v_ell - v_{ell-1})/epsilon, slot order.
+    ``rows`` streams its values by path_rows; ``values`` forms them whole."""
 
-    def __init__(self, N: int, gradients):
-        self.N = N
-        self.gradients = _frozen(gradients, 2 * N, "gradients")
-        self.rows = path_rows(1.0 / N, self.gradients, N - 1)
+    def __init__(self, gradients):
+        self.N = len(gradients) // 2
+        self.gradients = _frozen(gradients, 2 * self.N, "gradients")
+        self.rows = path_rows(1.0 / self.N, self.gradients)
 
     @property
     def values(self) -> np.ndarray:
@@ -260,16 +270,17 @@ class Displacement:
 
 @dataclass(frozen=True, eq=False)
 class ChainModel:
-    """The atomistic problem instance: lattice size, potential, dead load."""
+    """The atomistic problem instance: potential and dead load, of the force's N."""
 
-    N: int
     potential: PairPotential
     force: ExternalForce
 
     def __post_init__(self):
-        check_lattice_size(self.N)
-        if self.force.N != self.N:
-            raise ShapeMismatch("force was sampled for a different lattice size")
+        check_lattice_size(self.N)  # of a force given by its samples; sample_force checks its own
+
+    @property
+    def N(self) -> int:
+        return self.force.N
 
     @property
     def epsilon(self) -> float:

@@ -101,19 +101,18 @@ def _path_cumsum(x: np.ndarray, first: int) -> None:
     np.cumsum(x[:end], out=x[:end])
 
 
-def _solve_chain(pot: PairPotential, coeff, h, load: ExternalForce, pinned: int,
-                 scale=1.0, factor=1.0):
+def _solve_chain(pot: PairPotential, coeff, h, load: ExternalForce, scale=1.0, factor=1.0):
     """Shared path-elimination core; see the module docstring.  Returns
     (read-only gradients, residual, reaction, iterations) for 2 load.N
-    elements; residual and reaction re-evaluate scale_j (c_j phi'(g_j) -
-    c_{j+1} phi'(g_{j+1})) - L_j, whose rows are solved as the unscaled ones
-    with load L_j / scale_j.  L = load * factor is never formed whole:
-    load.rows streams it into the first buffer, and load.samples, read once
-    the closure weights are freed, enters the equations BLOCK_VALUES rows at
-    a time.  coeff, h and scale may be scalars.  A quadratic solve holds two
-    arrays of its length: the buffer (then the gradients) and the closure
-    weights or the samples."""
-    n = 2 * load.N
+    elements, pinned at slot load.N - 1 (site or node 0); residual and
+    reaction re-evaluate scale_j (c_j phi'(g_j) - c_{j+1} phi'(g_{j+1})) - L_j,
+    whose rows are solved as the unscaled ones with load L_j / scale_j.
+    L = load * factor is never formed whole: load.rows streams it into the
+    first buffer, and load.samples, read once the closure weights are freed,
+    enters the equations BLOCK_VALUES rows at a time.  coeff, h and scale
+    may be scalars.  A quadratic solve holds two arrays of its length: the
+    buffer (then the gradients) and the closure weights or the samples."""
+    n, pinned = 2 * load.N, load.N - 1
     first = (pinned + 1) % n
     # tbar_j = -(sum of L/scale along the path from node first to j-1): the
     # load at slot j goes to buf[j + 1], so the wrap's sum lands in buf[n]
@@ -150,6 +149,7 @@ def _solve_chain(pot: PairPotential, coeff, h, load: ExternalForce, pinned: int,
             reaction = float(equations[pinned - at])
             equations[pinned - at] = 0.0
         maxima.append(np.max(np.abs(equations, out=equations)))
+        del t  # before the next block forms its own
     return g, float(np.max(maxima)), reaction, max(closure_iters, invert_iters)
 
 
@@ -157,8 +157,8 @@ def _solve_nodal(method: str, pot: PairPotential, coeff, mesh: CoarseMesh, load:
                  scale=1.0) -> SolveReport:
     """A solve on the mesh's 2K elements, pinned at node 0; values by path_rows."""
     g, residual, reaction, iterations = _solve_chain(
-        pot, coeff, mesh.h, ExternalForce(N=mesh.K, samples=load), mesh.K - 1, scale)
-    field = NodalField(mesh=mesh, values=path_rows(mesh.h, g, mesh.K - 1)(0, load.size))
+        pot, coeff, mesh.h, ExternalForce(N=mesh.K, samples=load), scale)
+    field = NodalField(mesh=mesh, values=path_rows(mesh.h, g)(0, load.size))
     return _report(method, field, load, residual, reaction, iterations)
 
 
@@ -180,8 +180,8 @@ def solve_atomistic(model: ChainModel) -> SolveReport:
     force is evaluated twice: streamed into the solve, then as the samples
     that the residual and later readers use.  The solution keeps gradients."""
     g, residual, reaction, iterations = _solve_chain(
-        model.potential, 1.0, model.epsilon, model.force, model.N - 1, factor=model.epsilon)
-    return _report("atomistic", Displacement(N=model.N, gradients=g), model.force.samples,
+        model.potential, 1.0, model.epsilon, model.force, factor=model.epsilon)
+    return _report("atomistic", Displacement(g), model.force.samples,
                    residual, reaction, iterations, factor=model.epsilon)
 
 

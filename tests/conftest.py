@@ -35,8 +35,7 @@ from qclab.solve import _scatter_cluster_values
 
 
 def make_model(N, force="sinpi", potential=None):
-    return ChainModel(N=N, potential=potential or harmonic_potential(),
-                      force=sample_force(force, N))
+    return ChainModel(potential=potential or harmonic_potential(), force=sample_force(force, N))
 
 
 def node(mesh, k):
@@ -59,7 +58,7 @@ def displacement(values):
     (v_ell - v_{ell-1})/epsilon, slot order."""
     v = np.asarray(values, dtype=float)
     N = v.size // 2
-    return Displacement(N=N, gradients=(v - np.roll(v, 1)) * N)
+    return Displacement((v - np.roll(v, 1)) * N)
 
 
 def _gradients(model, v):
@@ -241,7 +240,7 @@ def reference_prolong(mesh, V):
 
 def prolonged(mesh, V):
     """The prolongation of V as a Displacement of its element gradients."""
-    return Displacement(N=mesh.N, gradients=reference_prolong(mesh, V)[1])
+    return Displacement(reference_prolong(mesh, V)[1])
 
 
 def reference_exact_load(mesh, model):
@@ -273,7 +272,7 @@ def reference_verify_exactness(mesh, rule, weights):
         sites = np.arange(int(node(mesh, j - 1)) + 1, int(node(mesh, j + 1)))
         slots = slot_of_site(sites, mesh.N)
         hats[slots] = basis_value(mesh, j, sites)
-        full = mesh.epsilon * np.sum(hats)
+        full = 1.0 / mesh.N * np.sum(hats)
         hats[slots] = 0.0
         clustered = float(np.sum(active * np.sum(basis_value(mesh, j, members), axis=1)))
         worst = max(worst, abs(full - clustered))

@@ -80,8 +80,7 @@ def test_rate_criterion_fails_without_rates():
 
 
 def _figure_pipeline(family, N, K, force_spec):
-    model = ChainModel(N=N, potential=harmonic_potential(),
-                       force=sample_force(force_spec, N))
+    model = ChainModel(potential=harmonic_potential(), force=sample_force(force_spec, N))
     mesh = build_mesh(MeshSpec(family=family, N=N, K=K))
     weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=0)))
     atomistic = solve_atomistic(model).solution
@@ -181,7 +180,7 @@ def test_c05_rest_force_identity(capsys):
     worst = 0.0
     for potential, radii in ((harmonic_potential(), (0, 1, 3)),
                              (quartic_potential(0.25), (1,))):
-        model = ChainModel(N=64, potential=potential, force=sample_force("const:0", 64))
+        model = ChainModel(potential=potential, force=sample_force("const:0", 64))
         for r in radii:
             weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=r)))
             for _ in range(10):
@@ -365,8 +364,7 @@ def test_c10_small_lattice_oracles(capsys):
 
     worst_force = 0.0
     for potential in (harmonic_potential(), quartic_potential(0.25)):
-        fd_model = ChainModel(N=16, potential=potential,
-                              force=sample_force("gauss:2,25", 16))
+        fd_model = ChainModel(potential=potential, force=sample_force("gauss:2,25", 16))
         values = 0.3 * rng.normal(size=32)
         values[15] = 0.0
         v = displacement(values)

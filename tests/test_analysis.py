@@ -98,9 +98,7 @@ def test_predicted_band_closed_forms():
 
 def test_galerkin_orthogonality_of_constrained_solve():
     N = 2 ** 14
-    model = ChainModel(
-        N=N, potential=harmonic_potential(), force=sample_force("gauss:1e4,1e4", N)
-    )
+    model = ChainModel(potential=harmonic_potential(), force=sample_force("gauss:1e4,1e4", N))
     mesh = build_mesh(MeshSpec(family="graded", N=N, K=15))
     atom = solve_atomistic(model).solution
     constrained = solve_constrained(model, mesh).solution

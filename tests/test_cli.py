@@ -659,8 +659,7 @@ def test_the_module_entry_point_prints_mesh_diagnostics():
     ("-4\n0\n3\n2\n", "8", "2", "strictly increasing"),
     ("-4\n-1\n3\n5\n", "8", "2", "must contain lattice site 0"),
     (None, "8", "1", "K = 2"),
-    (None, "1", "2", "N >= 2"),
-], ids=["custom-not-increasing", "custom-without-site-0", "one-node-pair", "one-atom"])
+], ids=["custom-not-increasing", "custom-without-site-0", "one-node-pair"])
 def test_a_mesh_that_cannot_be_built(tmp_path, capsys, nodes, N, K, message):
     mesh = "uniform"
     if nodes is not None:
@@ -669,6 +668,30 @@ def test_a_mesh_that_cannot_be_built(tmp_path, capsys, nodes, N, K, message):
     assert main(["mesh-inspect", "--mesh", mesh, "--N", N, "--K", K]) == 1
     error = error_of(capsys)
     assert error["code"] == "MeshBuild" and message in error["message"]
+
+
+SWEEP_ALONG_N = ["sweep", "--mesh", "uniform", "--K", "2", "--axis", "N", "--metric"]
+
+
+@pytest.mark.parametrize("N", ["1", "0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["run", "--method", "atomistic", "--force", "sinpi"],
+    ["run", "--mesh", "uniform", "--K", "2", "--method", "constrained", "--force", "sinpi"],
+    ["mesh-inspect", "--mesh", "uniform", "--K", "2"],
+    *([*SWEEP_ALONG_N, metric, *force] for metric in STUDY_METRICS
+      for force in (["--force", "sinpi"], [])),
+], ids=["run-atomistic", "run-constrained", "mesh-inspect",
+        *(f"sweep-{metric}{suffix}" for metric in STUDY_METRICS
+          for suffix in ("-force", ""))])
+def test_fewer_than_two_atoms_fail_alike_from_every_command(tmp_path, capsys, argv, N):
+    # one rule, model.check_lattice_size, whether a force, a mesh or a sweep
+    # point meets the lattice size first
+    out = tmp_path / "D"
+    size = ["--values" if argv[0] == "sweep" else "--N", N]
+    assert main(argv + size + ([] if argv[0] == "mesh-inspect" else ["--out", str(out)])) == 1
+    error = error_of(capsys)
+    assert error["code"] == "ShapeMismatch" and "N >= 2" in error["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, target", [

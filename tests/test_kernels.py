@@ -81,7 +81,7 @@ def nodal_field(rng, mesh):
 def random_model(rng, N, potential="harmonic"):
     pot = harmonic_potential() if potential == "harmonic" else quartic_potential(0.25)
     force = ExternalForce(N=N, samples=rng.normal(size=2 * N))
-    return ChainModel(N=N, potential=pot, force=force)
+    return ChainModel(potential=pot, force=force)
 
 
 def admissible(mesh, r):
@@ -181,7 +181,7 @@ def test_exact_load_of_strided_read_only_samples():
     wide.setflags(write=False)
     force = ExternalForce(N=mesh.N, samples=wide[:, 0])
     assert force.samples.flags.c_contiguous
-    model = ChainModel(N=mesh.N, potential=harmonic_potential(), force=force)
+    model = ChainModel(potential=harmonic_potential(), force=force)
     assert exact_load(mesh, model).tobytes() == reference_exact_load(mesh, model).tobytes()
 
 

@@ -95,6 +95,6 @@ def test_exact_load_peak_on_the_finest_uniform_mesh():
     # lattice array and exact_load's per-element arrays, not the lattice, set
     # its peak
     mesh = build_mesh(MeshSpec(family="uniform", N=N, K=N // 2))
-    model = ChainModel(N=N, potential=harmonic_potential(), force=sample_force("sinpi", N))
+    model = ChainModel(potential=harmonic_potential(), force=sample_force("sinpi", N))
     model.force.samples  # evaluated before tracing, as solve_atomistic leaves them
     assert peak_arrays(lambda: exact_load(mesh, model)) <= FINEST_LOAD_BUDGET

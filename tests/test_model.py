@@ -88,14 +88,18 @@ def test_blockwise_samples_are_the_whole_array_closed_form(spec, N):
     ("smooth", 64, 2), ("oscillatory", 20, 3), ("graded", 15, 0), ("uniform", 256, 5)])
 @pytest.mark.parametrize("spec", ["sinpi", "gauss:1e4,1e4", "gauss:2,25", "const:1", "lin:0.5,-1"])
 def test_closed_form_at_the_cluster_members_is_the_gathered_samples(spec, family, K, r):
-    # fbar evaluated at the members alone, reduced into (-1, 1], is what at()
-    # gathers from the samples, bit for bit: a force read lazily at the
-    # clusters would change no cluster load
+    # fbar evaluated at the members alone, reduced into (-1, 1], which at()
+    # reads before the samples exist, is what it gathers from them after, bit
+    # for bit: a force read lazily at the clusters changes no cluster load
     N = 2**14
     members = ClusterRule(mesh=build_mesh(MeshSpec(family=family, N=N, K=K)), r=r).member_matrix()
     force = sample_force(spec, N)
     x = (slot_of_site(members, N) - N + 1) / N
-    assert force.fbar(x).tobytes() == force.at(members).tobytes()
+    lazy = force.at(members)
+    assert "samples" not in vars(force)
+    assert force.fbar(x).tobytes() == lazy.tobytes()
+    assert force.samples[slot_of_site(members, N)].tobytes() == lazy.tobytes()
+    assert force.at(members).tobytes() == lazy.tobytes()
 
 
 def test_non_finite_samples_in_a_later_block_are_rejected():
@@ -124,7 +128,7 @@ def path_values(N, g):
 ])
 def test_displacement_rows_stream_the_path_cumulative_sum(N, size, cut):
     g = np.random.default_rng(N).normal(size=2 * N)
-    v = Displacement(N=N, gradients=g)
+    v = Displacement(g)
     want = path_values(N, g)
     assert v.values.tobytes() == want.tobytes()
     bounds = [0, N + cut, 2 * N] if size is None else [*range(0, 2 * N, size), 2 * N]
@@ -200,9 +204,9 @@ def test_strains_telescope_to_zero():
 
 def test_displacement_validation():
     with pytest.raises(ShapeMismatch):
-        Displacement(N=4, gradients=np.zeros(7))
+        Displacement(np.zeros(7))
     with pytest.raises(ShapeMismatch):
-        stored_energy(make_model(4), Displacement(N=5, gradients=np.zeros(10)))
+        stored_energy(make_model(4), Displacement(np.zeros(10)))
 
 
 def test_quartic_potential():
@@ -220,9 +224,6 @@ def test_quartic_potential():
 
 def test_model_validation():
     with pytest.raises(ShapeMismatch):
-        ChainModel(N=8, potential=harmonic_potential(), force=sample_force("sinpi", 4))
-    with pytest.raises(ShapeMismatch):
         make_model(1)
     with pytest.raises(ShapeMismatch, match="N >= 2"):  # a force given by its samples
-        ChainModel(N=1, potential=harmonic_potential(),
-                   force=ExternalForce(N=1, samples=[0.0, 0.0]))
+        ChainModel(potential=harmonic_potential(), force=ExternalForce(N=1, samples=[0.0, 0.0]))

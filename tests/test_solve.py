@@ -2,6 +2,7 @@
 and direct minimization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,31 @@ def test_cluster_load_exact_for_constant_force():
     assert float(np.max(np.abs(lumped - exact))) > 1e-6
 
 
+def test_force_cluster_reads_no_lattice():
+    # at N = 2^40 the force's 2N samples (16 TiB) cannot exist: the cluster
+    # load evaluates sin(pi x) at the 2K(2r+1) members alone.  On a uniform
+    # mesh the nodal equations are (2U_j - U_{j-1} - U_{j+1})/h = eps times
+    # the members' f summed against hat j, which is eps (2r+1) sin(pi x_j) to
+    # a relative 2 (1 - cos(pi h)) / (3 s), 5e-14 at s = N/K sites per
+    # element, so U_j = A sin(pi x_j) with A (2 - 2 cos(pi h)) / h = eps (2r+1)
+    N, K, r = 2**40, 64, 1
+    model = ChainModel(potential=harmonic_potential(), force=sample_force("sinpi", N))
+    mesh = build_mesh(MeshSpec(family="uniform", N=N, K=K))
+    weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=r)))
+    tracemalloc.start()
+    try:
+        report = solve_force_cluster(model, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "samples" not in vars(model.force) and peak < 2**20
+    h = 1.0 / K
+    amplitude = (2 * r + 1) / N * h / (2.0 - 2.0 * math.cos(math.pi * h))
+    want = amplitude * np.sin(np.pi * mesh.repatoms / N)
+    np.testing.assert_allclose(report.solution.values, want, rtol=0, atol=1e-12 * amplitude)
+    assert report.residual <= 1e-12
+
+
 def test_cluster_load_matches_brute_scatter():
     rng = np.random.default_rng(22)
     mesh, _ = random_custom_mesh(rng)
@@ -351,7 +377,7 @@ def test_convexity_loss_is_reported():
         is_quadratic=False,
         name="destabilized",
     )
-    model = ChainModel(N=8, potential=destabilized, force=sample_force("const:5", 8))
+    model = ChainModel(potential=destabilized, force=sample_force("const:5", 8))
     with pytest.raises(ConvexityLoss):
         solve_atomistic(model)
 
@@ -514,7 +540,7 @@ def test_closed_form_force_solves_as_its_samples(spec, N):
     # the closed form streamed into the solve, then materialized, gives the
     # bits of a force given by those samples from the start
     samples = sample_force(spec, N).samples
-    closed, given = (solve_atomistic(ChainModel(N=N, potential=harmonic_potential(), force=f))
+    closed, given = (solve_atomistic(ChainModel(potential=harmonic_potential(), force=f))
                      for f in (sample_force(spec, N), ExternalForce(N=N, samples=samples)))
     assert closed.solution.values.tobytes() == given.solution.values.tobytes()
     assert closed.solution.gradients.tobytes() == given.solution.gradients.tobytes()

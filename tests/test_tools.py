@@ -67,6 +67,25 @@ def test_stage_bench_worker_times_a_preset(tmp_path):
     assert tool.PRESETS == tuple(cli._PRESETS)
 
 
+def test_stage_bench_summary_keeps_each_trees_spread():
+    # the median of each value per tree, and next to it the smallest and
+    # largest run; a stage only the change runs reads 0 in the parent
+    tool = load_tool("stage_bench")
+    samples = {"parent": [{"mesh": 0.5, "main_s": 2.0}, {"mesh": 0.25, "main_s": 1.0},
+                          {"mesh": 0.75, "main_s": 3.0}],
+               "change": [{"mesh": 0.5, "weights": 0.125, "main_s": 1.5},
+                          {"mesh": 0.5, "weights": 0.375, "main_s": 1.0}]}
+    summary = tool.summarize(samples)
+    assert list(summary) == ["parent", "change", "spread"]
+    assert list(summary["parent"]) == ["mesh", "weights", "main_s"]
+    assert summary["parent"] == {"mesh": 0.5, "weights": 0.0, "main_s": 2.0}
+    assert summary["change"] == {"mesh": 0.5, "weights": 0.25, "main_s": 1.25}
+    assert summary["spread"] == {
+        "parent": {"mesh": [0.25, 0.75], "weights": [0.0, 0.0], "main_s": [1.0, 3.0]},
+        "change": {"mesh": [0.5, 0.5], "weights": [0.125, 0.375], "main_s": [1.0, 1.5]}}
+    assert json.loads(json.dumps(summary)) == summary
+
+
 RUN = ["run", "--mesh", "smooth", "--N", "64", "--K", "4", "--r", "1",
        "--method", "energy-cluster", "--force", "sinpi"]
 

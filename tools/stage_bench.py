@@ -11,8 +11,10 @@ timings object of its report.json, with the report's wall_time_s; main_s is
 the whole cli.main call around them, report.json included.  peak_rss_mb is
 the process's ru_maxrss; minor_faults and run_minor_faults are its ru_minflt,
 in total and over the cli.main call.  The two trees alternate, the first one
-per run alternating too, and each value is the median over the runs.  Times
-are raw wall seconds on whatever host this runs on.
+per run alternating too, and each value is the median over the runs; under
+"spread", each tree's smallest and largest run of every value tells a gap
+between the trees from the scatter of its runs.  Times are raw wall seconds
+on whatever host this runs on.
 """
 
 from __future__ import annotations
@@ -95,6 +97,20 @@ def spawn(tree: str, args: list[str]) -> dict:
     return json.loads(result.stdout.splitlines()[-1])
 
 
+def summarize(samples: dict[str, list[dict]]) -> dict:
+    """Each tree's median of every value over its runs, and under "spread"
+    each tree's [smallest, largest] run of it; a value a run did not report
+    reads 0."""
+    # every stage either tree reported, in the order the change's runs list them
+    stages = dict.fromkeys(key for runs in reversed(samples.values()) for s in runs for key in s)
+    values = {name: {stage: [s.get(stage, 0.0) for s in runs] for stage in stages}
+              for name, runs in samples.items()}
+    return {**{name: {stage: round(statistics.median(v), 4) for stage, v in per.items()}
+               for name, per in values.items()},
+            "spread": {name: {stage: [round(min(v), 4), round(max(v), 4)]
+                              for stage, v in per.items()} for name, per in values.items()}}
+
+
 def environment() -> dict:
     import numpy as np
 
@@ -130,16 +146,12 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as scratch:
 
         def medians(argv) -> dict:
-            """Each tree's medians over opts.runs fresh processes of argv(out)."""
+            """summarize() of opts.runs fresh processes of argv(out) per tree."""
             samples = {name: [] for name in trees}
             for run in range(opts.runs):
                 for name in sorted(trees, reverse=run % 2 == 1):
                     samples[name].append(spawn(trees[name], argv(os.path.join(scratch, name))))
-            # every stage either tree reported, in the order the change's runs list them
-            stages = dict.fromkeys(key for runs in reversed(samples.values()) for s in runs
-                                   for key in s)
-            return {name: {stage: round(statistics.median(s.get(stage, 0.0) for s in runs), 4)
-                           for stage in stages} for name, runs in samples.items()}
+            return summarize(samples)
 
         for N in SIZES:
             for mesh in MESHES:
