@@ -60,8 +60,8 @@ def error_report(model: ChainModel, atomistic: Displacement, constrained: NodalF
     """Errors of a cluster solution against the constrained solution, plus
     the consistency certificate that predicts them: the ``errors`` block of a
     report, in its order.  ``energy_norm_rel``, ``energy_rel`` (None where the
-    exact stored energy vanishes) and ``predicted_band`` (None outside the
-    graded and oscillatory families) are relative; the four entries of
+    exact stored energy vanishes) and ``predicted_band`` (None unless family
+    is graded or oscillatory) are relative; the four entries of
     ``consistency_estimate(constrained)`` are absolute, and ``reference_norm``,
     the energy norm of the constrained solution, converts between the two
     scales.  ``kappa`` is the mesh's size-ratio bound.

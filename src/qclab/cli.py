@@ -463,7 +463,8 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
             errors = error_report(
                 model, reports["atomistic"].solution, reports["constrained"].solution,
                 qc.solution, energy_cluster_functional(model, weights, qc.solution),
-                family=spec.family)
+                # the closed-form band is derived for the energy rule at r = 0 only
+                family=spec.family if config.method == "energy-cluster" and rule.r == 0 else None)
 
     payload["solves"] = {
         method: {"residual": report.residual, "reaction": report.reaction,

@@ -260,6 +260,7 @@ class Displacement:
 
     def __init__(self, gradients):
         self.N = len(gradients) // 2
+        check_lattice_size(self.N)
         self.gradients = _frozen(gradients, 2 * self.N, "gradients")
         self.rows = path_rows(1.0 / self.N, self.gradients)
 

@@ -88,32 +88,20 @@ def _closure_constant(pot: PairPotential, coeff, h, tbar) -> tuple[float, int]:
     raise NewtonFailure(f"closure constant stalled after {_NEWTON_STEPS} steps")
 
 
-def _path_cumsum(x: np.ndarray, first: int) -> None:
-    """Cumulative sums of x, in place, along the path first, first+1, ...,
-    n-1, 0, ..., first-2 (slot first-1, mod n, keeps its entry).  The path is
-    one sequential sum: its carry across the wrap is added into slot 0 before
-    the second cumsum, exactly as np.cumsum of the gathered path adds it."""
-    if first:
-        np.cumsum(x[first:], out=x[first:])
-        if first > 1:
-            x[0] += x[-1]
-    end = (first - 1) % len(x)
-    np.cumsum(x[:end], out=x[:end])
-
-
-def _solve_chain(pot: PairPotential, coeff, h, load: ExternalForce, scale=1.0, factor=1.0):
+def _solve_chain(method: str, pot: PairPotential, coeff, h, load: ExternalForce, scale=1.0,
+                 factor=1.0):
     """Shared path-elimination core; see the module docstring.  Returns
     (read-only gradients, residual, reaction, iterations) for 2 load.N
     elements, pinned at slot load.N - 1 (site or node 0); residual and
     reaction re-evaluate scale_j (c_j phi'(g_j) - c_{j+1} phi'(g_{j+1})) - L_j,
-    whose rows are solved as the unscaled ones with load L_j / scale_j.
+    whose rows are solved as the unscaled ones with load L_j / scale_j.  A
+    residual above 1e-10 (1 + max|L|) raises NewtonFailure naming the method.
     L = load * factor is never formed whole: load.rows streams it into the
     first buffer, and load.samples, read once the closure weights are freed,
     enters the equations BLOCK_VALUES rows at a time.  coeff, h and scale
     may be scalars.  A quadratic solve holds two arrays of its length: the
     buffer (then the gradients) and the closure weights or the samples."""
-    n, pinned = 2 * load.N, load.N - 1
-    first = (pinned + 1) % n
+    n, first, pinned = 2 * load.N, load.N, load.N - 1
     # tbar_j = -(sum of L/scale along the path from node first to j-1): the
     # load at slot j goes to buf[j + 1], so the wrap's sum lands in buf[n]
     buf = np.empty(n + 1)
@@ -123,7 +111,11 @@ def _solve_chain(pot: PairPotential, coeff, h, load: ExternalForce, scale=1.0, f
         np.multiply(load.rows(at, stop), factor, out=buf[at + 1 : stop + 1])
     if scaled:  # a scalar 1.0 leaves every value as it is, here and below
         buf[1:] /= scale
-    _path_cumsum(buf[1:], first)
+    # slots first..n-1, 0..pinned-1 are one sequential sum: the carry across the wrap is
+    # added into buf[1] before the second cumsum, as np.cumsum of the gathered path adds it
+    np.cumsum(buf[first + 1 :], out=buf[first + 1 :])
+    buf[1] += buf[n]
+    np.cumsum(buf[1:first], out=buf[1:first])
     buf[0] = buf[n]
     tbar = np.negative(buf[:n], out=buf[:n])
     tbar[first] = 0.0
@@ -144,34 +136,27 @@ def _solve_chain(pot: PairPotential, coeff, h, load: ExternalForce, scale=1.0, f
         equations = np.subtract(t[:-1], t[1:], out=stresses[: stop - at])
         if scaled:
             equations *= scale[at:stop]
-        equations -= samples[at:stop] * factor
+        L = samples[at:stop] * factor
+        equations -= L
         if at <= pinned < stop:
             reaction = float(equations[pinned - at])
             equations[pinned - at] = 0.0
-        maxima.append(np.max(np.abs(equations, out=equations)))
-        del t  # before the next block forms its own
-    return g, float(np.max(maxima)), reaction, max(closure_iters, invert_iters)
+        maxima.append((np.max(np.abs(equations, out=equations)), np.max(np.abs(L, out=L))))
+        del t, L  # before the next block forms its own
+    residual, load_max = np.max(maxima, axis=0)
+    tol = 1e-10 * (1.0 + load_max)
+    if not residual <= tol:
+        raise NewtonFailure(f"{method} solve left residual {residual:.3e} above {tol:.3e}")
+    return g, float(residual), reaction, max(closure_iters, invert_iters)
 
 
 def _solve_nodal(method: str, pot: PairPotential, coeff, mesh: CoarseMesh, load: np.ndarray,
                  scale=1.0) -> SolveReport:
     """A solve on the mesh's 2K elements, pinned at node 0; values by path_rows."""
     g, residual, reaction, iterations = _solve_chain(
-        pot, coeff, mesh.h, ExternalForce(N=mesh.K, samples=load), scale)
+        method, pot, coeff, mesh.h, ExternalForce(N=mesh.K, samples=load), scale)
     field = NodalField(mesh=mesh, values=path_rows(mesh.h, g)(0, load.size))
-    return _report(method, field, load, residual, reaction, iterations)
-
-
-def _report(method: str, solution, load, residual: float, reaction: float,
-            iterations: int, factor=1.0) -> SolveReport:
-    """Package a solve, rejecting a residual above the tolerance its load
-    L = load * factor sets.  Rounding is monotone, so with factor > 0 the
-    extremes of L are those of load times factor, bit for bit."""
-    tol = 1e-10 * (1.0 + max(float(np.max(load)) * factor, -(float(np.min(load)) * factor)))
-    if not residual <= tol:
-        raise NewtonFailure(f"{method} solve left residual {residual:.3e} above {tol:.3e}")
-    return SolveReport(solution=solution, residual=residual, reaction=reaction,
-                       iterations=iterations, method=method)
+    return SolveReport(field, residual, reaction, iterations, method)
 
 
 def solve_atomistic(model: ChainModel) -> SolveReport:
@@ -180,9 +165,8 @@ def solve_atomistic(model: ChainModel) -> SolveReport:
     force is evaluated twice: streamed into the solve, then as the samples
     that the residual and later readers use.  The solution keeps gradients."""
     g, residual, reaction, iterations = _solve_chain(
-        model.potential, 1.0, model.epsilon, model.force, factor=model.epsilon)
-    return _report("atomistic", Displacement(g), model.force.samples,
-                   residual, reaction, iterations, factor=model.epsilon)
+        "atomistic", model.potential, 1.0, model.epsilon, model.force, factor=model.epsilon)
+    return SolveReport(Displacement(g), residual, reaction, iterations, "atomistic")
 
 
 def solve_constrained(model: ChainModel, mesh: CoarseMesh) -> SolveReport:

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qclab.mesh
 import qclab.model
-from qclab.analysis import STUDY_METRICS
+from qclab.analysis import STUDY_METRICS, predicted_relative_band
 from qclab.cli import _build_parser, main
 from qclab.cluster import WEIGHT_MODES
 from qclab.errors import QCLabError
@@ -67,6 +67,16 @@ def test_run_cluster_report_shape(tmp_path):
     assert errors["predicted_band"][0] < errors["predicted_band"][1]
     header = read_lines(tmp_path / "profile.csv")[0]
     assert header == "x,u_atomistic,u_constrained,u_qc"
+
+
+@pytest.mark.parametrize("method, r, derived", [
+    ("energy-cluster", 0, True), ("energy-cluster", 1, False), ("force-cluster", 0, False)])
+def test_predicted_band_only_where_derived(tmp_path, method, r, derived):
+    # the closed forms (1/sqrt(8) on this mesh) are derived for the energy rule at r = 0
+    rc = main(["run", "--mesh", "oscillatory", "--N", "64", "--K", "4", "--r", str(r),
+               "--method", method, "--force", "sinpi", "--out", str(tmp_path)])
+    assert rc == 0
+    assert (report_of(tmp_path)["errors"]["predicted_band"] is not None) == derived
 
 
 def error_of(capsys):
@@ -454,6 +464,8 @@ def test_reproduce_fig1(tmp_path, capsys):
     assert checks["energy_norm_rel"]["pass"] and checks["energy_rel"]["pass"]
     lo, hi = checks["energy_norm_rel"]["band"]
     assert lo <= checks["energy_norm_rel"]["value"] <= hi
+    kappa = report["mesh"]["kappa"]
+    assert report["errors"]["predicted_band"] == list(predicted_relative_band("graded", kappa))
 
 
 def test_reproduce_fig2(tmp_path, capsys):

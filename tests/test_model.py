@@ -205,6 +205,9 @@ def test_strains_telescope_to_zero():
 def test_displacement_validation():
     with pytest.raises(ShapeMismatch):
         Displacement(np.zeros(7))
+    for N in (0, 1):  # N < 2 is a ShapeMismatch, as everywhere else
+        with pytest.raises(ShapeMismatch, match=f"^need N >= 2 atoms per half-period, got {N}$"):
+            Displacement(np.zeros(2 * N))
     with pytest.raises(ShapeMismatch):
         stored_energy(make_model(4), Displacement(np.zeros(10)))
 

@@ -397,11 +397,16 @@ def test_a_stalled_closure_constant_is_reported(monkeypatch):
         solve_atomistic(model)
 
 
-def test_a_residual_above_its_tolerance_is_reported():
-    load = np.array([1.0, -2.0])  # tolerance 1e-10 * (1 + 2)
-    assert solve._report("atomistic", None, load, 3e-10, 0.0, 1).residual == 3e-10
-    with pytest.raises(NewtonFailure, match="^atomistic solve left residual 3.100e-10 above"):
-        solve._report("atomistic", None, load, 3.1e-10, 0.0, 1)
+def test_a_residual_above_its_tolerance_is_reported(monkeypatch):
+    # stresses off by a relative 1e-6 leave residuals near 1e-6 |L|
+    monkeypatch.setattr(solve, "_invert_stress", lambda pot, s: (s * (1.0 + 1e-6), 1))
+    model = make_model(8, force="const:-3")
+    # L = -3/8 at every site: max|L| is the minimum's, so the tolerance is 1e-10 * (1 + 0.375)
+    message = r"^atomistic solve left residual 3\.750e-07 above 1\.375e-10$"
+    with pytest.raises(NewtonFailure, match=message):
+        solve_atomistic(model)
+    with pytest.raises(NewtonFailure, match="^constrained solve left residual "):
+        solve_constrained(model, build_mesh(MeshSpec(family="uniform", N=8, K=2)))
 
 
 def test_nonpositive_stiffness_is_rejected():

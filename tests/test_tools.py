@@ -1,6 +1,7 @@
 """The per-stage benchmark tool reads the stages a run reports and changes
-nothing in the program it measures; the token-diff tool finds every moved
-number, and every added key, between two output trees."""
+nothing in the program it measures; the output-tree tool's calls cover every
+method, mesh family, weight mode and sweep metric; the token-diff tool finds
+every moved number, and every added key, between two output trees."""
 
 import importlib.util
 import json
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from qclab import cli
+from qclab import cli, mesh
+from qclab.analysis import STUDY_METRICS
+from qclab.cluster import WEIGHT_MODES
 
 ROOT = Path(__file__).resolve().parents[1]
 PROCESS = {"wall_time_s", "main_s", "peak_rss_mb", "minor_faults", "run_minor_faults"}
@@ -88,6 +91,30 @@ def test_stage_bench_summary_keeps_each_trees_spread():
 
 RUN = ["run", "--mesh", "smooth", "--N", "64", "--K", "4", "--r", "1",
        "--method", "energy-cluster", "--force", "sinpi"]
+
+
+def test_output_tree_covers_every_method_family_weight_mode_and_metric(tmp_path, monkeypatch):
+    tool = load_tool("output_tree")
+
+    def values(flag, command="run"):
+        return [argv[argv.index(flag) + 1] if flag in argv else None
+                for _, argv in tool.CALLS if argv[0] == command]
+
+    families = [descriptor and descriptor.split(":")[0] for descriptor in values("--mesh")]
+    runs = set(zip(families, values("--method")))
+    assert {(None, "atomistic")} | {(family, method) for family in mesh._BUILDERS
+                                    for method in set(cli._METHODS) - {"atomistic"}} == runs
+    assert set(WEIGHT_MODES) == set(values("--weights")) - {None}
+    assert max(int(r or 0) for r in values("--r")) > 0
+    assert set(STUDY_METRICS) == set(values("--metric", "sweep"))
+    inspected = values("--mesh", "mesh-inspect")
+    assert set(mesh._BUILDERS) == {descriptor.split(":")[0] for descriptor in inspected}
+    # every call exits 0, each into a directory of its own
+    monkeypatch.chdir(tmp_path)
+    tool.write_calls()
+    labels = [label for label, _ in tool.CALLS]
+    assert sorted(path.name for path in (tmp_path / "calls").iterdir()) == sorted(set(labels))
+    assert len(set(labels)) == len(labels)
 
 
 @pytest.fixture
