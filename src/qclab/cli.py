@@ -414,21 +414,20 @@ def _write_files(out: Path, payload: dict, csv: tuple | None) -> None:
 
 
 def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, SolveReport]]:
-    """Solve per config; returns (report payload, profile columns in file
-    order, solve reports by method).  Every column is a row-range function
-    (see _write_csv); u_atomistic streams from the atomistic gradients.  The
-    payload ends with wall_time_s and timings."""
+    """Build, then solve, per config; returns (report payload, profile columns
+    in file order, solve reports by method).  Phase 1 builds every O(K) object
+    that can reject the input (force descriptor, mesh, cluster rule), so an
+    invalid one fails before any lattice-sized work; phase 2 runs the lattice
+    passes.  Every column is a row-range function (see _write_csv);
+    u_atomistic streams from the atomistic gradients.  The payload ends with
+    wall_time_s and timings."""
     clock = _Clock(force=config.force)
     with clock.stage("model.sample_force"):
         model = ChainModel(potential=harmonic_potential(),
                            force=sample_force(config.force, config.N))
     payload: dict = {"config": {key: value for key, value in asdict(config).items()
                                 if key != "out"}}
-    with clock.stage("solve.solve_atomistic"):
-        reports = {"atomistic": solve_atomistic(model)}
-    columns = {"x": functools.partial(lattice_coordinates, config.N),
-               "u_atomistic": reports["atomistic"].solution.rows}
-
+    solvers: dict[str, tuple] = {"atomistic": (solve_atomistic, model)}  # method: (solver, *args)
     if config.mesh is not None and config.K is not None:
         with clock.stage("mesh"):
             spec = parse_mesh_descriptor(config.mesh, config.N, config.K)
@@ -438,12 +437,9 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
                                "kappa": mesh.kappa}
             payload["smoothness"] = {"coefficients": coefficients,
                                      "max_abs": float(np.max(np.abs(coefficients)))}
-        with clock.stage("solve.solve_constrained"):
-            reports["constrained"] = solve_constrained(model, mesh)
-        columns["u_constrained"] = prolong(reports["constrained"].solution)
-
-    errors = None
-    if config.method in ("energy-cluster", "force-cluster"):
+        solvers["constrained"] = (solve_constrained, model, mesh)
+    cluster = config.method in ("energy-cluster", "force-cluster")
+    if cluster:
         with clock.stage("weights"):
             rule = ClusterRule(mesh=mesh, r=config.r)
             system = assemble_weight_system(rule)
@@ -453,26 +449,31 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
                 "energy_lumped": weights.energy_lumped, "gap_max": weights.gap_max,
                 "residual_max": float(np.max(np.abs(weights.residual))),
                 "dominance_margin_min": float(np.min(system.dominance_margin()))}
-        with clock.stage("cluster.verify_exactness"):
-            payload["weights"]["exactness_defect"] = verify_exactness(weights)
         solver = solve_energy_cluster if config.method == "energy-cluster" else solve_force_cluster
-        with clock.stage(f"solve.{solver.__name__}"):
-            qc = reports[config.method] = solver(model, weights)
-        columns["u_qc"] = prolong(qc.solution)
-        with clock.stage("error_report"):
-            errors = error_report(
-                model, reports["atomistic"].solution, reports["constrained"].solution,
-                qc.solution, energy_cluster_functional(model, weights, qc.solution),
-                # the closed-form band is derived for the energy rule at r = 0 only
-                family=spec.family if config.method == "energy-cluster" and rule.r == 0 else None)
+        solvers[config.method] = (solver, model, weights)
 
+    reports: dict[str, SolveReport] = {}
+    for method, (solver, *args) in solvers.items():
+        if cluster and method == config.method:
+            with clock.stage("cluster.verify_exactness"):
+                payload["weights"]["exactness_defect"] = verify_exactness(weights)
+        with clock.stage(f"solve.{solver.__name__}"):
+            reports[method] = solver(*args)
+    solutions = [report.solution for report in reports.values()]  # in column order
+    columns = dict(zip(("x", "u_atomistic", "u_constrained", "u_qc"),
+                       (functools.partial(lattice_coordinates, config.N), solutions[0].rows,
+                        *map(prolong, solutions[1:]))))
     payload["solves"] = {
         method: {"residual": report.residual, "reaction": report.reaction,
                  "iterations": report.iterations}
         for method, report in reports.items()
     }
-    if errors is not None:
-        payload["errors"] = errors
+    if cluster:
+        with clock.stage("error_report"):
+            payload["errors"] = error_report(
+                model, *solutions, energy_cluster_functional(model, weights, solutions[-1]),
+                # the closed-form band is derived for the energy rule at r = 0 only
+                family=spec.family if config.method == "energy-cluster" and rule.r == 0 else None)
     payload["wall_time_s"] = time.perf_counter() - clock.start
     payload["timings"] = clock.timings
     return payload, columns, reports
@@ -486,7 +487,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise QCLabError("N is required (flag --N or config file)")
     if config.method != "atomistic" and (config.mesh is None or config.K is None):
         raise QCLabError(f"method {config.method!r} needs --mesh and --K")
-    # the reports stay bound through the writes: u_atomistic streams from their gradients
     payload, columns, _ = _execute(config)
     out = _output_dir(Path(config.out))
     _write_files(out, payload, ("profile.csv", 2 * config.N, columns))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qclab.cli
 import qclab.mesh
 import qclab.model
 from qclab.analysis import STUDY_METRICS, predicted_relative_band
@@ -173,9 +174,9 @@ def test_calls_in_one_process_write_what_fresh_processes_write(tmp_path, capsys)
         fresh / "force-scaling/report.json")
 
 
-EXECUTE_STAGES = ["model.sample_force", "solve.solve_atomistic", "mesh", "solve.solve_constrained",
-                  "weights", "cluster.verify_exactness", "solve.solve_energy_cluster",
-                  "error_report"]
+EXECUTE_STAGES = ["model.sample_force", "mesh", "weights", "solve.solve_atomistic",
+                  "solve.solve_constrained", "cluster.verify_exactness",
+                  "solve.solve_energy_cluster", "error_report"]
 
 
 def test_run_times_the_stages_that_ran(tmp_path):
@@ -189,7 +190,8 @@ def test_run_times_the_stages_that_ran(tmp_path):
     assert sum(timings[stage] for stage in EXECUTE_STAGES) >= 0.95 * report["wall_time_s"]
     assert main(argv + ["--method", "constrained", "--out", str(tmp_path / "constrained")]) == 0
     assert list(report_of(tmp_path / "constrained")["timings"]) == [
-        *EXECUTE_STAGES[:4], "cli.write_csv"]
+        "model.sample_force", "mesh", "solve.solve_atomistic", "solve.solve_constrained",
+        "cli.write_csv"]
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -680,6 +682,25 @@ def test_a_mesh_that_cannot_be_built(tmp_path, capsys, nodes, N, K, message):
     assert main(["mesh-inspect", "--mesh", mesh, "--N", N, "--K", K]) == 1
     error = error_of(capsys)
     assert error["code"] == "MeshBuild" and message in error["message"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--mesh", "uniform", "--N", "64", "--K", "3", "--method", "constrained"], "MeshBuild"),
+    (["--mesh", "graded", "--N", "64", "--K", "7", "--r", "1", "--method", "energy-cluster"],
+     "ClusterOverlap"),
+], ids=["mesh", "cluster-rule"])
+def test_an_invalid_mesh_or_cluster_rule_fails_before_any_lattice_solve(tmp_path, capsys,
+                                                                        monkeypatch, argv, code):
+    # the mesh and the cluster rule are O(K) to build, so a run rejects them
+    # before its first O(N) pass, at any N
+    def lattice_solve(model):
+        raise AssertionError("the atomistic solve ran before the input was checked")
+
+    monkeypatch.setattr(qclab.cli, "solve_atomistic", lattice_solve)
+    out = tmp_path / "D"
+    assert main(["run", *argv, "--force", "sinpi", "--out", str(out)]) == 1
+    assert error_of(capsys)["code"] == code
+    assert not out.exists()
 
 
 SWEEP_ALONG_N = ["sweep", "--mesh", "uniform", "--K", "2", "--axis", "N", "--metric"]
