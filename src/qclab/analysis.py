@@ -5,8 +5,8 @@ gradient of the constrained solution by the element's smoothness coefficient,
 subtract the mean forced by periodicity, and take the energy norm.  For
 quadratic potentials with r = 0 clusters this quantity brackets the relative
 energy-norm error of the cluster solution within factors set only by the
-local mesh-size ratio kappa, which makes it a certificate computable without
-ever touching the full chain.
+local mesh-size ratio kappa.  It costs O(K) once the constrained solution is
+known, but that solve reads all 2N force samples (exact_load; ROADMAP item 14).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .cluster import ClusterRule, WeightSet, assemble_weight_system, solve_weigh
 from .errors import QCLabError, UnknownFamily
 from .mesh import MeshSpec, NodalField, build_mesh, check_field, check_lattice, exact_load
 from .mesh import parse_mesh_descriptor, smoothness_profile
-from .model import ChainModel, Displacement, check_lattice_size, energy_norm, harmonic_potential
+from .model import ChainModel, Displacement, energy_norm, harmonic_potential
 from .model import sample_force, stored_energy
 from .solve import cluster_load, solve_constrained, solve_energy_cluster, solve_force_cluster
 
@@ -129,29 +129,28 @@ def convergence_study(metric: str, mesh: str, force: str | None, points,
     "consistency" of the constrained solution, "weight-gap", "load-defect",
     and "zero-force": the largest nodal value of the unloaded (const:0)
     cluster solution, which must vanish.  Returns two columns, one entry per
-    point: the parameter, then the metric under its own name.  A given force
-    is parsed, and sampled only by a metric that reads it; the others take None."""
+    point: the parameter, then the metric under its own name.  Every mesh, and
+    every point's weights if the metric reads r, is built before any solve.  A
+    given force is parsed; only a metric that reads it needs and samples it."""
     if metric not in STUDY_METRICS:
         raise UnknownFamily(f"unknown metric {metric!r}; choose from {tuple(STUDY_METRICS)}")
-    parameter, _, reads_force = STUDY_METRICS[metric]
-    for N, _, _ in points:  # a lattice that cannot be is named before a missing force
-        check_lattice_size(N)
+    parameter, reads_r, reads_force = STUDY_METRICS[metric]
+    meshes = [build_mesh(parse_mesh_descriptor(mesh, N, K)) for N, K, _ in points]
+    weight_sets = [solve_weights(assemble_weight_system(ClusterRule(mesh=grid, r=point[2])))
+                   .with_mode(weights) if reads_r else None for grid, point in zip(meshes, points)]
     if force is None and reads_force:
         raise QCLabError(f"metric {metric!r} needs a force descriptor")
-    model, params, values = None, [], []
-    for N, K, r in points:
+    params = [float(np.max(grid.h)) if parameter == "h_max" else 1.0 / grid.N for grid in meshes]
+    model, values = None, []
+    for N, _, _ in points:
+        grid, weight_set = meshes.pop(0), weight_sets.pop(0)  # each freed once solved
         # a given force is parsed once per run of equal N
         if force is not None and (model is None or model.N != N):
             model = ChainModel(potential=harmonic_potential(), force=sample_force(force, N))
-        grid = build_mesh(parse_mesh_descriptor(mesh, N, K))
-        params.append(float(np.max(grid.h)) if parameter == "h_max" else 1.0 / N)
         if metric == "consistency":
             constrained = solve_constrained(model, grid).solution
             values.append(consistency_estimate(constrained)["consistency"])
-            continue
-        rule = ClusterRule(mesh=grid, r=r)
-        weight_set = solve_weights(assemble_weight_system(rule)).with_mode(weights)
-        if metric == "weight-gap":
+        elif metric == "weight-gap":
             values.append(weight_set.gap_max)
         elif metric == "load-defect":
             values.append(load_defect(model, weight_set))
@@ -211,15 +210,14 @@ def force_scaling_study(N: int, K_values, r: int) -> dict[str, np.ndarray]:
     """
     model = ChainModel(potential=harmonic_potential(), force=sample_force("sinpi", N))
     columns = {"K": np.asarray(K_values, dtype=int)}
+    meshes = [build_mesh(MeshSpec(family="uniform", N=N, K=K)) for K in columns["K"].tolist()]
+    weight_sets = [solve_weights(assemble_weight_system(ClusterRule(mesh, r))) for mesh in meshes]
     rows = []
-    for K in columns["K"].tolist():
-        mesh = build_mesh(MeshSpec(family="uniform", N=N, K=K))
-        rule = ClusterRule(mesh=mesh, r=r)
-        weights = solve_weights(assemble_weight_system(rule))
+    for mesh, weights in zip(meshes, weight_sets):
         constrained = solve_constrained(model, mesh).solution
         clustered = solve_force_cluster(model, weights).solution
         h = float(mesh.h[0])
-        scale = model.epsilon * rule.size / h
+        scale = model.epsilon * weights.rule.size / h
         rows.append((
             h,
             energy_norm(clustered) / energy_norm(constrained),

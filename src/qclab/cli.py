@@ -652,8 +652,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ) from None
     if args.axis == "r" and args.metric in STUDY_METRICS and not STUDY_METRICS[args.metric][1]:
         raise QCLabError(f"metric {args.metric!r} never reads r; sweep it along K or N")
-    if args.axis == "r" and min(values) < 0:
-        raise ShapeMismatch(f"cluster radius must be nonnegative, got {min(values)}")
     points = [(value if args.axis == "N" else config.N,
                value if args.axis == "K" else config.K,
                value if args.axis == "r" else config.r) for value in values]

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import qclab.analysis
 from qclab import (
     ChainModel,
     ClusterRule,
     ExternalForce,
+    MeshBuildError,
     MeshSpec,
     NodalField,
     ShapeMismatch,
@@ -291,6 +293,15 @@ def test_gradient_alternation_synthetic_patterns():
     assert gradient_alternation(base, shifted(good)) == (True, 5)
     bad = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
     assert gradient_alternation(base, shifted(bad)) == (False, 5)
+
+
+def test_force_scaling_study_builds_every_mesh_before_its_first_solve(monkeypatch):
+    def lattice_pass(*args, **kwargs):
+        raise AssertionError("a constrained solve ran before every mesh was built")
+
+    monkeypatch.setattr(qclab.analysis, "solve_constrained", lattice_pass)
+    with pytest.raises(MeshBuildError, match=r"needs K \| N"):
+        force_scaling_study(4096, (8, 3), r=1)
 
 
 def test_force_scaling_study_reference_values():

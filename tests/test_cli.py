@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qclab.analysis
 import qclab.cli
 import qclab.mesh
 import qclab.model
@@ -700,6 +701,32 @@ def test_an_invalid_mesh_or_cluster_rule_fails_before_any_lattice_solve(tmp_path
     out = tmp_path / "D"
     assert main(["run", *argv, "--force", "sinpi", "--out", str(out)]) == 1
     assert error_of(capsys)["code"] == code
+    assert not out.exists()
+
+
+def lattice_pass(*args, **kwargs):
+    raise AssertionError("a lattice pass ran before every point was built")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--axis", "K", "--values", "8,3", "--metric", "consistency", "--mesh", "uniform"],
+     "MeshBuild", "K | N"),
+    (["--axis", "r", "--values", "0,1", "--metric", "load-defect", "--mesh", "graded",
+      "--K", "21"], "ClusterOverlap", "overlap"),
+    (["--axis", "r", "--values", "1,-5", "--metric", "load-defect", "--mesh", "uniform",
+      "--K", "64"], "ShapeMismatch", "cluster radius must be nonnegative, got -5"),
+], ids=["mesh", "cluster-rule", "negative-radius"])
+def test_a_sweep_builds_every_point_before_its_first_lattice_pass(tmp_path, capsys, monkeypatch,
+                                                                  argv, code, message):
+    # every point's mesh and cluster rule is O(K) to build, so a later invalid
+    # point fails before the first point's O(N) solve, at any N
+    monkeypatch.setattr(qclab.analysis, "solve_constrained", lattice_pass)
+    monkeypatch.setattr(qclab.analysis, "exact_load", lattice_pass)
+    out = tmp_path / "D"
+    argv = ["sweep", *argv, "--N", "1048576", "--force", "sinpi", "--out", str(out)]
+    assert main(argv) == 1
+    error = error_of(capsys)
+    assert error["code"] == code and message in error["message"]
     assert not out.exists()
 
 

@@ -1,4 +1,4 @@
-"""Memory budget of `qclab run`, counted in lattice arrays.
+"""Memory budget of `qclab run` and of sweeps, counted in lattice arrays.
 
 One lattice array is the 2N float64 values of one field, 16·N bytes.  The
 run's lattice work needs two of them at once: the force samples and the
@@ -6,7 +6,9 @@ atomistic gradients, from which the atomistic values are streamed; each
 stage adds little beyond them.  The profile's columns are computed 4096 rows
 at a time.  These tests take tracemalloc's peak over one call, at N = 2^16,
 where one array is 1 MiB and the CSV kernel's fixed chunk temporaries are
-about one more.
+about one more.  A sweep builds every point's mesh and weights before its
+first solve and frees each point's once it is solved; its budgets are in
+lattice arrays of its largest N, 2^16.
 """
 
 import tracemalloc
@@ -14,13 +16,15 @@ import tracemalloc
 import pytest
 
 from qclab import ChainModel, MeshSpec, build_mesh, cli, exact_load, harmonic_potential, solve
-from qclab import sample_force
+from qclab import convergence_study, sample_force
 from qclab.cli import RunConfig, _execute, main
 
 N = 2**16
 BUDGET = 3.5  # lattice arrays
 STAGE_BUDGET = 0.5  # lattice arrays a stage may hold beyond its entry or its result
 FINEST_LOAD_BUDGET = 3.5  # lattice arrays of one exact_load call on the finest uniform mesh
+SWEEP_N_BUDGET = 1.6  # lattice arrays of a sweep along N at K = 16
+SWEEP_K_BUDGET = 7.6  # lattice arrays of a consistency sweep along increasing K
 
 CONFIGS = {
     "graded-energy-cluster": RunConfig(mesh="graded", N=N, K=17, r=0, weights="exact",
@@ -98,3 +102,21 @@ def test_exact_load_peak_on_the_finest_uniform_mesh():
     model = ChainModel(potential=harmonic_potential(), force=sample_force("sinpi", N))
     model.force.samples  # evaluated before tracing, as solve_atomistic leaves them
     assert peak_arrays(lambda: exact_load(mesh, model)) <= FINEST_LOAD_BUDGET
+
+
+def sweep_peak(metric: str, points) -> float:
+    convergence_study(metric, "uniform", "sinpi", [(2**10, 16, 0)])  # first-call allocations
+    return peak_arrays(lambda: convergence_study(metric, "uniform", "sinpi", points))
+
+
+@pytest.mark.parametrize("metric", ["consistency", "load-defect"])
+def test_sweep_along_N_peak_in_lattice_arrays(metric):
+    # one point is solved at a time, so the largest N alone sets the peak
+    points = [(2**k, 16, 0) for k in range(13, 17)]
+    assert sweep_peak(metric, points) <= SWEEP_N_BUDGET
+
+
+def test_sweep_along_increasing_K_peak_in_lattice_arrays():
+    # the smaller points' meshes are freed before the largest one is solved
+    points = [(N, K, 0) for K in (4096, 8192, 16384, 32768)]
+    assert sweep_peak("consistency", points) <= SWEEP_K_BUDGET

@@ -6,6 +6,7 @@ every moved number, and every added key, between two output trees."""
 import importlib.util
 import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,6 +58,21 @@ def test_stage_bench_worker_runs_in_a_fresh_interpreter(tmp_path):
                              "solve.solve_constrained", "cli.write_csv"]
     assert set(sample) == set(timings) | PROCESS
     assert (tmp_path / "profile.csv").exists()
+
+
+def test_stage_bench_caps_threads_as_the_benchmark_does(monkeypatch):
+    # every variable of bench/workloads.THREAD_CAPS reaches the spawned worker
+    tool = load_tool("stage_bench")
+    seen = {}
+
+    def run(argv, env, **kwargs):
+        seen.update(env)
+        return subprocess.CompletedProcess(argv, 0, stdout="{}\n")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    assert tool.spawn(str(ROOT), []) == {}
+    caps = sys.modules["workloads"].THREAD_CAPS
+    assert {name: seen[name] for name in caps} == caps and len(caps) == 6
 
 
 def test_stage_bench_worker_times_a_preset(tmp_path):

@@ -5,16 +5,16 @@ preset, two source trees side by side.
 
 PARENT and CHANGE are checkouts (directories holding src/qclab).  Every
 configuration and every preset runs in a fresh interpreter with BLAS and
-OpenMP capped at one thread, so a preset's row is what one `qclab reproduce`
-costs on its own.  The stage seconds are the call's own: every entry of the
-timings object of its report.json, with the report's wall_time_s; main_s is
-the whole cli.main call around them, report.json included.  peak_rss_mb is
-the process's ru_maxrss; minor_faults and run_minor_faults are its ru_minflt,
-in total and over the cli.main call.  The two trees alternate, the first one
-per run alternating too, and each value is the median over the runs; under
-"spread", each tree's smallest and largest run of every value tells a gap
-between the trees from the scatter of its runs.  Times are raw wall seconds
-on whatever host this runs on.
+OpenMP capped at one thread (bench/workloads.THREAD_CAPS), so a preset's row
+is what one `qclab reproduce` costs on its own.  The stage seconds are the
+call's own: every entry of the timings object of its report.json, with the
+report's wall_time_s; main_s is the whole cli.main call around them,
+report.json included.  peak_rss_mb is the process's ru_maxrss; minor_faults
+and run_minor_faults are its ru_minflt, in total and over the cli.main call.
+The two trees alternate, the first one per run alternating too, and each
+value is the median over the runs; under "spread", each tree's smallest and
+largest run of every value tells a gap between the trees from the scatter of
+its runs.  Times are raw wall seconds on whatever host this runs on.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ MEASURES = {
     "minor_faults": "minor page faults of the whole process (ru_minflt), imports included",
     "run_minor_faults": "minor page faults of cli.main alone, the qclab call itself",
 }
-THREAD_CAPS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                                      "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def argv_for(mesh: str, N: int, out: str) -> list[str]:
@@ -91,7 +90,11 @@ def worker(args: list[str]) -> dict:
 
 
 def spawn(tree: str, args: list[str]) -> dict:
-    env = dict(os.environ, **THREAD_CAPS, PYTHONPATH=os.path.join(tree, "src"))
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    import workloads  # the benchmark's thread caps, which every run here takes too
+
+    env = dict(os.environ, **workloads.THREAD_CAPS, PYTHONPATH=os.path.join(tree, "src"))
     result = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", *args],
                             env=env, check=True, capture_output=True, text=True)
     return json.loads(result.stdout.splitlines()[-1])
