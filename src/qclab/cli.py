@@ -38,6 +38,7 @@ from .mesh import (
     CoarseMesh,
     MeshSpec,
     build_mesh,
+    exact_load,
     parse_mesh_descriptor,
     prolong,
     read_entries,
@@ -84,9 +85,9 @@ class RunConfig:
 # Every float of profile.csv and of a report's float arrays is written with exactly the
 # bytes of '%.17g' % value, mostly by one vectorized kernel: |x| scaled to [1e16, 1e17)
 # in double-double arithmetic and rounded half to even, its text laid out in a 32-byte
-# cell of four NUL-padded words whose NULs one bytes.translate drops: about 100 ns per
-# value on lattice profiles (one Xeon thread).  Values it cannot certify, and blocks too
-# small to repay its fixed cost (_KERNEL_MIN_VALUES), are formatted one value at a time.
+# cell of four NUL-padded words whose NULs one bytes.translate drops, rare layouts set on
+# their values alone: about 80 ns per value on lattice profiles (one Xeon thread).  Values it
+# cannot certify, and blocks too small to repay its fixed cost, go one value at a time.
 
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
 _SPAN = 280  # the kernel formats |e10| <= _SPAN; its tables hold slot e10 + _SPAN + 1
@@ -208,21 +209,21 @@ def _text_cells(x: np.ndarray, digits: np.ndarray, slot: np.ndarray,
     lead = _divmod(upper, 10**8)
     q0, q1 = _divmod(upper, 10**4), upper
     q2, q3 = _divmod(digits, 10**4), digits
-    # the blanked form of a quad that no nonzero digit follows
-    q2 += (q3 == 0) * 10000
-    q1 += (q2 == 10000) * 10000
-    q0 += (q1 == 10000) * 10000
+    blank = np.flatnonzero(q3 == 0)  # blank each quad no nonzero digit follows, on the values
+    for q in (q2, q1, q0):  # that have one; blank ends as those with no digit after the lead
+        q[blank] += 10000
+        blank = blank[q[blank] == 10000]
     cells = np.empty((len(x), 4), np.uint64)
     np.bitwise_or(quad_lo.take(q0), quad_hi.take(q1), out=cells[:, 1])
     np.bitwise_or(quad_lo.take(q2), quad_hi[10000:].take(q3), out=cells[:, 2])
     word = prefixes.take(slot)
-    word -= (q0 == 10000) * (word & np.uint64(0xFF << 56))  # no point if no digit follows
-    lead += np.signbit(x) * 10
+    word[blank] &= np.uint64(2**56 - 1)  # no point if no digit follows
+    np.add(lead, 10, out=lead, where=np.signbit(x))
     np.bitwise_or(word, leads.take(lead), out=cells[:, 0])
     cells[:, 3] = suffixes.take(slot)
     cells.reshape(*shape, 4)[:, -1, 3] ^= np.uint64((ord(",") ^ ord("\n")) << 56)
-    rows = ((slot > _SPAN + 1) & (slot < _SPAN + 18)).nonzero()[0]  # 1 <= e10 <= 16
-    if len(rows):
+    if slot.max() > _SPAN + 1:  # a value has e10 >= 1; rows: those with 1 <= e10 <= 16
+        rows = np.flatnonzero((slot > _SPAN + 1) & (slot < _SPAN + 18))
         point = slot[rows] - (_SPAN + 1)  # e10: the digit among 1..16 the point follows
         chars = cells[rows].view(np.uint8)
         chars[:, 8:24] |= zeros[point]
@@ -311,16 +312,16 @@ _CSV_CHUNK_ROWS = 4096
 # exceeds '%.17g' one value at a time (3-45 us); from about 192 values on the kernel wins.
 _KERNEL_MIN_VALUES = 128
 
-# A CSV column: an array, or a function of a row range (start, stop) that
-# returns those rows, so a lattice column need not exist whole.
-Column = np.ndarray | Callable[[int, int], np.ndarray]
+# A CSV column: an array, or a function of a row range (start, stop, out) that
+# writes those rows into out, so a lattice column need not exist whole.
+Column = np.ndarray | Callable[[int, int, np.ndarray], np.ndarray]
 
 
 def _write_csv(path: Path, rows: int, columns: dict[str, Column], rates: Iterable[float] = ()):
     """Write a header of the column names, then ``rows`` rows of the columns,
     then one "rate,VALUE" footer line per observed rate; rows are formatted
     by _format_rows and written in bounded chunks, each filled column by
-    column into one buffer."""
+    column into one buffer, into which a function column writes its rows."""
     chunk = np.empty((min(rows, _CSV_CHUNK_ROWS), len(columns)))
     try:
         with path.open("wb") as handle:
@@ -328,8 +329,8 @@ def _write_csv(path: Path, rows: int, columns: dict[str, Column], rates: Iterabl
             for at in range(0, rows, _CSV_CHUNK_ROWS):
                 stop = min(at + _CSV_CHUNK_ROWS, rows)
                 block = chunk[: stop - at]
-                for j, col in enumerate(columns.values()):
-                    block[:, j] = col(at, stop) if callable(col) else col[at:stop]
+                for col, out in zip(columns.values(), block.T):
+                    col(at, stop, out) if callable(col) else np.copyto(out, col[at:stop])
                 handle.write(_format_rows(block)[0])
             for rate in rates:
                 handle.write(b"rate,%.17g\n" % rate)
@@ -418,9 +419,9 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
     in file order, solve reports by method).  Phase 1 builds every O(K) object
     that can reject the input (force descriptor, mesh, cluster rule), so an
     invalid one fails before any lattice-sized work; phase 2 runs the lattice
-    passes.  Every column is a row-range function (see _write_csv);
-    u_atomistic streams from the atomistic gradients.  The payload ends with
-    wall_time_s and timings."""
+    passes, one exact_load for both coarse solves.  Every column writes a row
+    range (see _write_csv); u_atomistic streams from the atomistic gradients.
+    The payload ends with wall_time_s and timings."""
     clock = _Clock(force=config.force)
     with clock.stage("model.sample_force"):
         model = ChainModel(potential=harmonic_potential(),
@@ -458,11 +459,14 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
             with clock.stage("cluster.verify_exactness"):
                 payload["weights"]["exactness_defect"] = verify_exactness(weights)
         with clock.stage(f"solve.{solver.__name__}"):
+            if method in ("constrained", "energy-cluster"):  # the one exact_load of both
+                args.append(load := exact_load(mesh, model) if method == "constrained" else load)
             reports[method] = solver(*args)
+    load = args = None  # the hat loads go before the profile's arrays (peak RSS on fine meshes)
     solutions = [report.solution for report in reports.values()]  # in column order
     columns = dict(zip(("x", "u_atomistic", "u_constrained", "u_qc"),
                        (functools.partial(lattice_coordinates, config.N), solutions[0].rows,
-                        *map(prolong, solutions[1:]))))
+                        *(prolong(*solutions[1:]) if solutions[1:] else ()))))
     payload["solves"] = {
         method: {"residual": report.residual, "reaction": report.reaction,
                  "iterations": report.iterations}

@@ -10,6 +10,7 @@ shares the slot of its right node, so slot 0 holds the wrap element.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
@@ -295,47 +296,51 @@ def hat_ramp(s: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     return up
 
 
-def prolong(V: NodalField) -> Callable[[int, int], np.ndarray]:
-    """The piecewise-affine extension of nodal values to every lattice site,
-    as a function of a row range: rows(start, stop) returns its slots
-    start..stop-1, for 0 <= start <= stop <= 2N, in O(stop - start) memory.
+def prolong(*fields: NodalField) -> list[Callable[..., np.ndarray]]:
+    """The piecewise-affine extensions of nodal fields of one mesh to every
+    lattice site, one function of a row range per field (one field or more):
+    rows(start, stop, out=None) writes its slots start..stop-1, 0 <= start <=
+    stop <= 2N, into out (a new array if None) in O(stop - start) memory.  The
+    fields share one search for a row range's elements and fractions i/s.
 
     Per site, in element order (from the site after the wrap element's left
     node): left + (i/s)*(right - left) at distance i = 1..s into an element
     of s sites, and the node value itself, bitwise, at i = s.
     """
-    mesh = V.mesh
-    vals = V.values
-    lefts = np.roll(vals, 1)
-    rises = vals - lefts
-    steps = mesh.steps
+    mesh = fields[0].mesh
+    for V in fields[1:]:
+        check_field(mesh, V)
+    lefts = [np.roll(V.values, 1) for V in fields]
+    rises = [V.values - left for V, left in zip(fields, lefts)]
+    steps, n2, shift = mesh.steps, 2 * mesh.N, int(mesh.first_slots[0])
     ends = np.cumsum(steps)
     starts = ends - steps
-    n2 = 2 * mesh.N
-    shift = int(mesh.first_slots[0])
 
-    def rows(start: int, stop: int) -> np.ndarray:
-        out = np.empty(stop - start)
-        at = (start - shift) % n2  # element-order position of slot start
-        done = 0
-        while done < out.size:  # twice if the range wraps past element order's end
-            piece = out[done : done + min(out.size - done, n2 - at)]
-            lo, hi = at, at + piece.size
+    @functools.lru_cache(maxsize=1)  # the last row range, which each field reads in turn
+    def search(start: int, stop: int) -> list[tuple]:
+        pieces, at, done = [], (start - shift) % n2, 0  # at: element-order position of start
+        while done < stop - start:  # twice if the range wraps past element order's end
+            lo, hi = at, at + min(stop - start - done, n2 - at)
             # the elements meeting positions lo .. hi-1, and how many of them each holds
             t = slice(np.searchsorted(ends, lo, "right"),
                       np.searchsorted(ends, hi - 1, "right") + 1)
             counts = np.minimum(ends[t], hi) - np.maximum(starts[t], lo)
-            np.subtract(np.arange(lo + 1, hi + 1), np.repeat(starts[t], counts), out=piece)
-            piece /= np.repeat(steps[t], counts)
-            piece *= np.repeat(rises[t], counts)
-            piece += np.repeat(lefts[t], counts)
-            nodes = ends[t] - 1
-            inside = nodes < hi
-            piece[nodes[inside] - lo] = vals[t][inside]  # exact node values
-            at, done = 0, done + piece.size
+            i = np.arange(lo + 1, hi + 1) - np.repeat(starts[t], counts)  # distance into element
+            nodes = ends[t][ends[t] <= hi] - (lo + 1)  # the nodes inside: t's first ones
+            pieces.append((done, t, counts, i / np.repeat(steps[t], counts), nodes))
+            at, done = 0, done + hi - lo
+        return pieces
+
+    def rows(j: int, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty(stop - start) if out is None else out
+        for done, t, counts, fractions, nodes in search(start, stop):
+            piece = out[done : done + fractions.size]
+            np.multiply(fractions, np.repeat(rises[j][t], counts), out=piece)
+            piece += np.repeat(lefts[j][t], counts)
+            piece[nodes] = fields[j].values[t][: nodes.size]  # exact node values
         return out
 
-    return rows
+    return [functools.partial(rows, j) for j in range(len(fields))]
 
 
 def smoothness_profile(mesh: CoarseMesh) -> np.ndarray:

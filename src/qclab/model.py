@@ -26,11 +26,11 @@ from .errors import LatticeTooLarge, QCLabError, ShapeMismatch, UnknownFamily
 MAX_N = 2**58
 
 
-def lattice_coordinates(N: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+def lattice_coordinates(N: int, start: int = 0, stop: int | None = None, out=None) -> np.ndarray:
     """Site coordinates x = epsilon*ell in (-1, 1], slot order; slots
-    start..stop-1 of them when a row range is given."""
+    start..stop-1 of them when a row range is given, written into out if given."""
     stop = 2 * N if stop is None else stop
-    return np.arange(start - N + 1, stop - N + 1) / N
+    return np.divide(np.arange(start - N + 1, stop - N + 1), N, out=out)
 
 
 def check_lattice_size(N: int) -> None:
@@ -82,7 +82,7 @@ def _node_sum(start: int, size: int, spans: list[tuple[int, int]],
             right = [(max(a, mid), b) for a, b in spans if b > mid]
             return (_node_sum(start, mid - start, left, values)
                     + _node_sum(mid, start + size - mid, right, values))
-    return float(np.sum(values(start, start + size)))
+    return float(np.add.reduce(values(start, start + size)))  # np.sum, without its wrapper
 
 
 def _frozen(values, length: int, what: str) -> np.ndarray:
@@ -212,16 +212,16 @@ def sample_force(spec: str, N: int) -> ExternalForce:
     return ExternalForce(N=N, fbar=_force_closed_form(spec), spec=spec)
 
 
-def path_rows(h, g: np.ndarray) -> Callable[[int, int], np.ndarray]:
+def path_rows(h, g: np.ndarray) -> Callable[..., np.ndarray]:
     """Values pinned to 0 at site or node 0, slot pinned = len(g)//2 - 1,
-    from steps h (scalar or array) and gradients g, as rows(start, stop):
-    slots start..stop-1 of the cumulative sum of h*g along the path from
-    slot pinned+1 across the wrap to slot pinned-1: a Displacement's values
-    for h = epsilon, a nodal solve's for h = the element sizes.  np.cumsum
-    runs over pieces of at most BLOCK_VALUES, each continuing from the sum
-    before it, bit for bit one sequential sum; a first pass finds the sum
-    carried into slot 0, and each call continues where the last one
-    stopped."""
+    from steps h (scalar or array) and gradients g, as rows(start, stop,
+    out=None): slots start..stop-1, into out if given, of the cumulative sum
+    of h*g along the path from slot pinned+1 across the wrap to slot
+    pinned-1: a Displacement's values for h = epsilon, a nodal solve's for
+    h = the element sizes.  np.cumsum runs over pieces of at most
+    BLOCK_VALUES, each continuing from the sum before it, bit for bit one
+    sequential sum; a first pass finds the sum carried into slot 0, and each
+    call continues where the last one stopped."""
     n, h = len(g), np.broadcast_to(h, g.shape)
     pinned = n // 2 - 1
 
@@ -239,11 +239,11 @@ def path_rows(h, g: np.ndarray) -> Callable[[int, int], np.ndarray]:
     carry = cumulate(pinned + 1, n, None)  # into slot 0
     last = [0, carry]  # the slot the last call stopped at, and the sum before it
 
-    def rows(start: int, stop: int) -> np.ndarray:
+    def rows(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         if start != last[0]:  # the sum before start, from its segment's first slot
             last[1] = (cumulate(0, start, carry) if start <= pinned
                        else cumulate(pinned + 1, start, None))
-        out, at, running = np.empty(stop - start), start, last[1]
+        out, at, running = np.empty(stop - start) if out is None else out, start, last[1]
         if start <= pinned < stop:  # the pinned slot; the path starts after it
             cumulate(start, pinned, running, out)
             out[pinned - start], at, running = 0.0, pinned + 1, None

@@ -150,11 +150,12 @@ def _solve_chain(method: str, pot: PairPotential, coeff, h, load: ExternalForce,
     return g, float(residual), reaction, max(closure_iters, invert_iters)
 
 
-def _solve_nodal(method: str, pot: PairPotential, coeff, mesh: CoarseMesh, load: np.ndarray,
+def _solve_nodal(method: str, model: ChainModel, coeff, mesh: CoarseMesh, load=None,
                  scale=1.0) -> SolveReport:
-    """A solve on the mesh's 2K elements, pinned at node 0; values by path_rows."""
+    """The nodal solve pinned at node 0 under load (None: exact_load's); values by path_rows."""
+    load = exact_load(mesh, model) if load is None else load
     g, residual, reaction, iterations = _solve_chain(
-        method, pot, coeff, mesh.h, ExternalForce(N=mesh.K, samples=load), scale)
+        method, model.potential, coeff, mesh.h, ExternalForce(N=mesh.K, samples=load), scale)
     field = NodalField(mesh=mesh, values=path_rows(mesh.h, g)(0, load.size))
     return SolveReport(field, residual, reaction, iterations, method)
 
@@ -169,14 +170,14 @@ def solve_atomistic(model: ChainModel) -> SolveReport:
     return SolveReport(Displacement(g), residual, reaction, iterations, "atomistic")
 
 
-def solve_constrained(model: ChainModel, mesh: CoarseMesh) -> SolveReport:
+def solve_constrained(model: ChainModel, mesh: CoarseMesh, load=None) -> SolveReport:
     """Minimize the exact energy over piecewise-affine fields on the mesh.
 
-    The nodal equations balance element stresses against exact hat loads; on
-    quadratic potentials the solution is the energy-norm best approximation
-    of the atomistic equilibrium (Galerkin orthogonality).
+    Exact hat loads (``load``, else exact_load's) balance the element
+    stresses; on quadratic potentials the solution is the energy-norm best
+    approximation of the atomistic equilibrium (Galerkin orthogonality).
     """
-    return _solve_nodal("constrained", model.potential, 1.0, mesh, exact_load(mesh, model))
+    return _solve_nodal("constrained", model, 1.0, mesh, load)
 
 
 def cluster_load(model: ChainModel, weights: WeightSet) -> np.ndarray:
@@ -249,18 +250,18 @@ def effective_stiffness(weights: WeightSet) -> np.ndarray:
     return weights.rule.size * (w + np.roll(w, 1)) / (2.0 * weights.rule.mesh.h)
 
 
-def solve_energy_cluster(model: ChainModel, weights: WeightSet) -> SolveReport:
+def solve_energy_cluster(model: ChainModel, weights: WeightSet, load=None) -> SolveReport:
     """Criticality of the cluster energy under exact dead loads.
 
     The nodal equations are a_j phi'(U_j') - a_{j+1} phi'(U_{j+1}') = f[hat_j]
-    with the effective per-element stiffness a; nonpositive a makes the
-    functional indefinite and is rejected.
+    with the effective per-element stiffness a and the exact hat loads (as in
+    solve_constrained); nonpositive a makes the functional indefinite and is rejected.
     """
     mesh = weights.rule.mesh
     a = effective_stiffness(weights)
     if not np.all(a > 0.0):
         raise IllPosed("cluster energy has a nonpositive effective element stiffness")
-    return _solve_nodal("energy-cluster", model.potential, a, mesh, exact_load(mesh, model))
+    return _solve_nodal("energy-cluster", model, a, mesh, load)
 
 
 def solve_force_cluster(model: ChainModel, weights: WeightSet) -> SolveReport:
@@ -276,5 +277,5 @@ def solve_force_cluster(model: ChainModel, weights: WeightSet) -> SolveReport:
     if not nu[slot] > 1e-12 * np.max(nu):  # a vanishing weight makes the equations singular
         raise IllPosed(f"force weight of node slot {slot} is {nu[slot]:.3e}, "
                        f"not above 1e-12 times the largest")
-    return _solve_nodal("force-cluster", model.potential, 1.0, mesh, cluster_load(model, weights),
+    return _solve_nodal("force-cluster", model, 1.0, mesh, cluster_load(model, weights),
                         scale=nu)

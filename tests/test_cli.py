@@ -16,6 +16,7 @@ import qclab.analysis
 import qclab.cli
 import qclab.mesh
 import qclab.model
+import qclab.solve
 from qclab.analysis import STUDY_METRICS, predicted_relative_band
 from qclab.cli import _build_parser, main
 from qclab.cluster import WEIGHT_MODES
@@ -46,6 +47,28 @@ def test_run_constrained_artifacts(tmp_path, capsys):
     assert "errors" not in report and "weights" not in report
     assert report["config"]["method"] == "constrained"
     assert set(report["solves"]) == {"atomistic", "constrained"}
+
+
+MESH_ARGV = ["--mesh", "graded", "--N", "1024", "--K", "11"]
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ([*MESH_ARGV, "--method", "energy-cluster"], 1), ([*MESH_ARGV, "--method", "constrained"], 1),
+    ([*MESH_ARGV, "--method", "force-cluster"], 1), (["--N", "1024", "--method", "atomistic"], 0),
+], ids=["energy-cluster", "constrained", "force-cluster", "atomistic"])
+def test_a_run_forms_its_exact_hat_loads_at_most_once(tmp_path, monkeypatch, argv, loads):
+    # the constrained solve and the energy rule read the same hat loads
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exact_load(*args)
+
+    exact_load = qclab.mesh.exact_load
+    for module in (qclab.cli, qclab.solve, qclab.analysis):
+        monkeypatch.setattr(module, "exact_load", counted)
+    assert main(["run", *argv, "--force", "gauss:1e2,1e2", "--out", str(tmp_path)]) == 0
+    assert len(calls) == loads
 
 
 def test_run_cluster_report_shape(tmp_path):

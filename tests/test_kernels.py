@@ -44,6 +44,7 @@ from qclab.cli import (
     _FIGURES,
     _KERNEL_MIN_VALUES,
     _SPAN,
+    _decimal_digits,
     _execute,
     _exponent_tables,
     _format_rows,
@@ -95,7 +96,7 @@ def test_prolong_matches_reference(seed, K):
     rng = np.random.default_rng(seed)
     mesh, _ = random_custom_mesh(rng, K)
     V = nodal_field(rng, mesh)
-    got = prolong(V)(0, 2 * mesh.N)
+    got = prolong(V)[0](0, 2 * mesh.N)
     assert got.tobytes() == reference_prolong(mesh, V)[0].tobytes()
 
 
@@ -118,10 +119,13 @@ FAMILIES = ["uniform", "graded", "oscillatory", "smooth", "custom"]
 @KERNELS
 @given(seed=seeds, family=st.sampled_from(FAMILIES), data=st.data())
 def test_prolong_streams_slices_of_the_reference(seed, family, data):
+    # one to three fields of the mesh, each written into its strided column
+    # of one block (as _write_csv's chunk holds them), and into a new array
     rng = np.random.default_rng(seed)
     mesh = family_mesh(rng, family)
-    V = nodal_field(rng, mesh)
-    whole, rows, n2 = reference_prolong(mesh, V)[0], prolong(V), 2 * mesh.N
+    fields = [nodal_field(rng, mesh) for _ in range(data.draw(st.integers(1, 3)))]
+    wholes = [reference_prolong(mesh, V)[0] for V in fields]
+    columns, n2 = prolong(*fields), 2 * mesh.N
     # element order starts at slot `shift`; element t holds its positions
     # ends[t] - steps[t] .. ends[t] - 1, its node last
     shift = int(slot_of_site(mesh.repatoms[-1] - n2 + 1, mesh.N))
@@ -139,7 +143,20 @@ def test_prolong_streams_slices_of_the_reference(seed, family, data):
         else:  # the element the lattice's wrap point splits
             ranges += [(first, n2), (0, last + 1)]
     for start, stop in ranges:
-        assert rows(start, stop).tobytes() == whole[start:stop].tobytes(), (start, stop)
+        block = np.full((stop - start, len(fields) + 1), np.nan)
+        for j in data.draw(st.permutations(range(len(fields)))):  # any field searches first
+            assert columns[j](start, stop, block[:, j + 1]) is not None
+        for j, whole in enumerate(wholes):
+            assert block[:, j + 1].tobytes() == whole[start:stop].tobytes(), (start, stop, j)
+            assert columns[j](start, stop).tobytes() == whole[start:stop].tobytes()
+    assert np.isnan(block[:, 0]).all()  # the column no field writes
+
+
+def test_prolong_takes_the_fields_of_one_mesh():
+    rng = np.random.default_rng(3)
+    (a, _), (b, _) = random_custom_mesh(rng, 3), random_custom_mesh(rng, 3)
+    with pytest.raises(ShapeMismatch):
+        prolong(nodal_field(rng, a), nodal_field(rng, b))
 
 
 def assert_exact_load_matches_reference(mesh, rng):
@@ -430,7 +447,7 @@ def test_write_csv_matches_reference(tmp_path, rows, footer):
         specials = np.resize(SPECIAL, rows)
         columns["u_a"][: len(specials)] = specials
     # a column may also be a function of a row range
-    streamed = {name: (lambda a, b, col=col: col[a:b]) if i % 2 else col
+    streamed = {name: (lambda a, b, out, col=col: np.copyto(out, col[a:b])) if i % 2 else col
                 for i, (name, col) in enumerate(columns.items())}
     rates = footer or ()
     _write_csv(tmp_path / "got.csv", rows, columns, rates)
@@ -447,8 +464,8 @@ def test_streamed_profile_is_the_materialized_one(tmp_path):
     _, columns, reports = _execute(config)
     whole = {"x": lattice_coordinates(config.N),
              "u_atomistic": reports["atomistic"].solution.values,
-             "u_constrained": prolong(reports["constrained"].solution)(0, 2 * config.N),
-             "u_qc": prolong(reports[config.method].solution)(0, 2 * config.N)}
+             "u_constrained": prolong(reports["constrained"].solution)[0](0, 2 * config.N),
+             "u_qc": prolong(reports[config.method].solution)[0](0, 2 * config.N)}
     assert list(columns) == list(whole)
     assert all(callable(column) for column in columns.values())
     _write_csv(tmp_path / "got.csv", 2 * config.N, columns)
@@ -646,6 +663,51 @@ def test_format_rows_every_point_and_trailing_zero():
     values = np.array(list(found.values()))
     block = np.stack([values, -values[::-1], values[::-1]], axis=1)
     assert _format_rows(block)[0] == percent_17g(block)
+
+
+def seventeen_digit_values(rng, size):
+    """Positive values below 10 whose '%.17g' has no trailing zero: no
+    blanked quad, no sign, no point among the digits."""
+    values = rng.uniform(1.0, 9.0, 2 * size)
+    return values[[len("%.17g" % v) == 18 for v in values.tolist()]][:size]
+
+
+def test_format_rows_on_whole_chunks_of_each_rare_layout():
+    # a profile chunk (_CSV_CHUNK_ROWS rows of 4 columns) whose values reach
+    # each path of _text_cells that runs on a few values only, or none: the
+    # blanking of zero quads, the dropped point, the sign and the point
+    # among the digits (1 <= e10 <= 16)
+    rng = np.random.default_rng(23)
+    shape = (_CSV_CHUNK_ROWS, 4)
+    base = seventeen_digit_values(rng, shape[0] * shape[1])
+    dyadic = [0.5, 0.125, 2.0**-10, 0.75, 1.5, 3.0 / 1024]
+    chunks = {
+        "none": base,
+        "some-dyadic": np.where(rng.random(base.size) < 0.01, rng.choice(dyadic, base.size), base),
+        "all-dyadic": np.resize(dyadic, base.size),
+        "small-integers": np.resize([1.0, -3.0, 7.0, 0.0, -0.0, 2.0], base.size),
+        "all-negative": -base,
+        "some-negative": np.where(rng.random(base.size) < 0.01, -base, base),
+        "points-only": base * 10.0 ** rng.integers(1, 17, base.size),
+        "one-point": np.concatenate([base[:-1], [123.45678901234568]]),
+        "exponents-only": base * 10.0 ** rng.integers(17, 300, base.size),
+        "mixed": np.resize([0.5, -1.0, 123.25, -1e20, 2.0**-10, 1e-5, -7.0], base.size),
+    }
+    hits = {}  # per chunk: a zero quad, a negative value, e10 >= 1, 1 <= e10 <= 16
+    for name, values in chunks.items():
+        digits, slot, _ = _decimal_digits(values)
+        e10 = slot - (_SPAN + 1)
+        hits[name] = tuple(bool(hit.any()) for hit in (
+            digits % 10**4 == 0, np.signbit(values), e10 >= 1, (e10 >= 1) & (e10 <= 16)))
+        block = values.reshape(shape)
+        assert _format_rows(block)[0] == percent_17g(block), name
+    assert hits["none"] == (False, False, False, False)
+    assert hits["exponents-only"][2:] == (True, False)
+    assert hits["all-negative"] == hits["some-negative"] == (False, True, False, False)
+    assert hits["points-only"][2:] == (True, True)
+    assert hits["one-point"] == (False, False, True, True)
+    assert all(hits[name][0] for name in ("some-dyadic", "all-dyadic", "small-integers"))
+    assert all(hits["mixed"])
 
 
 def test_format_rows_temporaries():

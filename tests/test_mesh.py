@@ -206,7 +206,7 @@ def test_prolong_matches_affine_interpolation():
     x = lattice_coordinates(N)
     g = x * x - np.abs(x)  # vanishes at x = 0 and x = 1, 2-periodic
     V = NodalField(mesh=mesh, values=g[slot_of_site(mesh.repatoms, N)])
-    vh = prolong(V)(0, 2 * N)
+    vh = prolong(V)[0](0, 2 * N)
     # brute interpolation per site through the owning element
     owners = element_of_slot(mesh)
     for ell in range(-N + 1, N + 1):
@@ -229,7 +229,7 @@ def test_prolong_energy_identity():
     vals = rng.normal(size=2 * mesh.K)
     vals[mesh.K - 1] = 0.0
     V = NodalField(mesh=mesh, values=vals)
-    lattice_side = stored_energy(model, displacement(prolong(V)(0, 2 * N)))
+    lattice_side = stored_energy(model, displacement(prolong(V)[0](0, 2 * N)))
     nodal_side = float(np.sum(mesh.h * model.potential.value(V.gradients())))
     assert lattice_side == pytest.approx(nodal_side, rel=1e-12)
 

@@ -145,7 +145,7 @@ def test_constrained_on_full_lattice_is_atomistic():
     fine = solve_atomistic(model)
     coarse = solve_constrained(model, mesh)
     np.testing.assert_allclose(
-        prolong(coarse.solution)(0, 2 * N), fine.solution.values, atol=1e-12
+        prolong(coarse.solution)[0](0, 2 * N), fine.solution.values, atol=1e-12
     )
 
 
@@ -159,6 +159,20 @@ def test_energy_cluster_matches_dense_solve():
     )
     np.testing.assert_allclose(report.solution.values, dense, atol=1e-10)
     assert report.residual <= 1e-9
+
+
+def test_coarse_solves_given_the_exact_loads_solve_the_same(monkeypatch):
+    # a caller that has formed exact_load's loads hands them in; the solves
+    # then form none of their own and give the same bits
+    mesh = graded_like_mesh(0)
+    model, weights = cluster_setup(mesh, 1)
+    load = exact_load(mesh, model)
+    want = [solve_constrained(model, mesh), solve_energy_cluster(model, weights)]
+    monkeypatch.setattr(solve, "exact_load", None)
+    got = [solve_constrained(model, mesh, load), solve_energy_cluster(model, weights, load)]
+    for a, b in zip(want, got):
+        assert a.solution.values.tobytes() == b.solution.values.tobytes()
+        assert (a.residual, a.reaction, a.iterations) == (b.residual, b.reaction, b.iterations)
 
 
 def test_force_cluster_matches_dense_solve():
@@ -444,7 +458,7 @@ def test_constrained_best_approximation_rate():
     errors = []
     for K in (8, 16, 32, 64):
         mesh = build_mesh(MeshSpec(family="uniform", N=N, K=K))
-        coarse = prolong(solve_constrained(model, mesh).solution)
+        [coarse] = prolong(solve_constrained(model, mesh).solution)
         gap = displacement(coarse(0, 2 * N) - fine.values)
         errors.append(energy_norm(gap))
     errors = np.array(errors)
