@@ -86,8 +86,12 @@ class RunConfig:
 # bytes of '%.17g' % value, mostly by one vectorized kernel: |x| scaled to [1e16, 1e17)
 # in double-double arithmetic and rounded half to even, its text laid out in a 32-byte
 # cell of four NUL-padded words whose NULs one bytes.translate drops, rare layouts set on
-# their values alone: about 80 ns per value on lattice profiles (one Xeon thread).  Values it
-# cannot certify, and blocks too small to repay its fixed cost, go one value at a time.
+# their values alone: about 80 ns per value (one Xeon thread).  Down each column a run of
+# values with equal bits is formatted once: the flat far field of a localized load at
+# large N repeats the row above in 94 % of the lattice workload's rows, whose profile
+# takes about 56 ns per value; smooth forces never repeat, and a probe of every 64th row
+# skips the search.  Values it cannot certify, and blocks too small to repay its fixed
+# cost, go one value at a time.
 
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
 _SPAN = 280  # the kernel formats |e10| <= _SPAN; its tables hold slot e10 + _SPAN + 1
@@ -199,11 +203,9 @@ def _divmod(n: np.ndarray, d: int) -> np.ndarray:
     return quotient
 
 
-def _text_cells(x: np.ndarray, digits: np.ndarray, slot: np.ndarray,
-                shape: tuple[int, int]) -> np.ndarray:
+def _text_cells(x: np.ndarray, digits: np.ndarray, slot: np.ndarray) -> np.ndarray:
     """The 32-byte text cells of x (see _text_tables), given its digits (which
-    this overwrites) and slots, with a comma after each value or a newline
-    after the last value of each row of shape."""
+    this overwrites) and slots, each ending in a comma."""
     prefixes, suffixes, quad_lo, quad_hi, leads, zeros = _text_tables()
     upper = _divmod(digits, 10**8)
     lead = _divmod(upper, 10**8)
@@ -221,7 +223,6 @@ def _text_cells(x: np.ndarray, digits: np.ndarray, slot: np.ndarray,
     np.add(lead, 10, out=lead, where=np.signbit(x))
     np.bitwise_or(word, leads.take(lead), out=cells[:, 0])
     cells[:, 3] = suffixes.take(slot)
-    cells.reshape(*shape, 4)[:, -1, 3] ^= np.uint64((ord(",") ^ ord("\n")) << 56)
     if slot.max() > _SPAN + 1:  # a value has e10 >= 1; rows: those with 1 <= e10 <= 16
         rows = np.flatnonzero((slot > _SPAN + 1) & (slot < _SPAN + 18))
         point = slot[rows] - (_SPAN + 1)  # e10: the digit among 1..16 the point follows
@@ -238,20 +239,38 @@ def _text_cells(x: np.ndarray, digits: np.ndarray, slot: np.ndarray,
 
 def _format_rows(block: np.ndarray) -> tuple[bytes, int]:
     """The rows of a 2-D array as CSV lines: each value as the bytes of
-    '%.17g' % value, "," between values and a newline after each row.  Also
-    returns how many values were formatted one at a time: all of a block of
-    fewer than _KERNEL_MIN_VALUES, else those the kernel does not certify."""
-    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    '%.17g' % value, "," between values and a newline after each row.  Down
+    each column, a value whose bits equal those of the value above it takes
+    that value's text, so only the heads of those runs of equal values are
+    formatted.  Also returns how many run heads were formatted one at a time:
+    every value of a block of fewer than _KERNEL_MIN_VALUES, else the heads
+    the kernel does not certify."""
+    x = np.ascontiguousarray(block, dtype=np.float64)
     if x.size < _KERNEL_MIN_VALUES:
         return "".join(",".join(map("%.17g".__mod__, row)) + "\n"
-                       for row in x.reshape(block.shape).tolist()).encode(), x.size
-    digits, slot, certified = _decimal_digits(x)
-    text = _text_cells(x, digits, slot, block.shape).view(np.uint8)
+                       for row in x.tolist()).encode(), x.size
+    rows, cols = x.shape
+    bits = x.view(np.uint64)  # 0.0 and -0.0 differ, as do nan payloads
+    sample = bits[64::64]  # runs are looked for if a quarter of these repeat the row above
+    if sample.size and 4 * np.count_nonzero(sample == bits[63:-1:64]) >= sample.size:
+        head = np.empty((cols, rows), bool)  # column by column
+        head[:, 0] = True
+        np.not_equal(bits[1:].T, bits[:-1].T, out=head[:, 1:])
+        starts = np.flatnonzero(head)
+        heads = x.T.take(starts)
+        # each value's run, as its head's position in heads
+        run = np.arange(starts.size).repeat(np.diff(starts, append=x.size)).reshape(cols, rows).T
+    else:
+        heads, run = x.ravel(), None
+    digits, slot, certified = _decimal_digits(heads)
+    text = _text_cells(heads, digits, slot).view(np.uint8)
     fallback = (~certified).nonzero()[0]
     for k in fallback:
-        value = ("%.17g" % x[k]).encode()
+        value = ("%.17g" % heads[k]).encode()
         text[k, :-1] = 0
         text[k, : len(value)] = np.frombuffer(value, np.uint8)
+    text = text.reshape(rows, cols, 32) if run is None else text.take(run, axis=0)
+    text[:, -1, -1] = ord("\n")
     return text.tobytes().translate(None, b"\0"), len(fallback)
 
 

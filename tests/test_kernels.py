@@ -710,12 +710,88 @@ def test_format_rows_on_whole_chunks_of_each_rare_layout():
     assert all(hits["mixed"])
 
 
+# 17 digits 5.2e-15 of a unit below a tie, where 10**(16 - e10) = 10**-20 is not
+# a double: the kernel cannot certify its rounding, so it goes one at a time
+NEAR_TIE = 1.3495220346773864e36
+# bits of values whose floats or texts may be equal while their bits differ
+RUN_BITS = [np.float64(v).view(np.uint64) for v in (0.0, -0.0, NEAR_TIE, -NEAR_TIE, 1.0)] + [
+    np.uint64(0x7FF8000000000000), np.uint64(0x7FF8000000000001), np.uint64(0xFFF8000000000000)]
+
+
+@st.composite
+def run_blocks(draw):
+    """Blocks of 1-4 columns, each a run of one value after another: runs
+    starting on, next to or away from the probe rows (multiples of 64), of
+    values with equal floats or texts but different bits (0.0 and -0.0, nan
+    payloads), of the near-tie, of any bits; a column may be a ramp."""
+    rows = draw(st.sampled_from([1, 64, 65, 4096]) | st.integers(2, 600))
+    block = np.empty((rows, draw(st.integers(1, 4))))
+    cut = st.integers(1, max(rows - 1, 1)) | st.integers(1, max(rows // 64, 1)).flatmap(
+        lambda i: st.sampled_from([64 * i - 1, 64 * i, 64 * i + 1]))
+    bits = st.sampled_from(RUN_BITS) | st.integers(0, 2**64 - 1).map(np.uint64)
+    for column in block.T:
+        if draw(st.integers(0, 5)) == 0:
+            column[:] = np.arange(rows) / 2**14 - 1.0
+            continue
+        starts = sorted({c for c in draw(st.lists(cut, max_size=12)) if c < rows})
+        values = np.array(draw(st.lists(bits, min_size=len(starts) + 1, max_size=len(starts) + 1)),
+                          np.uint64)
+        column[:] = values.repeat(np.diff([0, *starts, rows])).view(np.float64)
+    return block
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=run_blocks())
+def test_format_rows_formats_each_run_once(block):
+    # a value whose bits equal those of the value above it takes its text:
+    # the same bytes, and a value the kernel cannot certify goes one at a time
+    # at most once per run (the heads of the runs, or every value if the
+    # block is too small, or has too few repeats, for runs to be looked for)
+    text, one_at_a_time = _format_rows(block)
+    assert text == percent_17g(block)
+    if block.size >= _KERNEL_MIN_VALUES:
+        bits = block.view(np.uint64)
+        head = np.ones(block.shape, bool)
+        head[1:] = bits[1:] != bits[:-1]
+        uncertified = ~_decimal_digits(block.ravel())[2].reshape(block.shape)
+        assert one_at_a_time in ((uncertified & head).sum(), uncertified.sum())
+
+
+def test_format_rows_falls_back_once_per_run():
+    runs = np.repeat([NEAR_TIE, 0.0, -NEAR_TIE, -0.0, np.nan], 100)[:, None]
+    block = np.hstack([np.arange(len(runs))[:, None] / 2.0, runs, runs[::-1]])
+    text, one_at_a_time = _format_rows(block)
+    assert text == percent_17g(block)
+    assert one_at_a_time == 6  # the three near-tie and nan runs of each column
+
+
+def test_format_rows_formats_fig1_profile_runs_once(monkeypatch, tmp_path):
+    # fig1's graded-mesh profile is flat far from its load: u_constrained and
+    # u_qc repeat the row above in 92 % of its rows, so its chunks format
+    # about 54 % of their values, and the whole-block kernel would fail here
+    config = _FIGURES["fig1"][0]
+    _, columns, _ = _execute(config)
+    formatted = []
+
+    def counted(x):
+        formatted.append(x.size)
+        return _decimal_digits(x)
+
+    monkeypatch.setattr("qclab.cli._decimal_digits", counted)
+    _write_csv(tmp_path / "profile.csv", 2 * config.N, columns)
+    assert sum(formatted) < 0.6 * 2 * config.N * len(columns)
+
+
 def test_format_rows_temporaries():
     # the kernel's temporaries per value stay a few times its ~20 bytes of
-    # text: fig1-like coordinates, and magnitudes of every layout
+    # text: fig1-like coordinates, magnitudes of every layout, and a
+    # repeat-heavy profile (a ramp, then three columns of runs of 100 rows)
     rng = np.random.default_rng(5)
+    ramp = np.arange(_CSV_CHUNK_ROWS) / 2**14 - 1.0
+    runs = rng.normal(size=(_CSV_CHUNK_ROWS // 100 + 1, 3)).repeat(100, axis=0)[:_CSV_CHUNK_ROWS]
     blocks = [np.arange(4 * _CSV_CHUNK_ROWS).reshape(-1, 4) / 2**14 - 1.0,
-              rng.normal(size=(_CSV_CHUNK_ROWS, 4)) * 10.0 ** rng.integers(-20, 20, (_CSV_CHUNK_ROWS, 4))]
+              rng.normal(size=(_CSV_CHUNK_ROWS, 4)) * 10.0 ** rng.integers(-20, 20, (_CSV_CHUNK_ROWS, 4)),
+              np.column_stack([ramp, runs])]
     for block in blocks:
         _format_rows(block)  # builds the tables
         tracemalloc.start()

@@ -75,6 +75,21 @@ def test_stage_bench_caps_threads_as_the_benchmark_does(monkeypatch):
     assert {name: seen[name] for name in caps} == caps and len(caps) == 6
 
 
+def test_stage_bench_has_the_lattice_workloads_force_on_graded():
+    # graded also runs under the lattice benchmark's localized load, whose
+    # profile repeats the row above where a sinpi profile never does; at
+    # N = 2^19 that row is the lattice workload's call
+    tool = load_tool("stage_bench")
+    sys.path.insert(0, tool.BENCH)
+    try:
+        lattice, = importlib.import_module("workloads").WORKLOADS["lattice"]
+    finally:
+        sys.path.remove(tool.BENCH)
+    force = lattice.argv[lattice.argv.index("--force") + 1]
+    assert ("graded", force) in tool.CONFIGS and ("graded", "sinpi") in tool.CONFIGS
+    assert tool.argv_for("graded", 2**19, "out", force) == [*lattice.argv, "--out", "out"]
+
+
 def test_stage_bench_worker_times_a_preset(tmp_path):
     # example1 is the documented FAIL verdict: exit code 2, and still a sample
     tool = load_tool("stage_bench")
@@ -95,13 +110,16 @@ def test_stage_bench_summary_keeps_each_trees_spread():
                "change": [{"mesh": 0.5, "weights": 0.125, "main_s": 1.5},
                           {"mesh": 0.5, "weights": 0.375, "main_s": 1.0}]}
     summary = tool.summarize(samples)
-    assert list(summary) == ["parent", "change", "spread"]
+    assert list(summary) == ["parent", "change", "spread", "change_won"]
     assert list(summary["parent"]) == ["mesh", "weights", "main_s"]
     assert summary["parent"] == {"mesh": 0.5, "weights": 0.0, "main_s": 2.0}
     assert summary["change"] == {"mesh": 0.5, "weights": 0.25, "main_s": 1.25}
     assert summary["spread"] == {
         "parent": {"mesh": [0.25, 0.75], "weights": [0.0, 0.0], "main_s": [1.0, 3.0]},
         "change": {"mesh": [0.5, 0.5], "weights": [0.125, 0.375], "main_s": [1.0, 1.5]}}
+    # of the pairs of first and second runs, mesh ties one and loses one,
+    # weights loses both, main_s wins one and ties one
+    assert summary["change_won"] == {"mesh": 0, "weights": 0, "main_s": 1}
     assert json.loads(json.dumps(summary)) == summary
 
 

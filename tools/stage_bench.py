@@ -1,7 +1,7 @@
 """Per-stage seconds and peak RSS of `qclab run` and of each `qclab reproduce`
 preset, two source trees side by side.
 
-    python3 tools/stage_bench.py PARENT CHANGE [--runs 3] [--out BENCH.json]
+    python3 tools/stage_bench.py PARENT CHANGE [--runs 5] [--out BENCH.json]
 
 PARENT and CHANGE are checkouts (directories holding src/qclab).  Every
 configuration and every preset runs in a fresh interpreter with BLAS and
@@ -14,7 +14,9 @@ and run_minor_faults are its ru_minflt, in total and over the cli.main call.
 The two trees alternate, the first one per run alternating too, and each
 value is the median over the runs; under "spread", each tree's smallest and
 largest run of every value tells a gap between the trees from the scatter of
-its runs.  Times are raw wall seconds on whatever host this runs on.
+its runs, and under "change_won", how many of the paired runs (the i-th of
+each tree) the change's value was the lower in.  Times are raw wall seconds
+on whatever host this runs on.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ import sys
 import tempfile
 
 MESHES = ("uniform", "graded", "oscillatory", "smooth", "uniform-fine")
+# every mesh under a smooth force, whose profile values never repeat the row
+# above, and graded under the lattice workload's localized load, whose flat
+# far field does in most rows
+CONFIGS = tuple((mesh, "sinpi") for mesh in MESHES) + (("graded", "gauss:1e4,1e4"),)
 SIZES = (2**14, 2**17, 2**20)
 PRESETS = ("fig1", "fig2", "example1", "force-scaling", "weights-audit")
 MEASURES = {
@@ -45,13 +51,13 @@ MEASURES = {
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
-def argv_for(mesh: str, N: int, out: str) -> list[str]:
+def argv_for(mesh: str, N: int, out: str, force: str = "sinpi") -> list[str]:
     # graded: K = log2(N) + 1; uniform-fine: elements of 8 sites and no cluster
     # rule, whose exactness check would loop over all 2K hats
     K = {"graded": N.bit_length(), "uniform-fine": N // 16}.get(mesh, 64)
     method = "constrained" if mesh == "uniform-fine" else "energy-cluster"
     return ["run", "--mesh", mesh.removesuffix("-fine"), "--N", str(N), "--K", str(K), "--r", "0",
-            "--method", method, "--force", "sinpi", "--out", out]
+            "--method", method, "--force", force, "--out", out]
 
 
 def preset_argv(preset: str, out: str) -> list[str]:
@@ -101,9 +107,10 @@ def spawn(tree: str, args: list[str]) -> dict:
 
 
 def summarize(samples: dict[str, list[dict]]) -> dict:
-    """Each tree's median of every value over its runs, and under "spread"
-    each tree's [smallest, largest] run of it; a value a run did not report
-    reads 0."""
+    """Each tree's median of every value over its runs, under "spread" each
+    tree's [smallest, largest] run of it, and under "change_won" in how many
+    pairs of the parent's and the change's i-th runs the change's value was
+    lower (every value is better lower); a value a run did not report reads 0."""
     # every stage either tree reported, in the order the change's runs list them
     stages = dict.fromkeys(key for runs in reversed(samples.values()) for s in runs for key in s)
     values = {name: {stage: [s.get(stage, 0.0) for s in runs] for stage in stages}
@@ -111,7 +118,10 @@ def summarize(samples: dict[str, list[dict]]) -> dict:
     return {**{name: {stage: round(statistics.median(v), 4) for stage, v in per.items()}
                for name, per in values.items()},
             "spread": {name: {stage: [round(min(v), 4), round(max(v), 4)]
-                              for stage, v in per.items()} for name, per in values.items()}}
+                              for stage, v in per.items()} for name, per in values.items()},
+            "change_won": {stage: sum(c < p for p, c in zip(values["parent"][stage],
+                                                            values["change"][stage]))
+                           for stage in stages}}
 
 
 def environment() -> dict:
@@ -141,7 +151,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--runs", type=int, default=3)
+    parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--out", default=None, help="write the record here (default: stdout)")
     opts = parser.parse_args()
     trees = {"parent": opts.parent, "change": opts.change}
@@ -157,18 +167,21 @@ def main() -> None:
             return summarize(samples)
 
         for N in SIZES:
-            for mesh in MESHES:
-                rows.append({"mesh": mesh, "N": N, "K": int(argv_for(mesh, N, "")[6]),
-                             **medians(lambda out: argv_for(mesh, N, out))})
+            for mesh, force in CONFIGS:
+                rows.append({"mesh": mesh, "force": force, "N": N,
+                             "K": int(argv_for(mesh, N, "")[6]),
+                             **medians(lambda out: argv_for(mesh, N, out, force))})
                 print(json.dumps(rows[-1]), file=sys.stderr)
         for preset in PRESETS:
             presets.append({"preset": preset, **medians(lambda out: preset_argv(preset, out))})
             print(json.dumps(presets[-1]), file=sys.stderr)
     record = {
         "command": "qclab run --mesh MESH --N N --K K --r 0 --method METHOD "
-                   "--force sinpi --out DIR",
+                   "--force FORCE --out DIR",
         "meshes": "uniform, smooth and oscillatory at K = 64 and graded at K = log2(N) + 1, "
                   "METHOD energy-cluster; uniform-fine: uniform at K = N/16, METHOD constrained",
+        "forces": "sinpi on every mesh; gauss:1e4,1e4 (the lattice benchmark's localized "
+                  "load) on graded too",
         "preset_command": "qclab reproduce PRESET --out DIR, one fresh process per call",
         "method": " ".join(__doc__.split("\n\n")[2].split()),
         "stages": MEASURES,
