@@ -87,11 +87,13 @@ class RunConfig:
 # in double-double arithmetic and rounded half to even, its text laid out in a 32-byte
 # cell of four NUL-padded words whose NULs one bytes.translate drops, rare layouts set on
 # their values alone: about 80 ns per value (one Xeon thread).  Down each column a run of
-# values with equal bits is formatted once: the flat far field of a localized load at
-# large N repeats the row above in 94 % of the lattice workload's rows, whose profile
-# takes about 56 ns per value; smooth forces never repeat, and a probe of every 64th row
-# skips the search.  Values it cannot certify, and blocks too small to repay its fixed
-# cost, go one value at a time.
+# values with equal bits is formatted once, and a stretch of rows whose columns after the
+# first all repeat the row above is written as first values, each followed by the tail
+# text of the row before the stretch: the flat far field of a localized load at large N
+# repeats the row above in 94 % of the lattice workload's rows, whose profile takes about
+# 38 ns per value; smooth forces never repeat, and a probe of every 64th row skips both
+# searches.  Values it cannot certify, and blocks too small to repay its fixed cost, go
+# one value at a time.
 
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
 _SPAN = 280  # the kernel formats |e10| <= _SPAN; its tables hold slot e10 + _SPAN + 1
@@ -237,22 +239,37 @@ def _text_cells(x: np.ndarray, digits: np.ndarray, slot: np.ndarray) -> np.ndarr
     return cells
 
 
+def _compact(cells: np.ndarray) -> bytes:
+    """The text of an array of cells, their NUL padding dropped."""
+    return cells.tobytes().translate(None, b"\0")
+
+
+def _lines(cells: np.ndarray) -> bytes:
+    """The text of rows of cells, a newline ending the last cell of each."""
+    cells[:, -1, -1] = ord("\n")
+    return _compact(cells)
+
+
 def _format_rows(block: np.ndarray) -> tuple[bytes, int]:
     """The rows of a 2-D array as CSV lines: each value as the bytes of
     '%.17g' % value, "," between values and a newline after each row.  Down
     each column, a value whose bits equal those of the value above it takes
     that value's text, so only the heads of those runs of equal values are
-    formatted.  Also returns how many run heads were formatted one at a time:
-    every value of a block of fewer than _KERNEL_MIN_VALUES, else the heads
-    the kernel does not certify."""
+    formatted.  A stretch of rows whose columns after the first all repeat
+    the row above (long enough to save _TAIL_MIN_CELLS cells) is written as
+    each row's first value and the tail text of the row before the stretch,
+    so only the first column's cells are gathered.  Also returns how many
+    run heads were formatted one at a time: every value of a block of fewer
+    than _KERNEL_MIN_VALUES, else the heads the kernel does not certify."""
     x = np.ascontiguousarray(block, dtype=np.float64)
     if x.size < _KERNEL_MIN_VALUES:
         return "".join(",".join(map("%.17g".__mod__, row)) + "\n"
                        for row in x.tolist()).encode(), x.size
     rows, cols = x.shape
     bits = x.view(np.uint64)  # 0.0 and -0.0 differ, as do nan payloads
-    sample = bits[64::64]  # runs are looked for if a quarter of these repeat the row above
-    if sample.size and 4 * np.count_nonzero(sample == bits[63:-1:64]) >= sample.size:
+    probe = bits[64::64] == bits[63:-1:64]  # every 64th row against the row above it
+    stretches = []
+    if probe.size and 4 * np.count_nonzero(probe) >= probe.size:  # a quarter repeat: find runs
         head = np.empty((cols, rows), bool)  # column by column
         head[:, 0] = True
         np.not_equal(bits[1:].T, bits[:-1].T, out=head[:, 1:])
@@ -260,6 +277,12 @@ def _format_rows(block: np.ndarray) -> tuple[bytes, int]:
         heads = x.T.take(starts)
         # each value's run, as its head's position in heads
         run = np.arange(starts.size).repeat(np.diff(starts, append=x.size)).reshape(cols, rows).T
+        if cols > 1 and probe[:, 1:].all(axis=1).any():  # a probe row repeats all but column 0
+            # a row is a head in a column after the first unless it repeats the row above; row
+            # 0 always is, so the edges of the stretches of repeats alternate start and stop
+            edges = np.flatnonzero(np.diff(head[1:].any(axis=0), append=True)) + 1
+            stretches = [(start, stop) for start, stop in edges.reshape(-1, 2).tolist()
+                         if (stop - start) * (cols - 1) >= _TAIL_MIN_CELLS]
     else:
         heads, run = x.ravel(), None
     digits, slot, certified = _decimal_digits(heads)
@@ -269,9 +292,17 @@ def _format_rows(block: np.ndarray) -> tuple[bytes, int]:
         value = ("%.17g" % heads[k]).encode()
         text[k, :-1] = 0
         text[k, : len(value)] = np.frombuffer(value, np.uint8)
-    text = text.reshape(rows, cols, 32) if run is None else text.take(run, axis=0)
-    text[:, -1, -1] = ord("\n")
-    return text.tobytes().translate(None, b"\0"), len(fallback)
+    pieces, at = [], 0
+    for start, stop in stretches:
+        above = _lines(text.take(run[at:start], axis=0))  # ends in the row before the stretch
+        tail = above[above.index(b",", above.rfind(b"\n", 0, -1) + 1):]  # its ",tail\n"
+        # each first-column cell ends in its one comma
+        pieces += above, _compact(text.take(run[start:stop, 0], axis=0)).replace(b",", tail)
+        at = stop
+    cells = text.reshape(rows, cols, 32) if run is None else text.take(run[at:], axis=0)
+    del text  # the heads' cells, freed before the compaction allocates
+    pieces.append(_lines(cells))
+    return b"".join(pieces), len(fallback)
 
 
 def _format_float(x: float) -> str:
@@ -330,6 +361,11 @@ _CSV_CHUNK_ROWS = 4096
 # Smaller blocks skip the kernel: its fixed cost (60-100 us for 4-64 values, one Xeon thread)
 # exceeds '%.17g' one value at a time (3-45 us); from about 192 values on the kernel wins.
 _KERNEL_MIN_VALUES = 128
+# A stretch of rows that repeat the row above after their first column saves cols - 1
+# cells per row against a fixed cost of about 2 us (one Xeon thread); it broke even at 16
+# rows of 4 columns, 24 of 3 and 64 of 2, so it is written as first values from 64 saved
+# cells on.
+_TAIL_MIN_CELLS = 64
 
 # A CSV column: an array, or a function of a row range (start, stop, out) that
 # writes those rows into out, so a lattice column need not exist whole.

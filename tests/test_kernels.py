@@ -8,6 +8,7 @@ solve eliminates in the order of the LAPACK routine scipy's banded solver
 calls.  So every comparison here is exact, never a tolerance.
 """
 
+import contextlib
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -38,12 +39,15 @@ from qclab import (
 )
 from qclab.cluster import _solve_cyclic_tridiagonal
 from qclab.mesh import hat_of_distance, hat_ramp
+from qclab import cli
 from qclab.model import BLOCK_VALUES, pairwise_sum
 from qclab.cli import (
     _CSV_CHUNK_ROWS,
     _FIGURES,
     _KERNEL_MIN_VALUES,
     _SPAN,
+    _TAIL_MIN_CELLS,
+    RunConfig,
     _decimal_digits,
     _execute,
     _exponent_tables,
@@ -782,16 +786,138 @@ def test_format_rows_formats_fig1_profile_runs_once(monkeypatch, tmp_path):
     assert sum(formatted) < 0.6 * 2 * config.N * len(columns)
 
 
+@contextlib.contextmanager
+def compacted_cells():
+    """Counts of the cells each compaction of a _format_rows call is handed."""
+    counts, compact = [], cli._compact
+
+    def counted(cells):
+        counts.append(cells.size // 32)
+        return compact(cells)
+
+    cli._compact = counted
+    try:
+        yield counts
+    finally:
+        cli._compact = compact
+
+
+def tail_stretch_cells(block):
+    """The cells a block's stretches of tail repeats save when written as
+    first values: rows r >= 1 whose columns after the first all have the bits
+    of row r - 1, counted in maximal stretches that save _TAIL_MIN_CELLS
+    cells or more, one row at a time."""
+    rows = block.view(np.uint64)[:, 1:].tolist()
+    saved, length = 0, 0
+    for above, row in zip(rows, rows[1:] + [None]):
+        if row is not None and row == above:
+            length += 1
+            continue
+        if length * len(above) >= _TAIL_MIN_CELLS:
+            saved += length * len(above)
+        length = 0
+    return saved
+
+
+@st.composite
+def tail_blocks(draw):
+    """Blocks of 1-4 columns made of segments of rows that share their
+    columns after the first (a segment of L rows is a stretch of L - 1 tail
+    repeats): stretches shorter than, as long as and longer than the
+    shortest one written as first values, ending on, next to or away from
+    the probe rows (multiples of 64); tail values whose floats or texts are
+    equal but bits differ (0.0 and -0.0, nan payloads), the near-tie, any
+    bits; a first column that is a ramp, holds the near-tie, or repeats."""
+    cols = draw(st.integers(1, 4))
+    rows = draw(st.sampled_from([_KERNEL_MIN_VALUES, _CSV_CHUNK_ROWS]) | st.integers(
+        _KERNEL_MIN_VALUES, 1200))  # rows enough for the kernel in every shape
+    shortest = -(-_TAIL_MIN_CELLS // max(cols - 1, 1))  # rows of the shortest stretch
+    bits = st.sampled_from(RUN_BITS) | st.integers(0, 2**64 - 1).map(np.uint64)
+    ends = []
+    for _ in range(draw(st.integers(0, 12))):
+        at = ends[-1] if ends else 0
+        probe = -(-(at + 1) // 64) * 64  # the next probe row
+        ends.append(at + draw(st.sampled_from([shortest, shortest + 1, shortest + 2, 1, 2])
+                              | st.sampled_from([probe - 1, probe, probe + 1]).map(lambda e: e - at)
+                              | st.integers(1, 3 * shortest)))
+    ends = [end for end in ends if end < rows] + [rows]
+    tails = np.array(draw(st.lists(st.lists(bits, min_size=cols - 1, max_size=cols - 1),
+                                   min_size=len(ends), max_size=len(ends))), np.uint64)
+    block = np.empty((rows, cols))
+    block[:, 1:] = tails.reshape(len(ends), cols - 1).repeat(np.diff([0, *ends]), axis=0).view(
+        np.float64)
+    first = draw(st.sampled_from(["ramp", "near-tie", "constant", "runs"]))
+    block[:, 0] = np.arange(rows) / 2**14 - 1.0
+    if first == "near-tie":
+        block[draw(st.lists(st.integers(0, rows - 1), max_size=8)), 0] = NEAR_TIE
+    elif first == "constant":
+        block[:, 0] = draw(st.sampled_from([0.25, -0.0, NEAR_TIE]))
+    elif first == "runs":
+        block[:, 0] = np.arange(rows) // draw(st.integers(2, 100))
+    return block
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=tail_blocks())
+def test_format_rows_writes_tail_repeats_as_first_values(block):
+    # a stretch of rows whose columns after the first repeat the row above,
+    # long enough to pay, hands only its first column's cells to the
+    # compaction; the same bytes either way (where the probe finds no
+    # stretch, every cell is compacted)
+    with compacted_cells() as counts:
+        text, _ = _format_rows(block)
+    assert text == percent_17g(block)
+    assert sum(counts) in (block.size, block.size - tail_stretch_cells(block))
+
+
+def test_format_rows_breaks_tail_stretches_where_bits_differ():
+    # texts or floats that are equal while the bits differ end a stretch: a
+    # tail column of 0.0 then -0.0, of two nan payloads, of the near-tie and
+    # its negation (fallback cells, as is the first column's near-tie), in
+    # runs of 64 rows from row 32 on: five rows are written cell by cell
+    rows = 4 * 64
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001], np.uint64).view(np.float64)
+    for pair, uncertified in [((0.0, -0.0), 0), (nans, 5), ((NEAR_TIE, -NEAR_TIE), 5)]:
+        block = np.column_stack([np.arange(rows) / 2**14 - 1.0, np.full((rows, 3), 1.5)])
+        block[::64, 0] = NEAR_TIE
+        block[:, 2] = np.roll(np.resize(np.repeat(pair, 64), rows), 32)
+        with compacted_cells() as counts:
+            text, one_at_a_time = _format_rows(block)
+        assert text == percent_17g(block)
+        assert sum(counts) == block.size - tail_stretch_cells(block) == rows + 5 * 3
+        assert one_at_a_time == 4 + uncertified
+
+
+def test_format_rows_writes_the_lattice_profile_tail_repeats_as_first_values(tmp_path):
+    # the lattice benchmark's profile (graded mesh, localized load, N = 2^19):
+    # its flat far field repeats the row above in every column but x in 93.7 %
+    # of the rows, with one or two BLAS threads (graded N = 2^16, K = 17 does
+    # with two threads only), so about 0.937 + 4 * 0.063 = 1.19 cells per row
+    # are compacted; fig1's u_atomistic never repeats, so all 4 of each row are
+    lattice = RunConfig(mesh="graded", N=2**19, K=20, method="energy-cluster", force="gauss:1e4,1e4")
+    compacted = {}
+    for config in (lattice, _FIGURES["fig1"][0]):
+        _, columns, _ = _execute(config)
+        with compacted_cells() as counts:
+            _write_csv(tmp_path / "profile.csv", 2 * config.N, columns)
+        compacted[config.N] = sum(counts) / (2 * config.N)
+        del columns
+    assert compacted == {lattice.N: pytest.approx(1.19, abs=0.1), _FIGURES["fig1"][0].N: 4}
+
+
 def test_format_rows_temporaries():
     # the kernel's temporaries per value stay a few times its ~20 bytes of
-    # text: fig1-like coordinates, magnitudes of every layout, and a
-    # repeat-heavy profile (a ramp, then three columns of runs of 100 rows)
+    # text: fig1-like coordinates, magnitudes of every layout, a repeat-heavy
+    # profile (a ramp, then three columns of runs of 100 rows) and a
+    # lattice-like one (a ramp, then three constant columns: one stretch of
+    # tail repeats)
     rng = np.random.default_rng(5)
     ramp = np.arange(_CSV_CHUNK_ROWS) / 2**14 - 1.0
     runs = rng.normal(size=(_CSV_CHUNK_ROWS // 100 + 1, 3)).repeat(100, axis=0)[:_CSV_CHUNK_ROWS]
     blocks = [np.arange(4 * _CSV_CHUNK_ROWS).reshape(-1, 4) / 2**14 - 1.0,
               rng.normal(size=(_CSV_CHUNK_ROWS, 4)) * 10.0 ** rng.integers(-20, 20, (_CSV_CHUNK_ROWS, 4)),
-              np.column_stack([ramp, runs])]
+              np.column_stack([ramp, runs]),
+              np.column_stack([ramp, np.full((_CSV_CHUNK_ROWS, 3), 0.25)])]
     for block in blocks:
         _format_rows(block)  # builds the tables
         tracemalloc.start()

@@ -78,7 +78,7 @@ def test_stage_bench_caps_threads_as_the_benchmark_does(monkeypatch):
 def test_stage_bench_has_the_lattice_workloads_force_on_graded():
     # graded also runs under the lattice benchmark's localized load, whose
     # profile repeats the row above where a sinpi profile never does; at
-    # N = 2^19 that row is the lattice workload's call
+    # N = 2^19, the last row, that is the lattice workload's call
     tool = load_tool("stage_bench")
     sys.path.insert(0, tool.BENCH)
     try:
@@ -88,6 +88,7 @@ def test_stage_bench_has_the_lattice_workloads_force_on_graded():
     force = lattice.argv[lattice.argv.index("--force") + 1]
     assert ("graded", force) in tool.CONFIGS and ("graded", "sinpi") in tool.CONFIGS
     assert tool.argv_for("graded", 2**19, "out", force) == [*lattice.argv, "--out", "out"]
+    assert tool.ROWS[-1] == ("graded", force, 2**19)
 
 
 def test_stage_bench_worker_times_a_preset(tmp_path):

@@ -36,6 +36,10 @@ MESHES = ("uniform", "graded", "oscillatory", "smooth", "uniform-fine")
 # far field does in most rows
 CONFIGS = tuple((mesh, "sinpi") for mesh in MESHES) + (("graded", "gauss:1e4,1e4"),)
 SIZES = (2**14, 2**17, 2**20)
+# every config at every size, then the lattice workload's own call: under one BLAS thread
+# the far field of its u_atomistic repeats the row above at N = 2^19, and at none of SIZES
+ROWS = tuple((mesh, force, N) for N in SIZES for mesh, force in CONFIGS) + (
+    ("graded", "gauss:1e4,1e4", 2**19),)
 PRESETS = ("fig1", "fig2", "example1", "force-scaling", "weights-audit")
 MEASURES = {
     "timings": "every entry of report.json's timings: the seconds of each stage the run "
@@ -166,12 +170,10 @@ def main() -> None:
                     samples[name].append(spawn(trees[name], argv(os.path.join(scratch, name))))
             return summarize(samples)
 
-        for N in SIZES:
-            for mesh, force in CONFIGS:
-                rows.append({"mesh": mesh, "force": force, "N": N,
-                             "K": int(argv_for(mesh, N, "")[6]),
-                             **medians(lambda out: argv_for(mesh, N, out, force))})
-                print(json.dumps(rows[-1]), file=sys.stderr)
+        for mesh, force, N in ROWS:
+            rows.append({"mesh": mesh, "force": force, "N": N, "K": int(argv_for(mesh, N, "")[6]),
+                         **medians(lambda out: argv_for(mesh, N, out, force))})
+            print(json.dumps(rows[-1]), file=sys.stderr)
         for preset in PRESETS:
             presets.append({"preset": preset, **medians(lambda out: preset_argv(preset, out))})
             print(json.dumps(presets[-1]), file=sys.stderr)
@@ -181,7 +183,7 @@ def main() -> None:
         "meshes": "uniform, smooth and oscillatory at K = 64 and graded at K = log2(N) + 1, "
                   "METHOD energy-cluster; uniform-fine: uniform at K = N/16, METHOD constrained",
         "forces": "sinpi on every mesh; gauss:1e4,1e4 (the lattice benchmark's localized "
-                  "load) on graded too",
+                  "load) on graded too, and at N = 2^19 (the lattice benchmark's call)",
         "preset_command": "qclab reproduce PRESET --out DIR, one fresh process per call",
         "method": " ".join(__doc__.split("\n\n")[2].split()),
         "stages": MEASURES,
