@@ -471,12 +471,12 @@ def _write_files(out: Path, payload: dict, csv: tuple | None) -> None:
 
 def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, SolveReport]]:
     """Build, then solve, per config; returns (report payload, profile columns
-    in file order, solve reports by method).  Phase 1 builds every O(K) object
-    that can reject the input (force descriptor, mesh, cluster rule), so an
-    invalid one fails before any lattice-sized work; phase 2 runs the lattice
-    passes, one exact_load for both coarse solves.  Every column writes a row
-    range (see _write_csv); u_atomistic streams from the atomistic gradients.
-    The payload ends with wall_time_s and timings."""
+    in file order, coarse solve reports by method).  Phase 1 builds every O(K)
+    object that can reject the input (force descriptor, mesh, cluster rule), so
+    an invalid one fails before any lattice-sized work; phase 2 runs the lattice
+    passes, one exact_load for both coarse solves.  u_atomistic is formed whole
+    once the force samples are freed; every other column writes a row range
+    (see _write_csv).  The payload ends with wall_time_s and timings."""
     clock = _Clock(force=config.force)
     with clock.stage("model.sample_force"):
         model = ChainModel(potential=harmonic_potential(),
@@ -518,10 +518,8 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
                 args.append(load := exact_load(mesh, model) if method == "constrained" else load)
             reports[method] = solver(*args)
     load = args = None  # the hat loads go before the profile's arrays (peak RSS on fine meshes)
-    solutions = [report.solution for report in reports.values()]  # in column order
-    columns = dict(zip(("x", "u_atomistic", "u_constrained", "u_qc"),
-                       (functools.partial(lattice_coordinates, config.N), solutions[0].rows,
-                        *(prolong(*solutions[1:]) if solutions[1:] else ()))))
+    solutions = [report.solution for report in reports.values()]  # error_report's order
+    prolonged = prolong(*solutions[1:]) if solutions[1:] else ()
     payload["solves"] = {
         method: {"residual": report.residual, "reaction": report.reaction,
                  "iterations": report.iterations}
@@ -533,6 +531,11 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
                 model, *solutions, energy_cluster_functional(model, weights, solutions[-1]),
                 # the closed-form band is derived for the energy rule at r = 0 only
                 family=spec.family if config.method == "energy-cluster" and rule.r == 0 else None)
+    model = solvers = solutions = None  # the force samples go before the values are formed
+    with clock.stage("model.path_sum"):
+        values = reports.pop("atomistic").solution.values  # and the gradients after
+    columns = dict(zip(("x", "u_atomistic", "u_constrained", "u_qc"),
+                       (functools.partial(lattice_coordinates, config.N), values, *prolonged)))
     payload["wall_time_s"] = time.perf_counter() - clock.start
     payload["timings"] = clock.timings
     return payload, columns, reports

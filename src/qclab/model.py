@@ -212,61 +212,34 @@ def sample_force(spec: str, N: int) -> ExternalForce:
     return ExternalForce(N=N, fbar=_force_closed_form(spec), spec=spec)
 
 
-def path_rows(h, g: np.ndarray) -> Callable[..., np.ndarray]:
-    """Values pinned to 0 at site or node 0, slot pinned = len(g)//2 - 1,
-    from steps h (scalar or array) and gradients g, as rows(start, stop,
-    out=None): slots start..stop-1, into out if given, of the cumulative sum
-    of h*g along the path from slot pinned+1 across the wrap to slot
-    pinned-1: a Displacement's values for h = epsilon, a nodal solve's for
-    h = the element sizes.  np.cumsum runs over pieces of at most
-    BLOCK_VALUES, each continuing from the sum before it, bit for bit one
-    sequential sum; a first pass finds the sum carried into slot 0, and each
-    call continues where the last one stopped."""
-    n, h = len(g), np.broadcast_to(h, g.shape)
-    pinned = n // 2 - 1
-
-    def cumulate(start: int, stop: int, running, out: np.ndarray | None = None):
-        # h*g cumulated from running (None: the path's start) into out; the last sum
-        for at in range(start, stop, BLOCK_VALUES):
-            end = min(at + BLOCK_VALUES, stop)
-            piece = np.multiply(h[at:end], g[at:end],
-                                out=None if out is None else out[at - start : end - start])
-            if running is not None:
-                piece[0] += running
-            running = np.cumsum(piece, out=piece)[-1]
-        return running
-
-    carry = cumulate(pinned + 1, n, None)  # into slot 0
-    last = [0, carry]  # the slot the last call stopped at, and the sum before it
-
-    def rows(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
-        if start != last[0]:  # the sum before start, from its segment's first slot
-            last[1] = (cumulate(0, start, carry) if start <= pinned
-                       else cumulate(pinned + 1, start, None))
-        out, at, running = np.empty(stop - start) if out is None else out, start, last[1]
-        if start <= pinned < stop:  # the pinned slot; the path starts after it
-            cumulate(start, pinned, running, out)
-            out[pinned - start], at, running = 0.0, pinned + 1, None
-        last[:] = stop, cumulate(at, stop, running, out[at - start :])
-        return out
-
-    return rows
+def path_sum(v: np.ndarray) -> np.ndarray:
+    """Overwrite v, of even length n, with its sums along the path that
+    pinning slot p = n//2 - 1 (site or node 0) cuts the ring into, and
+    return it: slot j holds the sum of v from slot p+1 across the wrap to
+    slot j, and slot p holds +0.0.  One np.cumsum runs over slots p+1..n-1,
+    the carry is added into slot 0, and one more runs over slots 0..p-1, bit
+    for bit np.cumsum of the gathered path."""
+    pinned = len(v) // 2 - 1
+    np.cumsum(v[pinned + 1 :], out=v[pinned + 1 :])
+    v[0] += v[-1]
+    np.cumsum(v[:pinned], out=v[:pinned])
+    v[pinned] = 0.0
+    return v
 
 
 class Displacement:
     """Periodic displacement pinned at site 0 (slot N-1), given by its 2N
-    per-bond gradients v'_ell = (v_ell - v_{ell-1})/epsilon, slot order.
-    ``rows`` streams its values by path_rows; ``values`` forms them whole."""
+    per-bond gradients v'_ell = (v_ell - v_{ell-1})/epsilon, slot order;
+    ``values`` forms its values, the path sum of epsilon*v'."""
 
     def __init__(self, gradients):
         self.N = len(gradients) // 2
         check_lattice_size(self.N)
         self.gradients = _frozen(gradients, 2 * self.N, "gradients")
-        self.rows = path_rows(1.0 / self.N, self.gradients)
 
     @property
     def values(self) -> np.ndarray:
-        return self.rows(0, 2 * self.N)
+        return path_sum(np.multiply(1.0 / self.N, self.gradients))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,9 +10,9 @@ cuts the periodic cycle into a path, the scaled stresses follow from one
 cumulative pass over the loads, up to a single additive constant that is
 fixed by the closure condition sum_j h_j g_j = 0 (periodicity of the
 values).  Values are then recovered by a cumulative sum from the pinned
-node (model.path_rows).  For quadratic potentials every step is a closed
-form; otherwise the stress inversion and the closure constant each run a
-guarded Newton iteration.
+node; both passes are model.path_sum.  For quadratic potentials every step
+is a closed form; otherwise the stress inversion and the closure constant
+each run a guarded Newton iteration.
 
 Residuals come from the gradients solved for, which keeps them at the
 rounding floor even at large N.  The atomistic Displacement keeps those
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConvexityLoss, IllPosed, NewtonFailure
 from .cluster import ClusterRule, WeightSet
 from .mesh import CoarseMesh, NodalField, check_field, check_lattice, exact_load
-from .model import BLOCK_VALUES, ChainModel, Displacement, ExternalForce, PairPotential, path_rows
+from .model import BLOCK_VALUES, ChainModel, Displacement, ExternalForce, PairPotential, path_sum
 
 _NEWTON_STEPS = 50
 
@@ -111,14 +111,10 @@ def _solve_chain(method: str, pot: PairPotential, coeff, h, load: ExternalForce,
         np.multiply(load.rows(at, stop), factor, out=buf[at + 1 : stop + 1])
     if scaled:  # a scalar 1.0 leaves every value as it is, here and below
         buf[1:] /= scale
-    # slots first..n-1, 0..pinned-1 are one sequential sum: the carry across the wrap is
-    # added into buf[1] before the second cumsum, as np.cumsum of the gathered path adds it
-    np.cumsum(buf[first + 1 :], out=buf[first + 1 :])
-    buf[1] += buf[n]
-    np.cumsum(buf[1:first], out=buf[1:first])
+    path_sum(buf[1:])  # the pinned slot, buf[first], holds +0.0
     buf[0] = buf[n]
     tbar = np.negative(buf[:n], out=buf[:n])
-    tbar[first] = 0.0
+    tbar[first] = 0.0  # not the negation's -0.0, which a zero load would carry into every value
     c0, closure_iters = _closure_constant(pot, coeff, h, tbar)
     tbar += c0
     if weighted:
@@ -139,7 +135,7 @@ def _solve_chain(method: str, pot: PairPotential, coeff, h, load: ExternalForce,
         L = samples[at:stop] * factor
         equations -= L
         if at <= pinned < stop:
-            reaction = float(equations[pinned - at])
+            reaction = float(equations[pinned - at]) + 0.0  # a zero one as +0.0, not -0.0
             equations[pinned - at] = 0.0
         maxima.append((np.max(np.abs(equations, out=equations)), np.max(np.abs(L, out=L))))
         del t, L  # before the next block forms its own
@@ -152,11 +148,11 @@ def _solve_chain(method: str, pot: PairPotential, coeff, h, load: ExternalForce,
 
 def _solve_nodal(method: str, model: ChainModel, coeff, mesh: CoarseMesh, load=None,
                  scale=1.0) -> SolveReport:
-    """The nodal solve pinned at node 0 under load (None: exact_load's); values by path_rows."""
+    """The nodal solve pinned at node 0 under load (None: exact_load's); values by path_sum."""
     load = exact_load(mesh, model) if load is None else load
     g, residual, reaction, iterations = _solve_chain(
         method, model.potential, coeff, mesh.h, ExternalForce(N=mesh.K, samples=load), scale)
-    field = NodalField(mesh=mesh, values=path_rows(mesh.h, g)(0, load.size))
+    field = NodalField(mesh=mesh, values=path_sum(np.multiply(mesh.h, g)))
     return SolveReport(field, residual, reaction, iterations, method)
 
 

@@ -49,6 +49,25 @@ def test_run_constrained_artifacts(tmp_path, capsys):
     assert set(report["solves"]) == {"atomistic", "constrained"}
 
 
+NEGATIVE_ZERO = re.compile(r"(?<![\w.])-0(?![\w.])")  # "-0" as a whole number token
+
+
+@pytest.mark.parametrize("method", qclab.cli._METHODS)
+def test_a_zero_force_run_writes_no_negative_zero(tmp_path, capsys, method):
+    # zero loads leave every value, stress and reaction at zero, and each is
+    # written as 0: a -0.0 at the pinned stress would reach every value
+    argv = ["run", "--N", "4096", "--method", method, "--force", "const:0", "--out", str(tmp_path)]
+    if method != "atomistic":
+        argv += ["--mesh", "uniform", "--K", "16", "--r", "1"]
+    assert main(argv) == 0
+    profile = read_lines(tmp_path / "profile.csv")
+    assert len(profile) == 1 + 2 * 4096
+    assert {cell for line in profile[1:] for cell in line.split(",")[1:]} == {"0"}
+    report = (tmp_path / "report.json").read_text()
+    assert not NEGATIVE_ZERO.search(report)
+    assert {solve["reaction"] for solve in json.loads(report)["solves"].values()} == {0.0}
+
+
 MESH_ARGV = ["--mesh", "graded", "--N", "1024", "--K", "11"]
 
 
@@ -200,7 +219,7 @@ def test_calls_in_one_process_write_what_fresh_processes_write(tmp_path, capsys)
 
 EXECUTE_STAGES = ["model.sample_force", "mesh", "weights", "solve.solve_atomistic",
                   "solve.solve_constrained", "cluster.verify_exactness",
-                  "solve.solve_energy_cluster", "error_report"]
+                  "solve.solve_energy_cluster", "error_report", "model.path_sum"]
 
 
 def test_run_times_the_stages_that_ran(tmp_path):
@@ -215,7 +234,7 @@ def test_run_times_the_stages_that_ran(tmp_path):
     assert main(argv + ["--method", "constrained", "--out", str(tmp_path / "constrained")]) == 0
     assert list(report_of(tmp_path / "constrained")["timings"]) == [
         "model.sample_force", "mesh", "solve.solve_atomistic", "solve.solve_constrained",
-        "cli.write_csv"]
+        "model.path_sum", "cli.write_csv"]
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -33,7 +33,9 @@ from qclab import (
     lattice_coordinates,
     prolong,
     quartic_potential,
+    sample_force,
     slot_of_site,
+    solve_atomistic,
     solve_weights,
     verify_exactness,
 )
@@ -463,15 +465,19 @@ def test_write_csv_matches_reference(tmp_path, rows, footer):
 
 def test_streamed_profile_is_the_materialized_one(tmp_path):
     # fig2's 20,000 rows end in a partial chunk; its columns as whole arrays
-    # are x, the atomistic values and the full prolongations
+    # are x, the atomistic values of a solve of their own and the full
+    # prolongations.  u_atomistic is an array; the other columns stream
     config = _FIGURES["fig2"][0]
     _, columns, reports = _execute(config)
+    assert list(reports) == ["constrained", config.method]  # not the atomistic one
+    model = ChainModel(potential=harmonic_potential(), force=sample_force(config.force, config.N))
     whole = {"x": lattice_coordinates(config.N),
-             "u_atomistic": reports["atomistic"].solution.values,
+             "u_atomistic": solve_atomistic(model).solution.values,
              "u_constrained": prolong(reports["constrained"].solution)[0](0, 2 * config.N),
              "u_qc": prolong(reports[config.method].solution)[0](0, 2 * config.N)}
     assert list(columns) == list(whole)
-    assert all(callable(column) for column in columns.values())
+    assert isinstance(columns["u_atomistic"], np.ndarray)
+    assert all(callable(columns[name]) for name in ("x", "u_constrained", "u_qc"))
     _write_csv(tmp_path / "got.csv", 2 * config.N, columns)
     _write_csv(tmp_path / "want.csv", 2 * config.N, whole)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -2,26 +2,30 @@
 
 One lattice array is the 2N float64 values of one field, 16·N bytes.  The
 run's lattice work needs two of them at once: the force samples and the
-atomistic gradients, from which the atomistic values are streamed; each
-stage adds little beyond them.  The profile's columns are computed 4096 rows
-at a time.  These tests take tracemalloc's peak over one call, at N = 2^16,
-where one array is 1 MiB and the CSV kernel's fixed chunk temporaries are
-about one more.  A sweep builds every point's mesh and weights before its
-first solve and frees each point's once it is solved; its budgets are in
-lattice arrays of its largest N, 2^16.
+atomistic gradients, and then the gradients and the atomistic values, which
+are formed once the samples are freed; each stage adds little beyond them.
+The profile's other columns are computed 4096 rows at a time.  These tests
+take tracemalloc's peak over one call, at N = 2^16, where one array is
+1 MiB and the CSV kernel's fixed chunk temporaries are about one more.  A
+sweep builds every point's mesh and weights before its first solve and
+frees each point's once it is solved; its budgets are in lattice arrays of
+its largest N, 2^16.
 """
 
 import tracemalloc
 
 import pytest
 
+import qclab.model
 from qclab import ChainModel, MeshSpec, build_mesh, cli, exact_load, harmonic_potential
 from qclab import convergence_study, sample_force
+from qclab.model import path_sum
 from qclab.cli import RunConfig, _execute, main
 
 N = 2**16
 BUDGET = 3.5  # lattice arrays
 STAGE_BUDGET = 0.5  # lattice arrays a stage may hold beyond its entry or its result
+VALUES_BUDGET = 2.75  # lattice arrays held while the atomistic values are summed
 FINEST_LOAD_BUDGET = 3.5  # lattice arrays of one exact_load call on the finest uniform mesh
 SWEEP_N_BUDGET = 1.6  # lattice arrays of a sweep along N at K = 16
 SWEEP_K_BUDGET = 7.6  # lattice arrays of a consistency sweep along increasing K
@@ -61,6 +65,24 @@ def test_run_peak_in_lattice_arrays(tmp_path, capsys, name):
           "--out", str(tmp_path / "warm")])  # builds the CSV kernel's lazy tables
     argv = run_argv(CONFIGS[name], tmp_path)
     assert peak_arrays(lambda: main(argv)) <= BUDGET
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_atomistic_values_are_formed_after_the_force_samples_are_freed(monkeypatch, name):
+    # the gradients and the values being summed are then the only lattice arrays
+    held = []
+
+    def traced(v):
+        held.append(tracemalloc.get_traced_memory()[0] / (16 * N))
+        return path_sum(v)
+
+    monkeypatch.setattr(qclab.model, "path_sum", traced)  # as Displacement.values looks it up
+    tracemalloc.start()
+    try:
+        _execute(CONFIGS[name])
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] <= VALUES_BUDGET, held
 
 
 # the lattice stages of _execute, each in the namespace its caller looks it up in

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qclab import (
     ChainModel,
@@ -23,7 +24,7 @@ from qclab import (
     slot_of_site,
     stored_energy,
 )
-from qclab.model import BLOCK_VALUES
+from qclab.model import BLOCK_VALUES, path_sum
 from conftest import (displacement, fd_site_force, make_model, random_displacement, site_energies,
                       site_forces)
 
@@ -111,32 +112,55 @@ def test_non_finite_samples_in_a_later_block_are_rejected():
         force.samples
 
 
+def gathered_path_sum(v):
+    """np.cumsum of v gathered along the path from slot n//2 across the wrap
+    to slot n//2 - 2, scattered back to slot order; the pinned slot n//2 - 1
+    (site or node 0) holds +0.0."""
+    n = len(v)
+    path = np.r_[n // 2 : n, 0 : n // 2 - 1]
+    out = np.zeros(n)
+    out[path] = np.cumsum(v[path])
+    return out
+
+
 def path_values(N, g):
-    """np.cumsum of epsilon*g gathered along the path from site 1 across the
-    wrap to site -1, scattered back to slot order; site 0 holds 0."""
-    path = np.r_[N : 2 * N, 0 : N - 1]
-    values = np.zeros(2 * N)
-    values[path] = np.cumsum((1.0 / N) * g[path])
-    return values
+    """A displacement's values from its gradients g: the path sum of epsilon*g."""
+    return gathered_path_sum((1.0 / N) * g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(half=st.integers(1, 40) | st.integers(1, 3 * BLOCK_VALUES // 2 + 40)
+       | st.integers(3 * BLOCK_VALUES // 2 - 40, 3 * BLOCK_VALUES // 2 + 40),
+       kind=st.sampled_from(["normal", "zeros", "negative zeros", "integers", "spread"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(half=1, kind="zeros", seed=0)
+@example(half=3 * BLOCK_VALUES // 2 + 3, kind="zeros", seed=0)
+def test_path_sum_is_the_cumulative_sum_of_the_gathered_path(half, kind, seed):
+    # even lengths 2 .. 3 * BLOCK_VALUES + 80, values whose sums round in
+    # the order they are added (normal, spread) or not at all (zeros, integers)
+    rng = np.random.default_rng(seed)
+    v = {"normal": lambda: rng.normal(size=2 * half),
+         "zeros": lambda: np.zeros(2 * half),
+         "negative zeros": lambda: np.full(2 * half, -0.0),
+         "integers": lambda: rng.integers(-3, 4, size=2 * half).astype(float),
+         "spread": lambda: rng.normal(size=2 * half) * 10.0 ** rng.integers(-20, 20, 2 * half),
+         }[kind]()
+    want = gathered_path_sum(v)
+    got = path_sum(v)
+    assert got is v and got.tobytes() == want.tobytes()
+    if kind == "zeros":
+        assert not np.signbit(got).any()  # +0.0 everywhere, the pinned slot included
 
 
 # 2N = 3 * BLOCK_VALUES + 6: the path's two segments span several blocks
-@pytest.mark.parametrize("N, size, cut", [
-    *[(3 * BLOCK_VALUES // 2 + 3, None, d) for d in (-2, -1, 0, 1)],  # two chunks, split at N+d
-    (3 * BLOCK_VALUES // 2 + 3, 4096, None),
-    (2**11, 1, None),
-])
-def test_displacement_rows_stream_the_path_cumulative_sum(N, size, cut):
+@pytest.mark.parametrize("N", [3 * BLOCK_VALUES // 2 + 3, 2**11])
+def test_displacement_values_are_the_path_cumulative_sum(N):
     g = np.random.default_rng(N).normal(size=2 * N)
     v = Displacement(g)
     want = path_values(N, g)
     assert v.values.tobytes() == want.tobytes()
-    bounds = [0, N + cut, 2 * N] if size is None else [*range(0, 2 * N, size), 2 * N]
-    chunks = list(zip(bounds, bounds[1:]))
-    for order in (chunks, chunks[::-1]):  # in slot order, then each chunk from scratch
-        got = {a: v.rows(a, b) for a, b in order}
-        assert np.concatenate([got[a] for a, _ in chunks]).tobytes() == want.tobytes()
-    assert v.values.tobytes() == want.tobytes()
+    assert v.values.tobytes() == want.tobytes()  # formed anew, the gradients untouched
+    assert v.gradients.tobytes() == g.tobytes()
 
 
 def test_stored_energy_sawtooth_by_hand():

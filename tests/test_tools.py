@@ -1,7 +1,8 @@
 """The per-stage benchmark tool reads the stages a run reports and changes
 nothing in the program it measures; the output-tree tool's calls cover every
-method, mesh family, weight mode and sweep metric; the token-diff tool finds
-every moved number, and every added key, between two output trees."""
+method, mesh family, weight mode and sweep metric, and each method under zero
+force; the token-diff tool finds every moved number, and every added key,
+between two output trees."""
 
 import importlib.util
 import json
@@ -43,7 +44,7 @@ def test_stage_bench_worker_times_every_stage(tmp_path):
     after = qclab_bindings()  # no module attribute was replaced or added
     assert after.keys() == before.keys() and all(after[key] is before[key] for key in before)
     timings = json.loads((tmp_path / "report.json").read_text())["timings"]
-    assert len(timings) == 9 and "cli.write_csv" in timings
+    assert len(timings) == 10 and "cli.write_csv" in timings
     assert {stage: sample[stage] for stage in timings} == timings
     assert set(sample) == set(timings) | PROCESS
     assert sample["peak_rss_mb"] > 0 and sample["run_minor_faults"] >= 0
@@ -55,7 +56,7 @@ def test_stage_bench_worker_runs_in_a_fresh_interpreter(tmp_path):
     sample = tool.spawn(str(ROOT), tool.argv_for("uniform-fine", 1024, str(tmp_path)))
     timings = json.loads((tmp_path / "report.json").read_text())["timings"]
     assert list(timings) == ["model.sample_force", "mesh", "solve.solve_atomistic",
-                             "solve.solve_constrained", "cli.write_csv"]
+                             "solve.solve_constrained", "model.path_sum", "cli.write_csv"]
     assert set(sample) == set(timings) | PROCESS
     assert (tmp_path / "profile.csv").exists()
 
@@ -141,6 +142,10 @@ def test_output_tree_covers_every_method_family_weight_mode_and_metric(tmp_path,
                                     for method in set(cli._METHODS) - {"atomistic"}} == runs
     assert set(WEIGHT_MODES) == set(values("--weights")) - {None}
     assert max(int(r or 0) for r in values("--r")) > 0
+    # each method under zero force, whose values must be written as 0, not -0
+    zero_force = {method for method, force in zip(values("--method"), values("--force"))
+                  if force == "const:0"}
+    assert zero_force == set(cli._METHODS) - {"atomistic"}
     assert set(STUDY_METRICS) == set(values("--metric", "sweep"))
     inspected = values("--mesh", "mesh-inspect")
     assert set(mesh._BUILDERS) == {descriptor.split(":")[0] for descriptor in inspected}

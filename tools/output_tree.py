@@ -12,9 +12,9 @@ qclab.cli.main:
 - each call of bench/workloads.WORKLOADS, into workloads/WORKLOAD;
 - each call of CALLS, into calls/LABEL: each method on each mesh family that
   admits it (the custom mesh reads the node file NODE_FILE, which the run
-  writes into OUT), lumped weights, radii r > 0, atomistic-only runs, one
-  sweep per STUDY_METRICS row and mesh-inspect for each family, whose stdout
-  becomes calls/LABEL/mesh.json.
+  writes into OUT), lumped weights, radii r > 0, each method under zero
+  force, atomistic-only runs, one sweep per STUDY_METRICS row and
+  mesh-inspect for each family, whose stdout becomes calls/LABEL/mesh.json.
 
 Every path a call sees is relative to OUT, so the reports of two trees name
 the same files.  A call that exits with another code than expected stops
@@ -63,6 +63,9 @@ CALLS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("oscillatory-force-r1", _run(*FAMILIES["oscillatory"], "force-cluster", "--r", "1")),
     ("smooth-force-r2", _run(*FAMILIES["smooth"], "force-cluster", "--r", "2")),
     ("custom-force-r2", _run(*FAMILIES["custom"], "force-cluster", "--r", "2")),
+    # zero loads: every value, stress and reaction is zero, to be written as 0, not -0
+    *((f"uniform-{method}-zero-force", _run(*FAMILIES["uniform"][:3], "const:0", method))
+      for method in ("constrained", "energy-cluster", "force-cluster")),
     # 2N = 200,006 sites: several solve blocks and a short last one
     ("atomistic-odd-N", ("run", "--N", "100003", "--method", "atomistic", "--force", "sinpi")),
     ("atomistic-N2", ("run", "--N", "2", "--method", "atomistic", "--force", "const:-3")),
