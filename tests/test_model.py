@@ -152,13 +152,34 @@ def test_path_sum_is_the_cumulative_sum_of_the_gathered_path(half, kind, seed):
         assert not np.signbit(got).any()  # +0.0 everywhere, the pinned slot included
 
 
+def continued_path_sum(values, steps, a, b):
+    """values[a:b] formed again from the value before each piece on the path
+    plus the steps of its slots: slot 0 follows slot n-1 across the wrap, the
+    pinned slot p = n//2 - 1 holds +0.0 and slot p+1 follows it."""
+    p = len(values) // 2 - 1
+    cuts = [a, *(c for c in (p, p + 1) if a < c < b), b]
+    return np.concatenate([np.zeros(1) if s == p else np.cumsum(np.r_[values[s - 1], steps[s:t]])[1:]
+                           for s, t in zip(cuts, cuts[1:])])
+
+
 # 2N = 3 * BLOCK_VALUES + 6: the path's two segments span several blocks
-@pytest.mark.parametrize("N", [3 * BLOCK_VALUES // 2 + 3, 2**11])
-def test_displacement_values_are_the_path_cumulative_sum(N):
+@pytest.mark.parametrize("N, size, cut", [
+    *[(3 * BLOCK_VALUES // 2 + 3, None, d) for d in (-2, -1, 0, 1)],  # two chunks, split at N+d
+    (3 * BLOCK_VALUES // 2 + 3, 4096, None),  # the profile's chunks
+    (2**11, 1, None),
+])
+def test_displacement_rows_stream_the_path_cumulative_sum(N, size, cut):
     g = np.random.default_rng(N).normal(size=2 * N)
     v = Displacement(g)
     want = path_values(N, g)
-    assert v.values.tobytes() == want.tobytes()
+    values = v.values
+    assert values.tobytes() == want.tobytes()
+    # each chunk of the values continues the sum from the value before it on
+    # the path, across the pinned slot N-1, the path's start N and the wrap
+    bounds = [0, N + cut, 2 * N] if size is None else [*range(0, 2 * N, size), 2 * N]
+    steps = (1.0 / N) * g
+    got = [continued_path_sum(values, steps, a, b) for a, b in zip(bounds, bounds[1:])]
+    assert np.concatenate(got).tobytes() == want.tobytes()
     assert v.values.tobytes() == want.tobytes()  # formed anew, the gradients untouched
     assert v.gradients.tobytes() == g.tobytes()
 
