@@ -136,8 +136,8 @@ def convergence_study(metric: str, mesh: str, force: str | None, points,
         raise UnknownFamily(f"unknown metric {metric!r}; choose from {tuple(STUDY_METRICS)}")
     parameter, reads_r, reads_force = STUDY_METRICS[metric]
     meshes = [build_mesh(parse_mesh_descriptor(mesh, N, K)) for N, K, _ in points]
-    weight_sets = [solve_weights(assemble_weight_system(ClusterRule(mesh=grid, r=point[2])))
-                   .with_mode(weights) if reads_r else None for grid, point in zip(meshes, points)]
+    weight_sets = [solve_weights(assemble_weight_system(ClusterRule(grid, point[2])), weights)
+                   if reads_r else None for grid, point in zip(meshes, points)]
     if force is None and reads_force:
         raise QCLabError(f"metric {metric!r} needs a force descriptor")
     params = [float(np.max(grid.h)) if parameter == "h_max" else 1.0 / grid.N for grid in meshes]

@@ -470,21 +470,20 @@ def _write_files(out: Path, payload: dict, csv: tuple | None) -> None:
 
 
 def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, SolveReport]]:
-    """Build, then solve, per config; returns (report payload, profile columns
-    in file order, coarse solve reports by method).  Phase 1 builds every O(K)
-    object that can reject the input (force descriptor, mesh, cluster rule), so
-    an invalid one fails before any lattice-sized work; phase 2 runs the lattice
-    passes, one exact_load for both coarse solves.  u_atomistic is formed whole
-    once the force samples are freed; every other column writes a row range
-    (see _write_csv).  The payload ends with wall_time_s and timings."""
+    """Build, then solve, per config; returns (report payload ending with
+    wall_time_s and timings, profile columns in file order, coarse solve reports
+    by method).  Every O(K) object that can reject the input (force, mesh,
+    cluster rule) is built before any lattice-sized work.  The constrained and
+    energy solves share one exact_load.  u_atomistic is formed whole once the
+    force samples are freed; every other column writes a row range (_write_csv)."""
     clock = _Clock(force=config.force)
     with clock.stage("model.sample_force"):
         model = ChainModel(potential=harmonic_potential(),
                            force=sample_force(config.force, config.N))
     payload: dict = {"config": {key: value for key, value in asdict(config).items()
                                 if key != "out"}}
-    solvers: dict[str, tuple] = {"atomistic": (solve_atomistic, model)}  # method: (solver, *args)
-    if config.mesh is not None and config.K is not None:
+    coarse = config.mesh is not None and config.K is not None
+    if coarse:
         with clock.stage("mesh"):
             spec = parse_mesh_descriptor(config.mesh, config.N, config.K)
             mesh = build_mesh(spec)
@@ -493,45 +492,48 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
                                "kappa": mesh.kappa}
             payload["smoothness"] = {"coefficients": coefficients,
                                      "max_abs": float(np.max(np.abs(coefficients)))}
-        solvers["constrained"] = (solve_constrained, model, mesh)
     cluster = config.method in ("energy-cluster", "force-cluster")
     if cluster:
         with clock.stage("weights"):
             rule = ClusterRule(mesh=mesh, r=config.r)
             system = assemble_weight_system(rule)
-            weights = solve_weights(system).with_mode(config.weights)
+            weights = solve_weights(system, config.weights)
             payload["weights"] = {
                 "mode": weights.mode, "r": rule.r, "energy_exact": weights.energy_exact,
                 "energy_lumped": weights.energy_lumped, "gap_max": weights.gap_max,
                 "residual_max": float(np.max(np.abs(weights.residual))),
                 "dominance_margin_min": float(np.min(system.dominance_margin()))}
-        solver = solve_energy_cluster if config.method == "energy-cluster" else solve_force_cluster
-        solvers[config.method] = (solver, model, weights)
-
     reports: dict[str, SolveReport] = {}
-    for method, (solver, *args) in solvers.items():
-        if cluster and method == config.method:
-            with clock.stage("cluster.verify_exactness"):
-                payload["weights"]["exactness_defect"] = verify_exactness(weights)
-        with clock.stage(f"solve.{solver.__name__}"):
-            if method in ("constrained", "energy-cluster"):  # the one exact_load of both
-                args.append(load := exact_load(mesh, model) if method == "constrained" else load)
-            reports[method] = solver(*args)
-    load = args = None  # the hat loads go before the profile's arrays (peak RSS on fine meshes)
-    solutions = [report.solution for report in reports.values()]  # error_report's order
-    prolonged = prolong(*solutions[1:]) if solutions[1:] else ()
-    payload["solves"] = {
-        method: {"residual": report.residual, "reaction": report.reaction,
-                 "iterations": report.iterations}
-        for method, report in reports.items()
-    }
+    with clock.stage("solve.solve_atomistic"):
+        reports["atomistic"] = solve_atomistic(model)
+    if coarse:
+        with clock.stage("solve.solve_constrained"):
+            load = exact_load(mesh, model)  # the energy rule's hat loads too
+            reports["constrained"] = solve_constrained(model, mesh, load)
+    if cluster:
+        with clock.stage("cluster.verify_exactness"):
+            payload["weights"]["exactness_defect"] = verify_exactness(weights)
+        energy = config.method == "energy-cluster"
+        with clock.stage("solve.solve_energy_cluster" if energy else "solve.solve_force_cluster"):
+            reports[config.method] = (solve_energy_cluster(model, weights, load) if energy
+                                      else solve_force_cluster(model, weights))
+    load = None  # the hat loads go before the profile's arrays (peak RSS on fine meshes)
+    if cluster:
+        qc = reports[config.method].solution
+        prolonged = prolong(reports["constrained"].solution, qc)
+    else:
+        prolonged = prolong(reports["constrained"].solution) if coarse else ()
+    payload["solves"] = {method: {"residual": report.residual, "reaction": report.reaction,
+                                  "iterations": report.iterations}
+                         for method, report in reports.items()}
     if cluster:
         with clock.stage("error_report"):
             payload["errors"] = error_report(
-                model, *solutions, energy_cluster_functional(model, weights, solutions[-1]),
+                model, reports["atomistic"].solution, reports["constrained"].solution, qc,
+                energy_cluster_functional(model, weights, qc),
                 # the closed-form band is derived for the energy rule at r = 0 only
-                family=spec.family if config.method == "energy-cluster" and rule.r == 0 else None)
-    model = solvers = solutions = None  # the force samples go before the values are formed
+                family=spec.family if energy and rule.r == 0 else None)
+    model = None  # the force samples go before the values are formed
     with clock.stage("model.path_sum"):
         values = reports.pop("atomistic").solution.values  # and the gradients after
     columns = dict(zip(("x", "u_atomistic", "u_constrained", "u_qc"),

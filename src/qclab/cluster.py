@@ -9,7 +9,7 @@ that coincides with the exact set on uniform meshes and at r = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -157,20 +157,17 @@ class WeightSet:
     def gap_max(self) -> float:
         return float(np.max(np.abs(self.energy_exact - self.energy_lumped)))
 
-    def with_mode(self, mode: str) -> "WeightSet":
-        """This set with ``mode``, one of WEIGHT_MODES, active."""
-        if mode not in WEIGHT_MODES:
-            raise UnknownFamily(f"unknown weight mode {mode!r}; choose from {WEIGHT_MODES}")
-        return replace(self, mode=mode)
 
-
-def solve_weights(system: WeightSystem) -> WeightSet:
-    """Exact cluster weights: solve the weight equations directly.
+def solve_weights(system: WeightSystem, mode: str = "exact") -> WeightSet:
+    """Cluster weights with ``mode``, one of WEIGHT_MODES, active (checked
+    first): the exact set solves the weight equations directly.
 
     Uniform meshes and r = 0 short-circuit to the lumped closed form, which
     satisfies the equations exactly there.  One step of iterative refinement
     keeps the residual at the rounding floor on every other mesh.
     """
+    if mode not in WEIGHT_MODES:
+        raise UnknownFamily(f"unknown weight mode {mode!r}; choose from {WEIGHT_MODES}")
     lumped = system.g / system.rule.size
     # residual of the lumped weights row by row; the diagonal part cancels
     # exactly because (2r+1)*lumped_j = g_j, leaving only difference terms
@@ -191,7 +188,7 @@ def solve_weights(system: WeightSystem) -> WeightSet:
         raise IllPosed("computed cluster weights are not all positive")
     for arr in (exact, lumped, residual):
         arr.setflags(write=False)
-    return WeightSet(rule=system.rule, mode="exact",
+    return WeightSet(rule=system.rule, mode=mode,
                      energy_exact=exact, energy_lumped=lumped, residual=residual)
 
 

@@ -269,15 +269,7 @@ def stored_energy(model: ChainModel, v: Displacement) -> float:
     return model.epsilon * pairwise_sum(g.size, lambda a, b: model.potential.value(g[a:b]))
 
 
-def energy_norm(w) -> float:
-    """Discrete H1 seminorm of the displacement gradient.
-
-    Lattice data: sqrt(sum eps*|v'_ell|^2).  Nodal data (anything carrying a
-    ``mesh``): sqrt(sum h_k*|V_k'|^2).  The two agree when the lattice data
-    is the prolongation of the nodal data.
-    """
-    if hasattr(w, "mesh"):
-        g = w.gradients()
-        return float(np.sqrt(np.sum(w.mesh.h * np.square(g))))
-    g = w.gradients
-    return float(np.sqrt(np.sum(np.square(g)) / w.N))
+def energy_norm(V) -> float:
+    """Discrete H1 seminorm of a nodal field's gradient, sqrt(sum h_k*|V_k'|^2):
+    the lattice norm sqrt(sum eps*|v'_ell|^2) of its prolongation."""
+    return float(np.sqrt(np.sum(V.mesh.h * np.square(V.gradients()))))

@@ -3,12 +3,12 @@
 Everything here recomputes library quantities from first principles (dense
 linear algebra, per-site loops over the hat basis, finite differences) so the
 tests compare two independent code paths.  The per-site energies and forces,
-the total energy, the generic cluster force assembly and the Galerkin defect
-are oracles only: no program path needs them, so they live here.  The ``reference_*`` functions are
-the straightforward per-element / per-row / full-lattice versions of the
-library's single-pass kernels, and of the weight solve the scipy banded
-solve it replaced; ``tests/test_kernels.py`` requires the kernels to
-reproduce them bit for bit.
+the total energy, the lattice energy norm, the generic cluster force assembly
+and the Galerkin defect are oracles only: no program path needs them, so they
+live here.  The ``reference_*`` functions are the straightforward per-element
+/ per-row / full-lattice versions of the library's single-pass kernels, and of
+the weight solve the scipy banded solve it replaced; ``tests/test_kernels.py``
+requires the kernels to reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import scipy.linalg
 from qclab import (
     ChainModel,
     MeshSpec,
+    NodalField,
     ShapeMismatch,
     build_mesh,
     basis_value,
-    energy_norm,
     harmonic_potential,
     sample_force,
     slot_of_site,
@@ -79,6 +79,12 @@ def site_energies(model, v):
     return 0.5 * (e + np.roll(e, -1))
 
 
+def lattice_energy_norm(v):
+    """Discrete H1 seminorm of a lattice displacement, sqrt(sum eps*|v'_ell|^2);
+    energy_norm of a nodal field is this norm of its prolongation."""
+    return float(np.sqrt(np.sum(np.square(v.gradients)) / v.N))
+
+
 def total_energy(model, v):
     """Stored energy minus the dead-load work sum over sites of eps*f_ell*v_ell."""
     return stored_energy(model, v) - float(model.epsilon * np.dot(model.force.samples, v.values))
@@ -115,7 +121,7 @@ def galerkin_defect(model, atomistic, constrained):
     means = sums / mesh.h
     defect = means - np.roll(means, -1)
     defect[mesh.K - 1] = 0.0
-    return float(np.max(np.abs(defect)) / energy_norm(atomistic))
+    return float(np.max(np.abs(defect)) / lattice_energy_norm(atomistic))
 
 
 def dense_atomistic(model):
@@ -305,6 +311,31 @@ def reference_energy_cluster_functional(model, mesh, rule, weights, V):
     members = rule.member_matrix()
     per_cluster = np.sum(energies[slot_of_site(members, mesh.N)], axis=1)
     return float(np.dot(weights.energy, per_cluster))
+
+
+def dense_energy_cluster(model, mesh, rule, weights):
+    """Energy-rule nodal values by dense solve (harmonic potential only),
+    without the library's effective stiffness: the Hessian of
+    reference_energy_cluster_functional, by polarization on the unit
+    directions of the nodes off node 0, against reference_exact_load, with
+    node 0 pinned."""
+    n, pinned = 2 * mesh.K, mesh.K - 1
+    free = [j for j in range(n) if j != pinned]
+
+    def energy(*slots):
+        values = np.zeros(n)
+        values[list(slots)] = 1.0
+        return reference_energy_cluster_functional(model, mesh, rule, weights,
+                                                   NodalField(mesh=mesh, values=values))
+
+    single = [energy(j) for j in free]
+    H = np.diag(2.0 * np.array(single))
+    for a in range(n - 1):
+        for b in range(a + 1, n - 1):
+            H[a, b] = H[b, a] = energy(free[a], free[b]) - single[a] - single[b]
+    values = np.zeros(n)
+    values[free] = np.linalg.solve(H, reference_exact_load(mesh, model)[free])
+    return values
 
 
 def reference_write_csv(path, columns, rates=()):

@@ -49,6 +49,21 @@ def test_run_constrained_artifacts(tmp_path, capsys):
     assert set(report["solves"]) == {"atomistic", "constrained"}
 
 
+@pytest.mark.parametrize("K, header, solves", [
+    (["--K", "7"], "x,u_atomistic,u_constrained", ["atomistic", "constrained"]),
+    ([], "x,u_atomistic", ["atomistic"]),
+])
+def test_an_atomistic_run_on_a_mesh_needs_k(tmp_path, capsys, K, header, solves):
+    # with K the mesh is built and the constrained solve runs; without it the mesh is ignored
+    argv = ["run", "--method", "atomistic", "--mesh", "graded", "--N", "64", *K,
+            "--force", "gauss:1e4,1e4", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert read_lines(tmp_path / "profile.csv")[0] == header
+    report = report_of(tmp_path)
+    assert ("mesh" in report) == bool(K)
+    assert list(report["solves"]) == solves
+
+
 NEGATIVE_ZERO = re.compile(r"(?<![\w.])-0(?![\w.])")  # "-0" as a whole number token
 
 

@@ -145,7 +145,7 @@ def test_exactness_defect_of_exact_weights():
 def test_lumped_weights_exact_on_uniform():
     mesh = build_mesh(MeshSpec(family="uniform", N=64, K=4))
     rule = ClusterRule(mesh=mesh, r=3)
-    weights = solve_weights(assemble_weight_system(rule)).with_mode("lumped")
+    weights = solve_weights(assemble_weight_system(rule), "lumped")
     assert weights.mode == "lumped"
     assert verify_exactness(weights) <= 1e-12
 
@@ -175,19 +175,21 @@ def test_lumping_gap_refinement_rate():
 
 def test_force_weights_are_scaled_energy_weights():
     mesh = graded_like_mesh(0)
-    weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=1)))
+    system = assemble_weight_system(ClusterRule(mesh=mesh, r=1))
+    weights = solve_weights(system)
     np.testing.assert_array_equal(weights.force, weights.energy_exact * mesh.N)
-    np.testing.assert_array_equal(weights.with_mode("lumped").force,
+    np.testing.assert_array_equal(solve_weights(system, "lumped").force,
                                   weights.energy_lumped * mesh.N)
     with pytest.raises(UnknownFamily):  # the code of every unknown name
-        weights.with_mode("averaged")
+        solve_weights(system, "averaged")
 
 
 def test_mode_selection():
     mesh = graded_like_mesh(0)
-    weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=1)))
+    system = assemble_weight_system(ClusterRule(mesh=mesh, r=1))
+    weights = solve_weights(system)
     assert weights.mode == "exact"
     np.testing.assert_array_equal(weights.energy, weights.energy_exact)
-    lumped = weights.with_mode("lumped")
+    lumped = solve_weights(system, "lumped")
     np.testing.assert_array_equal(lumped.energy, lumped.energy_lumped)
     assert lumped.gap_max == weights.gap_max

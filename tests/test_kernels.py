@@ -251,7 +251,7 @@ def test_verify_exactness_matches_reference(seed, shape, r, mode):
     rng = np.random.default_rng(seed)
     mesh, _ = random_custom_mesh(rng, *shape)
     rule = ClusterRule(mesh=mesh, r=admissible(mesh, r))
-    weights = solve_weights(assemble_weight_system(rule)).with_mode(mode)
+    weights = solve_weights(assemble_weight_system(rule), mode)
     assert verify_exactness(weights) == reference_verify_exactness(
         mesh, rule, weights
     )
@@ -280,7 +280,7 @@ def scratch_sized_mesh(data):
 def test_verify_exactness_matches_reference_at_the_scratch_size(data, r, mode):
     mesh = scratch_sized_mesh(data)
     rule = ClusterRule(mesh=mesh, r=admissible(mesh, r))
-    weights = solve_weights(assemble_weight_system(rule)).with_mode(mode)
+    weights = solve_weights(assemble_weight_system(rule), mode)
     assert verify_exactness(weights) == reference_verify_exactness(mesh, rule, weights)
 
 
@@ -288,10 +288,10 @@ def test_verify_exactness_matches_reference_at_the_scratch_size(data, r, mode):
 def test_verify_exactness_matches_reference_on_graded_meshes(K):
     # the half-lattice elements of graded K = 21 (N = 2^20) span 32 scratch blocks each
     mesh = build_mesh(MeshSpec(family="graded", N=2 ** (K - 1), K=K))
-    weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=0)))
+    system = assemble_weight_system(ClusterRule(mesh=mesh, r=0))
     for mode in ("exact", "lumped"):
-        assert verify_exactness(weights.with_mode(mode)) == reference_verify_exactness(
-            mesh, weights.rule, weights.with_mode(mode))
+        weights = solve_weights(system, mode)
+        assert verify_exactness(weights) == reference_verify_exactness(mesh, weights.rule, weights)
 
 
 def pairwise_splits(n):

@@ -12,6 +12,7 @@ from qclab import (
     Displacement,
     ExternalForce,
     MeshSpec,
+    NodalField,
     QCLabError,
     ShapeMismatch,
     UnknownFamily,
@@ -25,8 +26,8 @@ from qclab import (
     stored_energy,
 )
 from qclab.model import BLOCK_VALUES, path_sum
-from conftest import (displacement, fd_site_force, make_model, random_displacement, site_energies,
-                      site_forces)
+from conftest import (displacement, fd_site_force, lattice_energy_norm, make_model, prolonged,
+                      random_custom_mesh, random_displacement, site_energies, site_forces)
 
 
 def test_lattice_indexing():
@@ -200,7 +201,7 @@ def test_energy_norm_alternating_strain():
         values = np.where(sites % 2 == 0, 0.0, 1.0 / N)
         w = displacement(values)
         np.testing.assert_allclose(np.abs(w.gradients), 1.0, rtol=0, atol=1e-12)
-        assert energy_norm(w) == pytest.approx(math.sqrt(2.0), abs=1e-14)
+        assert lattice_energy_norm(w) == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
 
 def test_energy_norm_brute():
@@ -209,9 +210,21 @@ def test_energy_norm_brute():
     v = random_displacement(rng, 8)
     g = v.gradients
     expected = math.sqrt(sum(gi * gi for gi in g) / 8.0)
-    assert energy_norm(v) == pytest.approx(expected, rel=1e-14)
+    assert lattice_energy_norm(v) == pytest.approx(expected, rel=1e-14)
     # harmonic case: the squared norm is twice the stored energy
-    assert energy_norm(v) ** 2 == pytest.approx(2.0 * stored_energy(model, v), rel=1e-13)
+    assert lattice_energy_norm(v) ** 2 == pytest.approx(2.0 * stored_energy(model, v), rel=1e-13)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_energy_norm_is_the_lattice_norm_of_the_prolongation(seed):
+    # sqrt(sum h_k |V_k'|^2) = sqrt(sum eps |v'_ell|^2) for v the prolongation of V
+    rng = np.random.default_rng(seed)
+    mesh, _ = random_custom_mesh(rng)
+    values = rng.normal(size=2 * mesh.K)
+    values[mesh.K - 1] = 0.0  # node 0
+    V = NodalField(mesh=mesh, values=values)
+    assert energy_norm(V) == pytest.approx(lattice_energy_norm(prolonged(mesh, V)), rel=1e-13)
 
 
 def test_site_energy_partition():

@@ -46,9 +46,11 @@ from conftest import (
     assemble_cluster_forces,
     dense_atomistic,
     dense_chain,
+    dense_energy_cluster,
     brute_hat_scatter,
     displacement,
     galerkin_defect,
+    lattice_energy_norm,
     make_model,
     prolonged,
     random_custom_mesh,
@@ -193,7 +195,7 @@ def test_cluster_load_exact_for_constant_force():
     approx = cluster_load(model, weights)
     np.testing.assert_allclose(approx, exact, atol=1e-14)
     # lumped force weights lose that exactness on a nonuniform mesh
-    lumped = cluster_load(model, weights.with_mode("lumped"))
+    lumped = cluster_load(model, solve_weights(assemble_weight_system(weights.rule), "lumped"))
     assert float(np.max(np.abs(lumped - exact))) > 1e-6
 
 
@@ -460,7 +462,7 @@ def test_constrained_best_approximation_rate():
         mesh = build_mesh(MeshSpec(family="uniform", N=N, K=K))
         [coarse] = prolong(solve_constrained(model, mesh).solution)
         gap = displacement(coarse(0, 2 * N) - fine.values)
-        errors.append(energy_norm(gap))
+        errors.append(lattice_energy_norm(gap))
     errors = np.array(errors)
     rates = np.log2(errors[:-1] / errors[1:])
     assert np.all(rates >= 0.95)
@@ -494,9 +496,11 @@ force_descriptors = st.one_of(
        mode=st.sampled_from(["exact", "lumped"]), beta=st.none() | st.floats(0.0, 2.0))
 def test_solvers_agree_with_the_oracles_on_random_instances(mesh, force, data, mode, beta):
     """Harmonic draws (beta None): all four solvers match the dense solves,
-    the constrained solve is Galerkin orthogonal to the atomistic one, and at
-    r = 0 the estimator sandwich brackets the energy-cluster error.  Quartic
-    draws: the atomistic solution's site forces vanish off the pinned site.
+    the energy rule also the dense Hessian solve of the reference cluster
+    functional (no effective_stiffness), the constrained solve is Galerkin
+    orthogonal to the atomistic one, and at r = 0 the estimator sandwich
+    brackets the energy-cluster error.  Quartic draws: the atomistic
+    solution's site forces vanish off the pinned site.
 
     A tight cluster (2r+1 equal to the smallest step) can make an exact
     weight vanish or turn negative.  solve_weights rejects a negative one;
@@ -508,12 +512,11 @@ def test_solvers_agree_with_the_oracles_on_random_instances(mesh, force, data, m
     atomistic = solve_atomistic(model).solution
     constrained = solve_constrained(model, mesh).solution
     try:
-        weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=r)))
+        weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=r)), mode)
     except IllPosed:
         event("exact weights not all positive")
         weights = None
     else:
-        weights = weights.with_mode(mode)
         energy = solve_energy_cluster(model, weights).solution
         if np.min(weights.force) <= 1e-12 * np.max(weights.force):
             event("a force weight vanishes")
@@ -535,11 +538,12 @@ def test_solvers_agree_with_the_oracles_on_random_instances(mesh, force, data, m
     ones = np.ones(n)
     gaps = [atomistic.values - dense_atomistic(model),
             constrained.values - dense_chain(ones, ones, mesh.h, load, mesh.K - 1)]
-    if energy_norm(atomistic) > 0.0:  # an unloaded chain has nothing to be orthogonal to
+    if lattice_energy_norm(atomistic) > 0.0:  # an unloaded chain has nothing to be orthogonal to
         assert galerkin_defect(model, atomistic, constrained) <= 1e-12
     if weights is not None:
         a = effective_stiffness(weights)
         gaps.append(energy.values - dense_chain(a, ones, mesh.h, load, mesh.K - 1))
+        gaps.append(energy.values - dense_energy_cluster(model, mesh, weights.rule, weights))
         if forced is not None:
             ftilde = cluster_load(model, weights)
             gaps.append(forced.values

@@ -138,8 +138,12 @@ def test_output_tree_covers_every_method_family_weight_mode_and_metric(tmp_path,
 
     families = [descriptor and descriptor.split(":")[0] for descriptor in values("--mesh")]
     runs = set(zip(families, values("--method")))
-    assert {(None, "atomistic")} | {(family, method) for family in mesh._BUILDERS
-                                    for method in set(cli._METHODS) - {"atomistic"}} == runs
+    assert {(None, "atomistic"), ("graded", "atomistic")} | {
+        (family, method) for family in mesh._BUILDERS
+        for method in set(cli._METHODS) - {"atomistic"}} == runs
+    # an atomistic run on a mesh, and one naming a mesh but no K, which ignores it
+    assert {K is None for family, method, K in zip(families, values("--method"), values("--K"))
+            if method == "atomistic" and family} == {False, True}
     assert set(WEIGHT_MODES) == set(values("--weights")) - {None}
     assert max(int(r or 0) for r in values("--r")) > 0
     # each method under zero force, whose values must be written as 0, not -0

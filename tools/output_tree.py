@@ -13,8 +13,9 @@ qclab.cli.main:
 - each call of CALLS, into calls/LABEL: each method on each mesh family that
   admits it (the custom mesh reads the node file NODE_FILE, which the run
   writes into OUT), lumped weights, radii r > 0, each method under zero
-  force, atomistic-only runs, one sweep per STUDY_METRICS row and
-  mesh-inspect for each family, whose stdout becomes calls/LABEL/mesh.json.
+  force, atomistic runs without a mesh, on a mesh, and naming a mesh but no
+  K, one sweep per STUDY_METRICS row and mesh-inspect for each family, whose
+  stdout becomes calls/LABEL/mesh.json.
 
 Every path a call sees is relative to OUT, so the reports of two trees name
 the same files.  A call that exits with another code than expected stops
@@ -69,6 +70,11 @@ CALLS: tuple[tuple[str, tuple[str, ...]], ...] = (
     # 2N = 200,006 sites: several solve blocks and a short last one
     ("atomistic-odd-N", ("run", "--N", "100003", "--method", "atomistic", "--force", "sinpi")),
     ("atomistic-N2", ("run", "--N", "2", "--method", "atomistic", "--force", "const:-3")),
+    # an atomistic run on a mesh: with --K the constrained solve runs too, without it
+    # the mesh is ignored
+    ("graded-atomistic", _run(*FAMILIES["graded"], "atomistic")),
+    ("graded-atomistic-no-K", ("run", "--mesh", "graded", "--N", "4096", "--method", "atomistic",
+                               "--force", "gauss:1e4,1e4")),
     ("sweep-consistency", ("sweep", "--mesh", "smooth", "--N", "8192", "--axis", "K",
                            "--values", "8,16,32", "--metric", "consistency", "--force", "sinpi")),
     ("sweep-weight-gap", ("sweep", "--mesh", "uniform", "--N", "1024", "--K", "8",
