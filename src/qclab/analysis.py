@@ -95,7 +95,8 @@ def error_report(model: ChainModel, atomistic: Displacement, constrained: NodalF
 def _has_rates(parameters: np.ndarray, values: np.ndarray) -> bool:
     """A rate is defined: two points or more, every value is positive and
     every parameter step moves."""
-    return len(values) > 1 and bool(np.all(values > 0.0) and np.all(np.diff(parameters) != 0.0))
+    return len(values) > 1 and bool((values > 0.0).all()
+                                    and (parameters[1:] - parameters[:-1] != 0.0).all())
 
 
 def rates(parameters: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -140,7 +141,7 @@ def convergence_study(metric: str, mesh: str, force: str | None, points,
                    if reads_r else None for grid, point in zip(meshes, points)]
     if force is None and reads_force:
         raise QCLabError(f"metric {metric!r} needs a force descriptor")
-    params = [float(np.max(grid.h)) if parameter == "h_max" else 1.0 / grid.N for grid in meshes]
+    params = [float(grid.h.max()) if parameter == "h_max" else 1.0 / grid.N for grid in meshes]
     model, values = None, []
     for N, _, _ in points:
         grid, weight_set = meshes.pop(0), weight_sets.pop(0)  # each freed once solved
@@ -157,7 +158,7 @@ def convergence_study(metric: str, mesh: str, force: str | None, points,
         else:
             unloaded = ChainModel(harmonic_potential(), sample_force("const:0", N))
             qc = solve_energy_cluster(unloaded, weight_set).solution
-            values.append(float(np.max(np.abs(qc.values))))
+            values.append(float(np.abs(qc.values).max()))
     return {parameter: np.array(params), metric: np.array(values)}
 
 
@@ -174,7 +175,7 @@ def smooth_mesh_consistency(N: int, K_values, amplitude: float = 0.2) -> dict[st
 def load_defect(model: ChainModel, weights: WeightSet) -> float:
     """Max-norm gap between cluster-sampled and exact hat loads."""
     exact = exact_load(weights.rule.mesh, model)
-    return float(np.max(np.abs(cluster_load(model, weights) - exact)))
+    return float(np.abs(cluster_load(model, weights) - exact).max())
 
 
 def gradient_alternation(constrained: NodalField, qc: NodalField) -> tuple[bool, int]:
@@ -189,10 +190,10 @@ def gradient_alternation(constrained: NodalField, qc: NodalField) -> tuple[bool,
     """
     reference = constrained.gradients()
     gap = qc.gradients() - reference
-    eligible = np.abs(reference) >= 0.1 * np.max(np.abs(reference))
+    eligible = np.abs(reference) >= 0.1 * np.abs(reference).max()
     eligible[0] = eligible[-1] = False
     both = eligible[:-1] & eligible[1:]
-    return bool(np.all(gap[:-1][both] * gap[1:][both] < 0.0)), int(np.count_nonzero(both))
+    return bool((gap[:-1][both] * gap[1:][both] < 0.0).all()), int(np.count_nonzero(both))
 
 
 def force_scaling_study(N: int, K_values, r: int) -> dict[str, np.ndarray]:

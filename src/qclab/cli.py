@@ -491,7 +491,7 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
             payload["mesh"] = {"repatoms": mesh.repatoms, "steps": mesh.steps, "h": mesh.h,
                                "kappa": mesh.kappa}
             payload["smoothness"] = {"coefficients": coefficients,
-                                     "max_abs": float(np.max(np.abs(coefficients)))}
+                                     "max_abs": float(np.abs(coefficients).max())}
     cluster = config.method in ("energy-cluster", "force-cluster")
     if cluster:
         with clock.stage("weights"):
@@ -501,8 +501,8 @@ def _execute(config: RunConfig) -> tuple[dict, dict[str, Column], dict[str, Solv
             payload["weights"] = {
                 "mode": weights.mode, "r": rule.r, "energy_exact": weights.energy_exact,
                 "energy_lumped": weights.energy_lumped, "gap_max": weights.gap_max,
-                "residual_max": float(np.max(np.abs(weights.residual))),
-                "dominance_margin_min": float(np.min(system.dominance_margin()))}
+                "residual_max": float(np.abs(weights.residual).max()),
+                "dominance_margin_min": float(system.dominance_margin().min())}
     reports: dict[str, SolveReport] = {}
     with clock.stage("solve.solve_atomistic"):
         reports["atomistic"] = solve_atomistic(model)
@@ -654,7 +654,7 @@ def _weights_audit(preset: str) -> tuple[dict, dict, tuple | None]:
         for r in radii:
             system = assemble_weight_system(ClusterRule(mesh=mesh, r=r))
             weights = solve_weights(system)
-            margin = float(np.min(system.dominance_margin()))
+            margin = float(system.dominance_margin().min())
             defect = verify_exactness(weights)
             lumping_exact = bool(np.array_equal(weights.energy_exact, weights.energy_lumped))
             row_ok = (margin > r) and (defect <= 1e-10)
@@ -663,7 +663,7 @@ def _weights_audit(preset: str) -> tuple[dict, dict, tuple | None]:
             rows.append({
                 "mesh": label, "r": r, "dominance_margin_min": margin,
                 "exactness_defect": defect, "gap_max": weights.gap_max,
-                "residual_max": float(np.max(np.abs(weights.residual))),
+                "residual_max": float(np.abs(weights.residual).max()),
                 "lumped_equals_exact": lumping_exact, "pass": bool(row_ok),
             })
             if label.startswith("gradedlike"):
@@ -671,7 +671,7 @@ def _weights_audit(preset: str) -> tuple[dict, dict, tuple | None]:
     sizes, gaps = np.array(sorted(gap_by_size)).T
     gap_rates = rates(1.0 / sizes, gaps)
     payload = {"preset": preset, "rows": rows, "lumped_gap_rates": gap_rates}
-    checks = {"gap_rate": _check(float(np.min(gap_rates)), 0.9, float("inf"))}
+    checks = {"gap_rate": _check(float(gap_rates.min()), 0.9, float("inf"))}
     return payload, checks, None
 
 
@@ -737,8 +737,8 @@ def _cmd_mesh_inspect(args: argparse.Namespace) -> int:
     payload = {"family": spec.family, "N": mesh.N, "K": mesh.K, "repatoms": mesh.repatoms,
                "steps": mesh.steps, "h": mesh.h, "kappa": mesh.kappa,
                "smoothness_coefficients": coefficients,
-               "smoothness_max_abs": float(np.max(np.abs(coefficients))),
-               "max_admissible_r": int((np.min(mesh.steps) - 1) // 2)}
+               "smoothness_max_abs": float(np.abs(coefficients).max()),
+               "max_admissible_r": int((mesh.steps.min() - 1) // 2)}
     print(_to_json(payload))
     return 0
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ClusterOverlap, IllPosed, ShapeMismatch, UnknownFamily
 from .mesh import CoarseMesh, hat_of_distance, hat_ramp
-from .model import BLOCK_VALUES, pairwise_sum
+from .model import BLOCK_VALUES, pairwise_sum, ring
 
 WEIGHT_MODES = ("exact", "lumped")
 
@@ -37,7 +37,7 @@ class ClusterRule:
     def __post_init__(self):
         if self.r < 0:
             raise ShapeMismatch(f"cluster radius must be nonnegative, got {self.r}")
-        smallest = int(np.min(self.mesh.steps))
+        smallest = int(self.mesh.steps.min())
         if 2 * self.r + 1 > smallest:
             raise ClusterOverlap(
                 f"clusters of radius {self.r} overlap: 2r+1 = {2 * self.r + 1} "
@@ -70,7 +70,7 @@ class WeightSystem:
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """Matrix-vector product of the cyclic tridiagonal system."""
-        return self.sub * np.roll(w, 1) + self.diag * w + self.sup * np.roll(w, -1)
+        return self.sub * ring(w, 1) + self.diag * w + self.sup * ring(w, -1)
 
     def dominance_margin(self) -> np.ndarray:
         """Row diagonal dominance margin diag - |sub| - |sup|; provably > r."""
@@ -86,12 +86,12 @@ def assemble_weight_system(rule: ClusterRule) -> WeightSystem:
     """
     mesh = rule.mesh
     s = mesh.steps.astype(float)
-    s_next = np.roll(s, -1)
+    s_next = ring(s, -1)
     half_rr = 0.5 * rule.r * (rule.r + 1)
     sub = half_rr / s
     sup = half_rr / s_next
     diag = (2 * rule.r + 1) - half_rr * (1.0 / s + 1.0 / s_next)
-    g = 0.5 * (mesh.h + np.roll(mesh.h, -1))
+    g = 0.5 * (mesh.h + ring(mesh.h, -1))
     for arr in (sub, sup, diag, g):
         arr.setflags(write=False)
     return WeightSystem(rule=rule, sub=sub, diag=diag, sup=sup, g=g)
@@ -155,7 +155,7 @@ class WeightSet:
 
     @property
     def gap_max(self) -> float:
-        return float(np.max(np.abs(self.energy_exact - self.energy_lumped)))
+        return float(np.abs(self.energy_exact - self.energy_lumped).max())
 
 
 def solve_weights(system: WeightSystem, mode: str = "exact") -> WeightSet:
@@ -171,20 +171,18 @@ def solve_weights(system: WeightSystem, mode: str = "exact") -> WeightSet:
     lumped = system.g / system.rule.size
     # residual of the lumped weights row by row; the diagonal part cancels
     # exactly because (2r+1)*lumped_j = g_j, leaving only difference terms
-    residual = system.sub * (np.roll(lumped, 1) - lumped) + system.sup * (
-        np.roll(lumped, -1) - lumped
-    )
+    residual = system.sub * (ring(lumped, 1) - lumped) + system.sup * (ring(lumped, -1) - lumped)
     steps = system.rule.mesh.steps
-    if system.rule.r == 0 or np.all(steps == steps[0]):
+    if system.rule.r == 0 or (steps == steps[0]).all():
         exact = lumped
     else:
         exact = _solve_cyclic_tridiagonal(system, system.g)
         exact += _solve_cyclic_tridiagonal(system, system.g - system.apply(exact))
-    defect = np.max(np.abs(system.apply(exact) - system.g))
-    scale = np.max(np.abs(system.g))
+    defect = np.abs(system.apply(exact) - system.g).max()
+    scale = np.abs(system.g).max()
     if not defect <= 1e-12 * scale:
         raise IllPosed(f"weight system solve stalled at relative residual {defect / scale:.3e}")
-    if np.any(exact <= 0.0):
+    if (exact <= 0.0).any():
         raise IllPosed("computed cluster weights are not all positive")
     for arr in (exact, lumped, residual):
         arr.setflags(write=False)

@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ConstraintViolation, MeshBuildError, QCLabError, ShapeMismatch, UnknownFamily
-from .model import BLOCK_VALUES, ChainModel, check_lattice_size, slot_of_site
+from .model import BLOCK_VALUES, ChainModel, check_lattice_size, ring, slot_of_site
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,12 @@ class CoarseMesh:
             raise MeshBuildError(f"need at least K = 2 node pairs, got K = {K}")
         if reps.shape != (2 * K,):
             raise ShapeMismatch(f"need 2K = {2 * K} node indices, got {reps.shape}")
-        if np.any(np.diff(reps) <= 0):
+        if (reps[1:] - reps[:-1] <= 0).any():
             raise MeshBuildError("node indices must be strictly increasing")
         if reps[K - 1] != 0:
             raise MeshBuildError("lattice site 0 must be the node with index 0")
-        steps = np.diff(reps, prepend=reps[-1] - 2 * N)
+        steps = reps - ring(reps, 1)
+        steps[0] += 2 * N
         if steps[0] <= 0:
             raise MeshBuildError("node indices span more than one period")
         reps.setflags(write=False)
@@ -81,8 +82,8 @@ class CoarseMesh:
         h.setflags(write=False)
         first_slots = slot_of_site(reps - steps + 1, N)
         first_slots.setflags(write=False)
-        ratio = steps / np.roll(steps, 1)
-        kappa = float(np.max(np.maximum(ratio, 1.0 / ratio)))
+        ratio = steps / ring(steps, 1)
+        kappa = float(np.maximum(ratio, 1.0 / ratio).max())
         object.__setattr__(self, "repatoms", reps)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "h", h)
@@ -119,7 +120,7 @@ def _build_oscillatory(spec: MeshSpec) -> np.ndarray:
     extra = 2 * N - 3 * K * m
     steps[0] += extra // 2
     steps[-1] += extra - extra // 2
-    nodes = np.cumsum(steps) - np.sum(steps[: K - 1]) - steps[K - 1]
+    nodes = np.cumsum(steps) - steps[: K - 1].sum() - steps[K - 1]
     return nodes
 
 
@@ -132,7 +133,7 @@ def _build_smooth(spec: MeshSpec) -> np.ndarray:
     k = np.arange(-spec.K + 1, spec.K + 1)
     x = k / spec.K
     nodes = np.rint(spec.N * (x + alpha * np.sin(np.pi * x))).astype(int)
-    if np.any(np.diff(nodes) <= 0):
+    if (nodes[1:] - nodes[:-1] <= 0).any():
         raise MeshBuildError(
             "smooth node map rounded two nodes onto the same lattice site; "
             "increase N or decrease K"
@@ -153,7 +154,7 @@ def _build_custom(spec: MeshSpec) -> np.ndarray:
     raw = np.array(spec.indices, dtype=int)
     if raw.size < 4 or raw.size % 2:
         raise MeshBuildError(f"custom node list must have even length >= 4, got {raw.size}")
-    if np.any(np.diff(raw) <= 0):
+    if (raw[1:] - raw[:-1] <= 0).any():
         raise MeshBuildError("custom node list must be strictly increasing")
     if raw[-1] - raw[0] >= 2 * spec.N:
         raise MeshBuildError("custom node list spans more than one period")
@@ -245,7 +246,7 @@ class NodalField:
     def gradients(self) -> np.ndarray:
         """Per-element gradients V_k' = (V_k - V_{k-1})/h_k, slot order."""
         v = self.values
-        return (v - np.roll(v, 1)) / self.mesh.h
+        return (v - ring(v, 1)) / self.mesh.h
 
 
 def check_lattice(model: ChainModel, mesh: CoarseMesh) -> None:
@@ -310,7 +311,7 @@ def prolong(*fields: NodalField) -> list[Callable[..., np.ndarray]]:
     mesh = fields[0].mesh
     for V in fields[1:]:
         check_field(mesh, V)
-    lefts = [np.roll(V.values, 1) for V in fields]
+    lefts = [ring(V.values, 1) for V in fields]
     rises = [V.values - left for V, left in zip(fields, lefts)]
     steps, n2, shift = mesh.steps, 2 * mesh.N, int(mesh.first_slots[0])
     ends = np.cumsum(steps)
@@ -352,7 +353,7 @@ def smoothness_profile(mesh: CoarseMesh) -> np.ndarray:
     multiplicative energy perturbations introduced by node-cluster summation.
     """
     h = mesh.h
-    second = (np.roll(h, 1) - 2.0 * h) + np.roll(h, -1)
+    second = (ring(h, 1) - 2.0 * h) + ring(h, -1)
     coeff = second / (4.0 * h)
     coeff.setflags(write=False)
     return coeff

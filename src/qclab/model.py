@@ -212,6 +212,12 @@ def sample_force(spec: str, N: int) -> ExternalForce:
     return ExternalForce(N=N, fbar=_force_closed_form(spec), spec=spec)
 
 
+def ring(v: np.ndarray, k: int) -> np.ndarray:
+    """The periodic shift np.roll(v, k) of a 1-D array, 0 < |k| < len(v) or
+    k = +-1: the same bits, without np.roll's Python-level dispatch."""
+    return np.concatenate((v[-k:], v[:-k]))
+
+
 def path_sum(v: np.ndarray) -> np.ndarray:
     """Overwrite v, of even length n, with its sums along the path that
     pinning slot p = n//2 - 1 (site or node 0) cuts the ring into, and
@@ -272,4 +278,4 @@ def stored_energy(model: ChainModel, v: Displacement) -> float:
 def energy_norm(V) -> float:
     """Discrete H1 seminorm of a nodal field's gradient, sqrt(sum h_k*|V_k'|^2):
     the lattice norm sqrt(sum eps*|v'_ell|^2) of its prolongation."""
-    return float(np.sqrt(np.sum(V.mesh.h * np.square(V.gradients()))))
+    return float(np.sqrt((V.mesh.h * np.square(V.gradients())).sum()))

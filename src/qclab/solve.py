@@ -28,7 +28,8 @@ import numpy as np
 from .errors import ConvexityLoss, IllPosed, NewtonFailure
 from .cluster import ClusterRule, WeightSet
 from .mesh import CoarseMesh, NodalField, check_field, check_lattice, exact_load
-from .model import BLOCK_VALUES, ChainModel, Displacement, ExternalForce, PairPotential, path_sum
+from .model import (BLOCK_VALUES, ChainModel, Displacement, ExternalForce, PairPotential, path_sum,
+                    ring)
 
 _NEWTON_STEPS = 50
 
@@ -74,7 +75,7 @@ def _closure_constant(pot: PairPotential, coeff, h, tbar) -> tuple[float, int]:
     BLAS sums a dot in an order that no scalar form repeats bit for bit.
     """
     weight = np.divide(h, coeff, out=np.empty(len(tbar)))
-    c = -np.dot(weight, tbar) / np.sum(weight)
+    c = -np.dot(weight, tbar) / weight.sum()
     if pot.is_quadratic:
         return float(c), 1
     h = np.ascontiguousarray(np.broadcast_to(h, tbar.shape))
@@ -121,14 +122,16 @@ def _solve_chain(method: str, pot: PairPotential, coeff, h, load: ExternalForce,
         tbar /= coeff
     g, invert_iters = _invert_stress(pot, tbar)
     g.setflags(write=False)
-    coeff, scale = np.broadcast_to(coeff, (n,)), np.broadcast_to(scale, (n,))
+    coeff = np.broadcast_to(coeff, (n,)) if weighted else coeff
+    scale = np.broadcast_to(scale, (n,)) if scaled else scale
     samples, maxima, stresses = load.samples, [], np.empty(BLOCK_VALUES + 1)
     for at in range(0, n, BLOCK_VALUES):
         stop = min(at + BLOCK_VALUES, n)
         # the stresses t_j = c_j phi'(g_j) of slots at..stop, the last wrapping to slot 0
-        ring = (lambda v: v[at : stop + 1]) if stop < n else (lambda v: np.append(v[at:], v[0]))
-        t = pot.deriv(ring(g))
-        t = np.multiply(t, ring(coeff), out=stresses[: stop - at + 1]) if weighted else t
+        span = ((lambda v: v[at : stop + 1]) if stop < n
+                else (lambda v: np.concatenate((v[at:], v[:1]))))
+        t = pot.deriv(span(g))
+        t = np.multiply(t, span(coeff), out=stresses[: stop - at + 1]) if weighted else t
         equations = np.subtract(t[:-1], t[1:], out=stresses[: stop - at])
         if scaled:
             equations *= scale[at:stop]
@@ -137,7 +140,7 @@ def _solve_chain(method: str, pot: PairPotential, coeff, h, load: ExternalForce,
         if at <= pinned < stop:
             reaction = float(equations[pinned - at]) + 0.0  # a zero one as +0.0, not -0.0
             equations[pinned - at] = 0.0
-        maxima.append((np.max(np.abs(equations, out=equations)), np.max(np.abs(L, out=L))))
+        maxima.append((np.abs(equations, out=equations).max(), np.abs(L, out=L).max()))
         del t, L  # before the next block forms its own
     residual, load_max = np.max(maxima, axis=0)
     tol = 1e-10 * (1.0 + load_max)
@@ -195,18 +198,18 @@ def _scatter_cluster_values(rule: ClusterRule, weighted: np.ndarray) -> np.ndarr
     t+1 (d > 0), so it meets exactly two hats; offset 0 is the node itself.
     """
     s_own = rule.mesh.steps.astype(float)
-    s_next = np.roll(rule.mesh.steps, -1).astype(float)
+    s_next = ring(s_own, -1)
     out = np.array(weighted[:, rule.r])  # offset 0: hat of the own node is 1
     for i in range(rule.r):
         d = i - rule.r  # negative offsets, column i
         col = weighted[:, i]
         out += col * ((s_own + d) / s_own)
-        out += np.roll(col * (-d / s_own), -1)
+        out += ring(col * (-d / s_own), -1)
     for i in range(rule.r + 1, 2 * rule.r + 1):
         d = i - rule.r  # positive offsets
         col = weighted[:, i]
         out += col * (1.0 - d / s_next)
-        out += np.roll(col * (d / s_next), 1)
+        out += ring(col * (d / s_next), 1)
     return out
 
 
@@ -223,13 +226,13 @@ def energy_cluster_functional(model: ChainModel, weights: WeightSet, V: NodalFie
     check_lattice(model, rule.mesh)
     check_field(rule.mesh, V)
     e = model.potential.value(V.gradients())
-    e_next = np.roll(e, -1)
+    e_next = ring(e, -1)
     r = rule.r
     energies = np.empty((2 * rule.mesh.K, rule.size))
     energies[:, :r] = (0.5 * (e + e))[:, None]
     energies[:, r] = 0.5 * (e + e_next)
     energies[:, r + 1 :] = (0.5 * (e_next + e_next))[:, None]
-    per_cluster = np.sum(energies, axis=1)
+    per_cluster = energies.sum(axis=1)
     return float(np.dot(weights.energy, per_cluster))
 
 
@@ -243,7 +246,7 @@ def effective_stiffness(weights: WeightSet) -> np.ndarray:
     this is exactly 1 plus the element's smoothness coefficient.
     """
     w = weights.energy
-    return weights.rule.size * (w + np.roll(w, 1)) / (2.0 * weights.rule.mesh.h)
+    return weights.rule.size * (w + ring(w, 1)) / (2.0 * weights.rule.mesh.h)
 
 
 def solve_energy_cluster(model: ChainModel, weights: WeightSet, load=None) -> SolveReport:
@@ -255,7 +258,7 @@ def solve_energy_cluster(model: ChainModel, weights: WeightSet, load=None) -> So
     """
     mesh = weights.rule.mesh
     a = effective_stiffness(weights)
-    if not np.all(a > 0.0):
+    if not (a > 0.0).all():
         raise IllPosed("cluster energy has a nonpositive effective element stiffness")
     return _solve_nodal("energy-cluster", model, a, mesh, load)
 
@@ -270,7 +273,7 @@ def solve_force_cluster(model: ChainModel, weights: WeightSet) -> SolveReport:
     mesh = weights.rule.mesh
     nu = weights.force
     slot = int(np.argmin(nu))
-    if not nu[slot] > 1e-12 * np.max(nu):  # a vanishing weight makes the equations singular
+    if not nu[slot] > 1e-12 * nu.max():  # a vanishing weight makes the equations singular
         raise IllPosed(f"force weight of node slot {slot} is {nu[slot]:.3e}, "
                        f"not above 1e-12 times the largest")
     return _solve_nodal("force-cluster", model, 1.0, mesh, cluster_load(model, weights),

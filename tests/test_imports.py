@@ -1,7 +1,8 @@
 """Import hygiene: no module of the package, the tests or the tools imports
 a name it never references, no package module imports another's underscore
 names, and the package imports nothing at run time but the standard library
-and numpy.
+and numpy.  No package module calls np.roll: model.ring is its one periodic
+shift.
 
 No linter is part of the toolchain, so the syntax trees are scanned here.
 The package's ``__init__.py`` is left out of the unused-name check: its
@@ -74,6 +75,32 @@ def test_no_module_imports_a_private_name_of_another():
         if names:
             private[path.name] = names
     assert private == {}
+
+
+def roll_uses(source: str) -> list[int]:
+    """Lines that read numpy's roll: np.roll or numpy.roll, or an import of it by name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "roll"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy" and any(
+                alias.name == "roll" for alias in node.names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_roll_uses_are_found():
+    source = ("import numpy as np\nfrom numpy import roll\n"
+              "a = np.roll(x, 1)\nb = np.rollaxis(x, 1)\nc = ring(x, 1)  # not np.roll\n")
+    assert roll_uses(source) == [2, 3]
+
+
+def test_no_package_module_calls_np_roll():
+    # on K-sized arrays np.roll's Python-level dispatch costs several times
+    # the two-slice concatenation that model.ring performs, with the same bits
+    uses = {path.name: roll_uses(path.read_text()) for path in PACKAGE}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
 
 
 def test_package_imports_only_the_standard_library_and_numpy():

@@ -25,7 +25,7 @@ from qclab import (
     slot_of_site,
     stored_energy,
 )
-from qclab.model import BLOCK_VALUES, path_sum
+from qclab.model import BLOCK_VALUES, path_sum, ring
 from conftest import (displacement, fd_site_force, lattice_energy_norm, make_model, prolonged,
                       random_custom_mesh, random_displacement, site_energies, site_forces)
 
@@ -111,6 +111,29 @@ def test_non_finite_samples_in_a_later_block_are_rejected():
     force = sample_force("lin:1e308,1e308", 3 * BLOCK_VALUES // 2 + 3)
     with pytest.raises(UnknownFamily, match="non-finite"):
         force.samples
+
+
+# +0.0, -0.0, +inf, -inf, and nan of either sign, quiet or signalling, with payloads
+SPECIAL_BITS = (0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+                0x7FF8000000000000, 0xFFF8000000000001, 0x7FF80000DEADBEEF, 0x7FF0000000000001,
+                0xFFF4000000000000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 300), floats=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       sign=st.sampled_from((1, -1)), data=st.data())
+def test_ring_is_np_roll_bit_for_bit(n, floats, seed, sign, data):
+    # any float64 bit pattern, each value one of SPECIAL_BITS with probability
+    # 1/2, or any int64 value; shifts k = +-1 and 0 < |k| < n
+    k = sign * data.draw(st.just(1) | st.integers(1, max(n - 1, 1)), label="|k|")
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
+    if floats:
+        special = rng.random(n) < 0.5
+        bits[special] = rng.choice(np.array(SPECIAL_BITS, np.uint64), special.sum())
+    v = bits.view(float) if floats else bits.view(np.int64)
+    got, want = ring(v, k), np.roll(v, k)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def gathered_path_sum(v):

@@ -500,7 +500,9 @@ def test_solvers_agree_with_the_oracles_on_random_instances(mesh, force, data, m
     functional (no effective_stiffness), the constrained solve is Galerkin
     orthogonal to the atomistic one, and at r = 0 the estimator sandwich
     brackets the energy-cluster error.  Quartic draws: the atomistic
-    solution's site forces vanish off the pinned site.
+    solution's site forces vanish off the pinned site.  Both: the brute
+    cluster forces of the force-rule solution (brute_hat_scatter, not the
+    library's scatter) vanish off node 0.
 
     A tight cluster (2r+1 equal to the smallest step) can make an exact
     weight vanish or turn negative.  solve_weights rejects a negative one;
@@ -515,7 +517,7 @@ def test_solvers_agree_with_the_oracles_on_random_instances(mesh, force, data, m
         weights = solve_weights(assemble_weight_system(ClusterRule(mesh=mesh, r=r)), mode)
     except IllPosed:
         event("exact weights not all positive")
-        weights = None
+        weights = forced = None
     else:
         energy = solve_energy_cluster(model, weights).solution
         if np.min(weights.force) <= 1e-12 * np.max(weights.force):
@@ -525,6 +527,14 @@ def test_solvers_agree_with_the_oracles_on_random_instances(mesh, force, data, m
             forced = None
         else:
             forced = solve_force_cluster(model, weights).solution
+    if forced is not None:
+        # site_forces carry the dead load -eps f, so their weighted hat sums
+        # are the cluster forces minus the brute cluster load of eps f;
+        # tolerance as in the quartic atomistic check below
+        forces = brute_hat_scatter(mesh, weights.rule, weights.force,
+                                   site_forces(model, prolonged(mesh, forced)))
+        forces[mesh.K - 1] = 0.0
+        assert float(np.max(np.abs(forces))) <= 1e-11 * model.N
     if beta is not None:
         # differenced values, not the solver's gradients, so a closure constant
         # that misses periodicity shows up at the wrap bond.  The closure
